@@ -2,10 +2,10 @@
 
 A subset S is color-stable (here: CWS) when any two vertices of S that share
 a class color also share their colored neighborhood outside S.  The closure
-of a seed set keeps adding, for every same-colored pair inside, the vertices
-whose adjacency tells the pair apart, until nothing is forced; the result is
-the minimal CWS superset.  A CWS set is prime when every same-colored pair
-inside it closes to exactly the whole set.
+of a seed set is the fixpoint of adding every outside vertex w on which a
+same-colored group of S disagrees (its pair codes to or from w are not all
+equal); the result is the minimal CWS superset.  A CWS set is prime when
+every same-colored pair inside it closes to exactly the whole set.
 
 `reduce` repeats: refine, contract twin groups, contract overlap blocks
 (vertices whose pair closures give several distinct primes), then contract
@@ -27,6 +27,7 @@ from .canon import Certificate, certify
 from .errors import DecompositionError, UnsupportedGraphError
 from .graph import ColoredGraph
 from .limits import DEFAULT_LIMITS, Limits
+from .oracle import _UnionFind
 from .refine import project, refine_k
 
 
@@ -94,90 +95,105 @@ def _refined_classes(g: ColoredGraph, k: int, limits: Limits) -> np.ndarray:
 
 def is_cws(g: ColoredGraph, coloring, s) -> bool:
     """Same-colored members of s must agree on their colored adjacency to
-    every vertex outside s."""
-    cols = _as_colors(g, coloring)
-    sset = sorted(set(int(v) for v in s))
-    if not all(0 <= v < g.n for v in sset):
-        raise ValueError("subset vertex out of range")
-    outside = np.asarray([v for v in range(g.n) if v not in set(sset)], dtype=np.int64)
-    if outside.shape[0] == 0:
-        return True
-    p = g.pair_codes()
-    members = np.asarray(sset, dtype=np.int64)
-    for c in np.unique(cols[members]):
-        group = members[cols[members] == c]
-        if group.shape[0] < 2:
-            continue
-        block = p[np.ix_(group, outside)]
-        if not np.array_equal(block, np.broadcast_to(block[0], block.shape)):
-            return False
-        blockT = p[np.ix_(outside, group)]
-        if not np.array_equal(blockT, np.broadcast_to(blockT[:, :1], blockT.shape)):
-            return False
-    return True
+    every vertex outside s, i.e. s is its own closure."""
+    sset = frozenset(int(v) for v in s)
+    return closure(g, coloring, sset) == sset
 
 
-def _closure_impl(p: np.ndarray, cols: np.ndarray, seed, directed: bool) -> frozenset[int]:
-    s = set(int(v) for v in seed)
-    members = sorted(s)
-    pending = [
-        (x, y)
-        for i, x in enumerate(members)
-        for y in members[i + 1 :]
-        if cols[x] == cols[y]
-    ]
-    while pending:
-        x, y = pending.pop()
-        neq = p[x] != p[y]
-        if directed:
-            neq = neq | (p[:, x] != p[:, y])
-        for w in np.flatnonzero(neq):
-            w = int(w)
-            if w in s or w == x or w == y:
-                continue
-            pending.extend((w, z) for z in s if cols[z] == cols[w])
-            s.add(w)
-    return frozenset(s)
+def _dense_classes(cols: np.ndarray) -> np.ndarray:
+    """Class colors renumbered 0..m-1, so they can index per-class arrays."""
+    return np.unique(cols, return_inverse=True)[1].reshape(-1)
+
+
+# seeds closed together are capped at this many cells of seeds x n x n, which
+# bounds the row gathers of one fixpoint step (the n x n pair codes at most)
+_BATCH_CELLS = 1 << 18
+
+
+def _closures(p: np.ndarray, cls: np.ndarray, seeds: list, directed: bool) -> list[frozenset[int]]:
+    """Least CWS superset of every seed; `cls` holds dense class ids.
+
+    A vertex w outside S is forced in when some same-colored group of S
+    disagrees on w: `p[grp, w]` (or `p[w, grp]` when directed) is not
+    constant.  A group disagrees exactly where one of its members differs
+    from any fixed member, so each class keeps one representative in S and
+    every vertex that joins S is compared with its representative once.
+    Seeds are closed side by side, one row of S per seed.
+    """
+    n = p.shape[0]
+    step = max(1, _BATCH_CELLS // max(1, n * n))
+    out: list[frozenset[int]] = []
+    for lo in range(0, len(seeds), step):
+        chunk = [list(s) for s in seeds[lo : lo + step]]
+        inside = np.zeros((len(chunk), n), dtype=bool)
+        rep = np.full((len(chunk), n), -1, dtype=np.int64)
+        bb = np.repeat(np.arange(len(chunk)), [len(s) for s in chunk])
+        vv = np.asarray([v for s in chunk for v in s], dtype=np.int64)
+        while vv.size:
+            inside[bb, vv] = True
+            c = cls[vv]
+            fresh = rep[bb, c] < 0
+            rep[bb[fresh], c[fresh]] = vv[fresh]
+            r = rep[bb, c]
+            diff = p[vv] != p[r]
+            if directed:
+                diff |= (p[:, vv] != p[:, r]).T
+            # bb is sorted: OR each seed's rows together
+            first = np.flatnonzero(np.diff(bb, prepend=-1))
+            marked = np.zeros_like(inside)
+            marked[bb[first]] = np.logical_or.reduceat(diff, first, axis=0)
+            bb, vv = np.nonzero(marked & ~inside)
+        rows, members = np.nonzero(inside)
+        ends = np.cumsum(np.bincount(rows, minlength=len(chunk)))[:-1]
+        out.extend(frozenset(m.tolist()) for m in np.split(members, ends))
+    return out
 
 
 class _Scan:
     """Memoized pair closures and primality checks for one (graph, coloring)."""
 
-    def __init__(self, g: ColoredGraph, cols: np.ndarray):
+    def __init__(self, g: ColoredGraph, cols):
         self.g = g
-        self.cols = cols
+        self.cls = _dense_classes(np.asarray(cols))
         self.p = g.pair_codes()
         self.cl: dict[tuple[int, int], frozenset[int]] = {}
         self.prime: dict[frozenset[int], bool] = {}
 
+    def close_pairs(self, pairs) -> None:
+        """Close every uncached pair in one batch."""
+        todo = sorted({(x, y) if x < y else (y, x) for x, y in pairs} - self.cl.keys())
+        self.cl.update(zip(todo, _closures(self.p, self.cls, todo, self.g.directed)))
+
     def closure_pair(self, x: int, y: int) -> frozenset[int]:
         key = (x, y) if x < y else (y, x)
-        got = self.cl.get(key)
-        if got is None:
-            got = _closure_impl(self.p, self.cols, key, self.g.directed)
-            self.cl[key] = got
-        return got
+        if key not in self.cl:
+            self.close_pairs([key])
+        return self.cl[key]
 
     def is_prime(self, sset: frozenset[int]) -> bool:
+        """A CWS set (one that is its own closure) with a same-colored pair,
+        every such pair closing to exactly the set."""
         got = self.prime.get(sset)
         if got is not None:
             return got
         out = False
-        if len(sset) >= 2 and is_cws(self.g, self.cols, sset):
+        if len(sset) >= 2 and _closures(self.p, self.cls, [sset], self.g.directed)[0] == sset:
             members = sorted(sset)
-            any_pair = False
-            out = True
-            for i, x in enumerate(members):
-                for y in members[i + 1 :]:
-                    if self.cols[x] != self.cols[y]:
-                        continue
-                    any_pair = True
-                    if self.closure_pair(x, y) != sset:
-                        out = False
-                        break
-                if not out:
-                    break
-            out = out and any_pair
+            cls = self.cls[members].tolist()
+            pairs = [
+                (x, members[j])
+                for i, x in enumerate(members)
+                for j in range(i + 1, len(members))
+                if cls[i] == cls[j]
+            ]
+            # batches double in size, so a set that fails early costs at
+            # most twice the closures of checking pair by pair
+            out, lo, size = bool(pairs), 0, 1
+            while out and lo < len(pairs):
+                batch = pairs[lo : lo + size]
+                self.close_pairs(batch)
+                out = all(self.cl[pair] == sset for pair in batch)
+                lo, size = lo + size, 2 * size
         self.prime[sset] = out
         return out
 
@@ -189,7 +205,7 @@ def closure(g: ColoredGraph, coloring, seed) -> frozenset[int]:
     s = set(int(v) for v in seed)
     if not all(0 <= v < g.n for v in s):
         raise ValueError("seed vertex out of range")
-    return _closure_impl(g.pair_codes(), cols, s, g.directed)
+    return _closures(g.pair_codes(), _dense_classes(cols), [s], g.directed)[0]
 
 
 def is_prime(g: ColoredGraph, coloring, s) -> bool:
@@ -212,45 +228,31 @@ def cws_spectrum(g: ColoredGraph, coloring, v: int) -> list[frozenset[int]]:
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-class _UF:
-    def __init__(self, n: int):
-        self.p = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[max(ra, rb)] = min(ra, rb)
-
-
 def twin_classes(
     g: ColoredGraph, coloring
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Groups of mutual twins: (adjacent-pair groups, non-adjacent groups).
     Twins share a class color and their colored adjacency to every other
     vertex; adjacent twin groups come out as uniform cliques."""
-    cols = _as_colors(g, coloring)
+    cls = _dense_classes(_as_colors(g, coloring))
     p = g.pair_codes()
     n = g.n
-    uf_t, uf_f = _UF(n), _UF(n)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if cols[x] != cols[y]:
-                continue
-            rest = [w for w in range(n) if w != x and w != y]
-            same = all(p[x, w] == p[y, w] and p[w, x] == p[w, y] for w in rest)
-            if not same:
-                continue
-            if p[x, y] != 0:
-                uf_t.union(x, y)
-            else:
-                uf_f.union(x, y)
-    def collect(uf: _UF) -> list[list[int]]:
+    # row v: the codes of pairs (v, w), then of pairs (w, v)
+    both = np.hstack((p, p.T))
+    uf_t, uf_f = _UnionFind(n), _UnionFind(n)
+    for c in range(int(cls.max(initial=-1)) + 1):
+        grp = np.flatnonzero(cls == c)
+        for i, x in enumerate(grp[:-1].tolist()):
+            ys = grp[i + 1 :]
+            rows = np.arange(ys.shape[0])
+            # x and each y compare everywhere except at x and y themselves
+            neq = both[ys] != both[x]
+            neq[:, [x, n + x]] = False
+            neq[rows, ys] = neq[rows, n + ys] = False
+            for y in ys[~neq.any(axis=1)].tolist():
+                (uf_t if p[x, y] != 0 else uf_f).union(x, y)
+
+    def collect(uf: _UnionFind) -> list[list[int]]:
         groups: dict[int, list[int]] = {}
         for v in range(n):
             groups.setdefault(uf.find(v), []).append(v)
@@ -371,9 +373,10 @@ def contract(
     coloring=None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> ColoredGraph:
-    """Contract one CWS subset to a single vertex.  The fresh vertex color
-    embeds the piece's canonical digest; attachment edges embed their profile
-    digests; so equal results mean equal pieces attached the same way."""
+    """Contract one CWS subset to a single vertex: `contract_batch` on one
+    piece.  The fresh vertex and attachment-edge colors rank the piece digest
+    and the attachment profiles; `contract_batch` also returns the tables
+    behind those ranks."""
     if g.directed:
         raise UnsupportedGraphError("contraction is defined for undirected graphs")
     cols = (
@@ -382,23 +385,8 @@ def contract(
     piece = frozenset(int(v) for v in s)
     if not piece or not is_cws(g, cols, piece):
         raise UnsupportedGraphError("subset is not color-stable; refusing to contract")
-    digest = _piece_digest(g, cols, piece, k, limits)
-    outside = [v for v in range(g.n) if v not in piece]
-    mapping = {v: i for i, v in enumerate(outside)}
-    pv = len(outside)
-    vbase = g.max_vertex_color() + 1
-    ebase = g.max_edge_color() + 1
-    colors = [g.vertex_colors[v] for v in outside]
-    colors.append(vbase + 1 + int.from_bytes(digest[:6], "big"))
-    op, _ = _attachment_profiles(g, cols, [piece])
-    edges = []
-    for u, v, c in g.edge_list():
-        if u not in piece and v not in piece:
-            edges.append((mapping[u], mapping[v], c))
-    for (w, _pi), prof in op.items():
-        pcode = int.from_bytes(hashlib.sha256(prof).digest()[:6], "big")
-        edges.append((mapping[w], pv, ebase + 1 + pcode))
-    return ColoredGraph(pv + 1, edges, directed=False, vertex_colors=colors)
+    out, _, _, _ = contract_batch(g, cols, [piece], [_piece_digest(g, cols, piece, k, limits)])
+    return out
 
 
 def decompose(
@@ -428,6 +416,7 @@ def decompose(
             if len(members) < 2:
                 break
             u = members[0]
+            scan.close_pairs((u, y) for y in members[1:])
             primes: dict[frozenset[int], tuple[int, int]] = {}
             for y in members[1:]:
                 s = scan.closure_pair(u, y)
@@ -471,6 +460,7 @@ def _overlap_blocks(
         members = [v for v in range(g.n) if cols[v] == cid]
         if len(members) < 3 or len(members) > limits.overlap_class_cap:
             continue
+        scan.close_pairs((x, y) for i, x in enumerate(members) for y in members[i + 1 :])
         for x in members:
             primes: set[frozenset[int]] = set()
             for y in members:

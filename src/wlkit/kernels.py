@@ -87,10 +87,17 @@ def dense_rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m == 0:
         return np.empty(0, dtype=np.int64), rows.copy()
     contig = np.ascontiguousarray(rows)
-    be = contig.astype(">i8")
-    view = be.view(f"V{8 * rows.shape[1]}").ravel()
-    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
-    return inverse.astype(np.int64), contig[first]
+    view = contig.astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
+    # np.unique's steps, less its copy of the input: a stable sort keeps the
+    # first occurrence of each row first in its run
+    order = view.argsort(kind="stable")
+    view = view[order]
+    starts = np.empty(m, dtype=bool)
+    starts[0] = True
+    starts[1:] = view[1:] != view[:-1]
+    ids = np.empty(m, dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, contig[order[starts]]
 
 
 def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int):
@@ -111,7 +118,7 @@ def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int):
             _cy.wl_round_rows(colors, n, k, base, out)
         else:
             mats = index_matrices(n, k)
-            codes = colors[mats[k - 1]].copy()
+            codes = colors[mats[k - 1]]
             for j in range(k - 2, -1, -1):
                 codes *= base
                 codes += colors[mats[j]]

@@ -260,6 +260,7 @@ def refine_k(
         else:
             rows, info = round_rows(colors, n, k, ncolors)
         ids, uniq = dense_rank_rows(rows)
+        del rows  # freed before the next round allocates its own
         if np.array_equal(ids, colors):
             break
         colors = ids

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import wlkit.cws as cws
 from conftest import crown_graph
 from wlkit.cws import (
     closure,
@@ -21,12 +23,94 @@ from wlkit.cws import (
 from wlkit.errors import DecompositionError, UnsupportedGraphError
 from wlkit.families import complete, cycle, path, petersen, random_graph
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
-from wlkit.oracle import orbits_oracle
+from wlkit.oracle import _UnionFind, orbits_oracle
 from wlkit.refine import refine_2, vertex_classes
 
 
 def classes_of(g) -> np.ndarray:
     return vertex_classes(refine_2(g))
+
+
+# -- references: the per-pair worklist closure and pairwise twin test ----------
+
+
+def reference_closure(p: np.ndarray, cols, seed, directed: bool) -> frozenset[int]:
+    """Pop a same-colored pair, add every outside vertex it disagrees on, and
+    queue the newcomer's pairs with its classmates, until no pair is left."""
+    s = set(int(v) for v in seed)
+    members = sorted(s)
+    pending = [
+        (x, y)
+        for i, x in enumerate(members)
+        for y in members[i + 1 :]
+        if cols[x] == cols[y]
+    ]
+    while pending:
+        x, y = pending.pop()
+        neq = p[x] != p[y]
+        if directed:
+            neq = neq | (p[:, x] != p[:, y])
+        for w in np.flatnonzero(neq):
+            w = int(w)
+            if w in s or w == x or w == y:
+                continue
+            pending.extend((w, z) for z in s if cols[z] == cols[w])
+            s.add(w)
+    return frozenset(s)
+
+
+def reference_is_prime(g, cols, sset: frozenset[int]) -> bool:
+    p = g.pair_codes()
+    if len(sset) < 2 or reference_closure(p, cols, sset, g.directed) != sset:
+        return False
+    pairs = [(x, y) for x in sset for y in sset if x < y and cols[x] == cols[y]]
+    return bool(pairs) and all(
+        reference_closure(p, cols, pair, g.directed) == sset for pair in pairs
+    )
+
+
+def reference_twin_classes(g, cols):
+    p = g.pair_codes()
+    uf_t, uf_f = _UnionFind(g.n), _UnionFind(g.n)
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            if cols[x] != cols[y]:
+                continue
+            rest = [w for w in range(g.n) if w != x and w != y]
+            if all(p[x, w] == p[y, w] and p[w, x] == p[w, y] for w in rest):
+                (uf_t if p[x, y] != 0 else uf_f).union(x, y)
+
+    def collect(uf):
+        groups: dict[int, list[int]] = {}
+        for v in range(g.n):
+            groups.setdefault(uf.find(v), []).append(v)
+        return [sorted(vs) for _, vs in sorted(groups.items()) if len(vs) >= 2]
+    return collect(uf_t), collect(uf_f)
+
+
+@st.composite
+def colored_graphs(draw, max_n: int = 8):
+    """Small graphs, either orientation, with edge colors and an arbitrary
+    (not necessarily stable) vertex coloring of up to three classes."""
+    n = draw(st.integers(0, max_n))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    codes = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v, c - 1) for (u, v), c in zip(pairs, codes) if c]
+    cols = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return ColoredGraph(n, edges, directed=directed), np.asarray(cols, dtype=np.int64)
+
+
+@st.composite
+def graphs_with_seed(draw):
+    g, cols = draw(colored_graphs())
+    # empty, singleton, pair and larger seeds
+    size = min(draw(st.sampled_from((0, 1, 2, 3, 5))), g.n)
+    seed = draw(st.sets(st.integers(0, max(g.n - 1, 0)), min_size=size, max_size=size))
+    return g, cols, frozenset(seed)
+
+
+PROPERTY = settings(max_examples=150, deadline=None)
 
 
 # -- the subset predicate ------------------------------------------------------
@@ -70,6 +154,49 @@ def test_closure_is_monotone_and_idempotent():
                 assert {u, v} <= s
                 assert closure(g, cols, s) == s
                 assert is_cws(g, cols, s)
+
+
+@PROPERTY
+@given(graphs_with_seed())
+def test_closure_matches_the_worklist_reference(case):
+    g, cols, seed = case
+    want = reference_closure(g.pair_codes(), cols, seed, g.directed)
+    assert closure(g, cols, seed) == want
+    assert is_cws(g, cols, seed) == (want == seed)
+
+
+@PROPERTY
+@given(colored_graphs(max_n=7))
+def test_batched_pair_closures_match_the_reference(case):
+    g, cols = case
+    pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+    p = g.pair_codes()
+    want = [reference_closure(p, cols, pair, g.directed) for pair in pairs]
+    dense = cws._dense_classes(cols)
+    saved = cws._BATCH_CELLS
+    try:
+        # split the batch into chunks of two and three seeds as well
+        for cells in (saved, 2 * g.n * g.n, 3 * g.n * g.n):
+            cws._BATCH_CELLS = cells
+            assert cws._closures(p, dense, pairs, g.directed) == want
+    finally:
+        cws._BATCH_CELLS = saved
+
+
+@PROPERTY
+@given(graphs_with_seed())
+def test_is_prime_matches_the_worklist_reference(case):
+    g, cols, seed = case
+    s = closure(g, cols, seed)
+    for sset in (seed, s):
+        assert is_prime(g, cols, sset) == reference_is_prime(g, cols, sset)
+
+
+@PROPERTY
+@given(colored_graphs())
+def test_twin_classes_match_the_pairwise_reference(case):
+    g, cols = case
+    assert twin_classes(g, cols) == reference_twin_classes(g, cols)
 
 
 def test_prime_pieces_of_c4():
@@ -116,6 +243,18 @@ def test_contract_requires_a_cws_set():
     assert out.n == 3
     # the contracted vertex carries a fresh digest-derived color
     assert out.vertex_colors[2] > g.max_vertex_color()
+
+
+def test_contract_is_the_one_piece_batch():
+    g = disjoint_union(cycle(4), path(3))
+    cols = classes_of(g)
+    from wlkit.cws import _piece_digest
+    from wlkit.limits import DEFAULT_LIMITS
+
+    piece = frozenset({0, 2})
+    digest = _piece_digest(g, cols, piece, 2, DEFAULT_LIMITS)
+    batch, _, _, _ = contract_batch(g, cols, [piece], [digest])
+    assert contract(g, piece, coloring=cols) == batch
 
 
 def test_equal_pieces_share_a_color():

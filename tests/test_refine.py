@@ -259,3 +259,20 @@ def test_stable_names_follow_the_one_dim_partition():
     names = stable_vertex_names(g)
     # one-dim refinement cannot split two regular components of equal degree
     assert len(set(names)) == 1
+
+
+def test_dense_rank_rows_matches_np_unique():
+    # reference: np.unique on the big-endian byte view of each row
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        m, w = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        hi = (2, 7, 2**40)[trial % 3]
+        rows = rng.integers(0, hi, size=(m, w))
+        if trial % 2:
+            rows = rows[:, ::-1]  # a non-contiguous view
+        view = np.ascontiguousarray(rows).astype(">i8").view(f"V{8 * w}").ravel()
+        _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+        ids, uniq = kernels.dense_rank_rows(rows)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, inverse.reshape(-1))
+        assert np.array_equal(uniq, rows[first])
