@@ -17,6 +17,15 @@ Three modes, all built on k-dim refinement:
   tree, which is label-invariant.  Discovered automorphisms prune sibling
   branches (orbit pruning) and cut subtrees that an automorphism maps onto
   already-explored ones.
+
+All three share one descent step.  A search node is a vertex coloring (the
+root's colors with each individualized vertex given a fresh color); its
+refinement starts from the parent's stable tuple coloring met with the new
+vertex colors rather than from the iso-type coloring.  The node's stable
+coloring refines its parent's, so the stable partition is the one refining
+from scratch would give; only color ids differ, and most nodes need a
+single splitting round.  Ids are still fixed by the graph and the
+individualized sequence alone, so digests stay label-invariant.
 """
 from __future__ import annotations
 
@@ -29,6 +38,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .graph import ColoredGraph, serialize_wlg
 from .limits import DEFAULT_LIMITS, Limits
+from .oracle import is_automorphism
 from .refine import invariant_bytes, project, refine_k, stable_vertex_names
 
 
@@ -77,44 +87,47 @@ def _target_class(vc: np.ndarray) -> tuple[int, list[int]]:
     raise ValueError("no class of size >= 2 (coloring is discrete)")
 
 
-def _refine_vertex_classes(g, colors, k, limits):
+def _count_node(stats: SearchStats, limits: Limits, what: str) -> None:
+    stats.nodes += 1
+    if stats.nodes > limits.canon_nodes:
+        raise ResourceLimitError(
+            f"{what} search exceeded the node budget",
+            required=stats.nodes, cap=limits.canon_nodes,
+        )
+
+
+def _refine_node(g, k, colors, start, limits):
+    """Stable coloring of a search node with vertex colors `colors`, seeded
+    from its parent's stable tuple coloring `start` (None at the root);
+    returns it with its vertex classes."""
     tc = refine_k(
-        g, k, vertex_colors=colors, limits=limits,
+        g, k, vertex_colors=colors, start=start, limits=limits,
         keep_history=False, keep_records=False,
     )
-    pv = project(tc, 1)
-    return tc, pv
+    return tc, project(tc, 1)
 
 
-def _fast_leaf(g, k, colors, limits, stats, trace=None):
+def _child_colors(colors: np.ndarray, v: int) -> np.ndarray:
+    """Vertex colors of the child that individualizes v: a fresh color one
+    past the current maximum, the same for every sibling."""
+    out = colors.copy()
+    out[v] = int(colors.max()) + 1
+    return out
+
+
+def _fast_leaf(g, k, colors, start, limits, stats, trace=None):
     """Descend greedily to a discrete coloring; returns (leaf bytes, order)."""
     n = g.n
-    colors = np.asarray(colors, dtype=np.int64)
     while True:
-        stats.nodes += 1
-        if stats.nodes > limits.canon_nodes:
-            raise ResourceLimitError(
-                "certificate search exceeded the node budget",
-                required=stats.nodes, cap=limits.canon_nodes,
-            )
-        _, pv = _refine_vertex_classes(g, colors, k, limits)
+        _count_node(stats, limits, "certificate")
+        tc, pv = _refine_node(g, k, colors, start, limits)
         if pv.num_colors == n:
             order = np.argsort(pv.colors)
             return serialize_in_order(g, order), order
         cid, members = _target_class(pv.colors)
-        v = members[0]
         if trace is not None:
             trace.append((cid, len(members)))
-        colors = colors.copy()
-        colors[v] = int(colors.max()) + 1
-
-
-def _is_automorphism(g: ColoredGraph, sigma: np.ndarray) -> bool:
-    vc = g.vertex_colors
-    if any(vc[int(sigma[v])] != vc[v] for v in range(g.n)):
-        return False
-    p = g.pair_codes()
-    return bool(np.array_equal(p[np.ix_(sigma, sigma)], p))
+        colors, start = _child_colors(colors, members[0]), tc.colors
 
 
 def _orbit_reach(seed: list[int], prefix: tuple[int, ...], gens, n: int) -> set[int]:
@@ -148,15 +161,10 @@ def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
     stats = SearchStats()
     best: dict = {"inv": None, "bytes": None, "path": None, "order": None, "trace": None}
 
-    def node(colors, prefix, inv_path, trace):
+    def node(colors, start, prefix, inv_path, trace):
         depth = len(prefix)
-        stats.nodes += 1
-        if stats.nodes > limits.canon_nodes:
-            raise ResourceLimitError(
-                "canonical search exceeded the node budget",
-                required=stats.nodes, cap=limits.canon_nodes,
-            )
-        tc, pv = _refine_vertex_classes(g, colors, k, limits)
+        _count_node(stats, limits, "canonical")
+        tc, pv = _refine_node(g, k, colors, start, limits)
         vhist = np.bincount(pv.colors, minlength=pv.num_colors).astype(np.int64)
         path2 = inv_path + (invariant_bytes(tc) + b"#" + vhist.tobytes(),)
         if best["bytes"] is not None:
@@ -176,7 +184,7 @@ def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
                 b_order = best["order"]
                 sigma = np.empty(n, dtype=np.int64)
                 sigma[np.asarray(b_order)] = np.asarray(order)
-                if not np.array_equal(sigma, np.arange(n)) and _is_automorphism(g, sigma):
+                if not np.array_equal(sigma, np.arange(n)) and is_automorphism(g, sigma):
                     tup = tuple(int(x) for x in sigma)
                     if tup not in stats.generators:
                         stats.generators.append(tup)
@@ -201,17 +209,17 @@ def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
                         raise _Jump(common)
             return
         cid, members = _target_class(pv.colors)
-        fresh = int(colors.max()) + 1
         explored: list[int] = []
         for v in members:
             if explored and stats.generators:
                 if v in _orbit_reach(explored, prefix, stats.generators, n):
                     explored.append(v)
                     continue
-            c2 = colors.copy()
-            c2[v] = fresh
             try:
-                node(c2, prefix + (v,), path2, trace + ((cid, len(members)),))
+                node(
+                    _child_colors(colors, v), tc.colors, prefix + (v,), path2,
+                    trace + ((cid, len(members)),),
+                )
             except _Jump as j:
                 if j.depth < depth:
                     raise
@@ -219,7 +227,7 @@ def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
                 # sibling's; move on to the next candidate.
             explored.append(v)
 
-    node(base_colors, (), (), ())
+    node(base_colors, None, (), (), ())
     if best["bytes"] is None:
         raise ResourceLimitError("canonical search ended with no leaf")
     return best, stats
@@ -244,40 +252,33 @@ def certify(
     base = np.asarray(g.vertex_colors, dtype=np.int64)
     if mode == "fast":
         trace: list[tuple[int, int]] = []
-        leafb, _ = _fast_leaf(g, k, base, limits, stats, trace)
+        leafb, _ = _fast_leaf(g, k, base, None, limits, stats, trace)
         return Certificate(
             digest=hashlib.sha256(leafb).digest(), k=k, mode=mode, n=n,
             trace=tuple(trace), nodes=stats.nodes,
         )
     if mode == "verified":
-        colors = base
+        colors, start = base, None
         trace = []
         orbit_flag = False
         while True:
-            stats.nodes += 1
-            if stats.nodes > limits.canon_nodes:
-                raise ResourceLimitError(
-                    "certificate search exceeded the node budget",
-                    required=stats.nodes, cap=limits.canon_nodes,
-                )
-            _, pv = _refine_vertex_classes(g, colors, k, limits)
+            _count_node(stats, limits, "certificate")
+            tc, pv = _refine_node(g, k, colors, start, limits)
             if pv.num_colors == n:
                 order = np.argsort(pv.colors)
                 leafb = serialize_in_order(g, order)
                 break
             cid, members = _target_class(pv.colors)
-            fresh = int(colors.max()) + 1
             digests = []
             for w in members:
-                cw = colors.copy()
-                cw[w] = fresh
-                wb, _ = _fast_leaf(g, k, cw, limits, stats)
+                wb, _ = _fast_leaf(
+                    g, k, _child_colors(colors, w), tc.colors, limits, stats,
+                )
                 digests.append(hashlib.sha256(wb).digest())
             if len(set(digests)) > 1:
                 orbit_flag = True
             trace.append((cid, len(members)))
-            colors = colors.copy()
-            colors[members[0]] = fresh
+            colors, start = _child_colors(colors, members[0]), tc.colors
         return Certificate(
             digest=hashlib.sha256(leafb).digest(), k=k, mode=mode, n=n,
             trace=tuple(trace), orbit_flag=orbit_flag, nodes=stats.nodes,

@@ -181,6 +181,7 @@ def parse_wlg(text: str) -> ColoredGraph:
     header = None
     vcolors: dict[int, int] = {}
     edges: list[tuple[int, int, int]] = []
+    seen: set[tuple[int, int]] = set()
     header_line = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -234,8 +235,9 @@ def parse_wlg(text: str) -> ColoredGraph:
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
             a, b = (u, v) if d or u < v else (v, u)
-            if any((a, b) == (x, y) for x, y, _ in edges):
+            if (a, b) in seen:
                 raise ParseError(f"duplicate edge ({u},{v})", lineno)
+            seen.add((a, b))
             edges.append((a, b, c))
         else:
             raise ParseError(f"unknown directive {tag!r}", lineno)

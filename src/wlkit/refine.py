@@ -34,7 +34,7 @@ class RoundRecord:
     """Decoding data for one round: unique rows by color id plus code scheme."""
 
     rows: np.ndarray
-    mode: str  # "iso" | "vertex" | "packed" | "table" | "k1"
+    mode: str  # "iso" | "vertex" | "seed" | "packed" | "table" | "k1"
     base: int | None = None
     table: np.ndarray | None = None
 
@@ -75,6 +75,8 @@ class TupleColoring:
             return ("iso", tuple(int(v) for v in row))
         if rec.mode == "vertex":
             return ("vertex", int(row[0]))
+        if rec.mode == "seed":
+            return ("seed", int(row[0]), tuple(int(v) for v in row[1:]))
         if rec.mode == "k1":
             prev = int(row[0])
             pb = rec.base
@@ -155,20 +157,21 @@ def iso_type(g: ColoredGraph, tup: Sequence[int]) -> tuple:
     return (eq, pc, vc)
 
 
-def _initial_rows(g: ColoredGraph, k: int) -> np.ndarray:
-    """Iso-type feature rows for all n^k tuples (dense-rankable)."""
-    n = g.n
-    p = g.pair_codes()
-    vc = np.asarray(g.vertex_colors, dtype=np.int64)
-    digits = tuple_digits(n, k)
-    cols = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            cols.append((digits[i] == digits[j]).astype(np.int64))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                cols.append(p[digits[i], digits[j]])
+def _initial_rows(
+    g: ColoredGraph, k: int, vc: np.ndarray, start: np.ndarray | None = None
+) -> np.ndarray:
+    """Feature rows for all n^k tuples (dense-rankable): the iso type under
+    vertex colors `vc`, or `[start | vc at each position]` when seeded."""
+    digits = tuple_digits(g.n, k)
+    if start is not None:
+        cols = [np.asarray(start, dtype=np.int64)]
+    else:
+        p = g.pair_codes()
+        cols = [
+            (digits[i] == digits[j]).astype(np.int64)
+            for i in range(k) for j in range(i + 1, k)
+        ]
+        cols += [p[digits[i], digits[j]] for i in range(k) for j in range(k) if i != j]
     for i in range(k):
         cols.append(vc[digits[i]])
     return np.column_stack(cols)
@@ -202,22 +205,44 @@ def _round_rows_k1(g: ColoredGraph, colors: np.ndarray) -> tuple[np.ndarray, int
     return rows, pb
 
 
+def _vertex_color_array(g: ColoredGraph, vertex_colors) -> np.ndarray:
+    """Vertex colors as an int64 array, checked the way ColoredGraph checks
+    its own."""
+    if vertex_colors is None:
+        return np.asarray(g.vertex_colors, dtype=np.int64)
+    vc = np.asarray(vertex_colors, dtype=np.int64)
+    if vc.shape != (g.n,):
+        raise UnsupportedGraphError("vertex_colors length must equal n")
+    if vc.size and int(vc.min()) < 0:
+        raise UnsupportedGraphError("vertex colors must be non-negative")
+    return vc
+
+
 def refine_k(
     g: ColoredGraph,
     k: int,
     *,
     vertex_colors: Sequence[int] | None = None,
+    start: np.ndarray | None = None,
     limits: Limits = DEFAULT_LIMITS,
     keep_history: bool = True,
     keep_records: bool = True,
 ) -> TupleColoring:
-    """Run k-dim refinement to stability.  `vertex_colors` overrides the
-    graph's own colors (used for individualization) without copying edges."""
+    """Run k-dim refinement to stability.
+
+    `vertex_colors` overrides the graph's own colors (used for
+    individualization); the edges and cached pair codes of `g` are used as
+    they are.  `start`, when given, is a stable n^k coloring of `g` under
+    coarser vertex colors (a search node's parent).  The first coloring is
+    then `start` met with the vertex colors of each position instead of the
+    iso type; the stable partition is the same, only the color ids differ,
+    and fewer rounds are needed."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if vertex_colors is not None:
-        g = g.with_vertex_colors(vertex_colors)
+    vc = _vertex_color_array(g, vertex_colors)
     n = g.n
+    if start is not None and np.shape(start) != (n**k,):
+        raise ValueError(f"start must be a coloring of all {n}^{k} tuples")
     need = _estimate_bytes(n, k)
     if need > limits.memory_bytes:
         raise ResourceLimitError(
@@ -237,16 +262,12 @@ def refine_k(
             records=[] if keep_records else None,
         )
 
-    if k == 1:
-        vc = np.asarray(g.vertex_colors, dtype=np.int64)
-        colors, uniq = dense_rank_rows(vc[:, None])
-        if records is not None:
-            records.append(RoundRecord(rows=uniq, mode="vertex"))
-    else:
-        rows0 = _initial_rows(g, k)
-        colors, uniq = dense_rank_rows(rows0)
-        if records is not None:
-            records.append(RoundRecord(rows=uniq, mode="iso"))
+    mode = "seed" if start is not None else ("vertex" if k == 1 else "iso")
+    rows0 = _initial_rows(g, k, vc, start)
+    colors, uniq = dense_rank_rows(rows0)
+    del rows0
+    if records is not None:
+        records.append(RoundRecord(rows=uniq, mode=mode))
     ncolors = int(colors.max()) + 1
     class_counts.append(ncolors)
     if history is not None:

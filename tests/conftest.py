@@ -1,4 +1,4 @@
-"""Shared fixtures and partition helpers.
+"""Shared fixtures, partition helpers and a small-graph strategy.
 
 Color ids produced by dense ranking are arbitrary; two equal partitions of
 the same index set can carry different ids.  Tests therefore compare
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from wlkit.families import complete
 from wlkit.cfi import cfi_build
@@ -37,6 +38,19 @@ def crown_graph() -> ColoredGraph:
     """Two color classes {0,1,2} and {3,4,5}, edges i-(3+j) for i != j."""
     edges = [(i, 3 + j, 0) for i in range(3) for j in range(3) if i != j]
     return ColoredGraph(6, edges, vertex_colors=[1, 1, 1, 2, 2, 2])
+
+
+@st.composite
+def colored_graphs(draw, max_n: int = 8):
+    """Small graphs, either orientation, with edge colors and an arbitrary
+    (not necessarily stable) vertex coloring of up to three classes."""
+    n = draw(st.integers(0, max_n))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    codes = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v, c - 1) for (u, v), c in zip(pairs, codes) if c]
+    cols = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return ColoredGraph(n, edges, directed=directed), np.asarray(cols, dtype=np.int64)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import colored_graphs
 from wlkit.canon import (
     aut_generators_via_recursion,
     certify,
@@ -48,6 +50,17 @@ def test_digest_is_relabeling_invariant(mode, make):
     for seed in range(4):
         h, _ = random_relabel(g, seed=seed)
         assert certify(h, 2, mode).digest == ref.digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(colored_graphs(max_n=7), st.sampled_from((1, 2)), st.integers(0, 2**16))
+def test_canonical_digest_is_invariant_on_random_colored_graphs(case, k, seed):
+    g, cols = case
+    g = g.with_vertex_colors(cols.tolist())
+    ref = certify(g, k, "canonical").digest
+    for s in (seed, seed + 1):
+        h, _ = random_relabel(g, seed=s)
+        assert certify(h, k, "canonical").digest == ref
 
 
 def test_modes_agree_with_each_other():

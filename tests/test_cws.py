@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wlkit.cws as cws
-from conftest import crown_graph
+from conftest import colored_graphs, crown_graph
 from wlkit.cws import (
     closure,
     contract,
@@ -86,19 +86,6 @@ def reference_twin_classes(g, cols):
             groups.setdefault(uf.find(v), []).append(v)
         return [sorted(vs) for _, vs in sorted(groups.items()) if len(vs) >= 2]
     return collect(uf_t), collect(uf_f)
-
-
-@st.composite
-def colored_graphs(draw, max_n: int = 8):
-    """Small graphs, either orientation, with edge colors and an arbitrary
-    (not necessarily stable) vertex coloring of up to three classes."""
-    n = draw(st.integers(0, max_n))
-    directed = draw(st.booleans())
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
-    codes = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
-    edges = [(u, v, c - 1) for (u, v), c in zip(pairs, codes) if c]
-    cols = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return ColoredGraph(n, edges, directed=directed), np.asarray(cols, dtype=np.int64)
 
 
 @st.composite

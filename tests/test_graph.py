@@ -130,6 +130,20 @@ def test_parse_errors_carry_line_numbers(text, lineno):
     assert info.value.line == lineno
 
 
+def test_reversed_undirected_duplicate_is_rejected_at_its_own_line():
+    text = "p wlg 3 3 0\ne 1 2\ne 0 1 4\ne 2 1\n"
+    with pytest.raises(ParseError) as info:
+        parse_wlg(text)
+    assert info.value.line == 4
+    assert "duplicate edge (2,1)" in str(info.value)
+
+
+def test_directed_opposite_arcs_are_distinct_edges():
+    g = parse_wlg("p wlg 2 2 1\ne 0 1\ne 1 0 3\n")
+    assert g.directed and g.num_edges == 2
+    assert g.edge_color(0, 1) == 0 and g.edge_color(1, 0) == 3
+
+
 def test_missing_header():
     with pytest.raises(ParseError):
         parse_wlg("# nothing here\n")

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import same_partition
+import wlkit.refine as refine_module
+from conftest import colored_graphs, same_partition
 from wlkit import kernels
-from wlkit.errors import ResourceLimitError
+from wlkit.errors import ResourceLimitError, UnsupportedGraphError
 from wlkit.families import (
     complete,
     cycle,
@@ -124,6 +127,70 @@ def test_history_is_monotone():
     assert np.array_equal(tc.history[-1], tc.colors)
 
 
+# -- refinement seeded from a parent's stable coloring -------------------------
+
+
+@st.composite
+def individualization_runs(draw, max_n: int = 7):
+    """A small colored graph, k in {1, 2}, and a sequence of vertices to
+    individualize one after another."""
+    g, cols = draw(colored_graphs(max_n=max_n))
+    k = draw(st.sampled_from((1, 2)))
+    seq = draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=3)) if g.n else []
+    return g, cols, k, seq
+
+
+def individualized(colors: np.ndarray, v: int) -> np.ndarray:
+    out = colors.copy()
+    out[v] = int(colors.max()) + 1
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(individualization_runs())
+def test_seeded_refinement_matches_refinement_from_scratch(case):
+    g, cols, k, seq = case
+    tc = refine_k(g, k, vertex_colors=cols)
+    # passing vertex colors is exactly refining the recolored graph
+    rebuilt = refine_k(g.with_vertex_colors(cols.tolist()), k)
+    assert np.array_equal(tc.colors, rebuilt.colors)
+    colors = cols
+    for v in seq:
+        colors = individualized(colors, v)
+        seeded = refine_k(g, k, vertex_colors=colors, start=tc.colors)
+        scratch = refine_k(g, k, vertex_colors=colors)
+        assert same_partition(seeded.colors, scratch.colors)
+        assert seeded.num_colors == scratch.num_colors
+        assert seeded.records[0].mode == "seed"
+        tc = seeded
+
+
+def test_seeding_saves_rounds_on_a_cycle():
+    g = cycle(12)
+    root = refine_2(g)
+    colors = individualized(np.zeros(12, dtype=np.int64), 0)
+    seeded = refine_2(g, vertex_colors=colors, start=root.colors)
+    scratch = refine_2(g, vertex_colors=colors)
+    assert same_partition(seeded.colors, scratch.colors)
+    assert seeded.rounds < scratch.rounds
+
+
+def test_bad_vertex_colors_are_rejected_without_a_rebuild():
+    g = cycle(4)
+    for bad in ([0, 0, 0], [0, 0, 0, 0, 0], [0, -1, 0, 0], [[0, 0], [0, 0]]):
+        for k in (1, 2):
+            with pytest.raises(UnsupportedGraphError):
+                refine_k(g, k, vertex_colors=bad)
+            with pytest.raises(UnsupportedGraphError):
+                refine_k(g, k, vertex_colors=bad, start=refine_k(g, k).colors)
+
+
+def test_start_must_cover_every_tuple():
+    g = cycle(4)
+    with pytest.raises(ValueError):
+        refine_2(g, start=refine_1(g).colors)
+
+
 # -- strongly regular pair -----------------------------------------------------
 
 
@@ -235,6 +302,38 @@ def test_backends_are_bit_identical():
                 assert invariant_bytes(a) == invariant_bytes(b)
     finally:
         kernels.set_backend("auto")
+
+
+# -- overflow-safe round kernel ----------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(colored_graphs(max_n=6), st.sampled_from((2, 3)), st.integers(0, 5))
+def test_table_rounds_match_packed_rounds(case, k, v):
+    g, cols = case
+    if g.n == 0:
+        return
+    v %= g.n
+    packed = refine_k(g, k, vertex_colors=cols)
+    child = individualized(cols, v)
+    packed_child = refine_k(g, k, vertex_colors=child, start=packed.colors)
+    paths = []
+
+    def spy(*args):
+        out = kernels.round_rows(*args)
+        paths.append(out[1][0])
+        return out
+
+    # a pack limit of 1 fits no code, so every round ranks substitution vectors
+    with mock.patch.object(kernels, "_PACK_LIMIT", 1), \
+            mock.patch.object(refine_module, "round_rows", spy):
+        table = refine_k(g, k, vertex_colors=cols)
+        table_child = refine_k(g, k, vertex_colors=child, start=table.colors)
+    assert paths and set(paths) == {"table"}
+    # table codes are lexicographic ranks, order-isomorphic to packed ones,
+    # so the ids (not only the partitions) agree
+    assert np.array_equal(packed.colors, table.colors)
+    assert np.array_equal(packed_child.colors, table_child.colors)
 
 
 def test_set_backend_rejects_unknown_names():
