@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graph import ColoredGraph, serialize_wlg
+from .graph import ColoredGraph, serialize_wlg, serialize_wlg_relabeled
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import is_automorphism
 from .refine import invariant_bytes, project, refine_k, stable_vertex_names
@@ -76,7 +76,7 @@ def serialize_in_order(g: ColoredGraph, order: np.ndarray | list[int]) -> bytes:
     perm = [0] * g.n
     for i, v in enumerate(order):
         perm[int(v)] = i
-    return serialize_wlg(g.relabel(perm)).encode("ascii")
+    return serialize_wlg_relabeled(g, perm).encode("ascii")
 
 
 def _target_class(vc: np.ndarray) -> tuple[int, list[int]]:
@@ -325,10 +325,11 @@ def depth_d_1dim(
             digest=hashlib.sha256(b"empty").digest(), k=1, mode=f"depth{d}", n=0,
         )
     runs = n**d
-    if runs * n > 4_000_000:
+    if runs * n > limits.depth_sweep_vertices:
         raise ResourceLimitError(
-            f"depth-{d} sweep needs {runs} refinements on {n} vertices",
-            required=runs, cap=4_000_000 // max(n, 1),
+            f"depth-{d} sweep of {runs} refinements on {n} vertices exceeds "
+            "depth_sweep_vertices",
+            required=runs * n, cap=limits.depth_sweep_vertices,
         )
     base = list(g.vertex_colors)
     fresh0 = g.max_vertex_color() + 1

@@ -231,10 +231,6 @@ def _cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wlkit", description=__doc__)
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    ap.add_argument(
-        "--threads", type=int, default=0,
-        help="worker hint; results are deterministic regardless",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("refine", help="run k-dim refinement, print a summary")

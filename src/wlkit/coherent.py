@@ -16,12 +16,14 @@ in a fixed scan order, so two schemes are compared id for id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import CoherenceError, ParseError, UnsupportedGraphError
+from .errors import CoherenceError, ParseError, ResourceLimitError, UnsupportedGraphError
 from .graph import ColoredGraph
 from .kernels import dense_rank_rows
+from .limits import DEFAULT_LIMITS, Limits
 
 
 @dataclass
@@ -44,63 +46,96 @@ class ValidationReport:
     axiom: int | None = None
     witness: tuple | None = None
     transpose_map: list[int] | None = None
-    # relation id -> {(i, j): count of z with (x,z) in i, (z,y) in j}
-    intersection: dict[int, dict[tuple[int, int], int]] | None = field(
-        default=None, repr=False
-    )
+    # row r: the sorted codes i * s + j over z of the relation pairs
+    # (i, j) of ((x, z), (z, y)), at the first cell (x, y) of relation r
+    code_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def intersection(self) -> dict[int, dict[tuple[int, int], int]] | None:
+        """relation id -> {(i, j): count of z with (x,z) in i, (z,y) in j};
+        built from `code_rows` on first access (None unless ok)."""
+        if self.code_rows is None:
+            return None
+        rows = self.code_rows
+        s, n = rows.shape
+        run = np.ones((s, n), dtype=bool)
+        run[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        starts = np.flatnonzero(run)
+        counts = np.diff(np.append(starts, s * n))
+        codes = rows.ravel()[starts]
+        out: dict[int, dict[tuple[int, int], int]] = {rid: {} for rid in range(s)}
+        for rid, i, j, cnt in zip(
+            (starts // n).tolist(), (codes // s).tolist(), (codes % s).tolist(),
+            counts.tolist(),
+        ):
+            out[rid][(i, j)] = cnt
+        return out
+
+
+# one slab of validate's axiom-3 check holds at most this many cells of
+# rows x n x n codes, plus a gathered copy of the exemplar rows as large
+_SLAB_CELLS = 1 << 18
 
 
 def validate(c: CoherentConfig) -> ValidationReport:
     """Check the configuration axioms; on failure the report names the axiom
-    (1 diagonal, 2 transpose, 3 intersection numbers) and a witness cell."""
+    (1 diagonal, 2 transpose, 3 intersection numbers) and a witness cell.
+
+    Each relation's exemplar is its first cell in row-major order.  The
+    axiom-1 witness is the smallest leaking diagonal id at its first
+    off-diagonal cell; the axiom-2 witness is the smallest relation whose
+    cells disagree on the relation of their transpose, at its exemplar; the
+    axiom-3 witness is the first cell whose multiset of pairs over z differs
+    from its relation's exemplar, followed by that exemplar."""
     rel = c.rel
-    n = c.n
+    n, s = c.n, c.s
     if rel.shape != (n, n):
         return ValidationReport(ok=False, axiom=0, witness=(rel.shape, (n, n)))
-    present = np.unique(rel)
-    if rel.min() < 0 or rel.max() >= c.s or present.shape[0] != c.s:
-        missing = sorted(set(range(c.s)) - set(int(x) for x in present))
-        return ValidationReport(ok=False, axiom=0, witness=tuple(missing))
-    diag_ids = set(int(x) for x in np.unique(np.diag(rel)))
-    off = ~np.eye(n, dtype=bool)
-    for did in diag_ids:
-        cells = np.argwhere((rel == did) & off)
-        if cells.shape[0]:
-            x, y = (int(v) for v in cells[0])
-            return ValidationReport(ok=False, axiom=1, witness=(did, x, y))
-    tmap = [-1] * c.s
-    for rid in range(c.s):
-        xs, ys = np.nonzero(rel == rid)
-        tvals = np.unique(rel[ys, xs])
-        if tvals.shape[0] != 1:
-            x, y = int(xs[0]), int(ys[0])
-            return ValidationReport(ok=False, axiom=2, witness=(rid, x, y))
-        tmap[rid] = int(tvals[0])
-    sparse: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    exemplar: dict[int, tuple[int, int]] = {}
-    for x in range(n):
-        row = rel[x, :] * c.s
-        for y in range(n):
+    flat = rel.ravel()
+    inside = (flat >= 0) & (flat < s)
+    present = np.zeros(s, dtype=bool)
+    present[flat[inside]] = True
+    if not (inside.all() and present.all()):
+        return ValidationReport(
+            ok=False, axiom=0, witness=tuple(np.flatnonzero(~present).tolist()),
+        )
+    is_diag = np.zeros(s, dtype=bool)
+    is_diag[np.diagonal(rel)] = True
+    leak = is_diag[rel]
+    np.fill_diagonal(leak, False)
+    if leak.any():
+        cells = np.flatnonzero(leak)
+        ids = flat[cells]
+        did = int(ids.min())
+        x, y = divmod(int(cells[np.argmax(ids == did)]), n)
+        return ValidationReport(ok=False, axiom=1, witness=(did, x, y))
+    first = np.full(s, n * n, dtype=np.int64)
+    np.minimum.at(first, flat, np.arange(n * n, dtype=np.int64))
+    ex, ey = np.divmod(first, n)
+    tmap = rel[ey, ex]
+    bad = rel.T != tmap[rel]
+    if bad.any():
+        rid = int(rel[bad].min())
+        return ValidationReport(
+            ok=False, axiom=2, witness=(rid, int(ex[rid]), int(ey[rid])),
+        )
+    # sorted rows are equal exactly when the multisets of codes are
+    rel_t = np.ascontiguousarray(rel.T)
+    ref = rel[ex] * s + rel_t[ey]
+    ref.sort(axis=1)
+    step = max(1, _SLAB_CELLS // max(1, n * n))
+    for lo in range(0, n, step):
+        codes = rel[lo : lo + step, None, :] * s + rel_t[None, :, :]
+        codes.sort(axis=2)
+        differs = (codes != ref[rel[lo : lo + step]]).any(axis=2)
+        if differs.any():
+            x, y = divmod(int(np.argmax(differs)), n)
+            x += lo
             rid = int(rel[x, y])
-            codes, counts = np.unique(row + rel[:, y], return_counts=True)
-            got = sparse.get(rid)
-            if got is None:
-                sparse[rid] = (codes, counts)
-                exemplar[rid] = (x, y)
-            elif not (
-                np.array_equal(got[0], codes) and np.array_equal(got[1], counts)
-            ):
-                return ValidationReport(
-                    ok=False, axiom=3, witness=(rid, x, y, *exemplar[rid]),
-                )
-    inter = {
-        rid: {
-            (int(code) // c.s, int(code) % c.s): int(cnt)
-            for code, cnt in zip(codes, counts)
-        }
-        for rid, (codes, counts) in sparse.items()
-    }
-    return ValidationReport(ok=True, transpose_map=tmap, intersection=inter)
+            return ValidationReport(
+                ok=False, axiom=3, witness=(rid, x, y, int(ex[rid]), int(ey[rid])),
+            )
+    return ValidationReport(ok=True, transpose_map=tmap.tolist(), code_rows=ref)
 
 
 def graph_seed(g: ColoredGraph) -> np.ndarray:
@@ -119,12 +154,18 @@ def graph_seed(g: ColoredGraph) -> np.ndarray:
     return ids.reshape(n, n)
 
 
-def cellular_closure(seed: np.ndarray | ColoredGraph) -> CoherentConfig:
+def cellular_closure(
+    seed: np.ndarray | ColoredGraph,
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+) -> CoherentConfig:
     """Coarsest coherent configuration refining the seed partition.
 
     Rounds replace each cell's color with (its color, the multiset over z of
     the color pair (c(x, z), c(z, y))) until stable; the result is validated
     before it is returned.  Ids come out dense, diagonal relations first.
+    Raises ResourceLimitError before the first round when a round would
+    need more than `limits.memory_bytes`.
     """
     if isinstance(seed, ColoredGraph):
         seed = graph_seed(seed)
@@ -134,15 +175,28 @@ def cellular_closure(seed: np.ndarray | ColoredGraph) -> CoherentConfig:
     n = seed.shape[0]
     if n == 0:
         return CoherentConfig(n=0, s=0, rel=seed.copy())
+    # a round's (n^2, n+1) rows, the two copies of them dense_rank_rows
+    # holds at once, and its n^2 id arrays
+    need = 8 * n * n * (3 * (n + 1) + 5)
+    if need > limits.memory_bytes:
+        raise ResourceLimitError(
+            f"cellular closure at n={n} exceeds memory_bytes",
+            required=need, cap=limits.memory_bytes,
+        )
     # force the diagonal apart from the rest before refining
     start = seed * 2 + np.eye(n, dtype=np.int64)
     ids, _ = dense_rank_rows(start.reshape(n * n, 1))
     cur = ids.reshape(n, n)
+    # each round's rows [cur | codes sorted over z] are written in place;
+    # codes[x, y, z] = cur[x, z] * s + cur[z, y]
+    rows = np.empty((n * n, n + 1), dtype=np.int64)
+    codes = rows.reshape(n, n, n + 1)[:, :, 1:]
     while True:
         s = int(cur.max()) + 1
-        t = cur[:, None, :] * s + cur.T[None, :, :]
-        t.sort(axis=2)
-        rows = np.concatenate([cur.reshape(n * n, 1), t.reshape(n * n, n)], axis=1)
+        rows[:, 0] = cur.ravel()
+        np.multiply(cur[:, None, :], s, out=codes)
+        codes += cur.T[None, :, :]
+        codes.sort(axis=2)
         ids, _ = dense_rank_rows(rows)
         nxt = ids.reshape(n, n)
         if np.array_equal(nxt, cur):

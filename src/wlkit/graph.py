@@ -30,7 +30,7 @@ from .limits import DEFAULT_LIMITS, Limits
 class ColoredGraph:
     """Immutable colored graph. Mutating helpers return new instances."""
 
-    __slots__ = ("n", "directed", "vertex_colors", "edges", "_pair_codes", "_adj_bits", "_neighbors")
+    __slots__ = ("n", "directed", "vertex_colors", "edges", "_pair_codes", "_neighbors")
 
     def __init__(self, n: int, edges=(), directed: bool = False, vertex_colors=None):
         if n < 0:
@@ -67,7 +67,6 @@ class ColoredGraph:
             norm[(u, v)] = c
         self.edges = norm
         self._pair_codes = None
-        self._adj_bits = None
         self._neighbors = None
 
     # -- basic accessors ---------------------------------------------------
@@ -106,16 +105,6 @@ class ColoredGraph:
                 nbrs[v].add(u)
             self._neighbors = [sorted(s) for s in nbrs]
         return self._neighbors
-
-    def adj_bits(self) -> list[int]:
-        """Per-vertex neighbor bitmask (orientation-insensitive)."""
-        if self._adj_bits is None:
-            bits = [0] * self.n
-            for (u, v) in self.edges:
-                bits[u] |= 1 << v
-                bits[v] |= 1 << u
-            self._adj_bits = bits
-        return self._adj_bits
 
     def pair_codes(self) -> np.ndarray:
         """(n,n) int64 matrix: 0 for non-adjacent, 1+color for a (di-)edge."""
@@ -253,11 +242,38 @@ def parse_wlg(text: str) -> ColoredGraph:
 
 def serialize_wlg(g: ColoredGraph) -> str:
     """Canonical WLG serialization; parse(serialize(g)) == g."""
-    out = [f"p wlg {g.n} {g.num_edges} {int(g.directed)}"]
+    return _format_wlg(g.n, g.directed, g.vertex_colors, sorted(
+        (u, v, c) for (u, v), c in g.edges.items()
+    ))
+
+
+def serialize_wlg_relabeled(g: ColoredGraph, perm: list[int]) -> str:
+    """serialize_wlg(g.relabel(perm)), written without building the
+    relabeled graph: vertex i of g becomes perm[i]."""
+    n = g.n
+    if sorted(perm) != list(range(n)):
+        raise UnsupportedGraphError("relabel requires a permutation of 0..n-1")
+    colors = [0] * n
     for i, c in enumerate(g.vertex_colors):
+        colors[perm[i]] = c
+    edges = []
+    for (u, v), c in g.edges.items():
+        a, b = perm[u], perm[v]
+        if not g.directed and a > b:
+            a, b = b, a
+        edges.append((a, b, c))
+    edges.sort()
+    return _format_wlg(n, g.directed, colors, edges)
+
+
+def _format_wlg(n: int, directed: bool, vertex_colors, edges) -> str:
+    """WLG text: header, non-zero vertex colors by index, then the given
+    normalized, sorted (u, v, color) edges with color-0 fields omitted."""
+    out = [f"p wlg {n} {len(edges)} {int(directed)}"]
+    for i, c in enumerate(vertex_colors):
         if c != 0:
             out.append(f"v {i} {c}")
-    for (u, v), c in sorted(g.edges.items()):
+    for u, v, c in edges:
         out.append(f"e {u} {v} {c}" if c != 0 else f"e {u} {v}")
     return "\n".join(out) + "\n"
 

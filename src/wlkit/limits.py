@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 @dataclass(frozen=True)
 class Limits:
-    # refine_k dense storage budget (bytes of working arrays)
+    # dense working arrays of refine_k and of a cellular_closure round (bytes)
     memory_bytes: int = 2 * 1024**3
     # explored nodes in canonical-mode branching
     canon_nodes: int = 200_000
@@ -29,8 +29,10 @@ class Limits:
     overlap_class_cap: int = 64
     # element cap for naive generated-group order counting
     group_elements: int = 1_000_000
-    # worker hint; the engine is deterministic regardless of its value
-    threads: int = 0
+    # tuples lift enumerates when no explicit tuples are passed
+    lift_tuples: int = 200_000
+    # vertex refinements of a depth_d_1dim sweep: n^d runs times n vertices
+    depth_sweep_vertices: int = 4_000_000
 
 
 def limits_from_env(base: Limits | None = None) -> Limits:

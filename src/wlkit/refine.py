@@ -345,6 +345,8 @@ def lift(
     tc: TupleColoring,
     t: int,
     tuples: Iterable[Sequence[int]] | None = None,
+    *,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> LiftedColoring:
     """Extend a stable k-coloring to t-tuples (t > k): the key of a tuple is
     its isomorphism type together with the keys of all delete-one-position
@@ -370,9 +372,11 @@ def lift(
 
     lifted = LiftedColoring(t=t, n=n)
     if tuples is None:
-        if n**t > 200_000:
+        if n**t > limits.lift_tuples:
             raise ResourceLimitError(
-                f"enumerating all {n}^{t} tuples is too large; pass explicit tuples"
+                f"enumerating all {n}^{t} tuples exceeds lift_tuples; "
+                "pass explicit tuples",
+                required=n**t, cap=limits.lift_tuples,
             )
         digits = tuple_digits(n, t)
         tuples = (

@@ -16,7 +16,7 @@ from wlkit.canon import (
 )
 from wlkit.errors import ResourceLimitError
 from wlkit.families import bowtie, complete, cycle, path, petersen, random_graph
-from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
+from wlkit.graph import ColoredGraph, disjoint_union, random_relabel, serialize_wlg
 from wlkit.limits import DEFAULT_LIMITS
 from wlkit.oracle import aut_group_order, aut_order_oracle, is_automorphism
 from wlkit.refine import refine_1, vertex_classes
@@ -37,6 +37,19 @@ def test_serialize_in_order_is_an_exact_relabeling():
     by_identity = serialize_in_order(g, [0, 1, 2])
     flipped = serialize_in_order(g, [1, 0, 2])
     assert by_identity != flipped
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_serialize_in_order_equals_serializing_the_relabeled_graph(data):
+    g, cols = data.draw(colored_graphs())
+    g = g.with_vertex_colors(cols.tolist())
+    order = data.draw(st.permutations(range(g.n)))
+    perm = [0] * g.n
+    for i, v in enumerate(order):
+        perm[v] = i
+    want = serialize_wlg(g.relabel(perm)).encode("ascii")
+    assert serialize_in_order(g, np.asarray(order, dtype=np.int64)) == want
 
 
 # -- digests -------------------------------------------------------------------
@@ -174,5 +187,13 @@ def test_depth_d_is_relabeling_invariant():
 def test_depth_d_guards_its_budget():
     with pytest.raises(ResourceLimitError):
         depth_d_1dim(random_graph(40, 0.5, seed=0), 4)
+    # depth 1 on C5: 5 runs of 5 vertices
+    tight = dataclasses.replace(DEFAULT_LIMITS, depth_sweep_vertices=24)
+    with pytest.raises(ResourceLimitError, match="depth_sweep_vertices") as err:
+        depth_d_1dim(cycle(5), 1, limits=tight)
+    assert (err.value.required, err.value.cap) == (25, 24)
+    assert DEFAULT_LIMITS.depth_sweep_vertices == 4_000_000
+    enough = dataclasses.replace(DEFAULT_LIMITS, depth_sweep_vertices=25)
+    assert depth_d_1dim(cycle(5), 1, limits=enough).digest == depth_d_1dim(cycle(5), 1).digest
     with pytest.raises(ValueError):
         depth_d_1dim(cycle(4), -1)

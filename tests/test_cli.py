@@ -157,6 +157,14 @@ def test_validate_command(files, capsys, tmp_path):
     assert "valid 0" in capsys.readouterr().out
 
 
+def test_validate_prints_plain_integer_witnesses(capsys, tmp_path):
+    bad = tmp_path / "leak.cc"
+    bad.write_text("p cc 2 2\nr 0 0 0\nr 0 1 1\nr 1 0 1\nr 1 1 1\n")
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "axiom 1\nwitness (1, 0, 1)\n" in out
+
+
 def test_decompose_and_reduce(files, capsys):
     _, write = files
     c4 = write("c4.wlg", cycle(4))

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import same_partition
+import wlkit.coherent as coherent
+from conftest import colored_graphs, same_partition
 from wlkit.canon import certify
 from wlkit.coherent import (
     CoherentConfig,
@@ -20,7 +24,7 @@ from wlkit.coherent import (
     serialize_scheme,
     validate,
 )
-from wlkit.errors import ParseError, UnsupportedGraphError
+from wlkit.errors import ParseError, ResourceLimitError, UnsupportedGraphError
 from wlkit.families import (
     bowtie,
     complete,
@@ -31,7 +35,10 @@ from wlkit.families import (
     random_graph,
 )
 from wlkit.graph import ColoredGraph
+from wlkit.limits import DEFAULT_LIMITS
 from wlkit.refine import refine_2
+
+PROPERTY = settings(max_examples=150, deadline=None)
 
 
 # -- validation ---------------------------------------------------------------
@@ -75,6 +82,147 @@ def test_validate_flags_inconsistent_intersection_numbers():
     assert rep.witness is not None
 
 
+def reference_validate(c: CoherentConfig) -> dict:
+    """The axioms checked cell by cell, one np.unique per cell: the witness
+    of each axiom is the first failure of a row-major scan, diagonal ids
+    taken in ascending order."""
+    rel = c.rel
+    n = c.n
+    if rel.shape != (n, n):
+        return dict(ok=False, axiom=0, witness=(rel.shape, (n, n)))
+    present = np.unique(rel)
+    if rel.min() < 0 or rel.max() >= c.s or present.shape[0] != c.s:
+        missing = sorted(set(range(c.s)) - set(int(x) for x in present))
+        return dict(ok=False, axiom=0, witness=tuple(missing))
+    diag_ids = set(int(x) for x in np.unique(np.diag(rel)))
+    off = ~np.eye(n, dtype=bool)
+    for did in sorted(diag_ids):
+        cells = np.argwhere((rel == did) & off)
+        if cells.shape[0]:
+            x, y = (int(v) for v in cells[0])
+            return dict(ok=False, axiom=1, witness=(did, x, y))
+    tmap = [-1] * c.s
+    for rid in range(c.s):
+        xs, ys = np.nonzero(rel == rid)
+        tvals = np.unique(rel[ys, xs])
+        if tvals.shape[0] != 1:
+            x, y = int(xs[0]), int(ys[0])
+            return dict(ok=False, axiom=2, witness=(rid, x, y))
+        tmap[rid] = int(tvals[0])
+    sparse: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    exemplar: dict[int, tuple[int, int]] = {}
+    for x in range(n):
+        row = rel[x, :] * c.s
+        for y in range(n):
+            rid = int(rel[x, y])
+            codes, counts = np.unique(row + rel[:, y], return_counts=True)
+            got = sparse.get(rid)
+            if got is None:
+                sparse[rid] = (codes, counts)
+                exemplar[rid] = (x, y)
+            elif not (
+                np.array_equal(got[0], codes) and np.array_equal(got[1], counts)
+            ):
+                return dict(ok=False, axiom=3, witness=(rid, x, y, *exemplar[rid]))
+    inter = {
+        rid: {
+            (int(code) // c.s, int(code) % c.s): int(cnt)
+            for code, cnt in zip(codes, counts)
+        }
+        for rid, (codes, counts) in sparse.items()
+    }
+    return dict(ok=True, transpose_map=tmap, intersection=inter)
+
+
+def assert_matches_reference(c: CoherentConfig) -> None:
+    want = reference_validate(c)
+    rep = validate(c)
+    assert rep.ok == want["ok"]
+    assert rep.axiom == want.get("axiom")
+    assert rep.witness == want.get("witness")
+    assert rep.transpose_map == want.get("transpose_map")
+    assert rep.intersection == want.get("intersection")
+    if rep.witness is not None and rep.axiom != 0:
+        assert all(type(v) is int for v in rep.witness)
+
+
+@st.composite
+def relation_matrices(draw):
+    """Small matrices, symmetric or not, with the diagonal ids kept apart
+    from the rest or not, ids mostly made dense, and s sometimes one off."""
+    n = draw(st.integers(1, 6))
+    rel = np.asarray(
+        draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n)),
+        dtype=np.int64,
+    ).reshape(n, n)
+    if draw(st.booleans()):
+        rel = np.triu(rel) + np.triu(rel, 1).T
+    if draw(st.booleans()):
+        rel = rel + 5 * (1 - np.eye(n, dtype=np.int64))
+    if draw(st.sampled_from([True, True, True, False])):
+        rel = np.unique(rel, return_inverse=True)[1].reshape(n, n)
+    s = max(0, int(rel.max()) + 1 + draw(st.sampled_from([0] * 6 + [-1, 1])))
+    return CoherentConfig(n=n, s=s, rel=rel)
+
+
+@st.composite
+def klein_variants(draw):
+    """Klein schemes, psi-twisted or not, with one cell changed, or their
+    role-merged seeds (not coherent)."""
+    g = draw(st.sampled_from([complete(4), complete_bipartite(3, 3)]))
+    c = klein_scheme(g)
+    for fibre in draw(st.lists(st.integers(0, g.n - 1), max_size=2)):
+        c = psi_twist(c, fibre)
+    kind = draw(st.sampled_from(["scheme", "cell", "merged"]))
+    if kind == "cell":
+        x, y = draw(st.integers(0, c.n - 1)), draw(st.integers(0, c.n - 1))
+        c.rel[x, y] = draw(st.integers(0, c.s - 1))
+    elif kind == "merged":
+        seed = merge_relations(c, klein_merge_groups(c))
+        c = CoherentConfig(n=c.n, s=int(seed.max()) + 1, rel=seed)
+    return c
+
+
+@st.composite
+def closed_graphs(draw):
+    """Closures of small colored graphs (coherent), with one cell changed."""
+    g, cols = draw(colored_graphs(max_n=6).filter(lambda case: case[0].n > 0))
+    c = cellular_closure(g.with_vertex_colors(cols.tolist()))
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, c.n - 1)), draw(st.integers(0, c.n - 1))
+        c.rel[x, y] = draw(st.integers(0, c.s - 1))
+    return c
+
+
+@PROPERTY
+@given(st.one_of(relation_matrices(), klein_variants(), closed_graphs()))
+def test_validate_matches_the_cell_by_cell_reference(c):
+    saved = coherent._SLAB_CELLS
+    try:
+        # also in slabs of one and of three rows, so slab edges are crossed
+        for cells in (saved, c.n * c.n, 3 * c.n * c.n):
+            coherent._SLAB_CELLS = cells
+            assert_matches_reference(c)
+    finally:
+        coherent._SLAB_CELLS = saved
+
+
+def test_validate_names_the_smallest_leaking_diagonal_id():
+    # diagonal ids {1, 8}: 8 leaks first in row-major order (and a Python
+    # set of them iterates 8 before 1), but the witness is id 1
+    rel = np.array([[1, 8, 0, 2], [3, 8, 4, 5], [6, 7, 1, 0], [0, 0, 1, 8]])
+    c = CoherentConfig(n=4, s=9, rel=rel)
+    rep = validate(c)
+    assert (rep.axiom, rep.witness) == (1, (1, 3, 2))
+    assert_matches_reference(c)
+
+
+def test_validate_of_the_empty_configuration():
+    assert validate(CoherentConfig(n=0, s=0, rel=np.zeros((0, 0), dtype=np.int64))).ok
+    rep = validate(CoherentConfig(n=0, s=2, rel=np.zeros((0, 0), dtype=np.int64)))
+    assert (rep.ok, rep.axiom, rep.witness) == (False, 0, (0, 1))
+
+
 # -- cellular closure ----------------------------------------------------------
 
 
@@ -111,6 +259,15 @@ def test_closure_respects_vertex_colors():
     plain = cellular_closure(cycle(4))
     marked = cellular_closure(cycle(4).with_vertex_colors([1, 0, 0, 0]))
     assert marked.s > plain.s
+
+
+def test_closure_refuses_a_round_past_memory_bytes():
+    tight = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=10_000)
+    with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
+        cellular_closure(petersen(), limits=tight)
+    assert err.value.cap == 10_000 and err.value.required > 10_000
+    small = cellular_closure(cycle(4), limits=tight)
+    assert small.s == cellular_closure(cycle(4)).s
 
 
 def test_closure_output_is_diagonal_first():

@@ -21,7 +21,7 @@ from wlkit.families import (
     shrikhande,
 )
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
-from wlkit.limits import DEFAULT_LIMITS
+from wlkit.limits import DEFAULT_LIMITS, limits_from_env
 from wlkit.refine import (
     count_paths,
     invariant_bytes,
@@ -221,6 +221,19 @@ def test_lift_respects_explicit_tuples_and_validates_t():
         lift(g, tc, 1)
     with pytest.raises(ResourceLimitError):
         lift(random_graph(8, 0.5, seed=0), refine_1(random_graph(8, 0.5, seed=0)), 7)
+
+
+def test_lift_enumeration_is_capped_by_lift_tuples(monkeypatch):
+    g = cycle(4)
+    tc = refine_1(g)
+    assert len(lift(g, tc, 3).keys) == 64
+    tight = dataclasses.replace(DEFAULT_LIMITS, lift_tuples=63)
+    with pytest.raises(ResourceLimitError, match="lift_tuples") as err:
+        lift(g, tc, 3, limits=tight)
+    assert (err.value.required, err.value.cap) == (64, 63)
+    assert DEFAULT_LIMITS.lift_tuples == 200_000
+    monkeypatch.setenv("WLKIT_LIFT_TUPLES", "63")
+    assert limits_from_env().lift_tuples == 63
 
 
 # -- path counting ---------------------------------------------------------------
