@@ -1,13 +1,18 @@
-"""Refinement round kernels: compiled backend when available, NumPy fallback.
+"""Refinement round kernels for k >= 2 and the dense rank they feed.
 
-Both backends emit, for every k-tuple, the row ``[previous color | sorted
+`round_rows` builds, for every k-tuple, the row ``[previous color | sorted
 substitution codes]``.  A substitution code encodes the k-vector of previous
 colors obtained by substituting one vertex x into the tuple, ordered from the
 last tuple position down to the first.  Codes are order-isomorphic to the
 lexicographic order on those k-vectors, so dense-ranking the rows yields the
-same color ids no matter which backend produced them.
+same color ids whichever code scheme or backend produced them.
 
-Set WLKIT_KERNEL=python or WLKIT_KERNEL=cython to force a backend.
+A round splits nothing exactly when every tuple's row equals the row of the
+first tuple of its class (`rows_agree_within_classes`); that compare stands in
+for the rank of the round that confirms stability.
+
+`round_rows` has a compiled backend when available and a NumPy fallback.  Set
+WLKIT_KERNEL=python or WLKIT_KERNEL=cython to force one.
 """
 from __future__ import annotations
 
@@ -77,64 +82,104 @@ def tuple_digits(n: int, k: int) -> list[np.ndarray]:
     return [(idx // (n ** (k - 1 - j))) % n for j in range(k)]
 
 
+def _packed_key(rows: np.ndarray) -> np.ndarray | None:
+    """Each row as one int64, mixed radix with column j in base max_j + 1,
+    which preserves lexicographic order; None when the radices overflow."""
+    w = rows.shape[1]
+    if w > 62:  # every column with a nonzero entry needs at least one bit
+        return None
+    weights = [1]
+    for b in rows.max(axis=0)[:0:-1].tolist():
+        weights.append(weights[-1] * (b + 1))
+    if weights[-1] * (int(rows[:, 0].max()) + 1) >= 2**63:
+        return None
+    return rows @ np.array(weights[::-1], dtype=np.int64)
+
+
 def dense_rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids by lexicographic rank of int64 rows, plus unique rows by id.
 
-    Non-negative entries only: rows are byte-swapped to big-endian and
-    compared as raw bytes, which coincides with numeric lexicographic order.
+    Non-negative entries only.  Rows that fit are packed into one int64
+    each; wider rows are byte-swapped to big-endian and sorted as raw bytes,
+    which coincides with numeric lexicographic order.
     """
     m = rows.shape[0]
     if m == 0:
         return np.empty(0, dtype=np.int64), rows.copy()
-    contig = np.ascontiguousarray(rows)
-    view = contig.astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
-    # np.unique's steps, less its copy of the input: a stable sort keeps the
-    # first occurrence of each row first in its run
-    order = view.argsort(kind="stable")
-    view = view[order]
     starts = np.empty(m, dtype=bool)
     starts[0] = True
-    starts[1:] = view[1:] != view[:-1]
+    key = _packed_key(rows)
+    if key is not None:
+        order = key.argsort()
+        key = key[order]
+        np.not_equal(key[1:], key[:-1], out=starts[1:])
+    else:
+        rows = np.ascontiguousarray(rows)
+        view = rows.astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
+        # np.unique's steps, less its copy of the input
+        order = view.argsort(kind="stable")
+        del view  # the big-endian copy goes before the sorted rows are gathered
+        srt = rows[order]
+        starts[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+        del srt
     ids = np.empty(m, dtype=np.int64)
-    ids[order] = np.cumsum(starts) - 1
-    return ids, contig[order[starts]]
+    ids[order] = starts.cumsum() - 1
+    return ids, rows[order[starts]]
 
 
-def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int):
-    """One k-dim refinement round; returns (rows, decode_info).
+def rows_agree_within_classes(rows: np.ndarray, colors: np.ndarray, ncolors: int) -> bool:
+    """True when every tuple's row equals the row of the first tuple of its
+    color class."""
+    first = np.full(ncolors, colors.shape[0], dtype=np.int64)
+    np.minimum.at(first, colors, np.arange(colors.shape[0], dtype=np.int64))
+    rep = first[colors]
+    # one middle column settles most rounds that split, without gathering
+    # every row
+    mid = rows.shape[1] // 2
+    if (rows[:, mid] != rows[rep, mid]).any():
+        return False
+    return bool((rows == rows[rep]).all())
 
-    rows: (n^k, 1+n) int64, column 0 the previous color, the rest the sorted
-    substitution codes.  decode_info is ("packed", base) when codes are
-    base-`base` big-endian packed vectors, or ("table", vecs) where vecs[i]
-    is the k-vector a code i abbreviates.
-    """
+
+def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray:
+    """The exact rows of one k-dim refinement round: (n^k, 1+n) int64, column
+    0 the previous color, the rest the sorted substitution codes.  Codes are
+    base-`ncolors` packed vectors when they fit in int64, else the dense
+    ranks of the vectors."""
     if k < 2:
         raise ValueError("round_rows handles k >= 2 only")
     nk = colors.shape[0]
     base = max(2, int(ncolors))
+    out = np.empty((nk, n + 1), dtype=np.int64)
+    out[:, 0] = colors
     if packable(base, k):
-        out = np.empty((nk, n + 1), dtype=np.int64)
         if _cy is not None and _active != "python":
             _cy.wl_round_rows(colors, n, k, base, out)
+        elif k == 2:
+            # codes[(a, b), x] = C[a, x] * base + C[x, b]
+            c = colors.reshape(n, n)
+            codes = out[:, 1:].reshape(n, n, n, copy=False)
+            np.add((c * base)[:, None, :], c.T[None, :, :], out=codes)
         else:
             mats = index_matrices(n, k)
             codes = colors[mats[k - 1]]
             for j in range(k - 2, -1, -1):
                 codes *= base
                 codes += colors[mats[j]]
-            out[:, 0] = colors
             out[:, 1:] = codes
-        out[:, 1:].sort(axis=1)
-        return out, ("packed", base)
-    # overflow-safe path: rank the substitution vectors instead of packing
-    mats = index_matrices(n, k)
-    stacked = np.empty((nk * n, k), dtype=np.int64)
-    for t in range(k):
-        stacked[:, t] = colors[mats[k - 1 - t]].ravel()
-    vec_ids, vecs = dense_rank_rows(stacked)
-    codes = vec_ids.reshape(nk, n)
-    codes.sort(axis=1)
-    out = np.empty((nk, n + 1), dtype=np.int64)
-    out[:, 0] = colors
-    out[:, 1:] = codes
-    return out, ("table", vecs)
+    else:
+        # overflow-safe path: rank the substitution vectors instead of packing
+        if k == 2:
+            c = colors.reshape(n, n)
+            stacked = np.empty((n, n, n, 2), dtype=np.int64)
+            stacked[..., 0] = c[:, None, :]
+            stacked[..., 1] = c.T[None, :, :]
+        else:
+            mats = index_matrices(n, k)
+            stacked = np.empty((nk, n, k), dtype=np.int64)
+            for t in range(k):
+                stacked[..., t] = colors[mats[k - 1 - t]]
+        vec_ids, _ = dense_rank_rows(stacked.reshape(nk * n, k))
+        out[:, 1:] = vec_ids.reshape(nk, n)
+    out[:, 1:].sort(axis=1)
+    return out

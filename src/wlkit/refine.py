@@ -1,12 +1,18 @@
 """k-dimensional color refinement over tuples of vertices.
 
 The coloring starts from the isomorphism type of each k-tuple (equality
-pattern, pair codes in both directions, vertex colors) and each round
-appends, for every tuple, the sorted list of substitution vectors: the
-k-vector of current colors obtained by replacing one position at a time
-(last position first) with a vertex x, collected over all x.  Colors are
-re-indexed densely every round; the process stops when the partition stops
-splitting.
+pattern, pair codes in both directions, vertex colors).  A round splits each
+class by the multiset of substitution vectors of its tuples: the k-vector of
+current colors obtained by replacing one position at a time (last position
+first) with a vertex x, collected over all x.  The process stops when the
+partition stops splitting.
+
+For k >= 2 a round first checks whether anything splits: each tuple's
+exact row is compared with the row of the first tuple of its class.  When
+all agree the coloring is stable and the loop stops without ranking; the
+round that confirms stability thus costs a compare, not a sort of its rows.
+Otherwise the rows are dense-ranked lexicographically, previous color first,
+so a color id is the rank of its row among the round's rows.
 
 For k = 1 tuples are vertices and a round appends the multiset of
 (neighbor color, edge code out, edge code in) triples together with the
@@ -23,7 +29,12 @@ import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedGraphError
 from .graph import ColoredGraph, disjoint_union
-from .kernels import dense_rank_rows, round_rows, tuple_digits
+from .kernels import (
+    dense_rank_rows,
+    round_rows,
+    rows_agree_within_classes,
+    tuple_digits,
+)
 from .limits import DEFAULT_LIMITS, Limits
 
 _SENTINEL = 2**62
@@ -31,17 +42,21 @@ _SENTINEL = 2**62
 
 @dataclass
 class RoundRecord:
-    """Decoding data for one round: unique rows by color id plus code scheme."""
+    """Decoding data for one round: unique rows by color id plus, for "k1"
+    rounds, the pair-code base."""
 
     rows: np.ndarray
-    mode: str  # "iso" | "vertex" | "seed" | "packed" | "table" | "k1"
+    mode: str  # "iso" | "vertex" | "seed" | "k1"
     base: int | None = None
-    table: np.ndarray | None = None
 
 
 @dataclass
 class TupleColoring:
-    """Stable k-tuple coloring with optional per-round history and decoders."""
+    """Stable k-tuple coloring with optional per-round history and decoders.
+
+    `records` (when kept) decode color ids: for k = 1 one record per round
+    (the initial "vertex" or "seed" record, then "k1" rounds); for k >= 2
+    only the initial "iso" or "seed" record."""
 
     k: int
     n: int
@@ -66,7 +81,8 @@ class TupleColoring:
         return int(self.colors[self.rank(tup)])
 
     def decode_color(self, rnd: int, color: int):
-        """Structure behind a color id at round `rnd` (0 = initial)."""
+        """Structure behind a color id at round `rnd` (0 = initial).  For
+        k >= 2 only round 0 is recorded."""
         if self.records is None:
             raise ValueError("coloring was computed without decode records")
         rec = self.records[rnd]
@@ -77,32 +93,18 @@ class TupleColoring:
             return ("vertex", int(row[0]))
         if rec.mode == "seed":
             return ("seed", int(row[0]), tuple(int(v) for v in row[1:]))
-        if rec.mode == "k1":
-            prev = int(row[0])
-            pb = rec.base
-            nbr = []
-            for code in row[1 : 1 + self.n]:
-                code = int(code)
-                if code >= _SENTINEL:
-                    continue
-                code, pvu = divmod(code, pb)
-                pc, puv = divmod(code, pb)
-                nbr.append((pc, puv, pvu))
-            non = [int(c) for c in row[1 + self.n :] if int(c) < _SENTINEL]
-            return ("k1", prev, tuple(nbr), tuple(non))
         prev = int(row[0])
-        vecs = []
-        for code in row[1:]:
+        pb = rec.base
+        nbr = []
+        for code in row[1 : 1 + self.n]:
             code = int(code)
-            if rec.mode == "packed":
-                digits = []
-                for _ in range(self.k):
-                    code, d = divmod(code, rec.base)
-                    digits.append(d)
-                vecs.append(tuple(reversed(digits)))
-            else:
-                vecs.append(tuple(int(v) for v in rec.table[code]))
-        return ("round", prev, tuple(vecs))
+            if code >= _SENTINEL:
+                continue
+            code, pvu = divmod(code, pb)
+            pc, puv = divmod(code, pb)
+            nbr.append((pc, puv, pvu))
+        non = [int(c) for c in row[1 + self.n :] if int(c) < _SENTINEL]
+        return ("k1", prev, tuple(nbr), tuple(non))
 
     def export_text(self) -> str:
         """One line per tuple: `t v1 ... vk color`, tuples in rank order."""
@@ -162,19 +164,31 @@ def _initial_rows(
 ) -> np.ndarray:
     """Feature rows for all n^k tuples (dense-rankable): the iso type under
     vertex colors `vc`, or `[start | vc at each position]` when seeded."""
-    digits = tuple_digits(g.n, k)
+    n = g.n
+    grid = (n,) * k
+
+    def at(arr: np.ndarray, *pos: int) -> np.ndarray:
+        # arr indexed by the vertices at tuple positions pos (ascending),
+        # broadcast over the tuple grid
+        shape = [1] * k
+        for q in pos:
+            shape[q] = n
+        return arr.reshape(shape)
+
     if start is not None:
-        cols = [np.asarray(start, dtype=np.int64)]
+        cols = [np.asarray(start).reshape(grid)]
     else:
         p = g.pair_codes()
-        cols = [
-            (digits[i] == digits[j]).astype(np.int64)
-            for i in range(k) for j in range(i + 1, k)
-        ]
-        cols += [p[digits[i], digits[j]] for i in range(k) for j in range(k) if i != j]
-    for i in range(k):
-        cols.append(vc[digits[i]])
-    return np.column_stack(cols)
+        eye = np.eye(n, dtype=np.int64)
+        pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+        cols = [at(eye, i, j) for i, j in pairs if i < j]
+        cols += [at(p, i, j) if i < j else at(p.T, j, i) for i, j in pairs]
+    cols += [at(vc, i) for i in range(k)]
+    # column-major, so each feature is one contiguous grid-shaped write
+    rows = np.empty((len(cols), n**k), dtype=np.int64)
+    for row, col in zip(rows, cols):
+        row.reshape(grid)[...] = col
+    return rows.T
 
 
 def _estimate_bytes(n: int, k: int) -> int:
@@ -277,26 +291,24 @@ def refine_k(
     while True:
         if k == 1:
             rows, pb = _round_rows_k1(g, colors)
-            info = ("k1", pb)
+            ids, uniq = dense_rank_rows(rows)
+            del rows  # freed before the next round allocates its own
+            if np.array_equal(ids, colors):
+                break
+            if records is not None:
+                records.append(RoundRecord(rows=uniq, mode="k1", base=pb))
         else:
-            rows, info = round_rows(colors, n, k, ncolors)
-        ids, uniq = dense_rank_rows(rows)
-        del rows  # freed before the next round allocates its own
-        if np.array_equal(ids, colors):
-            break
+            rows = round_rows(colors, n, k, ncolors)
+            if rows_agree_within_classes(rows, colors, ncolors):
+                break
+            ids, _ = dense_rank_rows(rows)
+            del rows
         colors = ids
         ncolors = int(colors.max()) + 1
         rounds += 1
         class_counts.append(ncolors)
         if history is not None:
             history.append(colors)
-        if records is not None:
-            if info[0] == "packed":
-                records.append(RoundRecord(rows=uniq, mode="packed", base=info[1]))
-            elif info[0] == "table":
-                records.append(RoundRecord(rows=uniq, mode="table", table=info[1]))
-            else:
-                records.append(RoundRecord(rows=uniq, mode="k1", base=info[1]))
     return TupleColoring(
         k=k, n=n, colors=colors, num_colors=ncolors, rounds=rounds,
         class_counts=class_counts, history=history, records=records,

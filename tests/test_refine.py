@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -317,6 +318,122 @@ def test_backends_are_bit_identical():
         kernels.set_backend("auto")
 
 
+# -- the round loop against a lexicographic reference ------------------------------
+
+
+def reference_refine(g, k, vertex_colors=None, start=None):
+    """Rank every tuple's (color, sorted substitution vectors) each round,
+    lexicographically, until a round splits nothing; returns the colors,
+    the number of splitting rounds and the class count after each round."""
+    n = g.n
+    vc = np.asarray(
+        g.vertex_colors if vertex_colors is None else vertex_colors, dtype=np.int64
+    )
+    colors, _ = kernels.dense_rank_rows(refine_module._initial_rows(g, k, vc, start))
+    colors = colors.tolist()
+    tuples = list(itertools.product(range(n), repeat=k))  # in rank order
+    rank = {t: i for i, t in enumerate(tuples)}
+    counts = [max(colors) + 1]
+    rounds = 0
+    while True:
+        sigs = [
+            (colors[rank[t]], tuple(sorted(
+                tuple(colors[rank[t[:j] + (x,) + t[j + 1:]]] for j in range(k - 1, -1, -1))
+                for x in range(n)
+            )))
+            for t in tuples
+        ]
+        index = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        ids = [index[sig] for sig in sigs]
+        if ids == colors:
+            return np.asarray(colors), rounds, counts
+        colors = ids
+        rounds += 1
+        counts.append(len(index))
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored_graphs(max_n=6), st.sampled_from((2, 3)), st.integers(0, 5), st.booleans())
+def test_refinement_matches_the_lexicographic_reference(case, k, v, seeded):
+    g, cols = case
+    if g.n == 0:
+        return
+    start = None
+    if seeded:
+        start = refine_k(g, k, vertex_colors=cols).colors
+        cols = individualized(cols, v % g.n)
+    ranked = []
+
+    def spy(rows):
+        ranked.append(rows.shape[0])
+        return kernels.dense_rank_rows(rows)
+
+    with mock.patch.object(refine_module, "dense_rank_rows", spy):
+        tc = refine_k(g, k, vertex_colors=cols, start=start)
+    colors, rounds, counts = reference_refine(g, k, cols, start)
+    # ids, not only the partition: every splitting round is ranked
+    # lexicographically, previous color first
+    assert np.array_equal(tc.colors, colors)
+    assert tc.rounds == rounds
+    assert tc.class_counts == counts
+    # the initial coloring and each splitting round are ranked; the round
+    # that finds nothing to split is not
+    assert len(ranked) == 1 + rounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(colored_graphs(max_n=5), st.sampled_from((1, 2, 3)), st.booleans())
+def test_initial_rows_are_the_iso_types(case, k, seeded):
+    g, cols = case
+    recolored = g.with_vertex_colors(cols.tolist())
+    tuples = list(itertools.product(range(g.n), repeat=k))
+    if seeded:
+        start = np.arange(len(tuples), dtype=np.int64)[::-1] % 4
+        want = [[int(start[i])] + [int(cols[v]) for v in t] for i, t in enumerate(tuples)]
+    else:
+        start = None
+        want = [[x for part in iso_type(recolored, t) for x in part] for t in tuples]
+    rows = refine_module._initial_rows(g, k, cols, start)
+    assert rows.tolist() == want
+
+
+def test_pair_rows_are_the_gather_form():
+    # k = 2 rows are built from the n x n color matrix; they must equal the
+    # index-matrix gathers that k >= 3 uses, on both code schemes
+    rng = np.random.default_rng(5)
+    for n in range(1, 8):
+        colors = rng.integers(0, 50, size=n * n)
+        mats = kernels.index_matrices(n, 2)
+        codes = colors[mats[1]] * 50 + colors[mats[0]]
+        codes.sort(axis=1)
+        packed = kernels.round_rows(colors, n, 2, 50)
+        assert np.array_equal(packed, np.column_stack([colors, codes]))
+        with mock.patch.object(kernels, "_PACK_LIMIT", 1):
+            table = kernels.round_rows(colors, n, 2, 50)
+        assert np.array_equal(
+            kernels.dense_rank_rows(table)[0], kernels.dense_rank_rows(packed)[0]
+        )
+
+
+def test_pair_rounds_keep_no_gather_matrices():
+    kernels._IDX_CACHE.clear()
+    refine_2(random_graph(9, 0.5, seed=1))
+    refine_k(random_graph(5, 0.5, seed=1), 3)
+    assert list(kernels._IDX_CACHE) == [(5, 3)]
+
+
+def test_rows_agree_within_classes():
+    rows = np.array([[0, 1, 2], [0, 1, 2], [1, 5, 5], [1, 5, 6]])
+    assert kernels.rows_agree_within_classes(rows[:3], np.array([0, 0, 1]), 2)
+    # rows 2 and 3 differ in their last column only, rows 0 and 2 in the middle
+    assert not kernels.rows_agree_within_classes(rows, np.array([0, 0, 1, 1]), 2)
+    assert not kernels.rows_agree_within_classes(rows[[0, 2]], np.array([0, 0]), 1)
+    # classes are compared with their first tuple, wherever it sits
+    assert kernels.rows_agree_within_classes(
+        rows[[2, 0, 2, 1]], np.array([1, 0, 1, 0]), 2
+    )
+
+
 # -- overflow-safe round kernel ----------------------------------------------------
 
 
@@ -330,19 +447,26 @@ def test_table_rounds_match_packed_rounds(case, k, v):
     packed = refine_k(g, k, vertex_colors=cols)
     child = individualized(cols, v)
     packed_child = refine_k(g, k, vertex_colors=child, start=packed.colors)
-    paths = []
+    rounds, widths = [], []
 
-    def spy(*args):
-        out = kernels.round_rows(*args)
-        paths.append(out[1][0])
-        return out
+    def rows_spy(*args):
+        rounds.append(args)
+        return kernels.round_rows(*args)
 
-    # a pack limit of 1 fits no code, so every round ranks substitution vectors
+    def rank_spy(rows):
+        widths.append(rows.shape[1])
+        return real_rank(rows)
+
+    # a pack limit of 1 fits no code, so every round ranks substitution
+    # vectors, k columns wide (only round_rows' table branch calls the
+    # kernels module's own dense_rank_rows)
+    real_rank = kernels.dense_rank_rows
     with mock.patch.object(kernels, "_PACK_LIMIT", 1), \
-            mock.patch.object(refine_module, "round_rows", spy):
+            mock.patch.object(refine_module, "round_rows", rows_spy), \
+            mock.patch.object(kernels, "dense_rank_rows", rank_spy):
         table = refine_k(g, k, vertex_colors=cols)
         table_child = refine_k(g, k, vertex_colors=child, start=table.colors)
-    assert paths and set(paths) == {"table"}
+    assert rounds and widths == [k] * len(rounds)
     # table codes are lexicographic ranks, order-isomorphic to packed ones,
     # so the ids (not only the partitions) agree
     assert np.array_equal(packed.colors, table.colors)
@@ -376,10 +500,19 @@ def test_stable_names_follow_the_one_dim_partition():
 def test_dense_rank_rows_matches_np_unique():
     # reference: np.unique on the big-endian byte view of each row
     rng = np.random.default_rng(7)
-    for trial in range(300):
-        m, w = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+    for trial in range(400):
         hi = (2, 7, 2**40)[trial % 3]
-        rows = rng.integers(0, hi, size=(m, w))
+        if trial < 300:
+            m, w = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+            rows = rng.integers(0, hi, size=(m, w))
+        else:
+            # wide and duplicate-heavy: a few distinct rows, some differing
+            # only in their last column, each repeated many times
+            m, w = int(rng.integers(1, 200)), int(rng.integers(100, 170))
+            distinct = rng.integers(0, hi, size=(int(rng.integers(1, 6)), w))
+            distinct = np.vstack([distinct, distinct])
+            distinct[distinct.shape[0] // 2 :, -1] += 1
+            rows = distinct[rng.integers(0, distinct.shape[0], size=m)]
         if trial % 2:
             rows = rows[:, ::-1]  # a non-contiguous view
         view = np.ascontiguousarray(rows).astype(">i8").view(f"V{8 * w}").ravel()
