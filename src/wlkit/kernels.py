@@ -82,46 +82,25 @@ def tuple_digits(n: int, k: int) -> list[np.ndarray]:
     return [(idx // (n ** (k - 1 - j))) % n for j in range(k)]
 
 
-def _packed_key(rows: np.ndarray) -> np.ndarray | None:
-    """Each row as one int64, mixed radix with column j in base max_j + 1,
-    which preserves lexicographic order; None when the radices overflow."""
-    w = rows.shape[1]
-    if w > 62:  # every column with a nonzero entry needs at least one bit
-        return None
-    weights = [1]
-    for b in rows.max(axis=0)[:0:-1].tolist():
-        weights.append(weights[-1] * (b + 1))
-    if weights[-1] * (int(rows[:, 0].max()) + 1) >= 2**63:
-        return None
-    return rows @ np.array(weights[::-1], dtype=np.int64)
-
-
 def dense_rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids by lexicographic rank of int64 rows, plus unique rows by id.
 
-    Non-negative entries only.  Rows that fit are packed into one int64
-    each; wider rows are byte-swapped to big-endian and sorted as raw bytes,
-    which coincides with numeric lexicographic order.
+    Non-negative entries only: rows are byte-swapped to big-endian and
+    sorted as raw bytes, which coincides with numeric lexicographic order.
     """
     m = rows.shape[0]
     if m == 0:
         return np.empty(0, dtype=np.int64), rows.copy()
+    rows = np.ascontiguousarray(rows)
+    view = rows.astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
+    # np.unique's steps, less its copy of the input
+    order = view.argsort(kind="stable")
+    del view  # the big-endian copy goes before the sorted rows are gathered
+    srt = rows[order]
     starts = np.empty(m, dtype=bool)
     starts[0] = True
-    key = _packed_key(rows)
-    if key is not None:
-        order = key.argsort()
-        key = key[order]
-        np.not_equal(key[1:], key[:-1], out=starts[1:])
-    else:
-        rows = np.ascontiguousarray(rows)
-        view = rows.astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
-        # np.unique's steps, less its copy of the input
-        order = view.argsort(kind="stable")
-        del view  # the big-endian copy goes before the sorted rows are gathered
-        srt = rows[order]
-        starts[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-        del srt
+    starts[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+    del srt
     ids = np.empty(m, dtype=np.int64)
     ids[order] = starts.cumsum() - 1
     return ids, rows[order[starts]]
@@ -132,13 +111,7 @@ def rows_agree_within_classes(rows: np.ndarray, colors: np.ndarray, ncolors: int
     color class."""
     first = np.full(ncolors, colors.shape[0], dtype=np.int64)
     np.minimum.at(first, colors, np.arange(colors.shape[0], dtype=np.int64))
-    rep = first[colors]
-    # one middle column settles most rounds that split, without gathering
-    # every row
-    mid = rows.shape[1] // 2
-    if (rows[:, mid] != rows[rep, mid]).any():
-        return False
-    return bool((rows == rows[rep]).all())
+    return bool((rows == rows[first[colors]]).all())
 
 
 def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray:
@@ -158,7 +131,7 @@ def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray:
         elif k == 2:
             # codes[(a, b), x] = C[a, x] * base + C[x, b]
             c = colors.reshape(n, n)
-            codes = out[:, 1:].reshape(n, n, n, copy=False)
+            codes = out.reshape(n, n, n + 1)[:, :, 1:]
             np.add((c * base)[:, None, :], c.T[None, :, :], out=codes)
         else:
             mats = index_matrices(n, k)

@@ -164,31 +164,19 @@ def _initial_rows(
 ) -> np.ndarray:
     """Feature rows for all n^k tuples (dense-rankable): the iso type under
     vertex colors `vc`, or `[start | vc at each position]` when seeded."""
-    n = g.n
-    grid = (n,) * k
-
-    def at(arr: np.ndarray, *pos: int) -> np.ndarray:
-        # arr indexed by the vertices at tuple positions pos (ascending),
-        # broadcast over the tuple grid
-        shape = [1] * k
-        for q in pos:
-            shape[q] = n
-        return arr.reshape(shape)
-
+    digits = tuple_digits(g.n, k)
     if start is not None:
-        cols = [np.asarray(start).reshape(grid)]
+        cols = [np.asarray(start, dtype=np.int64)]
     else:
         p = g.pair_codes()
-        eye = np.eye(n, dtype=np.int64)
-        pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
-        cols = [at(eye, i, j) for i, j in pairs if i < j]
-        cols += [at(p, i, j) if i < j else at(p.T, j, i) for i, j in pairs]
-    cols += [at(vc, i) for i in range(k)]
-    # column-major, so each feature is one contiguous grid-shaped write
-    rows = np.empty((len(cols), n**k), dtype=np.int64)
-    for row, col in zip(rows, cols):
-        row.reshape(grid)[...] = col
-    return rows.T
+        cols = [
+            (digits[i] == digits[j]).astype(np.int64)
+            for i in range(k) for j in range(i + 1, k)
+        ]
+        cols += [p[digits[i], digits[j]] for i in range(k) for j in range(k) if i != j]
+    for i in range(k):
+        cols.append(vc[digits[i]])
+    return np.column_stack(cols)
 
 
 def _estimate_bytes(n: int, k: int) -> int:
