@@ -1,9 +1,9 @@
 """Timing harness for the refinement kernels.
 
-Runs full refinements on seeded random graphs over a range of sizes, per
-backend, and fits the growth exponent of a log-log regression.  A round of
-the dense k-dim refinement touches n^(k+1) cells, so the fitted exponent on
-uniformly random inputs should land near k + 1.
+Runs full refinements on seeded random graphs over a range of sizes and fits
+the growth exponent of a log-log regression.  A round of the dense k-dim
+refinement touches n^(k+1) cells, so the fitted exponent on uniformly random
+inputs should land near k + 1.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 
-from . import kernels
 from .families import random_graph
 from .limits import DEFAULT_LIMITS, Limits
 from .refine import refine_k
@@ -22,56 +21,25 @@ def run_bench(
     sizes=(8, 12, 16, 24),
     k: int = 2,
     *,
-    backend: str = "auto",
     seed: int = 7,
     repeats: int = 3,
     limits: Limits = DEFAULT_LIMITS,
 ) -> list[dict]:
-    """One row per (backend, n): best-of-`repeats` wall time of a full
-    refinement.  backend: auto, python, cython, or both."""
-    if backend == "both":
-        names = ["python"]
-        if kernels.backend_name() == "cython" or _cython_present():
-            names.append("cython")
-    else:
-        names = [backend]
+    """One row per n: best-of-`repeats` wall time of a full refinement."""
     rows: list[dict] = []
-    old = kernels.backend_name()
-    try:
-        for name in names:
-            kernels.set_backend("auto" if name == "auto" else name)
-            for n in sizes:
-                g = random_graph(n, 0.5, seed=seed + n)
-                best = math.inf
-                rounds = 0
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    tc = refine_k(
-                        g, k, limits=limits, keep_history=False, keep_records=False
-                    )
-                    best = min(best, time.perf_counter() - t0)
-                    rounds = tc.rounds
-                rows.append(
-                    {
-                        "backend": kernels.backend_name(),
-                        "n": int(n),
-                        "k": int(k),
-                        "rounds": int(rounds),
-                        "seconds": float(best),
-                    }
-                )
-    finally:
-        kernels.set_backend("auto" if old == "cython" else old)
+    for n in sizes:
+        g = random_graph(n, 0.5, seed=seed + n)
+        best = math.inf
+        rounds = 0
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            tc = refine_k(g, k, limits=limits, keep_records=False)
+            best = min(best, time.perf_counter() - t0)
+            rounds = tc.rounds
+        rows.append(
+            {"n": int(n), "k": int(k), "rounds": int(rounds), "seconds": float(best)}
+        )
     return rows
-
-
-def _cython_present() -> bool:
-    try:
-        kernels.set_backend("cython")
-    except ImportError:
-        return False
-    kernels.set_backend("auto")
-    return True
 
 
 def fit_exponent(rows: list[dict]) -> float:
@@ -85,11 +53,7 @@ def fit_exponent(rows: list[dict]) -> float:
 
 
 def format_rows(rows: list[dict]) -> str:
-    out = []
-    for name in dict.fromkeys(r["backend"] for r in rows):
-        out.append(f"# backend: {name}")
-        out.append("n\tk\trounds\tseconds")
-        for r in rows:
-            if r["backend"] == name:
-                out.append(f"{r['n']}\t{r['k']}\t{r['rounds']}\t{r['seconds']:.6f}")
+    out = ["n\tk\trounds\tseconds"]
+    for r in rows:
+        out.append(f"{r['n']}\t{r['k']}\t{r['rounds']}\t{r['seconds']:.6f}")
     return "\n".join(out) + "\n"

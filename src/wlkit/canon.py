@@ -101,8 +101,7 @@ def _refine_node(g, k, colors, start, limits):
     from its parent's stable tuple coloring `start` (None at the root);
     returns it with its vertex classes."""
     tc = refine_k(
-        g, k, vertex_colors=colors, start=start, limits=limits,
-        keep_history=False, keep_records=False,
+        g, k, vertex_colors=colors, start=start, limits=limits, keep_records=False
     )
     return tc, project(tc, 1)
 

@@ -52,7 +52,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_refine(args) -> int:
     g = _read_graph(args.graph)
-    tc = refine_k(g, args.k, limits=DEFAULT_LIMITS)
+    tc = refine_k(g, args.k, limits=DEFAULT_LIMITS, keep_records=False)
     print(f"n {g.n}")
     print(f"k {args.k}")
     print(f"rounds {tc.rounds}")
@@ -111,7 +111,7 @@ def _cmd_orbits(args) -> int:
         for orbit in orbits_oracle(g, limits=DEFAULT_LIMITS):
             print(" ".join(str(v) for v in orbit))
         return 0
-    tc = refine_k(g, args.k, limits=DEFAULT_LIMITS)
+    tc = refine_k(g, args.k, limits=DEFAULT_LIMITS, keep_records=False)
     vc = project(tc, 1).colors
     for cid in range(int(vc.max()) + 1 if g.n else 0):
         members = [str(v) for v in range(g.n) if vc[v] == cid]
@@ -217,14 +217,10 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    rows = run_bench(
-        sizes, args.k, backend=args.backend, seed=args.seed, repeats=args.repeats
-    )
+    rows = run_bench(sizes, args.k, seed=args.seed, repeats=args.repeats)
     sys.stdout.write(format_rows(rows))
-    for name in dict.fromkeys(r["backend"] for r in rows):
-        sub = [r for r in rows if r["backend"] == name]
-        if len(sub) >= 2:
-            print(f"# exponent[{name}]: {fit_exponent(sub):.2f}")
+    if len(rows) >= 2:
+        print(f"# exponent: {fit_exponent(rows):.2f}")
     return 0
 
 
@@ -306,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the round kernels")
     p.add_argument("--sizes", default="8,12,16,24")
     p.add_argument("-k", type=int, default=2)
-    p.add_argument("--backend", choices=("auto", "python", "cython", "both"),
-                   default="auto")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(func=_cmd_bench)

@@ -77,6 +77,11 @@ class ValidationReport:
 _SLAB_CELLS = 1 << 18
 
 
+def _slab_rows(n: int) -> int:
+    """Rows x of validate's axiom-3 check done per slab."""
+    return max(1, _SLAB_CELLS // max(1, n * n))
+
+
 def validate(c: CoherentConfig) -> ValidationReport:
     """Check the configuration axioms; on failure the report names the axiom
     (1 diagonal, 2 transpose, 3 intersection numbers) and a witness cell.
@@ -123,7 +128,7 @@ def validate(c: CoherentConfig) -> ValidationReport:
     rel_t = np.ascontiguousarray(rel.T)
     ref = rel[ex] * s + rel_t[ey]
     ref.sort(axis=1)
-    step = max(1, _SLAB_CELLS // max(1, n * n))
+    step = _slab_rows(n)
     for lo in range(0, n, step):
         codes = rel[lo : lo + step, None, :] * s + rel_t[None, :, :]
         codes.sort(axis=2)
@@ -164,8 +169,8 @@ def cellular_closure(
     Rounds replace each cell's color with (its color, the multiset over z of
     the color pair (c(x, z), c(z, y))) until stable; the result is validated
     before it is returned.  Ids come out dense, diagonal relations first.
-    Raises ResourceLimitError before the first round when a round would
-    need more than `limits.memory_bytes`.
+    Raises ResourceLimitError before the first round when a round and the
+    validation would need more than `limits.memory_bytes`.
     """
     if isinstance(seed, ColoredGraph):
         seed = graph_seed(seed)
@@ -175,9 +180,12 @@ def cellular_closure(
     n = seed.shape[0]
     if n == 0:
         return CoherentConfig(n=0, s=0, rel=seed.copy())
-    # a round's (n^2, n+1) rows, the two copies of them dense_rank_rows
-    # holds at once, and its n^2 id arrays
-    need = 8 * n * n * (3 * (n + 1) + 5)
+    # a round holds its (n^2, n+1) int64 rows, dense_rank_rows' sorted copy
+    # of them and their bool compare (17 bytes a cell) and four n^2 id
+    # arrays; validate adds up to 18 bytes a cell of one slab.  Fitted to
+    # tracemalloc peaks of discrete closures at n = 64 and n = 160; the few
+    # KB of fixed-size arrays it leaves out matter only below n = 20.
+    need = n * n * (17 * (n + 1) + 32) + 18 * min(n, _slab_rows(n)) * n * n
     if need > limits.memory_bytes:
         raise ResourceLimitError(
             f"cellular closure at n={n} exceeds memory_bytes",
@@ -185,8 +193,7 @@ def cellular_closure(
         )
     # force the diagonal apart from the rest before refining
     start = seed * 2 + np.eye(n, dtype=np.int64)
-    ids, _ = dense_rank_rows(start.reshape(n * n, 1))
-    cur = ids.reshape(n, n)
+    cur = dense_rank_rows(start.reshape(n * n, 1))[0].reshape(n, n)
     # each round's rows [cur | codes sorted over z] are written in place;
     # codes[x, y, z] = cur[x, z] * s + cur[z, y]
     rows = np.empty((n * n, n + 1), dtype=np.int64)
@@ -197,11 +204,11 @@ def cellular_closure(
         np.multiply(cur[:, None, :], s, out=codes)
         codes += cur.T[None, :, :]
         codes.sort(axis=2)
-        ids, _ = dense_rank_rows(rows)
-        nxt = ids.reshape(n, n)
+        nxt = dense_rank_rows(rows)[0].reshape(n, n)
         if np.array_equal(nxt, cur):
             break
         cur = nxt
+    del rows, codes
     # canonical ids: diagonal relations first, then the rest, old order kept
     diag_ids = sorted(set(int(x) for x in np.unique(np.diag(cur))))
     other = [rid for rid in range(int(cur.max()) + 1) if rid not in set(diag_ids)]

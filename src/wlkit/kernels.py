@@ -5,49 +5,22 @@ substitution codes]``.  A substitution code encodes the k-vector of previous
 colors obtained by substituting one vertex x into the tuple, ordered from the
 last tuple position down to the first.  Codes are order-isomorphic to the
 lexicographic order on those k-vectors, so dense-ranking the rows yields the
-same color ids whichever code scheme or backend produced them.
+same color ids whichever code scheme produced them.
 
 A round splits nothing exactly when every tuple's row equals the row of the
 first tuple of its class (`rows_agree_within_classes`); that compare stands in
 for the rank of the round that confirms stability.
-
-`round_rows` has a compiled backend when available and a NumPy fallback.  Set
-WLKIT_KERNEL=python or WLKIT_KERNEL=cython to force one.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FORCED = os.environ.get("WLKIT_KERNEL", "").strip().lower()
-_cy = None
-if _FORCED not in ("python", "numpy", "py"):
-    try:
-        from . import _refine_cy as _cy  # type: ignore[attr-defined]
-    except ImportError:
-        _cy = None
-if _FORCED in ("cython", "c") and _cy is None:
-    raise ImportError("WLKIT_KERNEL=cython requested but the compiled kernel is missing")
 
 # codes must fit comfortably in int64
 _PACK_LIMIT = 2**62
 
-_active = "auto"
-
-
-def set_backend(name: str) -> None:
-    """Select the round kernel at runtime: auto, python, or cython."""
-    global _active
-    if name not in ("auto", "python", "cython"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "cython" and _cy is None:
-        raise ImportError("compiled kernel is not available")
-    _active = name
-
 
 def backend_name() -> str:
-    return "cython" if (_cy is not None and _active != "python") else "python"
+    return "python"
 
 
 def packable(base: int, k: int) -> bool:
@@ -126,9 +99,7 @@ def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray:
     out = np.empty((nk, n + 1), dtype=np.int64)
     out[:, 0] = colors
     if packable(base, k):
-        if _cy is not None and _active != "python":
-            _cy.wl_round_rows(colors, n, k, base, out)
-        elif k == 2:
+        if k == 2:
             # codes[(a, b), x] = C[a, x] * base + C[x, b]
             c = colors.reshape(n, n)
             codes = out.reshape(n, n, n + 1)[:, :, 1:]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 @dataclass(frozen=True)
 class Limits:
-    # dense working arrays of refine_k and of a cellular_closure round (bytes)
+    # dense working arrays of refine_k and of cellular_closure (bytes)
     memory_bytes: int = 2 * 1024**3
     # explored nodes in canonical-mode branching
     canon_nodes: int = 200_000

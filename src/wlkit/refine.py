@@ -52,7 +52,8 @@ class RoundRecord:
 
 @dataclass
 class TupleColoring:
-    """Stable k-tuple coloring with optional per-round history and decoders.
+    """Stable k-tuple coloring with per-round class counts and optional
+    decoders.
 
     `records` (when kept) decode color ids: for k = 1 one record per round
     (the initial "vertex" or "seed" record, then "k1" rounds); for k >= 2
@@ -64,7 +65,6 @@ class TupleColoring:
     num_colors: int
     rounds: int
     class_counts: list[int]
-    history: list[np.ndarray] | None = None
     records: list[RoundRecord] | None = None
 
     def rank(self, tup: Sequence[int]) -> int:
@@ -227,7 +227,6 @@ def refine_k(
     vertex_colors: Sequence[int] | None = None,
     start: np.ndarray | None = None,
     limits: Limits = DEFAULT_LIMITS,
-    keep_history: bool = True,
     keep_records: bool = True,
 ) -> TupleColoring:
     """Run k-dim refinement to stability.
@@ -252,7 +251,6 @@ def refine_k(
             required=need,
             cap=limits.memory_bytes,
         )
-    history: list[np.ndarray] | None = [] if keep_history else None
     records: list[RoundRecord] | None = [] if keep_records else None
     class_counts: list[int] = []
 
@@ -260,7 +258,6 @@ def refine_k(
         return TupleColoring(
             k=k, n=0, colors=np.empty(0, dtype=np.int64), num_colors=0,
             rounds=0, class_counts=[0],
-            history=[] if keep_history else None,
             records=[] if keep_records else None,
         )
 
@@ -270,10 +267,9 @@ def refine_k(
     del rows0
     if records is not None:
         records.append(RoundRecord(rows=uniq, mode=mode))
+    del uniq
     ncolors = int(colors.max()) + 1
     class_counts.append(ncolors)
-    if history is not None:
-        history.append(colors)
 
     rounds = 0
     while True:
@@ -285,21 +281,20 @@ def refine_k(
                 break
             if records is not None:
                 records.append(RoundRecord(rows=uniq, mode="k1", base=pb))
+            del uniq
         else:
             rows = round_rows(colors, n, k, ncolors)
             if rows_agree_within_classes(rows, colors, ncolors):
                 break
-            ids, _ = dense_rank_rows(rows)
+            ids = dense_rank_rows(rows)[0]
             del rows
         colors = ids
         ncolors = int(colors.max()) + 1
         rounds += 1
         class_counts.append(ncolors)
-        if history is not None:
-            history.append(colors)
     return TupleColoring(
         k=k, n=n, colors=colors, num_colors=ncolors, rounds=rounds,
-        class_counts=class_counts, history=history, records=records,
+        class_counts=class_counts, records=records,
     )
 
 
@@ -405,7 +400,7 @@ def similar_k(
     if g.n == 0:
         return True
     u = disjoint_union(g, h)
-    tc = refine_k(u, k, limits=limits, keep_history=False, keep_records=False)
+    tc = refine_k(u, k, limits=limits, keep_records=False)
     digits = tuple_digits(u.n, k)
     in_g = np.ones(u.n**k, dtype=bool)
     in_h = np.ones(u.n**k, dtype=bool)

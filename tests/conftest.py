@@ -1,10 +1,13 @@
-"""Shared fixtures, partition helpers and a small-graph strategy.
+"""Shared fixtures, partition helpers, a small-graph strategy and a traced
+memory peak.
 
 Color ids produced by dense ranking are arbitrary; two equal partitions of
 the same index set can carry different ids.  Tests therefore compare
 partitions through a first-occurrence renumbering instead of raw ids.
 """
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +35,23 @@ def same_partition(a, b) -> bool:
     if a.shape != b.shape:
         return False
     return bool(np.array_equal(canon_partition(a), canon_partition(b)))
+
+
+def traced_peak(fn):
+    """`fn()` and the peak bytes tracemalloc sees allocated while it runs,
+    above what was allocated when it started."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return out, peak - base
 
 
 def crown_graph() -> ColoredGraph:

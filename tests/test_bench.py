@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from wlkit import kernels
 from wlkit.bench import fit_exponent, format_rows, run_bench
 
 
@@ -10,31 +9,23 @@ def test_rows_have_the_expected_shape():
     rows = run_bench(sizes=(6, 8), k=2, repeats=1)
     assert len(rows) == 2
     for r in rows:
-        assert set(r) == {"backend", "n", "k", "rounds", "seconds"}
+        assert set(r) == {"n", "k", "rounds", "seconds"}
         assert r["seconds"] > 0
-
-
-def test_both_backends_are_timed_when_available():
-    rows = run_bench(sizes=(6,), k=2, backend="both", repeats=1)
-    names = {r["backend"] for r in rows}
-    assert "python" in names
-    if kernels.backend_name() == "cython":
-        assert "cython" in names
 
 
 def test_fit_exponent():
     rows = [
-        {"backend": "x", "n": 10, "k": 2, "rounds": 1, "seconds": 1.0},
-        {"backend": "x", "n": 20, "k": 2, "rounds": 1, "seconds": 8.0},
-        {"backend": "x", "n": 40, "k": 2, "rounds": 1, "seconds": 64.0},
+        {"n": 10, "k": 2, "rounds": 1, "seconds": 1.0},
+        {"n": 20, "k": 2, "rounds": 1, "seconds": 8.0},
+        {"n": 40, "k": 2, "rounds": 1, "seconds": 64.0},
     ]
     assert abs(fit_exponent(rows) - 3.0) < 1e-9
     with pytest.raises(ValueError):
         fit_exponent(rows[:1])
 
 
-def test_format_rows_groups_by_backend():
-    rows = run_bench(sizes=(6,), k=2, backend="both", repeats=1)
-    text = format_rows(rows)
-    assert text.count("# backend:") == len({r["backend"] for r in rows})
-    assert "seconds" in text
+def test_format_rows_prints_a_header_and_one_line_per_size():
+    rows = run_bench(sizes=(6, 8), k=2, repeats=1)
+    lines = format_rows(rows).splitlines()
+    assert lines[0] == "n\tk\trounds\tseconds"
+    assert [ln.split("\t")[:2] for ln in lines[1:]] == [["6", "2"], ["8", "2"]]

@@ -3,11 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from wlkit.cli import main
 from wlkit.coherent import parse_scheme
-from wlkit.families import complete, cycle, petersen, rook_4x4, shrikhande
+from wlkit.errors import ResourceLimitError
+from wlkit.families import complete, cycle, path, petersen, rook_4x4, shrikhande
 from wlkit.graph import parse_wlg, serialize_wlg
 from wlkit.cfi import parse_cfi_map_roles
+from wlkit.limits import Limits
+from wlkit.refine import refine_k
 
 
 @pytest.fixture()
@@ -34,6 +38,18 @@ def test_refine_export(files, capsys, tmp_path):
     assert main(["refine", write("c4.wlg", cycle(4)), "--export", str(dest)]) == 0
     lines = dest.read_text().strip().splitlines()
     assert len(lines) == 16
+
+
+def test_refine_stays_within_the_refinement_budget(files, capsys):
+    # the summary reads no decode records, so a k = 1 run keeps none
+    _, write = files
+    g = path(400)
+    with pytest.raises(ResourceLimitError) as err:
+        refine_k(g, 1, limits=Limits(memory_bytes=1))
+    src = write("p400.wlg", g)
+    code, peak = traced_peak(lambda: main(["refine", src, "-k", "1"]))
+    assert code == 0 and peak <= err.value.required
+    assert "rounds 199" in capsys.readouterr().out
 
 
 def test_certify_digest_only_is_relabel_invariant(files, capsys):
@@ -181,7 +197,7 @@ def test_decompose_and_reduce(files, capsys):
 def test_bench(files, capsys):
     assert main(["bench", "--sizes", "6,8", "--repeats", "1"]) == 0
     out = capsys.readouterr().out
-    assert "# backend:" in out and "seconds" in out
+    assert "seconds" in out and "# exponent:" in out
 
 
 def test_stdin_input(files, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wlkit.coherent as coherent
-from conftest import colored_graphs, same_partition
+from conftest import colored_graphs, same_partition, traced_peak
 from wlkit.canon import certify
 from wlkit.coherent import (
     CoherentConfig,
@@ -268,6 +268,32 @@ def test_closure_refuses_a_round_past_memory_bytes():
     assert err.value.cap == 10_000 and err.value.required > 10_000
     small = cellular_closure(cycle(4), limits=tight)
     assert small.s == cellular_closure(cycle(4)).s
+
+
+def _closure_required(seed) -> int:
+    """The bytes cellular_closure says it needs for `seed`."""
+    with pytest.raises(ResourceLimitError) as err:
+        cellular_closure(seed, limits=dataclasses.replace(DEFAULT_LIMITS, memory_bytes=1))
+    return err.value.required
+
+
+def test_discrete_closure_peak_stays_within_its_required_bytes():
+    # a discrete closure is the widest case: every round keeps n^2 classes
+    seed = graph_seed(random_graph(100, 0.5, seed=3))
+    c, peak = traced_peak(lambda: cellular_closure(seed))
+    assert c.s == 100 * 100
+    assert peak <= _closure_required(seed)
+
+
+def test_closure_runs_at_exactly_its_required_bytes():
+    seed = graph_seed(petersen())
+    required = _closure_required(seed)
+    at = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=required)
+    assert np.array_equal(cellular_closure(seed, limits=at).rel, cellular_closure(seed).rel)
+    below = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=required - 1)
+    with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
+        cellular_closure(seed, limits=below)
+    assert (err.value.required, err.value.cap) == (required, required - 1)
 
 
 def test_closure_output_is_diagonal_first():

@@ -123,9 +123,7 @@ def test_history_is_monotone():
     counts = list(tc.class_counts)
     assert counts == sorted(counts)
     assert counts[-1] == tc.num_colors
-    assert len(tc.history) == len(counts)
-    assert [len(np.unique(h)) for h in tc.history] == counts
-    assert np.array_equal(tc.history[-1], tc.colors)
+    assert len(counts) == tc.rounds + 1
 
 
 # -- refinement seeded from a parent's stable coloring -------------------------
@@ -294,30 +292,6 @@ def test_export_text_lists_every_tuple():
     assert len({ln.split()[3] for ln in lines}) == 4
 
 
-# -- backends ------------------------------------------------------------------------
-
-cython_available = kernels.backend_name() == "cython"
-
-
-@pytest.mark.skipif(not cython_available, reason="compiled kernel not built")
-def test_backends_are_bit_identical():
-    try:
-        for seed in range(6):
-            g = random_graph(10, 0.5, seed=seed)
-            for k in (2, 3):
-                kernels.set_backend("python")
-                a = refine_k(g, k)
-                kernels.set_backend("cython")
-                b = refine_k(g, k)
-                assert np.array_equal(a.colors, b.colors)
-                assert len(a.history) == len(b.history)
-                for ha, hb in zip(a.history, b.history):
-                    assert np.array_equal(ha, hb)
-                assert invariant_bytes(a) == invariant_bytes(b)
-    finally:
-        kernels.set_backend("auto")
-
-
 # -- the round loop against a lexicographic reference ------------------------------
 
 
@@ -471,11 +445,6 @@ def test_table_rounds_match_packed_rounds(case, k, v):
     # so the ids (not only the partitions) agree
     assert np.array_equal(packed.colors, table.colors)
     assert np.array_equal(packed_child.colors, table_child.colors)
-
-
-def test_set_backend_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
 
 
 # -- stable structure names ------------------------------------------------------------
