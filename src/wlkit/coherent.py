@@ -210,11 +210,11 @@ def cellular_closure(
         cur = nxt
     del rows, codes
     # canonical ids: diagonal relations first, then the rest, old order kept
-    diag_ids = sorted(set(int(x) for x in np.unique(np.diag(cur))))
-    other = [rid for rid in range(int(cur.max()) + 1) if rid not in set(diag_ids)]
-    remap = np.empty(int(cur.max()) + 1, dtype=np.int64)
-    for new, old in enumerate(diag_ids + other):
-        remap[old] = new
+    on_diag = np.zeros(int(cur.max()) + 1, dtype=bool)
+    on_diag[np.diag(cur)] = True
+    order = np.concatenate([np.flatnonzero(on_diag), np.flatnonzero(~on_diag)])
+    remap = np.empty_like(order)
+    remap[order] = np.arange(order.shape[0])
     rel = remap[cur]
     out = CoherentConfig(n=n, s=int(rel.max()) + 1, rel=rel)
     report = validate(out)

@@ -19,7 +19,8 @@ color-0 fields omitted.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +28,27 @@ from .errors import ParseError, ResourceLimitError, UnsupportedGraphError
 from .limits import DEFAULT_LIMITS, Limits
 
 
+class NeighborCodes(NamedTuple):
+    """Adjacent ordered pairs (x, y) in CSR order, di-edges counted in either
+    orientation: `part` is p[x, y] * base + p[y, x] for the pair codes p of
+    `ColoredGraph.pair_codes`, `pos` the pair's place among the pairs of x,
+    `delta` the largest number of pairs of one x and `base` p.max() + 1."""
+
+    src: np.ndarray
+    tgt: np.ndarray
+    part: np.ndarray
+    pos: np.ndarray
+    delta: int
+    base: int
+
+
 class ColoredGraph:
     """Immutable colored graph. Mutating helpers return new instances."""
 
-    __slots__ = ("n", "directed", "vertex_colors", "edges", "_pair_codes", "_neighbors")
+    __slots__ = (
+        "n", "directed", "vertex_colors", "edges", "_pair_codes", "_neighbors",
+        "_neighbor_codes",
+    )
 
     def __init__(self, n: int, edges=(), directed: bool = False, vertex_colors=None):
         if n < 0:
@@ -68,6 +86,7 @@ class ColoredGraph:
         self.edges = norm
         self._pair_codes = None
         self._neighbors = None
+        self._neighbor_codes = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -116,6 +135,41 @@ class ColoredGraph:
                     P[v, u] = 1 + c
             self._pair_codes = P
         return self._pair_codes
+
+    def neighbor_codes(self) -> NeighborCodes:
+        """The adjacent pairs and their codes, built from the edges in
+        O(m log m) without the n x n pair-code matrix."""
+        if self._neighbor_codes is None:
+            n, m = self.n, len(self.edges)
+            ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64, count=2 * m)
+            u, v = ends[0::2], ends[1::2]
+            code = 1 + np.fromiter(self.edges.values(), dtype=np.int64, count=m)
+            src, tgt = np.concatenate([u, v]), np.concatenate([v, u])
+            if self.directed:
+                # (u, v) takes the edge's code out and (v, u) its code in
+                none = np.zeros(m, dtype=np.int64)
+                out, inn = np.concatenate([code, none]), np.concatenate([none, code])
+            else:
+                out = inn = np.concatenate([code, code])
+            # sort by (x, y); a pair with di-edges both ways comes twice and
+            # adds the two
+            key = src * n + tgt
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            out = np.add.reduceat(out[order], first)
+            inn = np.add.reduceat(inn[order], first)
+            src, tgt = np.divmod(key[first], n)
+            base = int(code.max()) + 1 if m else 1
+            degree = np.bincount(src, minlength=n)
+            first_pair = np.cumsum(degree) - degree
+            self._neighbor_codes = NeighborCodes(
+                src=src, tgt=tgt, part=out * base + inn,
+                pos=np.arange(src.shape[0], dtype=np.int64) - first_pair[src],
+                delta=int(degree.max()) if n else 0,
+                base=base,
+            )
+        return self._neighbor_codes
 
     # -- equality / rebuilding --------------------------------------------
 

@@ -184,6 +184,17 @@ def test_depth_d_is_relabeling_invariant():
         assert depth_d_1dim(h, 1).digest == ref.digest
 
 
+@settings(max_examples=80, deadline=None)
+@given(colored_graphs(max_n=7), st.randoms(use_true_random=False))
+def test_depth_one_sweep_is_relabeling_invariant_on_colored_graphs(case, rnd):
+    # directed graphs, edge colors and vertex colors, any relabeling
+    g, cols = case
+    g = g.with_vertex_colors(cols.tolist())
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    assert depth_d_1dim(g.relabel(perm), 1).digest == depth_d_1dim(g, 1).digest
+
+
 def test_depth_d_guards_its_budget():
     with pytest.raises(ResourceLimitError):
         depth_d_1dim(random_graph(40, 0.5, seed=0), 4)

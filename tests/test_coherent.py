@@ -304,6 +304,17 @@ def test_closure_output_is_diagonal_first():
     assert min(off_ids) == len(diag_ids)
 
 
+def test_closure_moves_diagonal_ids_first_and_keeps_the_rest_in_order():
+    # the diagonal seed value sorts last, so before the diagonal-first remap
+    # the diagonal relations hold the highest ids of the stable partition
+    seed = np.array([[5, 1, 0, 0], [1, 5, 1, 0], [0, 1, 5, 1], [0, 0, 1, 5]])
+    c = cellular_closure(seed)
+    # ends, middle; then non-adjacent pairs by distance, then adjacent ones
+    assert c.rel.tolist() == [
+        [0, 5, 3, 2], [6, 1, 7, 4], [4, 7, 1, 6], [2, 3, 5, 0],
+    ]
+
+
 # -- Klein schemes ----------------------------------------------------------------
 
 

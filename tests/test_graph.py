@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import colored_graphs
 from wlkit.errors import ParseError, UnsupportedGraphError
 from wlkit.families import (
     bowtie,
@@ -150,6 +152,23 @@ def test_missing_header():
 
 
 # -- combinators -------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored_graphs())
+def test_neighbor_codes_are_the_pair_codes_of_adjacent_pairs(case):
+    g, _ = case
+    nc = g.neighbor_codes()
+    p = g.pair_codes()
+    adjacent = (p > 0) | (p.T > 0)
+    src, tgt = np.nonzero(adjacent)  # row-major: CSR order
+    assert np.array_equal(nc.src, src) and np.array_equal(nc.tgt, tgt)
+    base = int(p.max()) + 1 if g.n else 1
+    assert nc.base == base
+    assert np.array_equal(nc.part, p[src, tgt] * base + p[tgt, src])
+    degree = adjacent.sum(axis=1)
+    assert nc.delta == (int(degree.max()) if g.n else 0)
+    assert nc.pos.tolist() == [int((src[:i] == src[i]).sum()) for i in range(src.shape[0])]
 
 
 def test_complement():

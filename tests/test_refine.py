@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wlkit.refine as refine_module
-from conftest import colored_graphs, same_partition
+from conftest import colored_graphs, same_partition, traced_peak
 from wlkit import kernels
 from wlkit.errors import ResourceLimitError, UnsupportedGraphError
 from wlkit.families import (
@@ -276,6 +276,31 @@ def test_memory_budget_is_enforced_before_allocation():
         refine_2(petersen(), limits=tight)
 
 
+def test_one_dim_decode_records_count_against_the_memory_budget():
+    # stable names keep a decode record per round (199 on path(200)); under
+    # any budget the run either fits it or is refused before it outgrows it
+    g = path(200)
+    stable_vertex_names(path(8))  # first-call allocations are not the run's
+    with pytest.raises(ResourceLimitError) as err:
+        refine_1(g, limits=dataclasses.replace(DEFAULT_LIMITS, memory_bytes=1))
+    need = err.value.required
+    refused = []
+    for budget in (need, 2 * need, 8 * need):
+        limits = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=budget)
+
+        def run():
+            try:
+                return stable_vertex_names(g, limits=limits)
+            except ResourceLimitError as exc:
+                assert exc.required > budget == exc.cap
+                return None
+
+        names, peak = traced_peak(run)
+        assert peak <= budget
+        refused.append(names is None)
+    assert refused == [True, True, False]
+
+
 def test_rejects_bad_k():
     with pytest.raises(ValueError):
         refine_k(cycle(4), 0)
@@ -396,6 +421,35 @@ def test_pair_rounds_keep_no_gather_matrices():
     assert list(kernels._IDX_CACHE) == [(5, 3)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rows_agree_within_classes_matches_a_row_by_row_compare(data):
+    m = data.draw(st.integers(1, 12))
+    w = data.draw(st.integers(1, 6))
+    ncolors = data.draw(st.integers(1, m))
+    colors = np.array(data.draw(st.lists(st.integers(0, ncolors - 1), min_size=m, max_size=m)))
+    # each class starts from one shared row; a few cells then change, most
+    # of them in the last column
+    shared = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=w, max_size=w),
+        min_size=ncolors, max_size=ncolors,
+    )))
+    rows = shared[colors]
+    changes = data.draw(st.lists(st.tuples(
+        st.integers(0, m - 1),
+        st.one_of(st.just(w - 1), st.integers(0, w - 1)),
+        st.integers(1, 2),
+    ), max_size=3))
+    for i, j, step in changes:
+        rows[i, j] += step
+    first: dict[int, int] = {}
+    want = all(
+        rows[i].tolist() == rows[first.setdefault(int(c), i)].tolist()
+        for i, c in enumerate(colors)
+    )
+    assert kernels.rows_agree_within_classes(rows, colors, ncolors) == want
+
+
 def test_rows_agree_within_classes():
     rows = np.array([[0, 1, 2], [0, 1, 2], [1, 5, 5], [1, 5, 6]])
     assert kernels.rows_agree_within_classes(rows[:3], np.array([0, 0, 1]), 2)
@@ -406,6 +460,86 @@ def test_rows_agree_within_classes():
     assert kernels.rows_agree_within_classes(
         rows[[2, 0, 2, 1]], np.array([1, 0, 1, 0]), 2
     )
+
+
+# -- the sparse k = 1 round against the dense one ----------------------------------
+
+
+def dense_round_k1(g, colors):
+    """The n x (2n+1) row of each vertex: its color, the sorted codes
+    c_x*pb^2 + p_vx*pb + p_xv of its neighbors x, then the sorted colors of
+    its non-neighbors, each half padded with the sentinel."""
+    n = g.n
+    p = g.pair_codes()
+    pb = int(p.max()) + 1
+    sentinel = refine_module._SENTINEL
+    mask = (p > 0) | (p.T > 0)
+    np.fill_diagonal(mask, False)
+    nbr = (colors[None, :] * pb + p) * pb + p.T
+    nbr = np.where(mask, nbr, sentinel)
+    non = np.broadcast_to(colors[None, :], (n, n)).copy()
+    non[mask] = sentinel
+    np.fill_diagonal(non, sentinel)
+    nbr.sort(axis=1)
+    non.sort(axis=1)
+    rows = np.empty((n, 1 + 2 * n), dtype=np.int64)
+    rows[:, 0] = colors
+    rows[:, 1 : 1 + n] = nbr
+    rows[:, 1 + n :] = non
+    return rows, pb
+
+
+def decode_dense_k1(row, n, pb):
+    sentinel = refine_module._SENTINEL
+    nbr = []
+    for code in row[1 : 1 + n].tolist():
+        if code < sentinel:
+            code, pvu = divmod(code, pb)
+            pc, puv = divmod(code, pb)
+            nbr.append((pc, puv, pvu))
+    non = tuple(c for c in row[1 + n :].tolist() if c < sentinel)
+    return ("k1", int(row[0]), tuple(nbr), non)
+
+
+def reference_refine_k1(g, vertex_colors, start=None):
+    """k = 1 refinement ranking the dense rows until a round splits nothing;
+    returns the colors, the class count after each round and, for every
+    splitting round, the decoded structure of each color id."""
+    colors, _ = kernels.dense_rank_rows(
+        refine_module._initial_rows(g, 1, vertex_colors, start)
+    )
+    counts = [int(colors.max()) + 1]
+    decoded = []
+    while True:
+        rows, pb = dense_round_k1(g, colors)
+        ids, uniq = kernels.dense_rank_rows(rows)
+        if np.array_equal(ids, colors):
+            return colors, counts, decoded
+        decoded.append([decode_dense_k1(row, g.n, pb) for row in uniq])
+        colors = ids
+        counts.append(int(colors.max()) + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_graphs(), st.integers(0, 7), st.booleans())
+def test_sparse_one_dim_rounds_match_the_dense_reference(case, v, seeded):
+    g, cols = case
+    if g.n == 0:
+        return
+    start = None
+    if seeded:
+        start = refine_1(g, vertex_colors=cols).colors
+        cols = individualized(cols, v % g.n)
+    tc = refine_1(g, vertex_colors=cols, start=start)
+    colors, counts, decoded = reference_refine_k1(g, cols, start)
+    # the same ids, not only the same partition, and the same decoded rows
+    assert np.array_equal(tc.colors, colors)
+    assert tc.rounds == len(decoded)
+    assert tc.class_counts == counts
+    assert len(tc.records) == 1 + len(decoded)
+    for rnd, want in enumerate(decoded, start=1):
+        got = [tc.decode_color(rnd, c) for c in range(tc.records[rnd].rows.shape[0])]
+        assert got == want
 
 
 # -- overflow-safe round kernel ----------------------------------------------------
