@@ -277,7 +277,7 @@ def test_memory_budget_is_enforced_before_allocation():
 
 
 def test_one_dim_decode_records_count_against_the_memory_budget():
-    # stable names keep a decode record per round (199 on path(200)); under
+    # stable names keep a decode record per round (99 on path(200)); under
     # any budget the run either fits it or is refused before it outgrows it
     g = path(200)
     stable_vertex_names(path(8))  # first-call allocations are not the run's
