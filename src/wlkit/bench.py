@@ -33,7 +33,7 @@ def run_bench(
         rounds = 0
         for _ in range(repeats):
             t0 = time.perf_counter()
-            tc = refine_k(g, k, limits=limits, keep_records=False)
+            tc = refine_k(g, k, limits=limits)
             best = min(best, time.perf_counter() - t0)
             rounds = tc.rounds
         rows.append(

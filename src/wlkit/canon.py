@@ -100,9 +100,7 @@ def _refine_node(g, k, colors, start, limits):
     """Stable coloring of a search node with vertex colors `colors`, seeded
     from its parent's stable tuple coloring `start` (None at the root);
     returns it with its vertex classes."""
-    tc = refine_k(
-        g, k, vertex_colors=colors, start=start, limits=limits, keep_records=False
-    )
+    tc = refine_k(g, k, vertex_colors=colors, start=start, limits=limits)
     return tc, project(tc, 1)
 
 

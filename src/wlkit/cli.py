@@ -52,7 +52,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_refine(args) -> int:
     g = _read_graph(args.graph)
-    tc = refine_k(g, args.k, limits=DEFAULT_LIMITS, keep_records=False)
+    tc = refine_k(g, args.k, limits=DEFAULT_LIMITS)
     print(f"n {g.n}")
     print(f"k {args.k}")
     print(f"rounds {tc.rounds}")
@@ -111,7 +111,7 @@ def _cmd_orbits(args) -> int:
         for orbit in orbits_oracle(g, limits=DEFAULT_LIMITS):
             print(" ".join(str(v) for v in orbit))
         return 0
-    tc = refine_k(g, args.k, limits=DEFAULT_LIMITS, keep_records=False)
+    tc = refine_k(g, args.k, limits=DEFAULT_LIMITS)
     vc = project(tc, 1).colors
     for cid in range(int(vc.max()) + 1 if g.n else 0):
         members = [str(v) for v in range(g.n) if vc[v] == cid]

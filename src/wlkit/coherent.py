@@ -24,6 +24,7 @@ from .errors import CoherenceError, ParseError, ResourceLimitError, UnsupportedG
 from .graph import ColoredGraph
 from .kernels import dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
+from .refine import stable_rounds
 
 
 @dataclass
@@ -155,8 +156,7 @@ def graph_seed(g: ColoredGraph) -> np.ndarray:
     c2 = (1 - diag) * p
     c3 = (1 - diag) * p.T
     rows = np.stack([c0, c1, c2, c3], axis=2).reshape(n * n, 4)
-    ids, _ = dense_rank_rows(rows)
-    return ids.reshape(n, n)
+    return dense_rank_rows(rows).reshape(n, n)
 
 
 def cellular_closure(
@@ -166,10 +166,12 @@ def cellular_closure(
 ) -> CoherentConfig:
     """Coarsest coherent configuration refining the seed partition.
 
-    Rounds replace each cell's color with (its color, the multiset over z of
-    the color pair (c(x, z), c(z, y))) until stable; the result is validated
-    before it is returned.  Ids come out dense, diagonal relations first.
-    Raises ResourceLimitError before the first round when a round and the
+    This is refine's 2-dim round loop (`stable_rounds`) started from the
+    seed with the diagonal forced apart: rounds replace each cell's color
+    with (its color, the multiset over z of the color pair (c(x, z),
+    c(z, y))) until stable.  The result is validated before it is returned.
+    Ids come out dense, diagonal relations first.  Raises
+    ResourceLimitError before the first round when a round and the
     validation would need more than `limits.memory_bytes`.
     """
     if isinstance(seed, ColoredGraph):
@@ -193,22 +195,8 @@ def cellular_closure(
         )
     # force the diagonal apart from the rest before refining
     start = seed * 2 + np.eye(n, dtype=np.int64)
-    cur = dense_rank_rows(start.reshape(n * n, 1))[0].reshape(n, n)
-    # each round's rows [cur | codes sorted over z] are written in place;
-    # codes[x, y, z] = cur[x, z] * s + cur[z, y]
-    rows = np.empty((n * n, n + 1), dtype=np.int64)
-    codes = rows.reshape(n, n, n + 1)[:, :, 1:]
-    while True:
-        s = int(cur.max()) + 1
-        rows[:, 0] = cur.ravel()
-        np.multiply(cur[:, None, :], s, out=codes)
-        codes += cur.T[None, :, :]
-        codes.sort(axis=2)
-        nxt = dense_rank_rows(rows)[0].reshape(n, n)
-        if np.array_equal(nxt, cur):
-            break
-        cur = nxt
-    del rows, codes
+    cur = dense_rank_rows(start.reshape(n * n, 1))
+    cur = stable_rounds(cur, n, 2)[0].reshape(n, n)
     # canonical ids: diagonal relations first, then the rest, old order kept
     on_diag = np.zeros(int(cur.max()) + 1, dtype=bool)
     on_diag[np.diag(cur)] = True

@@ -89,7 +89,7 @@ def _as_colors(g: ColoredGraph, coloring) -> np.ndarray:
 
 
 def _refined_classes(g: ColoredGraph, k: int, limits: Limits) -> np.ndarray:
-    tc = refine_k(g, k, limits=limits, keep_records=False)
+    tc = refine_k(g, k, limits=limits)
     return project(tc, 1).colors
 
 

@@ -277,6 +277,8 @@ def parse_wlg(text: str) -> ColoredGraph:
                 raise ParseError(f"edge ({u},{v}) out of range", lineno)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
+            if c < 0:
+                raise ParseError("edge color must be non-negative", lineno)
             a, b = (u, v) if d or u < v else (v, u)
             if (a, b) in seen:
                 raise ParseError(f"duplicate edge ({u},{v})", lineno)

@@ -55,15 +55,15 @@ def tuple_digits(n: int, k: int) -> list[np.ndarray]:
     return [(idx // (n ** (k - 1 - j))) % n for j in range(k)]
 
 
-def dense_rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids by lexicographic rank of int64 rows, plus unique rows by id.
+def dense_rank_rows(rows: np.ndarray) -> np.ndarray:
+    """Dense ids by lexicographic rank of int64 rows.
 
     Non-negative entries only: rows are byte-swapped to big-endian and
     sorted as raw bytes, which coincides with numeric lexicographic order.
     """
     m = rows.shape[0]
     if m == 0:
-        return np.empty(0, dtype=np.int64), rows.copy()
+        return np.empty(0, dtype=np.int64)
     rows = np.ascontiguousarray(rows)
     view = rows.astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
     # np.unique's steps, less its copy of the input
@@ -76,7 +76,7 @@ def dense_rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del srt
     ids = np.empty(m, dtype=np.int64)
     ids[order] = starts.cumsum() - 1
-    return ids, rows[order[starts]]
+    return ids
 
 
 def rows_agree_within_classes(rows: np.ndarray, colors: np.ndarray, ncolors: int) -> bool:
@@ -113,17 +113,10 @@ def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray:
             out[:, 1:] = codes
     else:
         # overflow-safe path: rank the substitution vectors instead of packing
-        if k == 2:
-            c = colors.reshape(n, n)
-            stacked = np.empty((n, n, n, 2), dtype=np.int64)
-            stacked[..., 0] = c[:, None, :]
-            stacked[..., 1] = c.T[None, :, :]
-        else:
-            mats = index_matrices(n, k)
-            stacked = np.empty((nk, n, k), dtype=np.int64)
-            for t in range(k):
-                stacked[..., t] = colors[mats[k - 1 - t]]
-        vec_ids, _ = dense_rank_rows(stacked.reshape(nk * n, k))
-        out[:, 1:] = vec_ids.reshape(nk, n)
+        mats = index_matrices(n, k)
+        stacked = np.empty((nk, n, k), dtype=np.int64)
+        for t in range(k):
+            stacked[..., t] = colors[mats[k - 1 - t]]
+        out[:, 1:] = dense_rank_rows(stacked.reshape(nk * n, k)).reshape(nk, n)
     out[:, 1:].sort(axis=1)
     return out

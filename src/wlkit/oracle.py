@@ -166,7 +166,7 @@ def iso_oracle(
                 "isomorphism oracle exceeded the node budget",
                 required=state["nodes"], cap=limits.iso_nodes,
             )
-        tc = refine_k(u, 1, vertex_colors=colors, limits=limits, keep_records=False)
+        tc = refine_k(u, 1, vertex_colors=colors, limits=limits)
         cc = tc.colors
         split_class = None
         for cid in range(tc.num_colors):

@@ -7,12 +7,16 @@ current colors obtained by replacing one position at a time (last position
 first) with a vertex x, collected over all x.  The process stops when the
 partition stops splitting.
 
-For k >= 2 a round first checks whether anything splits: each tuple's
-exact row is compared with the row of the first tuple of its class.  When
-all agree the coloring is stable and the loop stops without ranking; the
-round that confirms stability thus costs a compare, not a sort of its rows.
-Otherwise the rows are dense-ranked lexicographically, previous color first,
-so a color id is the rank of its row among the round's rows.
+Every k runs one round loop (`stable_rounds`), and so does the coherent
+closure.  A round's rows are dense-ranked lexicographically, previous color
+first, so a color id is the rank of its row among the round's rows, and a
+round that splits nothing gives back the previous ids.  For k >= 2 a round
+first checks whether anything splits: each tuple's exact row is compared
+with the row of the first tuple of its class.  When all agree the coloring
+is stable and the loop stops without ranking; the round that confirms
+stability thus costs a compare, not a sort of its n + 1 wide rows.  A
+k = 1 row is as narrow as a vertex's degree, so it is ranked at once and
+the loop stops when the ids come back unchanged.
 
 For k = 1 tuples are vertices and a round's row is ``[previous color |
 sorted codes of the (neighbor color, edge code out, edge code in) triples]``,
@@ -22,8 +26,7 @@ Grohe's sparse colour refinement).  This refines like the classical degree
 iteration but is aware of edge colors and orientation.  The row also fixes
 the multiset of non-neighbor colors (the round's color histogram less the
 vertex and its neighbors), so the ids equal those of ranking the full
-substitution rows; a k=1 decode record keeps the previous histogram to
-report that multiset.
+substitution rows.
 """
 from __future__ import annotations
 
@@ -44,29 +47,12 @@ from .kernels import (
 from .limits import DEFAULT_LIMITS, Limits
 
 _SENTINEL = 2**62
-# a kept k = 1 record's Python objects: the record and two array headers
-_RECORD_OBJECT_BYTES = 512
-
-
-@dataclass
-class RoundRecord:
-    """Decoding data for one round: unique rows by color id plus, for "k1"
-    rounds, the pair-code base and the previous round's color histogram."""
-
-    rows: np.ndarray
-    mode: str  # "iso" | "vertex" | "seed" | "k1"
-    base: int | None = None
-    hist: np.ndarray | None = None
 
 
 @dataclass
 class TupleColoring:
-    """Stable k-tuple coloring with per-round class counts and optional
-    decoders.
-
-    `records` (when kept) decode color ids: for k = 1 one record per round
-    (the initial "vertex" or "seed" record, then "k1" rounds); for k >= 2
-    only the initial "iso" or "seed" record."""
+    """Stable k-tuple coloring with the class count before the first round
+    and after each splitting round."""
 
     k: int
     n: int
@@ -74,7 +60,6 @@ class TupleColoring:
     num_colors: int
     rounds: int
     class_counts: list[int]
-    records: list[RoundRecord] | None = None
 
     def rank(self, tup: Sequence[int]) -> int:
         if len(tup) != self.k:
@@ -88,36 +73,6 @@ class TupleColoring:
 
     def color_of(self, tup: Sequence[int]) -> int:
         return int(self.colors[self.rank(tup)])
-
-    def decode_color(self, rnd: int, color: int):
-        """Structure behind a color id at round `rnd` (0 = initial).  For
-        k >= 2 only round 0 is recorded."""
-        if self.records is None:
-            raise ValueError("coloring was computed without decode records")
-        rec = self.records[rnd]
-        row = rec.rows[color]
-        if rec.mode == "iso":
-            return ("iso", tuple(int(v) for v in row))
-        if rec.mode == "vertex":
-            return ("vertex", int(row[0]))
-        if rec.mode == "seed":
-            return ("seed", int(row[0]), tuple(int(v) for v in row[1:]))
-        prev = int(row[0])
-        pb = rec.base
-        nbr = []
-        # every vertex but itself and its neighbors is a non-neighbor
-        non = rec.hist.copy()
-        non[prev] -= 1
-        for code in row[1:]:
-            code = int(code)
-            if code >= _SENTINEL:
-                break
-            code, pvu = divmod(code, pb)
-            pc, puv = divmod(code, pb)
-            nbr.append((pc, puv, pvu))
-            non[pc] -= 1
-        non = np.repeat(np.arange(non.shape[0]), non).tolist()
-        return ("k1", prev, tuple(nbr), tuple(non))
 
     def export_text(self) -> str:
         """One line per tuple: `t v1 ... vk color`, tuples in rank order."""
@@ -230,6 +185,31 @@ def _vertex_color_array(g: ColoredGraph, vertex_colors) -> np.ndarray:
     return vc
 
 
+def stable_rounds(
+    colors: np.ndarray, n: int, k: int, nc: NeighborCodes | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """Refine `colors`, dense ids of all n^k tuples, until a round splits
+    nothing; returns the stable colors and the class count before the first
+    round and after each splitting round.  A k = 1 round needs the graph's
+    neighbor codes `nc`."""
+    ncolors = int(colors.max()) + 1
+    class_counts = [ncolors]
+    while True:
+        if k == 1:
+            ids = dense_rank_rows(_round_rows_k1(nc, colors))
+            if np.array_equal(ids, colors):
+                return colors, class_counts
+        else:
+            rows = round_rows(colors, n, k, ncolors)
+            if rows_agree_within_classes(rows, colors, ncolors):
+                return colors, class_counts
+            ids = dense_rank_rows(rows)
+            del rows  # freed before the next round allocates its own
+        colors = ids
+        ncolors = int(colors.max()) + 1
+        class_counts.append(ncolors)
+
+
 def refine_k(
     g: ColoredGraph,
     k: int,
@@ -237,17 +217,16 @@ def refine_k(
     vertex_colors: Sequence[int] | None = None,
     start: np.ndarray | None = None,
     limits: Limits = DEFAULT_LIMITS,
-    keep_records: bool = True,
 ) -> TupleColoring:
     """Run k-dim refinement to stability.
 
     `vertex_colors` overrides the graph's own colors (used for
     individualization); the edges and the cached pair codes (neighbor codes
-    for k = 1) of `g` are used as they are.  `start`, when given, is a stable n^k coloring of `g` under
-    coarser vertex colors (a search node's parent).  The first coloring is
-    then `start` met with the vertex colors of each position instead of the
-    iso type; the stable partition is the same, only the color ids differ,
-    and fewer rounds are needed."""
+    for k = 1) of `g` are used as they are.  `start`, when given, is a
+    stable n^k coloring of `g` under coarser vertex colors (a search node's
+    parent).  The first coloring is then `start` met with the vertex colors
+    of each position instead of the iso type; the stable partition is the
+    same, only the color ids differ, and fewer rounds are needed."""
     if k < 1:
         raise ValueError("k must be >= 1")
     vc = _vertex_color_array(g, vertex_colors)
@@ -266,64 +245,18 @@ def refine_k(
             required=need,
             cap=limits.memory_bytes,
         )
-    records: list[RoundRecord] | None = [] if keep_records else None
-    class_counts: list[int] = []
-
     if n == 0:
         return TupleColoring(
             k=k, n=0, colors=np.empty(0, dtype=np.int64), num_colors=0,
             rounds=0, class_counts=[0],
-            records=[] if keep_records else None,
         )
-
-    mode = "seed" if start is not None else ("vertex" if k == 1 else "iso")
-    rows0 = _initial_rows(g, k, vc, start)
-    colors, uniq = dense_rank_rows(rows0)
-    del rows0
-    if records is not None:
-        records.append(RoundRecord(rows=uniq, mode=mode))
-    del uniq
-    ncolors = int(colors.max()) + 1
-    class_counts.append(ncolors)
-
     if nc is not None and n * nc.base**2 >= _SENTINEL:
         raise ResourceLimitError("edge color space too large for the 1-dim round")
-    kept = 0  # bytes of the k = 1 decode records, which outlive their round
-    rounds = 0
-    while True:
-        if k == 1:
-            rows = _round_rows_k1(nc, colors)
-            ids, uniq = dense_rank_rows(rows)
-            del rows  # freed before the next round allocates its own
-            if np.array_equal(ids, colors):
-                break
-            if records is not None:
-                hist = np.bincount(colors, minlength=ncolors)
-                kept += uniq.nbytes + hist.nbytes + _RECORD_OBJECT_BYTES
-                if need + kept > limits.memory_bytes:
-                    raise ResourceLimitError(
-                        f"1-dim decode records at n={n} need about "
-                        f"{need + kept} bytes",
-                        required=need + kept,
-                        cap=limits.memory_bytes,
-                    )
-                records.append(
-                    RoundRecord(rows=uniq, mode="k1", base=nc.base, hist=hist)
-                )
-            del uniq
-        else:
-            rows = round_rows(colors, n, k, ncolors)
-            if rows_agree_within_classes(rows, colors, ncolors):
-                break
-            ids = dense_rank_rows(rows)[0]
-            del rows
-        colors = ids
-        ncolors = int(colors.max()) + 1
-        rounds += 1
-        class_counts.append(ncolors)
+    colors = dense_rank_rows(_initial_rows(g, k, vc, start))
+    colors, class_counts = stable_rounds(colors, n, k, nc)
     return TupleColoring(
-        k=k, n=n, colors=colors, num_colors=ncolors, rounds=rounds,
-        class_counts=class_counts, records=records,
+        k=k, n=n, colors=colors, num_colors=class_counts[-1],
+        rounds=len(class_counts) - 1, class_counts=class_counts,
     )
 
 
@@ -354,7 +287,7 @@ def project(tc: TupleColoring, t: int) -> ProjectedColoring:
     for level in range(tc.k - 1, t - 1, -1):
         rows = cur.reshape(n**level, n).copy()
         rows.sort(axis=1)
-        cur, _ = dense_rank_rows(rows)
+        cur = dense_rank_rows(rows)
     num = int(cur.max()) + 1 if cur.size else 0
     return ProjectedColoring(t=t, n=n, colors=cur, num_colors=num)
 
@@ -429,7 +362,7 @@ def similar_k(
     if g.n == 0:
         return True
     u = disjoint_union(g, h)
-    tc = refine_k(u, k, limits=limits, keep_records=False)
+    tc = refine_k(u, k, limits=limits)
     digits = tuple_digits(u.n, k)
     in_g = np.ones(u.n**k, dtype=bool)
     in_h = np.ones(u.n**k, dtype=bool)
@@ -488,34 +421,32 @@ def stable_vertex_names(
     vertex_colors: Sequence[int] | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> list[bytes]:
-    """Absolute per-vertex names under 1-dim refinement: each color id is
-    renamed to a digest of its decoded structure, bottom up, so names agree
-    across runs and across graphs whenever the underlying structure does."""
+    """Absolute per-vertex names under 1-dim refinement, equal across runs
+    and across graphs whenever the underlying structure is.  A vertex's name
+    starts as a digest of its color; each round re-hashes it with the sorted
+    (name, edge code out, edge code in) parts of its neighbors, for as many
+    rounds as the refinement takes to stabilize.  A round's names are
+    constant on the stable classes, so each round hashes one representative
+    per class: O(m) work a round, no non-neighbor lists."""
     tc = refine_k(g, 1, vertex_colors=vertex_colors, limits=limits)
-    assert tc.records is not None
-    names: list[bytes] = []
-    for rnd, rec in enumerate(tc.records):
-        if rec.mode == "vertex":
-            names = [
-                _hash(b"v", int(rec.rows[c][0]).to_bytes(8, "big"))
-                for c in range(rec.rows.shape[0])
-            ]
-            continue
-        prev_names = names
-        nxt: list[bytes] = []
-        for c in range(rec.rows.shape[0]):
-            _, prev, nbr, non = tc.decode_color(rnd, c)
-            nbr_parts = sorted(
-                prev_names[pc] + puv.to_bytes(8, "big") + pvu.to_bytes(8, "big")
-                for pc, puv, pvu in nbr
-            )
-            non_parts = sorted(prev_names[pc] for pc in non)
-            nxt.append(
-                _hash(
-                    b"r", prev_names[prev],
-                    b"N", *nbr_parts,
-                    b"E", *non_parts,
-                )
-            )
-        names = nxt
-    return [names[int(c)] for c in tc.colors]
+    if g.n == 0:
+        return []
+    vc = _vertex_color_array(g, vertex_colors)
+    nc = g.neighbor_codes()
+    reps = np.unique(tc.colors, return_index=True)[1]
+    lo = np.searchsorted(nc.src, reps)
+    hi = np.searchsorted(nc.src, reps + 1)
+    # each adjacent pair's codes out and in, 8 big-endian bytes each
+    codes = np.column_stack(np.divmod(nc.part, nc.base)).astype(">i8").tobytes()
+    cls = tc.colors[nc.tgt].tolist()
+    nbrs = [
+        [(cls[i], codes[16 * i : 16 * i + 16]) for i in range(a, b)]
+        for a, b in zip(lo.tolist(), hi.tolist())
+    ]
+    names = [_hash(b"v", int(vc[v]).to_bytes(8, "big")) for v in reps.tolist()]
+    for _ in range(tc.rounds):
+        names = [
+            _hash(b"r", names[c], b"N", *sorted(names[x] + part for x, part in nb))
+            for c, nb in enumerate(nbrs)
+        ]
+    return [names[c] for c in tc.colors.tolist()]

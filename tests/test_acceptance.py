@@ -168,10 +168,10 @@ def test_criterion_06_structural_theorems_on_random_graphs():
         g = random_graph(n, p, seed=seed)
         orbits = orbits_oracle(g)
         for k in (2, 3):
-            tc = refine_k(g, k, keep_records=False)
+            tc = refine_k(g, k)
             vc = vertex_classes(tc)
             # (a) re-refining on the projected classes is a fixpoint
-            again = refine_k(g.with_vertex_colors(vc.tolist()), k, keep_records=False)
+            again = refine_k(g.with_vertex_colors(vc.tolist()), k)
             assert same_partition(tc.colors, again.colors)
             # (d) stable classes never split true orbits
             for orb in orbits:
@@ -227,7 +227,7 @@ def test_criterion_07_closure_equals_the_pair_partition():
     for g in suite:
         c = cellular_closure(g)
         assert validate(c).ok
-        tc = refine_k(g, 2, keep_records=False)
+        tc = refine_k(g, 2)
         assert same_partition(c.rel.reshape(-1), tc.colors)
     _report(7, "cellular closure equals the stable 2-dim pair partition", t0)
 

@@ -176,6 +176,17 @@ def test_depth_one_separates_them():
     assert depth_d_1dim(a, 1).digest != depth_d_1dim(b, 1).digest
 
 
+def test_depth_two_is_the_first_to_separate_the_cfi_k4_pair(cfi_k4, cfi_k4_twisted):
+    # the K4 row of the paper's question: the recursive 1-dim method needs
+    # two individualized vertices to tell the twisted gadget from the plain
+    plain, twisted = cfi_k4[0], cfi_k4_twisted[0]
+    separated = [
+        depth_d_1dim(plain, d).digest != depth_d_1dim(twisted, d).digest
+        for d in (0, 1, 2)
+    ]
+    assert separated == [False, False, True]
+
+
 def test_depth_d_is_relabeling_invariant():
     g = petersen()
     ref = depth_d_1dim(g, 1)

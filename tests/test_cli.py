@@ -41,9 +41,8 @@ def test_refine_export(files, capsys, tmp_path):
 
 
 def test_refine_stays_within_the_refinement_budget(files, capsys):
-    # the summary reads no decode records, so a k = 1 run keeps none: the
-    # command holds the parsed graph and one round at a time (with the 199
-    # records it would peak near 0.9 MB)
+    # refinement keeps nothing from past rounds: the command holds the
+    # parsed graph and one round's rows at a time over its 199 rounds
     _, write = files
     g = path(400)
     with pytest.raises(ResourceLimitError) as err:

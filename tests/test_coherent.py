@@ -247,6 +247,54 @@ def test_closure_matches_the_two_dim_pair_partition(make):
     assert same_partition(c.rel.reshape(-1), tc.colors)
 
 
+def reference_closure(seed: np.ndarray) -> np.ndarray:
+    """The closure's former round loop of its own: the diagonal forced apart,
+    then rows [c | sorted c(x, z) * s + c(z, y) over z] written in place
+    and ranked with np.unique each round until the ranks stop changing;
+    ids then renumbered diagonal relations first, each part in its order."""
+    n = seed.shape[0]
+
+    def rank(rows):
+        return np.unique(rows, axis=0, return_inverse=True)[1].reshape(n, n)
+
+    cur = rank((seed * 2 + np.eye(n, dtype=np.int64)).reshape(n * n, 1))
+    rows = np.empty((n * n, n + 1), dtype=np.int64)
+    codes = rows.reshape(n, n, n + 1)[:, :, 1:]
+    while True:
+        s = int(cur.max()) + 1
+        rows[:, 0] = cur.ravel()
+        np.multiply(cur[:, None, :], s, out=codes)
+        codes += cur.T[None, :, :]
+        codes.sort(axis=2)
+        nxt = rank(rows)
+        if np.array_equal(nxt, cur):
+            break
+        cur = nxt
+    diag = sorted(set(np.diag(cur).tolist()))
+    rest = sorted(set(cur.ravel().tolist()) - set(diag))
+    new_id = {rid: i for i, rid in enumerate(diag + rest)}
+    return np.array([[new_id[v] for v in row] for row in cur.tolist()], dtype=np.int64)
+
+
+@st.composite
+def colored_graph_seeds(draw):
+    g, cols = draw(colored_graphs(max_n=6).filter(lambda case: case[0].n > 0))
+    return graph_seed(g.with_vertex_colors(cols.tolist()))
+
+
+@PROPERTY
+@given(st.one_of(
+    relation_matrices().map(lambda c: c.rel),
+    klein_variants().map(lambda c: c.rel),
+    colored_graph_seeds(),
+))
+def test_closure_matches_the_reference_round_loop(seed):
+    got = cellular_closure(seed).rel
+    want = reference_closure(seed)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_closure_accepts_raw_seed_matrices():
     g = cycle(5)
     c1 = cellular_closure(graph_seed(g))

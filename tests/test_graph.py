@@ -120,6 +120,7 @@ def test_default_colors_are_omitted():
         ("p wlg 2 1 0\ne 0 2\n", 2),  # endpoint out of range
         ("p wlg 2 1 0\ne 0 0\n", 2),  # self loop
         ("p wlg 2 2 0\ne 0 1\ne 1 0\n", 3),  # duplicate edge
+        ("p wlg 2 1 0\ne 0 1 -1\n", 2),  # negative edge color
         ("p wlg 2 0 0\nv 5 1\n", 2),  # vertex out of range
         ("p wlg 2 0 0\nv 0 1\nv 0 2\n", 3),  # duplicate vertex line
         ("p wlg 2 0 0\nq 1\n", 2),  # unknown directive
