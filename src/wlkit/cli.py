@@ -8,6 +8,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import __version__
 from .bench import fit_exponent, format_rows, run_bench
 from .canon import certify
@@ -113,9 +115,11 @@ def _cmd_orbits(args) -> int:
         return 0
     tc = refine_k(g, args.k, limits=DEFAULT_LIMITS)
     vc = project(tc, 1).colors
-    for cid in range(int(vc.max()) + 1 if g.n else 0):
-        members = [str(v) for v in range(g.n) if vc[v] == cid]
-        print(" ".join(members))
+    # each class is one run of a stable sort by color, members ascending
+    order = np.argsort(vc, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(vc[order])) + 1):
+        if members.size:
+            print(" ".join(map(str, members.tolist())))
     return 0
 
 
@@ -314,10 +318,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except WlkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WlkitError, OSError, ValueError) as exc:
+        # a library ValueError (say, k = 0) is bad input, not an `iso` verdict
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

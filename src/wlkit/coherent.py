@@ -461,7 +461,6 @@ def parse_scheme(text: str) -> CoherentConfig:
         raise ParseError("missing `p cc` header")
     if count != n * n:
         raise ParseError(f"expected {n * n} cells, found {count}")
-    present = set(int(v) for v in np.unique(rel)) if n else set()
-    if n and present != set(range(s)):
+    if set(np.unique(rel).tolist()) != set(range(s)):
         raise ParseError("relation ids must be exactly 0..s-1")
     return CoherentConfig(n=n, s=s, rel=rel)

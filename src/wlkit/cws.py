@@ -7,14 +7,15 @@ same-colored group of S disagrees (its pair codes to or from w are not all
 equal); the result is the minimal CWS superset.  A CWS set is prime when
 every same-colored pair inside it closes to exactly the whole set.
 
-`reduce` repeats: refine, contract twin groups, contract overlap blocks
+`reduce_graph` repeats: refine, contract twin groups, contract overlap blocks
 (vertices whose pair closures give several distinct primes), then contract
 the prime pieces found by the scan, each piece replaced by one vertex whose
 color ranks the piece's canonical certificate and whose attachment edges
 rank the colored attachment profiles.  The run ends in a terminal graph; the
 combined digest hashes the terminal certificate plus every level's piece
 digests and rank tables, so two inputs reduce to the same digest only if the
-whole decomposition matches piece for piece.
+whole decomposition matches piece for piece.  The normalizations run the
+same loop restricted to one kind of piece.
 """
 from __future__ import annotations
 
@@ -161,7 +162,9 @@ class _Scan:
 
     def close_pairs(self, pairs) -> None:
         """Close every uncached pair in one batch."""
-        todo = sorted({(x, y) if x < y else (y, x) for x, y in pairs} - self.cl.keys())
+        # `set - dict.keys()` would walk the whole cache on every call
+        keys = {(x, y) if x < y else (y, x) for x, y in pairs}
+        todo = sorted(key for key in keys if key not in self.cl)
         self.cl.update(zip(todo, _closures(self.p, self.cls, todo, self.g.directed)))
 
     def closure_pair(self, x: int, y: int) -> frozenset[int]:
@@ -169,6 +172,16 @@ class _Scan:
         if key not in self.cl:
             self.close_pairs([key])
         return self.cl[key]
+
+    def closures_of(self, x: int, ys) -> dict[frozenset[int], tuple[int, int]]:
+        """Distinct closures of x with each y, in order of first appearance,
+        each mapped to the first pair (x, y) that gave it."""
+        ys = list(ys)
+        self.close_pairs((x, y) for y in ys)
+        out: dict[frozenset[int], tuple[int, int]] = {}
+        for y in ys:
+            out.setdefault(self.closure_pair(x, y), (x, y))
+        return out
 
     def is_prime(self, sset: frozenset[int]) -> bool:
         """A CWS set (one that is its own closure) with a same-colored pair,
@@ -221,10 +234,8 @@ def cws_spectrum(g: ColoredGraph, coloring, v: int) -> list[frozenset[int]]:
     cols = _as_colors(g, coloring)
     if not 0 <= v < g.n:
         raise ValueError("vertex out of range")
-    out: set[frozenset[int]] = set()
-    for w in range(g.n):
-        if w != v and cols[w] == cols[v]:
-            out.add(closure(g, cols, (v, w)))
+    mates = [w for w in range(g.n) if w != v and cols[w] == cols[v]]
+    out = _Scan(g, cols).closures_of(v, mates)
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
@@ -251,13 +262,10 @@ def twin_classes(
             neq[rows, ys] = neq[rows, n + ys] = False
             for y in ys[~neq.any(axis=1)].tolist():
                 (uf_t if p[x, y] != 0 else uf_f).union(x, y)
-
-    def collect(uf: _UnionFind) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(uf.find(v), []).append(v)
-        return [sorted(vs) for _, vs in sorted(groups.items()) if len(vs) >= 2]
-    return collect(uf_t), collect(uf_f)
+    return (
+        [grp for grp in uf_t.groups() if len(grp) >= 2],
+        [grp for grp in uf_f.groups() if len(grp) >= 2],
+    )
 
 
 def _piece_graph(g: ColoredGraph, cols: np.ndarray, piece: frozenset[int]) -> ColoredGraph:
@@ -416,12 +424,8 @@ def decompose(
             if len(members) < 2:
                 break
             u = members[0]
-            scan.close_pairs((u, y) for y in members[1:])
-            primes: dict[frozenset[int], tuple[int, int]] = {}
-            for y in members[1:]:
-                s = scan.closure_pair(u, y)
-                if s not in primes and scan.is_prime(s):
-                    primes[s] = (u, y)
+            found = scan.closures_of(u, members[1:])
+            primes = {s: pair for s, pair in found.items() if scan.is_prime(s)}
             if not primes:
                 break
             if len(primes) > 1:
@@ -460,15 +464,9 @@ def _overlap_blocks(
         members = [v for v in range(g.n) if cols[v] == cid]
         if len(members) < 3 or len(members) > limits.overlap_class_cap:
             continue
-        scan.close_pairs((x, y) for i, x in enumerate(members) for y in members[i + 1 :])
         for x in members:
-            primes: set[frozenset[int]] = set()
-            for y in members:
-                if y == x:
-                    continue
-                s = scan.closure_pair(x, y)
-                if s not in primes and scan.is_prime(s):
-                    primes.add(s)
+            found = scan.closures_of(x, (y for y in members if y != x))
+            primes = [s for s in found if scan.is_prime(s)]
             if len(primes) >= 2:
                 block = frozenset.intersection(*primes)
                 if len(block) >= 2 and block not in takenfrom:
@@ -481,81 +479,34 @@ def _overlap_blocks(
     return blocks
 
 
-def normalize_cliques(
-    g: ColoredGraph,
-    k: int = 2,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-) -> ColoredGraph:
-    """Contract twin groups (adjacent groups first) until none remain."""
-    if g.directed:
-        raise UnsupportedGraphError("normalization is defined for undirected graphs")
-    cur = g
-    while True:
-        cols = _refined_classes(cur, k, limits)
-        true_groups, false_groups = twin_classes(cur, cols)
-        groups = true_groups or false_groups
-        if not groups:
-            return cur
-        pieces = [frozenset(grp) for grp in groups]
-        digests = [_piece_digest(cur, cols, p, k, limits) for p in pieces]
-        cur, _, _, _ = contract_batch(cur, cols, pieces, digests)
-
-
-def normalize_overlaps(
-    g: ColoredGraph,
-    k: int = 2,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-) -> ColoredGraph:
-    """Contract overlap blocks until every scan vertex has at most one prime."""
-    if g.directed:
-        raise UnsupportedGraphError("normalization is defined for undirected graphs")
-    cur = g
-    while True:
-        cols = _refined_classes(cur, k, limits)
-        blocks = _overlap_blocks(cur, cols, limits)
-        if not blocks:
-            return cur
-        digests = [_piece_digest(cur, cols, b, k, limits) for b in blocks]
-        cur, _, _, _ = contract_batch(cur, cols, blocks, digests)
-
-
-def reduce_graph(
-    g: ColoredGraph,
-    k: int = 2,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-    escalate: bool = False,
-) -> tuple[DecompositionTree, Certificate]:
-    """Full reduction loop; see the module docstring.  `escalate` certifies
-    pieces one dimension higher (slower, finer piece separation)."""
+def _reduce(
+    g: ColoredGraph, k: int, piece_k: int, kinds: tuple[str, ...], limits: Limits
+) -> tuple[list[Level], ColoredGraph]:
+    """Refine, then contract the pieces of the first of `kinds` that has any,
+    until none has; returns the levels and the terminal graph.  Pieces are
+    certified at `piece_k`."""
     if g.directed:
         raise UnsupportedGraphError("reduction is defined for undirected graphs")
-    piece_k = k + 1 if escalate else k
     levels: list[Level] = []
     cur = g
     while True:
         if len(levels) > g.n + 1:
             raise DecompositionError("reduction failed to terminate")
         cols = _refined_classes(cur, k, limits)
-        true_groups, false_groups = twin_classes(cur, cols)
-        groups = true_groups or false_groups
-        if groups:
-            kind = "twin"
-            pieces = [frozenset(grp) for grp in groups]
-        else:
-            scan = _Scan(cur, cols)
-            blocks = _overlap_blocks(cur, cols, limits, scan=scan)
-            if blocks:
-                kind = "overlap"
-                pieces = blocks
+        scan = _Scan(cur, cols)
+        for kind in kinds:
+            if kind == "twin":
+                true_groups, false_groups = twin_classes(cur, cols)
+                pieces = [frozenset(grp) for grp in true_groups or false_groups]
+            elif kind == "overlap":
+                pieces = _overlap_blocks(cur, cols, limits, scan=scan)
             else:
                 records = decompose(cur, k, coloring=cols, limits=limits, _scan=scan)
-                if not records:
-                    break
-                kind = "prime"
                 pieces = [r.vertices for r in records]
+            if pieces:
+                break
+        else:
+            return levels, cur
         digests = [_piece_digest(cur, cols, p, piece_k, limits) for p in pieces]
         nxt, mapping, color_table, profile_table = contract_batch(
             cur, cols, pieces, digests
@@ -576,6 +527,39 @@ def reduce_graph(
             )
         )
         cur = nxt
+
+
+def normalize_cliques(
+    g: ColoredGraph,
+    k: int = 2,
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+) -> ColoredGraph:
+    """Contract twin groups (adjacent groups first) until none remain."""
+    return _reduce(g, k, k, ("twin",), limits)[1]
+
+
+def normalize_overlaps(
+    g: ColoredGraph,
+    k: int = 2,
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+) -> ColoredGraph:
+    """Contract overlap blocks until every scan vertex has at most one prime."""
+    return _reduce(g, k, k, ("overlap",), limits)[1]
+
+
+def reduce_graph(
+    g: ColoredGraph,
+    k: int = 2,
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+    escalate: bool = False,
+) -> tuple[DecompositionTree, Certificate]:
+    """Full reduction loop; see the module docstring.  `escalate` certifies
+    pieces one dimension higher (slower, finer piece separation)."""
+    piece_k = k + 1 if escalate else k
+    levels, cur = _reduce(g, k, piece_k, ("twin", "overlap", "prime"), limits)
     tree = DecompositionTree(k=k, levels=levels, terminal=cur)
     tree.terminal_certificate = certify(cur, piece_k, "canonical", limits=limits)
     cert = Certificate(
@@ -618,16 +602,4 @@ def mutually_stable_trivial(
     for other in graphs[1:]:
         if not similar_k(graphs[0], other, k, limits=limits):
             return False
-    outside = [v for v in range(g.n) if v not in union]
-    p = g.pair_codes()
-    members = sorted(union)
-    for c in sorted(set(int(cols[v]) for v in members)):
-        group = [v for v in members if cols[v] == c]
-        if len(group) < 2:
-            continue
-        for w in outside:
-            base = p[group[0], w]
-            baseT = p[w, group[0]]
-            if any(p[v, w] != base or p[w, v] != baseT for v in group[1:]):
-                return False
-    return True
+    return is_cws(g, cols, union)

@@ -18,15 +18,7 @@ from .refine import refine_k
 
 
 def is_automorphism(g: ColoredGraph, sigma) -> bool:
-    sigma = [int(x) for x in sigma]
-    if sorted(sigma) != list(range(g.n)):
-        return False
-    vc = g.vertex_colors
-    if any(vc[sigma[v]] != vc[v] for v in range(g.n)):
-        return False
-    p = g.pair_codes()
-    s = np.asarray(sigma)
-    return bool(np.array_equal(p[np.ix_(s, s)], p))
+    return is_isomorphism(g, g, sigma)
 
 
 def is_isomorphism(g: ColoredGraph, h: ColoredGraph, mapping) -> bool:
@@ -57,6 +49,13 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
+
+    def groups(self) -> list[list[int]]:
+        """Every group, members ascending, ordered by smallest member."""
+        out: dict[int, list[int]] = {}
+        for v in range(len(self.parent)):
+            out.setdefault(self.find(v), []).append(v)
+        return list(out.values())
 
 
 def _aut_backtrack(g: ColoredGraph, limits: Limits):
@@ -121,10 +120,7 @@ def orbits_oracle(g: ColoredGraph, *, limits: Limits = DEFAULT_LIMITS) -> list[l
     if g.n == 0:
         return []
     _, uf = _aut_backtrack(g, limits)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(uf.find(v), []).append(v)
-    return [sorted(vs) for _, vs in sorted(groups.items())]
+    return uf.groups()
 
 
 def iso_oracle(

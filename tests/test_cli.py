@@ -7,11 +7,11 @@ from conftest import traced_peak
 from wlkit.cli import main
 from wlkit.coherent import parse_scheme
 from wlkit.errors import ResourceLimitError
-from wlkit.families import complete, cycle, path, petersen, rook_4x4, shrikhande
+from wlkit.families import complete, cycle, path, petersen, random_graph, rook_4x4, shrikhande
 from wlkit.graph import parse_wlg, serialize_wlg
 from wlkit.cfi import parse_cfi_map_roles
 from wlkit.limits import Limits
-from wlkit.refine import refine_k
+from wlkit.refine import project, refine_k
 
 
 @pytest.fixture()
@@ -99,6 +99,17 @@ def test_orbits(files, capsys):
     assert capsys.readouterr().out == "0 3\n1 2\n"
     assert main(["orbits", p4, "--method", "refine"]) == 0
     assert capsys.readouterr().out == "0 3\n1 2\n"
+    # many classes: one line per class in color order, members ascending
+    g = random_graph(40, 0.1, seed=3).with_vertex_colors([v % 3 for v in range(40)])
+    src = write("r.wlg", g)
+    for k in (1, 2):
+        assert main(["orbits", src, "--method", "refine", "-k", str(k)]) == 0
+        vc = project(refine_k(g, k), 1).colors
+        want = [
+            " ".join(str(v) for v in range(g.n) if vc[v] == cid)
+            for cid in range(int(vc.max()) + 1)
+        ]
+        assert capsys.readouterr().out.splitlines() == want
 
 
 def test_separator(files, capsys):
@@ -218,6 +229,22 @@ def test_error_paths(files, capsys, tmp_path):
     bad.write_text("p wlg 1 5 0\n")
     assert main(["refine", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iso", "{g}", "{g}", "-k", "0"],  # 1 would read as "non-isomorphic"
+        ["refine", "{g}", "-k", "0"],
+        ["cfi", "{g}", "--twist", "a-b"],
+        ["bench", "--sizes", "8,x"],
+    ],
+)
+def test_library_value_errors_exit_2(files, capsys, argv):
+    _, write = files
+    src = write("c4.wlg", cycle(4))
+    assert main([a.replace("{g}", src) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_version_flag(capsys):

@@ -487,6 +487,7 @@ def test_scheme_round_trip():
         "p cc 1 2\nr 0 0 0\n",  # id 1 never used
         "p cc 1 1\nr 0 0 5\n",  # id out of range
         "p cc 1 1\nq\n",  # unknown record
+        "p cc 0 3\n",  # no points, yet three relation ids
     ],
 )
 def test_scheme_parse_errors(text):

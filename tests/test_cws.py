@@ -171,6 +171,21 @@ def test_batched_pair_closures_match_the_reference(case):
 
 
 @PROPERTY
+@given(colored_graphs(max_n=7))
+def test_spectrum_matches_the_per_pair_closures(case):
+    # the batched scan against the public one-pair-at-a-time closure
+    g, cols = case
+    for v in range(g.n):
+        mates = [w for w in range(g.n) if w != v and cols[w] == cols[v]]
+        firsts: dict[frozenset[int], tuple[int, int]] = {}
+        for w in mates:
+            firsts.setdefault(closure(g, cols, {v, w}), (v, w))
+        got = cws._Scan(g, cols).closures_of(v, mates)
+        assert list(got.items()) == list(firsts.items())
+        assert cws_spectrum(g, cols, v) == sorted(firsts, key=lambda s: (len(s), sorted(s)))
+
+
+@PROPERTY
 @given(graphs_with_seed())
 def test_is_prime_matches_the_worklist_reference(case):
     g, cols, seed = case
@@ -391,6 +406,8 @@ def test_mutually_stable_trivial():
     assert not mutually_stable_trivial(g, cols, [frozenset(range(6)), frozenset(range(5, 11))])
     # a non-CWS member fails
     assert not mutually_stable_trivial(g, cols, [{0, 1}, {6, 7}])
+    # singletons pass every check but the last: their union is not CWS
+    assert not mutually_stable_trivial(g, cols, [{0}, {3}])
 
 
 def test_mutually_stable_trivial_catches_unequal_attachments():
