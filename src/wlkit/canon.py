@@ -73,10 +73,8 @@ def individualize(g: ColoredGraph, v: int) -> ColoredGraph:
 
 def serialize_in_order(g: ColoredGraph, order: np.ndarray | list[int]) -> bytes:
     """Serialize g relabeled so that order[i] becomes vertex i."""
-    perm = [0] * g.n
-    for i, v in enumerate(order):
-        perm[int(v)] = i
-    return serialize_wlg_relabeled(g, perm).encode("ascii")
+    # order is a permutation of 0..n-1; its inverse is perm
+    return serialize_wlg_relabeled(g, np.argsort(order)).encode("ascii")
 
 
 def _target_class(vc: np.ndarray) -> tuple[int, list[int]]:

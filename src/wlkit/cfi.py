@@ -88,6 +88,7 @@ def cfi_build(
     a_index: dict[tuple[int, int], int] = {}
     b_index: dict[tuple[int, int], int] = {}
     m_index: dict[tuple[int, frozenset[int]], int] = {}
+    edges: list[tuple[int, int, int]] = []
 
     for v in range(g.n):
         ns = g.neighbors(v)
@@ -107,20 +108,14 @@ def cfi_build(
             if bin(mask).count("1") % 2 != 0:
                 continue
             subset = frozenset(ns[i] for i in range(d) if mask >> i & 1)
-            m_index[(v, subset)] = len(origin)
+            mid = m_index[(v, subset)] = len(origin)
             origin.append(v)
             role.append(("m", subset))
             colors.append(2 * g.vertex_colors[v] + 1)
-
-    edges: list[tuple[int, int, int]] = []
-    for v in range(g.n):
-        ns = g.neighbors(v)
-        for (vv, subset), mid in m_index.items():
-            if vv != v:
-                continue
             for u in ns:
                 end = a_index[(v, u)] if u in subset else b_index[(v, u)]
                 edges.append((mid, end, 0))
+
     for u, v, c in g.edge_list():
         if (u, v) in tw:
             edges.append((a_index[(u, v)], b_index[(v, u)], c))

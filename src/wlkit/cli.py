@@ -6,6 +6,7 @@ non-isomorphic, 2 any error (bad arguments, malformed input, resource caps).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -228,7 +229,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was (`append` options copy their default list before they add to it)."""
     ap = argparse.ArgumentParser(prog="wlkit", description=__doc__)
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)

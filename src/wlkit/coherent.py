@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoherenceError, ParseError, ResourceLimitError, UnsupportedGraphError
-from .graph import ColoredGraph
+from .graph import _DIGITS, _FIELD, ColoredGraph, _FirstError, _lines_regex, _read_records, _repeats
 from .kernels import dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
 from .refine import stable_rounds
@@ -407,60 +407,80 @@ def klein_merge_groups(c: CoherentConfig) -> list[list[int]]:
 
 
 def serialize_scheme(c: CoherentConfig) -> str:
-    lines = [f"p cc {c.n} {c.s}"]
-    for x in range(c.n):
-        for y in range(c.n):
-            lines.append(f"r {x} {y} {int(c.rel[x, y])}")
-    return "\n".join(lines) + "\n"
+    """`p cc <points> <relations>`, then one `r <x> <y> <relation>` line per
+    cell in row-major order."""
+    n = c.n
+    # one row's lines with the row left open, filled in per row
+    row = "".join([f"r \0 {y} %d\n" for y in range(n)])
+    cells = "".join([row.replace("\0", str(x)) for x in range(n)])
+    return f"p cc {n} {c.s}\n" + cells % tuple(np.asarray(c.rel).ravel().tolist())
+
+
+_SCHEME_LINES = _lines_regex(
+    rf"r {_DIGITS} {_DIGITS} {_DIGITS}",
+    rf"p +cc(?: +{_FIELD}){{2}}|r(?: +{_FIELD}){{3}}",
+)
+
+
+def _scheme_line_error(parts: list[str], have_header: bool) -> str:
+    """Why a line that is not a well-formed record fails."""
+    tag = parts[0]
+    if tag == "p":
+        if have_header:
+            return "duplicate header"
+        if len(parts) != 4 or parts[1] != "cc":
+            return "expected `p cc <points> <relations>`"
+        return "header counts must be integers"
+    if tag != "r":
+        return f"unknown record {tag!r}"
+    if not have_header:
+        return "cell before header"
+    if len(parts) != 4:
+        return "expected `r <x> <y> <relation>`"
+    return "cell fields must be integers"
 
 
 def parse_scheme(text: str) -> CoherentConfig:
-    n = s = None
-    rel = None
-    filled = None
-    count = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != "cc":
-                raise ParseError("expected `p cc <points> <relations>`", lineno)
-            try:
-                n, s = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("header counts must be integers", lineno)
-            if n < 0 or s < 0:
-                raise ParseError("header counts must be non-negative", lineno)
-            rel = np.full((n, n), -1, dtype=np.int64)
-            filled = np.zeros((n, n), dtype=bool)
-        elif parts[0] == "r":
-            if rel is None:
-                raise ParseError("cell before header", lineno)
-            if len(parts) != 4:
-                raise ParseError("expected `r <x> <y> <relation>`", lineno)
-            try:
-                x, y, rid = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("cell fields must be integers", lineno)
-            if not (0 <= x < n and 0 <= y < n):
-                raise ParseError("cell out of range", lineno)
-            if not 0 <= rid < s:
-                raise ParseError("relation id out of range", lineno)
-            if filled[x, y]:
-                raise ParseError(f"cell ({x}, {y}) assigned twice", lineno)
-            filled[x, y] = True
-            rel[x, y] = rid
-            count += 1
-        else:
-            raise ParseError(f"unknown record {parts[0]!r}", lineno)
-    if n is None:
+    """Parse `serialize_scheme` text; raises ParseError.  Memory stays
+    proportional to the text: the n x n matrix is built only once n^2
+    well-formed cells have been read."""
+    rec = _read_records(text, _SCHEME_LINES, "pr", ("cc",), 3)
+    kind, f = rec.kind, rec.fields
+    index = np.arange(kind.shape[0])
+    heads = index[kind == 0]
+    h = int(heads[0]) if heads.size else kind.shape[0]
+    n, s = f[h, :2].tolist() if heads.size else (0, 0)
+    err = _FirstError()
+    err.check(heads[1:2], True, lambda r: "duplicate header")
+    err.check(heads[:1], n < 0 or s < 0, lambda r: "header counts must be non-negative")
+    # every record before the first header is a cell
+    err.check(index[:1], h > 0, lambda r: "cell before header")
+    cells = index[(kind == 1) & (index > h)]
+    x, y, rid = f[cells].T
+    outside = (x < 0) | (x >= n) | (y < 0) | (y >= n)
+    bad_id = (rid < 0) | (rid >= s)
+    err.check(cells, outside, lambda r: "cell out of range")
+    err.check(cells, bad_id, lambda r: "relation id out of range")
+    ok = ~(outside | bad_id)
+    cells, x, y, rid = cells[ok], x[ok], y[ok], rid[ok]
+    # n^2 cells in range fill the matrix exactly when none repeats
+    full = cells.shape[0] == n * n
+    if full:
+        filled = np.zeros(n * n, dtype=bool)
+        filled[x * n + y] = True
+        full = bool(filled.all())
+    err.check(cells, not full and _repeats(x, y),
+              lambda r: f"cell ({f[r, 0]}, {f[r, 1]}) assigned twice")
+    err.raise_first(rec)
+    if rec.bad is not None:
+        lineno, parts = rec.bad
+        raise ParseError(_scheme_line_error(parts, bool(heads.size)), lineno)
+    if not heads.size:
         raise ParseError("missing `p cc` header")
-    if count != n * n:
-        raise ParseError(f"expected {n * n} cells, found {count}")
-    if set(np.unique(rel).tolist()) != set(range(s)):
+    if cells.shape[0] != n * n:
+        raise ParseError(f"expected {n * n} cells, found {cells.shape[0]}")
+    rel = np.empty(n * n, dtype=np.int64)
+    rel[x * n + y] = rid
+    if np.unique(rel).shape[0] != s:
         raise ParseError("relation ids must be exactly 0..s-1")
-    return CoherentConfig(n=n, s=s, rel=rel)
+    return CoherentConfig(n=n, s=s, rel=rel.reshape(n, n))

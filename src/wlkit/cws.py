@@ -27,6 +27,7 @@ import numpy as np
 from .canon import Certificate, certify
 from .errors import DecompositionError, UnsupportedGraphError
 from .graph import ColoredGraph
+from .kernels import dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import _UnionFind
 from .refine import project, refine_k
@@ -244,28 +245,68 @@ def twin_classes(
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Groups of mutual twins: (adjacent-pair groups, non-adjacent groups).
     Twins share a class color and their colored adjacency to every other
-    vertex; adjacent twin groups come out as uniform cliques."""
+    vertex; adjacent twin groups come out as uniform cliques.  A pair counts
+    as adjacent when the code of (smaller, larger) is non-zero."""
     cls = _dense_classes(_as_colors(g, coloring))
     p = g.pair_codes()
     n = g.n
-    # row v: the codes of pairs (v, w), then of pairs (w, v)
-    both = np.hstack((p, p.T))
     uf_t, uf_f = _UnionFind(n), _UnionFind(n)
-    for c in range(int(cls.max(initial=-1)) + 1):
-        grp = np.flatnonzero(cls == c)
-        for i, x in enumerate(grp[:-1].tolist()):
-            ys = grp[i + 1 :]
-            rows = np.arange(ys.shape[0])
-            # x and each y compare everywhere except at x and y themselves
-            neq = both[ys] != both[x]
-            neq[:, [x, n + x]] = False
-            neq[rows, ys] = neq[rows, n + ys] = False
-            for y in ys[~neq.any(axis=1)].tolist():
-                (uf_t if p[x, y] != 0 else uf_f).union(x, y)
+    # x and y are twins when the codes of (x, w) and (w, x) equal those of
+    # (y, w) and (w, y) at every other w.  With a = p[x, y] and b = p[y, x]
+    # that is: x's row [class | p[x, :] | p[:, x]] with its own two cells set
+    # to (b, a) equals y's row with its own two set to (a, b).  Rows are
+    # sorted once for a = b = 0 and once per code pair {a, b} of an adjacent
+    # pair within a class.
+    nc = g.neighbor_codes()
+    within = cls[nc.src] == cls[nc.tgt]
+    src, part = nc.src[within], nc.part[within]
+    a_of, b_of = np.divmod(part, nc.base)
+    passes = [(0, 0, np.flatnonzero(np.bincount(cls)[cls] >= 2), None)]
+    for code in np.unique(np.minimum(a_of, b_of) * nc.base + np.maximum(a_of, b_of)).tolist():
+        a, b = divmod(code, nc.base)
+        xs = np.unique(src[(a_of == a) & (b_of == b)])
+        passes.append((a, b, xs, None if a == b else np.unique(src[(a_of == b) & (b_of == a)])))
+    for a, b, xs, ys in passes:
+        if ys is None:
+            ids = dense_rank_rows(_twin_rows(p, cls, xs, a, a, g.directed))
+            order = np.argsort(ids, kind="stable")
+            starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+            uf = uf_t if a else uf_f
+            for grp in np.split(xs[order], starts[1:]):
+                for y in grp[1:].tolist():
+                    uf.union(int(grp[0]), y)
+            continue
+        # a != b: a row of one side equals at most one row of the other
+        ids = dense_rank_rows(np.vstack((
+            _twin_rows(p, cls, xs, b, a, True), _twin_rows(p, cls, ys, a, b, True),
+        )))
+        x_of = dict(zip(ids[: xs.shape[0]].tolist(), xs.tolist()))
+        for rid, y in zip(ids[xs.shape[0] :].tolist(), ys.tolist()):
+            x = x_of.get(rid)
+            if x is not None:
+                (uf_t if p[min(x, y), max(x, y)] != 0 else uf_f).union(x, y)
     return (
         [grp for grp in uf_t.groups() if len(grp) >= 2],
         [grp for grp in uf_f.groups() if len(grp) >= 2],
     )
+
+
+def _twin_rows(
+    p: np.ndarray, cls: np.ndarray, vs: np.ndarray, out: int, into: int, directed: bool
+) -> np.ndarray:
+    """Rows [class | p[v, :] | p[:, v]] of the vertices vs, with p[v, v] set
+    to `out` in the first half and to `into` in the second.  The second half
+    repeats the first in an undirected graph and is left out."""
+    n = p.shape[0]
+    rows = np.empty((vs.shape[0], 1 + n * (1 + directed)), dtype=np.int64)
+    at = np.arange(vs.shape[0])
+    rows[:, 0] = cls[vs]
+    rows[:, 1 : n + 1] = p[vs]
+    rows[at, 1 + vs] = out
+    if directed:
+        rows[:, n + 1 :] = p.T[vs]
+        rows[at, n + 1 + vs] = into
+    return rows
 
 
 def _piece_graph(g: ColoredGraph, cols: np.ndarray, piece: frozenset[int]) -> ColoredGraph:
@@ -285,40 +326,39 @@ def _attachment_profiles(
     g: ColoredGraph, cols: np.ndarray, pieces: list[frozenset[int]]
 ) -> tuple[dict, dict]:
     """Serialized colored attachment patterns: per (outside vertex, piece)
-    and per piece pair.  Entries use class colors, so they are stable under
-    relabeling of the input."""
+    and per adjacent piece pair, in one walk over the edges.  Entries use
+    class colors, so they are stable under relabeling of the input."""
     owner = {}
     for pi, piece in enumerate(pieces):
         for v in piece:
             owner[v] = pi
-    outside = [v for v in range(g.n) if v not in owner]
+    col = [int(c) for c in cols]
     op: dict[tuple[int, int], bytes] = {}
-    pp: dict[tuple[int, int], bytes] = {}
-    for w in outside:
+    between: dict[tuple[int, int], list] = {}
+    for w in range(g.n):
+        pw = owner.get(w)
         per_piece: dict[int, list] = {}
         for u in g.neighbors(w):
-            pi = owner.get(u)
-            if pi is None:
+            pu = owner.get(u)
+            if pu is None:
                 continue
-            c = g.edge_color(w, u)
-            cr = g.edge_color(u, w)
-            per_piece.setdefault(pi, []).append(
-                (int(cols[u]), -1 if c is None else c, -1 if cr is None else cr)
-            )
+            if pw is None:
+                c = g.edge_color(w, u)
+                cr = g.edge_color(u, w)
+                per_piece.setdefault(pu, []).append(
+                    (col[u], -1 if c is None else c, -1 if cr is None else cr)
+                )
+            elif pu > pw:
+                c = g.edge_color(w, u)
+                between.setdefault((pw, pu), []).append(
+                    (*sorted((col[w], col[u])), 0 if c is None else c)
+                )
         for pi, entries in per_piece.items():
             op[(w, pi)] = ("op" + repr(sorted(entries))).encode("ascii")
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            entries = []
-            for u in pieces[i]:
-                for v in g.neighbors(u):
-                    if owner.get(v) == j:
-                        c = g.edge_color(u, v)
-                        entries.append(
-                            (*sorted((int(cols[u]), int(cols[v]))), 0 if c is None else c)
-                        )
-            if entries:
-                pp[(i, j)] = ("pp" + repr(sorted(entries))).encode("ascii")
+    pp = {
+        key: ("pp" + repr(sorted(entries))).encode("ascii")
+        for key, entries in sorted(between.items())
+    }
     return op, pp
 
 
@@ -345,12 +385,14 @@ def contract_batch(
         for v in pieces[i]:
             mapping[v] = len(outside) + slot
     color_table = sorted(set(digests))
+    color_rank = {d: r for r, d in enumerate(color_table)}
     vbase = g.max_vertex_color() + 1
     colors = [g.vertex_colors[v] for v in outside] + [
-        vbase + color_table.index(digests[i]) for i in order
+        vbase + color_rank[digests[i]] for i in order
     ]
     op, pp = _attachment_profiles(g, cols, pieces)
     profile_table = sorted(set(op.values()) | set(pp.values()))
+    profile_rank = {prof: r for r, prof in enumerate(profile_table)}
     ebase = g.max_edge_color() + 1
     edges: dict[tuple[int, int], int] = {}
     for u, v, c in g.edge_list():
@@ -360,10 +402,10 @@ def contract_batch(
     slot_of_piece = {i: len(outside) + slot for slot, i in enumerate(order)}
     for (w, pi), prof in op.items():
         a, b = mapping[w], slot_of_piece[pi]
-        edges[(min(a, b), max(a, b))] = ebase + profile_table.index(prof)
+        edges[(min(a, b), max(a, b))] = ebase + profile_rank[prof]
     for (i, j), prof in pp.items():
         a, b = slot_of_piece[i], slot_of_piece[j]
-        edges[(min(a, b), max(a, b))] = ebase + profile_table.index(prof)
+        edges[(min(a, b), max(a, b))] = ebase + profile_rank[prof]
     out = ColoredGraph(
         len(outside) + len(pieces),
         [(u, v, c) for (u, v), c in sorted(edges.items())],

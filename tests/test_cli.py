@@ -5,11 +5,11 @@ import pytest
 
 from conftest import traced_peak
 from wlkit.cli import main
-from wlkit.coherent import parse_scheme
+from wlkit.cfi import cfi_build, parse_cfi_map_roles
+from wlkit.coherent import klein_scheme, parse_scheme, serialize_scheme
 from wlkit.errors import ResourceLimitError
 from wlkit.families import complete, cycle, path, petersen, random_graph, rook_4x4, shrikhande
 from wlkit.graph import parse_wlg, serialize_wlg
-from wlkit.cfi import parse_cfi_map_roles
 from wlkit.limits import Limits
 from wlkit.refine import project, refine_k
 
@@ -252,3 +252,45 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "wlkit" in capsys.readouterr().out
+
+
+def test_repeated_calls_in_one_process_behave_alike(files, capsys, tmp_path):
+    """`main` reuses one argument parser per process: the same argv gives the
+    same output and exit code every time, and options do not carry over."""
+    _, write = files
+    base = write("k4.wlg", complete(4))
+    bad = tmp_path / "bad.wlg"
+    bad.write_text("p wlg 2 1 0\ne 0 5\n")
+    argvs = [
+        ["cfi", base, "--twist", "0-1"],
+        ["cfi", base, "--twist", "0-2,1-3", "--twist", "2-3"],
+        ["cfi", base],
+        ["klein", base, "--twist-fibre", "1"],
+        ["klein", base],
+        ["certify", base, "-k", "1", "--digest-only"],
+        ["refine", str(bad)],
+        ["certify", base, "--mode", "bogus"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    first = [run(argv) for argv in argvs]
+    assert [run(argv) for argv in argvs] == first
+    codes = [code for code, _, _ in first]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 2]
+    assert first[6][2] == "error: line 2: edge (0,5) out of range\n"
+    assert "invalid choice: 'bogus'" in first[7][2]
+    # no twist leaks into a later call: each output is that of a fresh build
+    plain = serialize_wlg(cfi_build(complete(4))[0])
+    assert first[2][1] == plain != first[0][1]
+    assert first[0][1] == serialize_wlg(cfi_build(complete(4), twisted=[(0, 1)])[0])
+    assert first[1][1] == serialize_wlg(
+        cfi_build(complete(4), twisted=[(0, 2), (1, 3), (2, 3)])[0]
+    )
+    assert first[4][1] == serialize_scheme(klein_scheme(complete(4))) != first[3][1]

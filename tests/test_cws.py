@@ -88,6 +88,83 @@ def reference_twin_classes(g, cols):
     return collect(uf_t), collect(uf_f)
 
 
+def reference_attachment_profiles(g, cols, pieces):
+    """The per-piece-pair loop `cws._attachment_profiles` replaced."""
+    owner = {}
+    for pi, piece in enumerate(pieces):
+        for v in piece:
+            owner[v] = pi
+    outside = [v for v in range(g.n) if v not in owner]
+    op, pp = {}, {}
+    for w in outside:
+        per_piece: dict[int, list] = {}
+        for u in g.neighbors(w):
+            pi = owner.get(u)
+            if pi is None:
+                continue
+            c = g.edge_color(w, u)
+            cr = g.edge_color(u, w)
+            per_piece.setdefault(pi, []).append(
+                (int(cols[u]), -1 if c is None else c, -1 if cr is None else cr)
+            )
+        for pi, entries in per_piece.items():
+            op[(w, pi)] = ("op" + repr(sorted(entries))).encode("ascii")
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            entries = []
+            for u in pieces[i]:
+                for v in g.neighbors(u):
+                    if owner.get(v) == j:
+                        c = g.edge_color(u, v)
+                        entries.append(
+                            (*sorted((int(cols[u]), int(cols[v]))), 0 if c is None else c)
+                        )
+            if entries:
+                pp[(i, j)] = ("pp" + repr(sorted(entries))).encode("ascii")
+    return op, pp
+
+
+@st.composite
+def blown_up_graphs(draw):
+    """Each vertex of a small colored graph becomes 1-3 copies that keep its
+    adjacency; the copies of one vertex are joined by a drawn code pair
+    (possibly one-way or none), so twins of every kind are common."""
+    g, cols = draw(colored_graphs(max_n=4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
+    first = np.concatenate([[0], np.cumsum(sizes)]).astype(int).tolist()
+    edges = {}
+    for (u, v), c in g.edges.items():
+        for x in range(first[u], first[u + 1]):
+            for y in range(first[v], first[v + 1]):
+                edges[(x, y)] = c
+    for v in range(g.n):
+        out, back = draw(st.sampled_from([(0, 0), (1, 1), (2, 2), (1, 0), (0, 2), (1, 2)]))
+        if not g.directed:
+            back = out
+        for x in range(first[v], first[v + 1]):
+            for y in range(x + 1, first[v + 1]):
+                if out:
+                    edges[(x, y)] = out - 1
+                if back and g.directed:
+                    edges[(y, x)] = back - 1
+    n = first[-1]
+    blown = ColoredGraph(n, [(x, y, c) for (x, y), c in edges.items()], g.directed)
+    return blown, np.repeat(cols, sizes)
+
+
+@st.composite
+def graphs_with_pieces(draw):
+    """A colored graph and disjoint pieces of one to three vertices."""
+    g, cols = draw(colored_graphs())
+    perm = draw(st.permutations(range(g.n)))
+    cuts = sorted(draw(st.lists(st.integers(0, g.n), max_size=4)))
+    pieces = []
+    for lo, hi in zip([0] + cuts, cuts + [g.n]):
+        if 1 <= hi - lo <= 3 and draw(st.booleans()):
+            pieces.append(frozenset(perm[lo:hi]))
+    return g, cols, pieces
+
+
 @st.composite
 def graphs_with_seed(draw):
     g, cols = draw(colored_graphs())
@@ -195,10 +272,19 @@ def test_is_prime_matches_the_worklist_reference(case):
 
 
 @PROPERTY
-@given(colored_graphs())
+@given(colored_graphs() | blown_up_graphs())
 def test_twin_classes_match_the_pairwise_reference(case):
     g, cols = case
     assert twin_classes(g, cols) == reference_twin_classes(g, cols)
+
+
+@PROPERTY
+@given(graphs_with_pieces())
+def test_attachment_profiles_match_the_pairwise_reference(case):
+    g, cols, pieces = case
+    got = cws._attachment_profiles(g, cols, pieces)
+    assert got == reference_attachment_profiles(g, cols, pieces)
+    assert list(got[1]) == sorted(got[1])
 
 
 def test_prime_pieces_of_c4():
