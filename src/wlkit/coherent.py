@@ -21,9 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CoherenceError, ParseError, ResourceLimitError, UnsupportedGraphError
-from .graph import _DIGITS, _FIELD, ColoredGraph, _FirstError, _lines_regex, _read_records, _repeats
+from .graph import ColoredGraph
 from .kernels import dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
+from .records import RecordFormat, Records, Tag, repeats
 from .refine import stable_rounds
 
 
@@ -416,51 +417,29 @@ def serialize_scheme(c: CoherentConfig) -> str:
     return f"p cc {n} {c.s}\n" + cells % tuple(np.asarray(c.rel).ravel().tolist())
 
 
-_SCHEME_LINES = _lines_regex(
-    rf"r {_DIGITS} {_DIGITS} {_DIGITS}",
-    rf"p +cc(?: +{_FIELD}){{2}}|r(?: +{_FIELD}){{3}}",
+_SCHEME = RecordFormat(
+    "cc",
+    Tag("p", (2, 2), "expected `p cc <points> <relations>`", "header counts must be integers"),
+    (Tag("r", (3, 3), "expected `r <x> <y> <relation>`", "cell fields must be integers"),),
+    unknown="unknown record {!r}",
+    early="cell before header",
 )
-
-
-def _scheme_line_error(parts: list[str], have_header: bool) -> str:
-    """Why a line that is not a well-formed record fails."""
-    tag = parts[0]
-    if tag == "p":
-        if have_header:
-            return "duplicate header"
-        if len(parts) != 4 or parts[1] != "cc":
-            return "expected `p cc <points> <relations>`"
-        return "header counts must be integers"
-    if tag != "r":
-        return f"unknown record {tag!r}"
-    if not have_header:
-        return "cell before header"
-    if len(parts) != 4:
-        return "expected `r <x> <y> <relation>`"
-    return "cell fields must be integers"
 
 
 def parse_scheme(text: str) -> CoherentConfig:
     """Parse `serialize_scheme` text; raises ParseError.  Memory stays
     proportional to the text: the n x n matrix is built only once n^2
     well-formed cells have been read."""
-    rec = _read_records(text, _SCHEME_LINES, "pr", ("cc",), 3)
-    kind, f = rec.kind, rec.fields
-    index = np.arange(kind.shape[0])
-    heads = index[kind == 0]
-    h = int(heads[0]) if heads.size else kind.shape[0]
-    n, s = f[h, :2].tolist() if heads.size else (0, 0)
-    err = _FirstError()
-    err.check(heads[1:2], True, lambda r: "duplicate header")
-    err.check(heads[:1], n < 0 or s < 0, lambda r: "header counts must be non-negative")
-    # every record before the first header is a cell
-    err.check(index[:1], h > 0, lambda r: "cell before header")
-    cells = index[(kind == 1) & (index > h)]
+    rec = Records(text, _SCHEME)
+    f = rec.fields
+    n, s = f[rec.heads[0], :2].tolist() if rec.heads.size else (0, 0)
+    rec.check(rec.heads[:1], n < 0 or s < 0, lambda r: "header counts must be non-negative")
+    cells = rec.after(1)
     x, y, rid = f[cells].T
     outside = (x < 0) | (x >= n) | (y < 0) | (y >= n)
     bad_id = (rid < 0) | (rid >= s)
-    err.check(cells, outside, lambda r: "cell out of range")
-    err.check(cells, bad_id, lambda r: "relation id out of range")
+    rec.check(cells, outside, lambda r: "cell out of range")
+    rec.check(cells, bad_id, lambda r: "relation id out of range")
     ok = ~(outside | bad_id)
     cells, x, y, rid = cells[ok], x[ok], y[ok], rid[ok]
     # n^2 cells in range fill the matrix exactly when none repeats
@@ -469,13 +448,10 @@ def parse_scheme(text: str) -> CoherentConfig:
         filled = np.zeros(n * n, dtype=bool)
         filled[x * n + y] = True
         full = bool(filled.all())
-    err.check(cells, not full and _repeats(x, y),
+    rec.check(cells, not full and repeats(x, y),
               lambda r: f"cell ({f[r, 0]}, {f[r, 1]}) assigned twice")
-    err.raise_first(rec)
-    if rec.bad is not None:
-        lineno, parts = rec.bad
-        raise ParseError(_scheme_line_error(parts, bool(heads.size)), lineno)
-    if not heads.size:
+    rec.finish()
+    if not rec.heads.size:
         raise ParseError("missing `p cc` header")
     if cells.shape[0] != n * n:
         raise ParseError(f"expected {n * n} cells, found {cells.shape[0]}")

@@ -19,7 +19,6 @@ color-0 fields omitted.
 from __future__ import annotations
 
 import random
-import re
 from itertools import chain, combinations
 from typing import NamedTuple
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .errors import ParseError, ResourceLimitError, UnsupportedGraphError
 from .limits import DEFAULT_LIMITS, Limits
+from .records import RecordFormat, Records, Tag, repeats
 
 
 class NeighborCodes(NamedTuple):
@@ -243,205 +243,63 @@ class ColoredGraph:
         return ColoredGraph(len(keep), edges, self.directed, colors), keep
 
 
-# -- text records ----------------------------------------------------------
-#
-# The WLG format and the `p cc` scheme format (coherent.py) are both lines of
-# a one-letter tag and integer fields.  A parser matches the longest prefix
-# of well-formed lines with one compiled regex, reads every field of that
-# prefix with one `np.fromstring`, and checks the records with array
-# operations.  Only an error maps a record back to its line.
-
-# str.splitlines' line breaks other than "\n"; the ASCII ones on their own,
-# since `in` finds a character faster than a regex scans for a class
-_ASCII_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
-_LINE_BREAKS = re.compile(f"[{_ASCII_BREAKS}\x85\u2028\u2029]")
-_ODD_SPACE = re.compile(r"[^\S\n ]")
-_COMMENT = re.compile(r"#[^\n]*")
-# a field: ASCII digits with an optional sign, at most 18 of them, so that
-# every field fits in int64 with room below it for the tag markers
-_FIELD = r"[+-]?[0-9]{1,18}"
-_DIGITS = r"[0-9]{1,18}"
-
-
-def _lines_regex(fast: str, line: str) -> re.Pattern:
-    """The longest run of well-formed lines, each ending in a newline:
-    `line` in general, tried after `fast`, the canonical form of the
-    commonest record (single spaces, no sign)."""
-    return re.compile(rf"(?:{fast}\n| *(?:{line})? *\n)*")
-
-
-class _Records(NamedTuple):
-    """The records of a text's well-formed prefix, in file order."""
-
-    kind: np.ndarray  # index of the record's tag
-    fields: np.ndarray  # (records, width) int64; absent fields read 0
-    head: str  # the prefix, comments removed and spaces made plain
-    bad: tuple[int, list[str]] | None  # first malformed line and its tokens
-
-    def line(self, r: int) -> int:
-        """1-based line number of record r: its line is the r-th non-blank
-        line of the prefix."""
-        lines = self.head.split("\n")
-        return [i for i, ln in enumerate(lines, start=1) if ln.strip()][r]
-
-
-def _read_records(text: str, lines: re.Pattern, tags: str, words: tuple, width: int) -> _Records:
-    """Split `text` as str.splitlines does, drop `#` comments, and read the
-    well-formed prefix: every `words` entry (a header keyword) is dropped and
-    every tag letter becomes a marker below every field."""
-    if text.isascii():
-        breaks = any(c in text for c in _ASCII_BREAKS)
-    else:
-        breaks = _LINE_BREAKS.search(text) is not None
-    body = "\n".join(text.splitlines()) if breaks else text
-    if not body.endswith("\n"):
-        body += "\n"
-    if "#" in body:
-        body = _COMMENT.sub("", body)
-    if not body.isascii() or "\t" in body or "\x1f" in body:
-        body = _ODD_SPACE.sub(" ", body)
-    good = lines.match(body).end()
-    head = body[:good]
-    bad = None
-    if good < len(body):
-        bad = (head.count("\n") + 1, body[good : body.index("\n", good)].split())
-    # a well-formed prefix without "-" has no negative field
-    mark = -1 if "-" not in head else -(10**18)
-    for word in words:
-        head = head.replace(word, " ")
-    for i, tag in enumerate(tags):
-        head = head.replace(tag, f" {mark - i} ")
-    # `width` markers after the last record end its fields
-    flat = np.fromstring(head + f" {mark}" * width, dtype=np.int64, sep=" ")
-    pos = np.flatnonzero(flat <= mark)[:-width]
-    fields = np.zeros((pos.shape[0], width), dtype=np.int64)
-    has = np.ones(pos.shape[0], dtype=bool)
-    for j in range(width):
-        got = flat[pos + 1 + j]
-        has &= got > mark
-        fields[has, j] = got[has]
-    return _Records(mark - flat[pos], fields, body[:good], bad)
-
-
-def _repeats(*cols: np.ndarray) -> np.ndarray:
-    """Mask of the rows of `cols` that equal an earlier row."""
-    out = np.zeros(cols[0].shape[0], dtype=bool)
-    if out.shape[0] > 1:
-        order = np.lexsort(cols[::-1])  # stable: equal rows stay in file order
-        same = np.ones(order.shape[0] - 1, dtype=bool)
-        for col in cols:
-            srt = col[order]
-            same &= srt[1:] == srt[:-1]
-        out[order[1:][same]] = True
-    return out
-
-
-class _FirstError:
-    """The error of the earliest failing record.  Each check notes its first
-    failing record; a record that fails several checks reports the check
-    made first."""
-
-    def __init__(self) -> None:
-        self.found: list[tuple[int, int, str]] = []
-        self.checks = 0
-
-    def check(self, records: np.ndarray, failed, message) -> None:
-        """`records[failed]` fail this check (`failed` may be one bool for
-        all); `message(r)` words the failure of record r."""
-        if isinstance(failed, np.ndarray):
-            hit = int(failed.argmax()) if failed.any() else None
-        else:
-            hit = 0 if failed and records.shape[0] else None
-        if hit is not None:
-            r = int(records[hit])
-            self.found.append((r, self.checks, message(r)))
-        self.checks += 1
-
-    def raise_first(self, rec: _Records) -> None:
-        if self.found:
-            r, _, message = min(self.found)
-            raise ParseError(message, rec.line(r))
-
-
 # -- WLG text I/O ----------------------------------------------------------
 
-_WLG_LINES = _lines_regex(
-    rf"e {_DIGITS} {_DIGITS}(?: {_DIGITS})?",
-    rf"p +wlg(?: +{_FIELD}){{3}}|v(?: +{_FIELD}){{2}}|e(?: +{_FIELD}){{2,3}}",
+_WLG = RecordFormat(
+    "wlg",
+    Tag("p", (3, 3), "header must be 'p wlg <n> <m> <directed>'",
+        "header fields must be integers"),
+    (
+        Tag("v", (2, 2), "vertex line must be 'v <index> <color>'",
+            "vertex fields must be integers"),
+        Tag("e", (2, 3), "edge line must be 'e <u> <v> [<color>]'",
+            "edge fields must be integers"),
+    ),
+    unknown="unknown directive {!r}",
+    early="'{}' line before header",
 )
-
-
-def _wlg_line_error(parts: list[str], have_header: bool) -> str:
-    """Why a line that is not a well-formed record fails."""
-    tag = parts[0]
-    if tag == "p":
-        if have_header:
-            return "duplicate header"
-        if len(parts) != 5 or parts[1] != "wlg":
-            return "header must be 'p wlg <n> <m> <directed>'"
-        return "header fields must be integers"
-    if tag not in ("v", "e"):
-        return f"unknown directive {tag!r}"
-    if not have_header:
-        return f"'{tag}' line before header"
-    if tag == "v":
-        if len(parts) != 3:
-            return "vertex line must be 'v <index> <color>'"
-        return "vertex fields must be integers"
-    if len(parts) not in (3, 4):
-        return "edge line must be 'e <u> <v> [<color>]'"
-    return "edge fields must be integers"
 
 
 def parse_wlg(text: str) -> ColoredGraph:
     """Parse WLG text into a ColoredGraph. Raises ParseError with line numbers."""
-    rec = _read_records(text, _WLG_LINES, "pve", ("wlg",), 3)
-    kind, f = rec.kind, rec.fields
-    index = np.arange(kind.shape[0])
-    heads = index[kind == 0]
-    h = int(heads[0]) if heads.size else kind.shape[0]
-    n, m, d = f[h].tolist() if heads.size else (0, 0, 0)
-    err = _FirstError()
-    err.check(heads[1:2], True, lambda r: "duplicate header")
-    err.check(heads[:1], n < 0 or m < 0 or d not in (0, 1), lambda r: "invalid header values")
-    # every record before the first header is a 'v' or 'e' line
-    err.check(index[:1], h > 0, lambda r: f"'{'pve'[kind[r]]}' line before header")
+    rec = Records(text, _WLG)
+    f = rec.fields
+    n, m, d = f[rec.heads[0]].tolist() if rec.heads.size else (0, 0, 0)
+    rec.check(rec.heads[:1], n < 0 or m < 0 or d not in (0, 1), lambda r: "invalid header values")
 
-    vs = index[(kind == 1) & (index > h)]
+    vs = rec.after(1)
     idx, col = f[vs, 0], f[vs, 1]
     bad_index = (idx < 0) | (idx >= n)
     bad_color = col < 0
-    err.check(vs, bad_index, lambda r: f"vertex index {f[r, 0]} out of range")
-    err.check(vs, bad_color, lambda r: "vertex color must be non-negative")
+    rec.check(vs, bad_index, lambda r: f"vertex index {f[r, 0]} out of range")
+    rec.check(vs, bad_color, lambda r: "vertex color must be non-negative")
     ok = ~(bad_index | bad_color)
     vs, idx, col = vs[ok], idx[ok], col[ok]
-    err.check(vs, _repeats(idx), lambda r: f"duplicate color line for vertex {f[r, 0]}")
+    rec.check(vs, repeats(idx), lambda r: f"duplicate color line for vertex {f[r, 0]}")
 
-    es = index[(kind == 2) & (index > h)]
+    es = rec.after(2)
     u, v, c = f[es].T
     bad_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     loop = u == v
     bad_color = c < 0
-    err.check(es, bad_range, lambda r: f"edge ({f[r, 0]},{f[r, 1]}) out of range")
-    err.check(es, loop, lambda r: f"self-loop at vertex {f[r, 0]}")
-    err.check(es, bad_color, lambda r: "edge color must be non-negative")
+    rec.check(es, bad_range, lambda r: f"edge ({f[r, 0]},{f[r, 1]}) out of range")
+    rec.check(es, loop, lambda r: f"self-loop at vertex {f[r, 0]}")
+    rec.check(es, bad_color, lambda r: "edge color must be non-negative")
     ok = ~(bad_range | loop | bad_color)
     es, u, v, c = es[ok], u[ok], v[ok], c[ok]
     if not d:
         u, v = np.minimum(u, v), np.maximum(u, v)
     edges = dict(zip(zip(u.tolist(), v.tolist()), c.tolist()))
     # the dict is one entry short for every repeated edge
-    err.check(es, len(edges) < es.shape[0] and _repeats(u, v),
+    rec.check(es, len(edges) < es.shape[0] and repeats(u, v),
               lambda r: f"duplicate edge ({f[r, 0]},{f[r, 1]})")
 
-    err.raise_first(rec)
-    if rec.bad is not None:
-        lineno, parts = rec.bad
-        raise ParseError(_wlg_line_error(parts, bool(heads.size)), lineno)
-    if not heads.size:
+    rec.finish()
+    if not rec.heads.size:
         raise ParseError("missing 'p wlg' header", 1)
     if len(edges) != m:
-        raise ParseError(f"header declares {m} edges, found {len(edges)}", rec.line(h))
+        line = rec.line(int(rec.heads[0]))
+        raise ParseError(f"header declares {m} edges, found {len(edges)}", line)
     colors = np.zeros(n, dtype=np.int64)
     colors[idx] = col
     return ColoredGraph._checked(
@@ -451,9 +309,7 @@ def parse_wlg(text: str) -> ColoredGraph:
 
 def serialize_wlg(g: ColoredGraph) -> str:
     """Canonical WLG serialization; parse(serialize(g)) == g."""
-    e = g.edge_array()
-    colored = [(i, c) for i, c in enumerate(g.vertex_colors) if c]
-    return _format_wlg(g.n, g.directed, colored, e[:, :2], e[:, 2])
+    return _format_wlg(g.n, g.directed, g.vertex_colors, g.edge_array())
 
 
 def serialize_wlg_relabeled(g: ColoredGraph, perm) -> str:
@@ -464,35 +320,31 @@ def serialize_wlg_relabeled(g: ColoredGraph, perm) -> str:
     pl = p.tolist()
     if p.shape != (n,) or sorted(pl) != list(range(n)):
         raise UnsupportedGraphError("relabel requires a permutation of 0..n-1")
-    colored = sorted((pl[i], c) for i, c in enumerate(g.vertex_colors) if c)
+    colors = [0] * n
+    for i, c in enumerate(g.vertex_colors):
+        colors[pl[i]] = c
     e = g.edge_array()
-    ends = p[e[:, :2]]
-    if not g.directed:
-        ends.sort(axis=1)
-    return _format_wlg(n, g.directed, colored, ends, e[:, 2])
-
-
-def _format_wlg(n: int, directed: bool, colored: list, ends: np.ndarray, c: np.ndarray) -> str:
-    """WLG text: header, the (index, color) pairs `colored` of the vertices
-    with a non-zero color, in index order, then the edges (ends[i, 0],
-    ends[i, 1], c[i]), normalized, in ascending order with color-0 fields
-    omitted."""
-    m = ends.shape[0]
-    order = np.argsort(ends @ (n, 1))  # edges are distinct pairs of 0..n-1
-    nonzero = np.count_nonzero(c)
-    if nonzero == 0:
-        rows, lines = ends[order], "e %d %d\n" * m
+    rows = e.copy()
+    u, v = p[e[:, 0]], p[e[:, 1]]
+    if g.directed:
+        rows[:, 0], rows[:, 1] = u, v
     else:
-        rows = np.column_stack((ends[order], c[order]))
-        if nonzero == m:
-            lines = "e %d %d %d\n" * m
-        else:
-            keep = np.ones(rows.shape, dtype=bool)
-            keep[:, 2] = has = rows[:, 2] != 0
-            lines = "".join(np.where(has, "e %d %d %d\n", "e %d %d\n").tolist())
-            rows = rows[keep]
-    template = f"p wlg {n} {m} {int(directed)}\n" + "v %d %d\n" * len(colored) + lines
-    return template % (*chain.from_iterable(colored), *rows.ravel().tolist())
+        np.minimum(u, v, out=rows[:, 0])
+        np.maximum(u, v, out=rows[:, 1])
+    return _format_wlg(n, g.directed, colors, rows)
+
+
+def _format_wlg(n: int, directed: bool, colors, rows: np.ndarray) -> str:
+    """WLG text: header, a `v` line for every non-zero entry of `colors`,
+    then the normalized edges (u, v, color) of `rows` in ascending order
+    with color-0 fields omitted."""
+    m = rows.shape[0]
+    rows = rows[np.argsort(rows[:, 0] * n + rows[:, 1])]  # distinct pairs of 0..n-1
+    # every edge line ends in its color field, so " 0\n" is a color-0 field
+    edges = ("e %d %d %d\n" * m % tuple(rows.ravel().tolist())).replace(" 0\n", "\n")
+    head = [f"p wlg {n} {m} {int(directed)}\n"]
+    head += [f"v {i} {c}\n" for i, c in enumerate(colors) if c]
+    return "".join(head) + edges
 
 
 # -- combinators -----------------------------------------------------------

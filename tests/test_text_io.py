@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -334,6 +335,23 @@ def test_scheme_parser_matches_the_line_reference_on_mutated_texts(data):
     assert_same_scheme_outcome(data.draw(mutated(serialize_scheme(c))))
 
 
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("ws", WHITESPACE, ids=[f"U+{ord(w):04X}" for w in WHITESPACE])
+def test_every_whitespace_character_splits_as_str_does(ws):
+    """Each character Python counts as whitespace, as a field separator, a
+    line end and both, next to a "\\r" and inside a comment."""
+    for text in [
+        f"p{ws}wlg 3 2 0\ne{ws}0 1\ne 1{ws}{ws}2{ws}\n",
+        f"p wlg 3 1 0{ws}e 0 1{ws}v 2 1",
+        f"p wlg 3 1 0\r{ws}e 0 1 # {ws} e 1 2\n{ws}\r\n",
+        f"p wlg 3 1 0{ws}{ws}e 0 1\ne 1 2",
+    ]:
+        assert_same_graph_outcome(text)
+    assert_same_scheme_outcome(f"p{ws}cc 1 1{ws}r 0{ws}0 0\r{ws}")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -371,6 +389,8 @@ def test_scheme_parser_matches_the_line_reference_on_mutated_texts(data):
         "p　wlg\xa02 1 0\ne\x1f0\t1\n",
         "p wlg 999999999999999999 0 0\ne 0 999999999999999999\n",
         "p wlg 3 0 0\nv 1 999999999999999999\nv 1 1\n",
+        "# two edges declared, one given\n\np wlg 3 2 0\nv 0 1\ne 0 1\n",
+        "p wlg 3 0 0\ne 0 1\n",
     ],
 )
 def test_wlg_parser_matches_the_line_reference_on_edge_cases(text):
@@ -521,3 +541,21 @@ def test_a_scheme_header_alone_allocates_nothing_of_its_size():
     got, peak = traced_peak(lambda: outcome(parse_scheme, "p cc 4000 1\n"))
     assert got == ("error", "expected 16000000 cells, found 0", None)
     assert peak < 1 << 20
+
+
+def test_parser_memory_stays_a_small_multiple_of_the_text():
+    # matching one regex group repeated over every line of the text grew the
+    # regex engine's stack by about 1.2 kB per line, 120 times the text
+    rng = random.Random(11)
+    n = 200
+    pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], 8000)
+    g = ColoredGraph(n, [(u, v, rng.randrange(3)) for u, v in pairs])
+    text = serialize_wlg(g)
+    got, peak = traced_peak(lambda: parse_wlg(text))
+    assert got == g
+    assert peak < 30 * len(text)
+    c = CoherentConfig(n=90, s=90, rel=np.arange(8100, dtype=np.int64).reshape(90, 90) % 90)
+    text = serialize_scheme(c)
+    got, peak = traced_peak(lambda: parse_scheme(text))
+    assert np.array_equal(got.rel, c.rel)
+    assert peak < 30 * len(text)
