@@ -10,6 +10,12 @@ same color ids whichever code scheme produced them.
 A round splits nothing exactly when every tuple's row equals the row of the
 first tuple of its class (`rows_agree_within_classes`); that compare stands in
 for the rank of the round that confirms stability.
+
+`dense_rank_rows` ranks rows of at most three columns whose column bit
+lengths sum to at most 62 (a k = 2 search node's first round, seeded initial
+colorings, k = 1 rows of degree at most 2) as one packed int64 key per row
+through `argsort`; every other row is sorted as big-endian bytes.  Both give
+the same ids.
 """
 from __future__ import annotations
 
@@ -55,25 +61,48 @@ def tuple_digits(n: int, k: int) -> list[np.ndarray]:
     return [(idx // (n ** (k - 1 - j))) % n for j in range(k)]
 
 
+def _key_bits(rows: np.ndarray) -> list[int] | None:
+    """Each column's bit length when rows of at most three columns pack into
+    one int64 key below _PACK_LIMIT, else None."""
+    if not 1 <= rows.shape[1] <= 3:
+        return None
+    bits = [int(top).bit_length() for top in rows.max(axis=0).tolist()]
+    return bits if 1 << sum(bits) <= _PACK_LIMIT else None
+
+
 def dense_rank_rows(rows: np.ndarray) -> np.ndarray:
     """Dense ids by lexicographic rank of int64 rows.
 
-    Non-negative entries only: rows are byte-swapped to big-endian and
-    sorted as raw bytes, which coincides with numeric lexicographic order.
+    Non-negative entries only.  Rows of at most three columns whose column
+    bit lengths sum to at most 62 are packed into one int64 key each, which
+    orders like the row, and the keys are argsorted.  Other rows are
+    byte-swapped to big-endian and sorted as raw bytes, which coincides with
+    numeric lexicographic order.
     """
     m = rows.shape[0]
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    rows = np.ascontiguousarray(rows)
-    view = rows.astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
-    # np.unique's steps, less its copy of the input
-    order = view.argsort(kind="stable")
-    del view  # the big-endian copy goes before the sorted rows are gathered
-    srt = rows[order]
+    bits = _key_bits(rows)
+    if bits is not None:
+        key = rows[:, 0].astype(np.int64)
+        for j in range(1, len(bits)):
+            key <<= bits[j]
+            key |= rows[:, j]
+        order = key.argsort()
+        srt = key[order]
+        differs = srt[1:] != srt[:-1]
+    else:
+        rows = np.ascontiguousarray(rows)
+        view = rows.astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
+        # np.unique's steps, less its copy of the input
+        order = view.argsort(kind="stable")
+        del view  # the big-endian copy goes before the sorted rows are gathered
+        srt = rows[order]
+        differs = np.any(srt[1:] != srt[:-1], axis=1)
+    del srt
     starts = np.empty(m, dtype=bool)
     starts[0] = True
-    starts[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-    del srt
+    starts[1:] = differs
     ids = np.empty(m, dtype=np.int64)
     ids[order] = starts.cumsum() - 1
     return ids

@@ -15,8 +15,33 @@ first checks whether anything splits: each tuple's exact row is compared
 with the row of the first tuple of its class.  When all agree the coloring
 is stable and the loop stops without ranking; the round that confirms
 stability thus costs a compare, not a sort of its n + 1 wide rows.  A
-k = 1 row is as narrow as a vertex's degree, so it is ranked at once and
-the loop stops when the ids come back unchanged.
+k >= 2 coloring with n^k classes cannot split, so the loop stops there
+without building a round.  A k = 1 row is as narrow as a vertex's degree,
+so it is ranked at once and the loop stops when the ids come back
+unchanged.
+
+A search node individualizes one vertex v on top of its parent's stable
+coloring `start`, and its first round then depends only on each tuple's
+relation to v (the first-round observation of McKay and Piperno's
+"Practical graph isomorphism, II"), so it costs O(n^k), not O(n^(k+1)).
+Let C be the seeded coloring, `start` met with the new vertex colors,
+which set apart only v from the vertex classes of `start`.  Because
+`start` is stable, all tuples of one class of C share one multiset of
+substitution vectors under `start`.  So a tuple t's row is that shared
+multiset, read in C, with one vector swapped: u(t), the vector x = v
+would give if v kept the color of the rest of its class, becomes the
+marked vector m(t) = (C(t[k-1:=v]), ..., C(t[0:=v])).  Within a class of
+C, m(t) fixes u(t) and the row, and orders like u(t).  v's new color is
+above the rest of its class, so m(t) > u(t), and of two rows the one with
+the larger m(t) is lexicographically smaller: their differences are
+{u(t'), m(t)} against {u(t), m(t')}, and the smallest of the four is the
+smaller u.  Ranking the k + 1 wide rows ``[C(t) | M - C(t[k-1:=v]) |
+... | M - C(t[0:=v])]``, M being C's class count, therefore gives the ids
+of the full round, and two tuples of a class agree there exactly when
+their full rows do.  `refine_k` finds v itself: under the new vertex
+colors every vertex class of `start` (read off its diagonal tuples) must
+keep one color, but for v, whose color is above the rest of its class.
+Any other `start` takes full rounds.
 
 For k = 1 tuples are vertices and a round's row is ``[previous color |
 sorted codes of the (neighbor color, edge code out, edge code in) triples]``,
@@ -185,13 +210,49 @@ def _vertex_color_array(g: ColoredGraph, vertex_colors) -> np.ndarray:
     return vc
 
 
+def _pivot(start: np.ndarray, vc: np.ndarray, n: int, k: int) -> int | None:
+    """The vertex v that `vc` alone sets apart from the vertex classes of
+    `start` (read off its diagonal tuples): every class has one color under
+    `vc`, but for v, whose color is above the rest of its class.  None when
+    `vc` differs from the classes in any other way."""
+    diag = start[np.arange(n) * sum(n**j for j in range(k))]
+    cls = np.unique(diag, return_inverse=True)[1]
+    low = np.full(int(cls.max()) + 1, int(vc.max()), dtype=np.int64)
+    np.minimum.at(low, cls, vc)
+    raised = np.flatnonzero(vc != low[cls])
+    return int(raised[0]) if raised.shape[0] == 1 else None
+
+
+def _pivot_rows(colors: np.ndarray, n: int, k: int, ncolors: int, v: int) -> np.ndarray:
+    """Rows ``[C(t) | M - C(t[k-1:=v]) | ... | M - C(t[0:=v])]`` with M =
+    `ncolors`: the first round after v is individualized, ranked in O(n^k)
+    (see the module docstring)."""
+    shape = (n,) * k
+    c = colors.reshape(shape)
+    rows = np.empty((n**k, k + 1), dtype=np.int64)
+    cols = rows.reshape(shape + (k + 1,))
+    cols[..., 0] = c
+    for i in range(k):
+        # C(t[j:=v]) for every t, broadcast along position j
+        cols[..., 1 + i] = ncolors - np.take(c, [v], axis=k - 1 - i)
+    return rows
+
+
 def stable_rounds(
-    colors: np.ndarray, n: int, k: int, nc: NeighborCodes | None = None
+    colors: np.ndarray,
+    n: int,
+    k: int,
+    nc: NeighborCodes | None = None,
+    pivot: int | None = None,
 ) -> tuple[np.ndarray, list[int]]:
     """Refine `colors`, dense ids of all n^k tuples, until a round splits
     nothing; returns the stable colors and the class count before the first
     round and after each splitting round.  A k = 1 round needs the graph's
-    neighbor codes `nc`."""
+    neighbor codes `nc`.  For k >= 2, `pivot` is a vertex individualized on
+    top of the stable coloring that `colors` was seeded from, and the first
+    round is built from it alone in O(n^k) (see the module docstring);
+    every later round is a full one.  A k >= 2 coloring with n^k classes is
+    stable without a round."""
     ncolors = int(colors.max()) + 1
     class_counts = [ncolors]
     while True:
@@ -200,7 +261,13 @@ def stable_rounds(
             if np.array_equal(ids, colors):
                 return colors, class_counts
         else:
-            rows = round_rows(colors, n, k, ncolors)
+            if ncolors == colors.shape[0]:
+                return colors, class_counts
+            if pivot is None:
+                rows = round_rows(colors, n, k, ncolors)
+            else:
+                rows = _pivot_rows(colors, n, k, ncolors, pivot)
+                pivot = None
             if rows_agree_within_classes(rows, colors, ncolors):
                 return colors, class_counts
             ids = dense_rank_rows(rows)
@@ -252,8 +319,9 @@ def refine_k(
         )
     if nc is not None and n * nc.base**2 >= _SENTINEL:
         raise ResourceLimitError("edge color space too large for the 1-dim round")
+    pivot = _pivot(np.asarray(start), vc, n, k) if start is not None and k >= 2 else None
     colors = dense_rank_rows(_initial_rows(g, k, vc, start))
-    colors, class_counts = stable_rounds(colors, n, k, nc)
+    colors, class_counts = stable_rounds(colors, n, k, nc, pivot)
     return TupleColoring(
         k=k, n=n, colors=colors, num_colors=class_counts[-1],
         rounds=len(class_counts) - 1, class_counts=class_counts,

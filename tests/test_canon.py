@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -14,8 +16,19 @@ from wlkit.canon import (
     individualize,
     serialize_in_order,
 )
+from wlkit.cfi import cfi_build
+from wlkit.cws import reduce_graph
 from wlkit.errors import ResourceLimitError
-from wlkit.families import bowtie, complete, cycle, path, petersen, random_graph
+from wlkit.families import (
+    bowtie,
+    complete,
+    complete_bipartite,
+    cycle,
+    hypercube,
+    path,
+    petersen,
+    random_graph,
+)
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel, serialize_wlg
 from wlkit.limits import DEFAULT_LIMITS
 from wlkit.oracle import aut_group_order, aut_order_oracle, is_automorphism
@@ -219,3 +232,44 @@ def test_depth_d_guards_its_budget():
     assert depth_d_1dim(cycle(5), 1, limits=enough).digest == depth_d_1dim(cycle(5), 1).digest
     with pytest.raises(ValueError):
         depth_d_1dim(cycle(4), -1)
+
+
+# -- pinned certificate bytes ------------------------------------------------------
+
+
+# SHA-256 of the certificates and reduction digests of `_pinned_graphs`,
+# computed before k >= 2 search nodes took their first round from the
+# individualized vertex alone; color ids, and so every digest, must not move
+PINNED_SHA256 = "cd8d72119de39e7dd06ccd4afee13721577ab33fa9167e6b55eb1362bf9f8b03"
+
+
+def _pinned_graphs():
+    k4 = complete(4)
+    twisted = cfi_build(k4, twisted=((0, 1),))[0]
+    graphs = [
+        cfi_build(k4)[0], twisted, random_relabel(twisted, seed=3)[0],
+        cfi_build(complete_bipartite(3, 3))[0], petersen(), hypercube(3), cycle(9),
+    ]
+    # a directed 6-cycle with alternating edge and vertex colors
+    arcs = [(i, (i + 1) % 6, i % 2) for i in range(6)]
+    graphs.append(ColoredGraph(6, arcs, True, [0, 1, 0, 1, 0, 1]))
+    # seeded random colored graphs, each beside a relabeled copy of itself
+    rng = random.Random(11)
+    for n, m in ((6, 7), (8, 14)):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [(u, v, rng.randrange(2)) for u, v in rng.sample(pairs, m)]
+        g = ColoredGraph(n, edges, vertex_colors=[rng.randrange(2) for _ in range(n)])
+        graphs.append(disjoint_union(g, random_relabel(g, seed=n)[0]))
+    return graphs
+
+
+def test_certificates_and_reduction_digests_are_pinned():
+    h = hashlib.sha256()
+    for g in _pinned_graphs():
+        for k in (1, 2):
+            for mode in ("fast", "verified", "canonical"):
+                c = certify(g, k, mode)
+                h.update(c.digest + repr((c.trace, c.orbit_flag, c.nodes)).encode("ascii"))
+            if not g.directed:
+                h.update(reduce_graph(g, k)[1].digest)
+    assert h.hexdigest() == PINNED_SHA256

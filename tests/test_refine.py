@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import wlkit.refine as refine_module
 from conftest import colored_graphs, same_partition, traced_peak
 from wlkit import kernels
+from wlkit.canon import certify
 from wlkit.errors import ResourceLimitError, UnsupportedGraphError
 from wlkit.families import (
     complete,
@@ -336,33 +337,94 @@ def reference_refine(g, k, vertex_colors=None, start=None):
         counts.append(len(index))
 
 
-@settings(max_examples=150, deadline=None)
-@given(colored_graphs(max_n=6), st.sampled_from((2, 3)), st.integers(0, 5), st.booleans())
-def test_refinement_matches_the_lexicographic_reference(case, k, v, seeded):
+@st.composite
+def recolorings(draw):
+    """Up to three recolorings, each applied on top of the previous stable
+    coloring: one vertex individualized (the first round then comes from
+    that vertex alone), or, for the fallback to full rounds, two vertices
+    individualized at once or one vertex recolored below the rest of its
+    class."""
+    steps = st.tuples(
+        st.sampled_from(("one", "one", "two", "below")),
+        st.integers(0, 5), st.integers(0, 5),
+    )
+    return draw(st.lists(steps, min_size=1, max_size=3))
+
+
+def recolored(colors: np.ndarray, kind: str, v: int, w: int) -> np.ndarray:
+    if kind == "one":
+        return individualized(colors, v)
+    if kind == "two":
+        return individualized(individualized(colors, v), w)
+    out = colors + 1
+    out[v] = 0
+    return out
+
+
+@st.composite
+def reference_graphs(draw):
+    """A colored graph, or a smaller one beside a relabeled copy of itself
+    (its vertex classes are never all singletons, so recolorings split
+    them)."""
+    if draw(st.booleans()):
+        return draw(colored_graphs(max_n=6))
+    g, cols = draw(colored_graphs(max_n=3))
+    g = g.with_vertex_colors(cols.tolist())
+    u = disjoint_union(g, g.relabel(draw(st.permutations(range(g.n)))))
+    return u, np.asarray(u.vertex_colors, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reference_graphs(), st.sampled_from((2, 3)), recolorings())
+def test_refinement_matches_the_lexicographic_reference(case, k, steps):
     g, cols = case
     if g.n == 0:
         return
     start = None
-    if seeded:
-        start = refine_k(g, k, vertex_colors=cols).colors
-        cols = individualized(cols, v % g.n)
-    ranked = []
+    for kind, v, w in [(None, 0, 0)] + steps:
+        if kind is not None:
+            # recolor vertices that share a class where there are any
+            vcls = vertex_classes(tc)
+            pool = np.flatnonzero(np.bincount(vcls)[vcls] >= 2)
+            pool = pool if pool.shape[0] else np.arange(g.n)
+            cols = recolored(cols, kind, int(pool[v % pool.shape[0]]), int(pool[w % pool.shape[0]]))
+        ranked = []
 
-    def spy(rows):
-        ranked.append(rows.shape[0])
-        return kernels.dense_rank_rows(rows)
+        def spy(rows):
+            ranked.append(rows.shape[0])
+            return kernels.dense_rank_rows(rows)
 
-    with mock.patch.object(refine_module, "dense_rank_rows", spy):
-        tc = refine_k(g, k, vertex_colors=cols, start=start)
-    colors, rounds, counts = reference_refine(g, k, cols, start)
-    # ids, not only the partition: every splitting round is ranked
-    # lexicographically, previous color first
-    assert np.array_equal(tc.colors, colors)
-    assert tc.rounds == rounds
-    assert tc.class_counts == counts
-    # the initial coloring and each splitting round are ranked; the round
-    # that finds nothing to split is not
-    assert len(ranked) == 1 + rounds
+        with mock.patch.object(refine_module, "dense_rank_rows", spy):
+            tc = refine_k(g, k, vertex_colors=cols, start=start)
+        colors, rounds, counts = reference_refine(g, k, cols, start)
+        # ids, not only the partition: every splitting round is ranked
+        # lexicographically, previous color first
+        assert np.array_equal(tc.colors, colors)
+        assert tc.rounds == rounds
+        assert tc.class_counts == counts
+        # the initial coloring and each splitting round are ranked; the round
+        # that finds nothing to split is not
+        assert len(ranked) == 1 + rounds
+        start = tc.colors
+
+
+def test_an_individualized_child_takes_its_first_round_from_the_vertex(cfi_k4):
+    g = cfi_k4[0]
+    root = refine_2(g)
+    base = np.asarray(g.vertex_colors, dtype=np.int64)
+    v = int(np.flatnonzero(vertex_classes(root) == 0)[0])
+    calls = []
+
+    def rows_spy(colors, *args):
+        calls.append(int(colors.max()) + 1)
+        return kernels.round_rows(colors, *args)
+
+    with mock.patch.object(refine_module, "round_rows", rows_spy):
+        child = refine_2(g, vertex_colors=individualized(base, v), start=root.colors)
+    # round 1 came from v alone; every later round, and the stop check,
+    # built full rows from the classes round 1 left
+    assert child.rounds >= 2
+    assert calls == child.class_counts[1:]
 
 
 @settings(max_examples=60, deadline=None)
@@ -399,9 +461,13 @@ def test_pair_rows_are_the_gather_form():
         )
 
 
-def test_pair_rounds_keep_no_gather_matrices():
+def test_pair_rounds_keep_no_gather_matrices(cfi_k4):
     kernels._IDX_CACHE.clear()
     refine_2(random_graph(9, 0.5, seed=1))
+    root = refine_2(cycle(8))
+    refine_2(cycle(8), vertex_colors=individualized(np.zeros(8, dtype=np.int64), 0),
+             start=root.colors)
+    certify(cfi_k4[0], 2, "canonical")
     refine_k(random_graph(5, 0.5, seed=1), 3)
     assert list(kernels._IDX_CACHE) == [(5, 3)]
 
@@ -556,7 +622,11 @@ def test_table_rounds_match_packed_rounds(case, k, v):
             mock.patch.object(kernels, "dense_rank_rows", rank_spy):
         table = refine_k(g, k, vertex_colors=cols)
         table_child = refine_k(g, k, vertex_colors=child, start=table.colors)
-    assert rounds and widths == [k] * len(rounds)
+    # every round that runs ranks k-wide vectors; a coloring discrete from
+    # the start is stable without a round
+    assert widths == [k] * len(rounds)
+    initial = kernels.dense_rank_rows(refine_module._initial_rows(g, k, cols))
+    assert bool(rounds) != (int(initial.max()) + 1 == g.n**k)
     # table codes are lexicographic ranks, order-isomorphic to packed ones,
     # so the ids (not only the partitions) agree
     assert np.array_equal(packed.colors, table.colors)
@@ -647,9 +717,10 @@ def test_stable_names_match_the_record_based_reference(pair):
     assert (sorted(names[0]) == sorted(names[1])) == (sorted(refs[0]) == sorted(refs[1]))
 
 
-def test_dense_rank_rows_matches_np_unique():
-    # reference: np.unique on the big-endian byte view of each row
-    rng = np.random.default_rng(7)
+def dense_rank_cases(rng):
+    """Random rows, wide duplicate-heavy rows, and rows of one to three
+    columns whose column bit lengths sum to 62 (they pack into one key) or
+    63 (they take the byte path)."""
     for trial in range(400):
         hi = (2, 7, 2**40)[trial % 3]
         if trial < 300:
@@ -663,9 +734,26 @@ def test_dense_rank_rows_matches_np_unique():
             distinct = np.vstack([distinct, distinct])
             distinct[distinct.shape[0] // 2 :, -1] += 1
             rows = distinct[rng.integers(0, distinct.shape[0], size=m)]
+        yield trial, rows
+    boundary = ((62,), (63,), (31, 31), (31, 32), (20, 21, 21), (21, 21, 21), (1, 60, 1), (2, 60, 1))
+    for trial in range(160):
+        bits = boundary[trial % len(boundary)]
+        m, d = int(rng.integers(1, 60)), int(rng.integers(1, 8))
+        distinct = np.column_stack(
+            [rng.integers(0, (1 << b) - 1, size=d, endpoint=True) for b in bits]
+        )
+        rows = distinct[rng.integers(0, d, size=m)]
+        rows[int(rng.integers(0, m))] = [(1 << b) - 1 for b in bits]  # each column's top
+        assert (kernels._key_bits(rows) is None) == (sum(bits) > 62)
+        yield trial, rows
+
+
+def test_dense_rank_rows_matches_np_unique():
+    # reference: np.unique on the big-endian byte view of each row
+    for trial, rows in dense_rank_cases(np.random.default_rng(7)):
         if trial % 2:
             rows = rows[:, ::-1]  # a non-contiguous view
-        view = np.ascontiguousarray(rows).astype(">i8").view(f"V{8 * w}").ravel()
+        view = np.ascontiguousarray(rows).astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
         _, inverse = np.unique(view, return_inverse=True)
         ids = kernels.dense_rank_rows(rows)
         assert ids.dtype == np.int64
