@@ -112,18 +112,26 @@ def _child_colors(colors: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-def _fast_leaf(g, k, colors, start, limits, stats, trace=None):
-    """Descend greedily to a discrete coloring; returns (leaf bytes, order)."""
+def _fast_leaf(g, k, colors, start, limits, stats, trace=None, on_siblings=None):
+    """Descend greedily to a discrete coloring; returns the leaf bytes.
+    `on_siblings`, when given, is called at every level with the digests of
+    the fast leaves below each member of the target class."""
     n = g.n
     while True:
         _count_node(stats, limits, "certificate")
         tc, pv = _refine_node(g, k, colors, start, limits)
         if pv.num_colors == n:
-            order = np.argsort(pv.colors)
-            return serialize_in_order(g, order), order
+            return serialize_in_order(g, np.argsort(pv.colors))
         cid, members = _target_class(pv.colors)
         if trace is not None:
             trace.append((cid, len(members)))
+        if on_siblings is not None:
+            on_siblings([
+                hashlib.sha256(_fast_leaf(
+                    g, k, _child_colors(colors, w), tc.colors, limits, stats,
+                )).digest()
+                for w in members
+            ])
         colors, start = _child_colors(colors, members[0]), tc.colors
 
 
@@ -247,38 +255,17 @@ def certify(
         return Certificate(digest=digest, k=k, mode=mode, n=0)
     stats = SearchStats()
     base = np.asarray(g.vertex_colors, dtype=np.int64)
-    if mode == "fast":
+    if mode != "canonical":
         trace: list[tuple[int, int]] = []
-        leafb, _ = _fast_leaf(g, k, base, None, limits, stats, trace)
-        return Certificate(
-            digest=hashlib.sha256(leafb).digest(), k=k, mode=mode, n=n,
-            trace=tuple(trace), nodes=stats.nodes,
+        levels: list[list[bytes]] = []  # verified: each level's sibling digests
+        leafb = _fast_leaf(
+            g, k, base, None, limits, stats, trace,
+            levels.append if mode == "verified" else None,
         )
-    if mode == "verified":
-        colors, start = base, None
-        trace = []
-        orbit_flag = False
-        while True:
-            _count_node(stats, limits, "certificate")
-            tc, pv = _refine_node(g, k, colors, start, limits)
-            if pv.num_colors == n:
-                order = np.argsort(pv.colors)
-                leafb = serialize_in_order(g, order)
-                break
-            cid, members = _target_class(pv.colors)
-            digests = []
-            for w in members:
-                wb, _ = _fast_leaf(
-                    g, k, _child_colors(colors, w), tc.colors, limits, stats,
-                )
-                digests.append(hashlib.sha256(wb).digest())
-            if len(set(digests)) > 1:
-                orbit_flag = True
-            trace.append((cid, len(members)))
-            colors, start = _child_colors(colors, members[0]), tc.colors
         return Certificate(
             digest=hashlib.sha256(leafb).digest(), k=k, mode=mode, n=n,
-            trace=tuple(trace), orbit_flag=orbit_flag, nodes=stats.nodes,
+            trace=tuple(trace), orbit_flag=any(len(set(ds)) > 1 for ds in levels),
+            nodes=stats.nodes,
         )
     best, stats = _canonical_search(g, k, limits)
     return Certificate(

@@ -1,5 +1,13 @@
 """Refinement round kernels for k >= 2 and the dense rank they feed.
 
+A k-tuple coloring of n vertices is held as n^k colors in rank order, the
+rank of (t_0, ..., t_{k-1}) being its base-n number, first position most
+significant.  Reshaped to the ``(n,) * k`` grid, ``grid[t] = C(t)``.  For
+each position j, `substitution_view` moves axis j of the grid to the end
+and puts a length-1 axis in its place: that view holds C(t[j:=x]) at
+``[t_0, ..., t_{k-1}, x]``, broadcast along position j.  It is a view, so
+reading the substitutions costs no gather and no index array.
+
 `round_rows` builds, for every k-tuple, the row ``[previous color | sorted
 substitution codes]``.  A substitution code encodes the k-vector of previous
 colors obtained by substituting one vertex x into the tuple, ordered from the
@@ -29,36 +37,11 @@ def backend_name() -> str:
     return "python"
 
 
-def packable(base: int, k: int) -> bool:
-    return base**k < _PACK_LIMIT
-
-
-_IDX_CACHE: dict[tuple[int, int], list[np.ndarray]] = {}
-
-
-def index_matrices(n: int, k: int) -> list[np.ndarray]:
-    """Per-position gather indices: mats[j][T, x] = rank of T with slot j := x."""
-    key = (n, k)
-    mats = _IDX_CACHE.get(key)
-    if mats is None:
-        idx = np.arange(n**k, dtype=np.int64)
-        xs = np.arange(n, dtype=np.int64)
-        mats = []
-        for j in range(k):
-            stride = n ** (k - 1 - j)
-            digit = (idx // stride) % n
-            base = idx - digit * stride
-            mats.append(base[:, None] + xs[None, :] * stride)
-        if len(_IDX_CACHE) >= 4:
-            _IDX_CACHE.clear()
-        _IDX_CACHE[key] = mats
-    return mats
-
-
-def tuple_digits(n: int, k: int) -> list[np.ndarray]:
-    """digits[j][T] = vertex at position j of the rank-T tuple."""
-    idx = np.arange(n**k, dtype=np.int64)
-    return [(idx // (n ** (k - 1 - j))) % n for j in range(k)]
+def substitution_view(grid: np.ndarray, j: int) -> np.ndarray:
+    """C(t[j:=x]) at ``[t_0, ..., t_{k-1}, x]`` for the ``(n,) * k`` color
+    grid, length 1 along position j."""
+    axes = [a for a in range(grid.ndim) if a != j] + [j]
+    return grid.transpose(axes)[(slice(None),) * j + (None,)]
 
 
 def _key_bits(rows: np.ndarray) -> list[int] | None:
@@ -119,33 +102,27 @@ def rows_agree_within_classes(rows: np.ndarray, colors: np.ndarray, ncolors: int
 def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray:
     """The exact rows of one k-dim refinement round: (n^k, 1+n) int64, column
     0 the previous color, the rest the sorted substitution codes.  Codes are
-    base-`ncolors` packed vectors when they fit in int64, else the dense
-    ranks of the vectors."""
+    base-`ncolors` packed vectors, position j weighted base^j, when they fit
+    in int64, else the dense ranks of the vectors."""
     if k < 2:
         raise ValueError("round_rows handles k >= 2 only")
     nk = colors.shape[0]
     base = max(2, int(ncolors))
+    grid = colors.reshape((n,) * k)
     out = np.empty((nk, n + 1), dtype=np.int64)
     out[:, 0] = colors
-    if packable(base, k):
-        if k == 2:
-            # codes[(a, b), x] = C[a, x] * base + C[x, b]
-            c = colors.reshape(n, n)
-            codes = out.reshape(n, n, n + 1)[:, :, 1:]
-            np.add((c * base)[:, None, :], c.T[None, :, :], out=codes)
-        else:
-            mats = index_matrices(n, k)
-            codes = colors[mats[k - 1]]
-            for j in range(k - 2, -1, -1):
-                codes *= base
-                codes += colors[mats[j]]
-            out[:, 1:] = codes
+    if base**k < _PACK_LIMIT:
+        # the weights go on the n^k grid; only the sums are n^(k+1) wide
+        views = [substitution_view(grid * base**j, j) for j in range(k)]
+        codes = out.reshape((n,) * k + (n + 1,))[..., 1:]
+        np.add(views[k - 1], views[k - 2], out=codes)
+        for view in views[: k - 2]:
+            codes += view
     else:
         # overflow-safe path: rank the substitution vectors instead of packing
-        mats = index_matrices(n, k)
-        stacked = np.empty((nk, n, k), dtype=np.int64)
+        stacked = np.empty((n,) * k + (n, k), dtype=np.int64)
         for t in range(k):
-            stacked[..., t] = colors[mats[k - 1 - t]]
+            stacked[..., t] = substitution_view(grid, k - 1 - t)
         out[:, 1:] = dense_rank_rows(stacked.reshape(nk * n, k)).reshape(nk, n)
     out[:, 1:].sort(axis=1)
     return out

@@ -7,6 +7,18 @@ current colors obtained by replacing one position at a time (last position
 first) with a vertex x, collected over all x.  The process stops when the
 partition stops splitting.
 
+The colors of all n^k tuples are held in rank order (a tuple's base-n
+number, first position most significant), which is the ``(n,) * k`` tuple
+grid read row-major.  For k >= 2 every read of C(t[j:=x]) is a
+substitution view of that grid (`kernels.substitution_view`): a full
+round's rows on both code schemes, and the first round after
+individualization, which reads the views at x = v.  The initial rows
+broadcast eye(n), the pair codes and the vertex colors over the grid,
+`similar_k` compares two corner blocks of it, and `export_text` and `lift`
+enumerate tuples with `itertools.product`, which yields them in rank
+order.  No index array is built, and nothing a round allocates outlives
+the round, for any k.
+
 Every k runs one round loop (`stable_rounds`), and so does the coherent
 closure.  A round's rows are dense-ranked lexicographically, previous color
 first, so a color id is the rank of its row among the round's rows, and a
@@ -56,6 +68,7 @@ substitution rows.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -67,11 +80,24 @@ from .kernels import (
     dense_rank_rows,
     round_rows,
     rows_agree_within_classes,
-    tuple_digits,
+    substitution_view,
 )
 from .limits import DEFAULT_LIMITS, Limits
 
 _SENTINEL = 2**62
+
+
+def _tuple_rank(tup: Sequence[int], n: int, k: int) -> int:
+    """Rank of a k-tuple of vertices: its base-n number, first position most
+    significant."""
+    if len(tup) != k:
+        raise ValueError(f"expected a {k}-tuple")
+    idx = 0
+    for v in tup:
+        if not 0 <= v < n:
+            raise ValueError("vertex out of range")
+        idx = idx * n + v
+    return idx
 
 
 @dataclass
@@ -87,25 +113,18 @@ class TupleColoring:
     class_counts: list[int]
 
     def rank(self, tup: Sequence[int]) -> int:
-        if len(tup) != self.k:
-            raise ValueError(f"expected a {self.k}-tuple")
-        idx = 0
-        for v in tup:
-            if not 0 <= v < self.n:
-                raise ValueError("vertex out of range")
-            idx = idx * self.n + v
-        return idx
+        return _tuple_rank(tup, self.n, self.k)
 
     def color_of(self, tup: Sequence[int]) -> int:
         return int(self.colors[self.rank(tup)])
 
     def export_text(self) -> str:
         """One line per tuple: `t v1 ... vk color`, tuples in rank order."""
-        digits = tuple_digits(self.n, self.k)
-        lines = []
-        for idx in range(self.n**self.k):
-            vs = " ".join(str(int(d[idx])) for d in digits)
-            lines.append(f"t {vs} {int(self.colors[idx])}")
+        tuples = itertools.product(range(self.n), repeat=self.k)
+        lines = [
+            f"t {' '.join(map(str, tup))} {c}"
+            for tup, c in zip(tuples, self.colors.tolist())
+        ]
         return "\n".join(lines) + "\n"
 
 
@@ -119,12 +138,7 @@ class ProjectedColoring:
     num_colors: int
 
     def color_of(self, tup: Sequence[int]) -> int:
-        idx = 0
-        for v in tup:
-            if not 0 <= v < self.n:
-                raise ValueError("vertex out of range")
-            idx = idx * self.n + v
-        return int(self.colors[idx])
+        return int(self.colors[_tuple_rank(tup, self.n, self.t)])
 
 
 @dataclass
@@ -156,23 +170,26 @@ def _initial_rows(
     g: ColoredGraph, k: int, vc: np.ndarray, start: np.ndarray | None = None
 ) -> np.ndarray:
     """Feature rows for all n^k tuples (dense-rankable): the iso type under
-    vertex colors `vc`, or `[start | vc at each position]` when seeded."""
-    digits = tuple_digits(g.n, k)
+    vertex colors `vc`, or `[start | vc at each position]` when seeded.
+    Each column is eye(n), the pair codes or `vc` laid along its positions
+    and broadcast over the tuple grid."""
+    n = g.n
+    # digits[i] is the vertex at position i, n long along axis i
+    digits = np.indices((n,) * k, sparse=True)
     if start is not None:
-        cols = [np.asarray(start, dtype=np.int64)]
+        cols = [np.reshape(start, (n,) * k)]
     else:
-        cols = [
-            (digits[i] == digits[j]).astype(np.int64)
-            for i in range(k) for j in range(i + 1, k)
-        ]
+        cols = [digits[i] == digits[j] for i in range(k) for j in range(i + 1, k)]
         # a vertex has no position pairs, so k = 1 builds no pair codes
         cols += [
             g.pair_codes()[digits[i], digits[j]]
             for i in range(k) for j in range(k) if i != j
         ]
-    for i in range(k):
-        cols.append(vc[digits[i]])
-    return np.column_stack(cols)
+    cols += [vc[digits[i]] for i in range(k)]
+    rows = np.empty((n,) * k + (len(cols),), dtype=np.int64)
+    for c, col in enumerate(cols):
+        rows[..., c] = col
+    return rows.reshape(n**k, len(cols))
 
 
 def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
@@ -227,14 +244,12 @@ def _pivot_rows(colors: np.ndarray, n: int, k: int, ncolors: int, v: int) -> np.
     """Rows ``[C(t) | M - C(t[k-1:=v]) | ... | M - C(t[0:=v])]`` with M =
     `ncolors`: the first round after v is individualized, ranked in O(n^k)
     (see the module docstring)."""
-    shape = (n,) * k
-    c = colors.reshape(shape)
+    grid = colors.reshape((n,) * k)
     rows = np.empty((n**k, k + 1), dtype=np.int64)
-    cols = rows.reshape(shape + (k + 1,))
-    cols[..., 0] = c
+    cols = rows.reshape((n,) * k + (k + 1,))
+    cols[..., 0] = grid
     for i in range(k):
-        # C(t[j:=v]) for every t, broadcast along position j
-        cols[..., 1 + i] = ncolors - np.take(c, [v], axis=k - 1 - i)
+        cols[..., 1 + i] = ncolors - substitution_view(grid, k - 1 - i)[..., v]
     return rows
 
 
@@ -403,10 +418,7 @@ def lift(
                 "pass explicit tuples",
                 required=n**t, cap=limits.lift_tuples,
             )
-        digits = tuple_digits(n, t)
-        tuples = (
-            tuple(int(d[idx]) for d in digits) for idx in range(n**t)
-        )
+        tuples = itertools.product(range(n), repeat=t)
     for tup in tuples:
         tup = tuple(tup)
         if len(tup) != t:
@@ -424,21 +436,16 @@ def similar_k(
 ) -> bool:
     """True when no k-dim refinement invariant separates g and h: run the
     refinement on the disjoint union and compare the color multisets of the
-    all-in-g and all-in-h tuples."""
+    all-in-g and all-in-h tuples, the two corner blocks of the tuple grid."""
     if g.n != h.n or g.directed != h.directed:
         return False
     if g.n == 0:
         return True
     u = disjoint_union(g, h)
     tc = refine_k(u, k, limits=limits)
-    digits = tuple_digits(u.n, k)
-    in_g = np.ones(u.n**k, dtype=bool)
-    in_h = np.ones(u.n**k, dtype=bool)
-    for d in digits:
-        in_g &= d < g.n
-        in_h &= d >= g.n
-    cg = np.sort(tc.colors[in_g])
-    ch = np.sort(tc.colors[in_h])
+    grid = tc.colors.reshape((u.n,) * k)
+    cg = np.sort(grid[(slice(None, g.n),) * k], axis=None)
+    ch = np.sort(grid[(slice(g.n, None),) * k], axis=None)
     return bool(np.array_equal(cg, ch))
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import wlkit.refine as refine_module
 from conftest import colored_graphs, same_partition, traced_peak
 from wlkit import kernels
-from wlkit.canon import certify
 from wlkit.errors import ResourceLimitError, UnsupportedGraphError
 from wlkit.families import (
     complete,
@@ -293,6 +293,18 @@ def test_rejects_bad_k():
         refine_k(cycle(4), 0)
 
 
+def test_tuple_lookups_check_their_tuples():
+    tc = refine_k(cycle(5), 3)
+    pc = project(tc, 2)
+    assert tc.color_of((1, 2, 3)) == tc.colors[1 * 25 + 2 * 5 + 3]
+    assert pc.color_of((4, 0)) == pc.colors[4 * 5 + 0]
+    for lookup, k in ((tc.color_of, 3), (pc.color_of, 2)):
+        with pytest.raises(ValueError, match=f"expected a {k}-tuple"):
+            lookup((0,) * (k + 1))
+        with pytest.raises(ValueError, match="vertex out of range"):
+            lookup((0,) * (k - 1) + (5,))
+
+
 # -- export ------------------------------------------------------------------------
 
 
@@ -443,33 +455,54 @@ def test_initial_rows_are_the_iso_types(case, k, seeded):
     assert rows.tolist() == want
 
 
-def test_pair_rows_are_the_gather_form():
-    # k = 2 rows are built from the n x n color matrix; they must equal the
-    # index-matrix gathers that k >= 3 uses, on both code schemes
+def reference_round_rows(colors, n, k, ncolors):
+    """`round_rows` through explicit gather indices: mat[T, x] is the rank
+    of tuple T with position j set to x, and position j is weighted base^j."""
+    idx = np.arange(n**k, dtype=np.int64)
+    xs = np.arange(n, dtype=np.int64)
+    base = max(2, ncolors)
+    codes = np.zeros((n**k, n), dtype=np.int64)
+    for j in range(k - 1, -1, -1):
+        stride = n ** (k - 1 - j)
+        digit = (idx // stride) % n
+        mat = (idx - digit * stride)[:, None] + xs[None, :] * stride
+        codes = codes * base + colors[mat]
+    codes.sort(axis=1)
+    return np.column_stack([colors, codes])
+
+
+def test_round_rows_match_the_gather_form():
+    # the grid views must read the same substitutions as the gathers, on
+    # both code schemes; k = 4 has no other reference
     rng = np.random.default_rng(5)
-    for n in range(1, 8):
-        colors = rng.integers(0, 50, size=n * n)
-        mats = kernels.index_matrices(n, 2)
-        codes = colors[mats[1]] * 50 + colors[mats[0]]
-        codes.sort(axis=1)
-        packed = kernels.round_rows(colors, n, 2, 50)
-        assert np.array_equal(packed, np.column_stack([colors, codes]))
-        with mock.patch.object(kernels, "_PACK_LIMIT", 1):
-            table = kernels.round_rows(colors, n, 2, 50)
-        assert np.array_equal(
-            kernels.dense_rank_rows(table), kernels.dense_rank_rows(packed)
-        )
+    for k, sizes in ((2, range(1, 8)), (3, range(1, 6)), (4, range(1, 5))):
+        for n in sizes:
+            colors = rng.integers(0, 50, size=n**k)
+            want = reference_round_rows(colors, n, k, 50)
+            assert np.array_equal(kernels.round_rows(colors, n, k, 50), want)
+            with mock.patch.object(kernels, "_PACK_LIMIT", 1):
+                table = kernels.round_rows(colors, n, k, 50)
+            # table codes are the dense ranks of the packed ones
+            assert np.array_equal(table[:, 0], colors)
+            codes = want[:, 1:]
+            assert np.array_equal(table[:, 1:], np.searchsorted(np.unique(codes), codes))
 
 
-def test_pair_rounds_keep_no_gather_matrices(cfi_k4):
-    kernels._IDX_CACHE.clear()
-    refine_2(random_graph(9, 0.5, seed=1))
-    root = refine_2(cycle(8))
-    refine_2(cycle(8), vertex_colors=individualized(np.zeros(8, dtype=np.int64), 0),
-             start=root.colors)
-    certify(cfi_k4[0], 2, "canonical")
-    refine_k(random_graph(5, 0.5, seed=1), 3)
-    assert list(kernels._IDX_CACHE) == [(5, 3)]
+def test_refinement_keeps_nothing_after_it_returns():
+    # no round's arrays, and no index arrays, outlive the call; a round's
+    # peak stays within the estimate the memory budget is checked against
+    for n, k in ((40, 2), (80, 2), (20, 3), (30, 3)):
+        g = random_graph(n, 0.5, seed=1)
+        g.pair_codes()  # the graph's own cache is not the refinement's
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            refine_k(g, k)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - base < 2**20, (n, k)
+        assert peak - base <= refine_module._estimate_bytes(n, k), (n, k)
 
 
 @settings(max_examples=300, deadline=None)
