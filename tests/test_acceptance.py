@@ -278,7 +278,7 @@ def test_criterion_10_strongly_regular_pair():
 
 def test_criterion_11_scaling_smoke():
     t0 = time.time()
-    rows = run_bench(sizes=(20, 40, 80), k=2, repeats=5)
+    rows = run_bench(sizes=(40, 80, 160), k=2, repeats=5)
     exponent = fit_exponent(rows)
     assert 2.2 <= exponent <= 4.2
     _report(11, f"runtime exponent {exponent:.2f} within [2.2, 4.2]", t0)
