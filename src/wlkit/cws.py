@@ -7,6 +7,16 @@ same-colored group of S disagrees (its pair codes to or from w are not all
 equal); the result is the minimal CWS superset.  A CWS set is prime when
 every same-colored pair inside it closes to exactly the whole set.
 
+Closures run on bit-sliced pair codes.  For each vertex v, bit b of every
+code p[v, w] is packed along w into one row of uint64 words (plane b), and a
+directed graph adds the planes of p[w, v]; a vertex set is a row of the same
+width.  The vertices on which u and r disagree are then the XOR of their
+planes, ORed over the planes.  One scan per level (`_Scan`) closes every
+classmate pair of a scanned class in one batch, caches each closure as its
+packed row (`bytes`) and decides primality from those rows.  Frozensets are
+built only for what leaves the module: `closure`, `cws_spectrum`,
+`CWSRecord.vertices` and `Level.pieces`.
+
 `reduce_graph` repeats: refine, contract twin groups, contract overlap blocks
 (vertices whose pair closures give several distinct primes), then contract
 the prime pieces found by the scan, each piece replaced by one vertex whose
@@ -21,6 +31,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -107,109 +119,211 @@ def _dense_classes(cols: np.ndarray) -> np.ndarray:
     return np.unique(cols, return_inverse=True)[1].reshape(-1)
 
 
-# seeds closed together are capped at this many cells of seeds x n x n, which
-# bounds the row gathers of one fixpoint step (the n x n pair codes at most)
-_BATCH_CELLS = 1 << 18
+def _class_members(cols: np.ndarray) -> list[np.ndarray]:
+    """The indices holding each class color, increasing, by ascending color."""
+    dense = _dense_classes(cols)
+    order = np.argsort(dense, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(dense))[:-1])
 
 
-def _closures(p: np.ndarray, cls: np.ndarray, seeds: list, directed: bool) -> list[frozenset[int]]:
-    """Least CWS superset of every seed; `cls` holds dense class ids.
+# A vertex set is a packed row: bit v % 8 of byte v // 8 stands for vertex v,
+# in whole uint64 words, cached as `bytes`.  Seeds closed in one batch keep a
+# few rows and one representative per class each; a fixpoint step gathers
+# the code rows of the vertices that joined in the step before, in runs.
+# Both are capped at this many bytes, or at one seed or one seed's joiners.
+_BATCH_BYTES = 1 << 22
+
+# the bits of each byte value, lowest first, and their count
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(bool)
+_POPCOUNT = _BYTE_BITS.sum(axis=1)
+
+
+def _bit_planes(p: np.ndarray, directed: bool) -> np.ndarray:
+    """(n, planes, words) uint64 bit-sliced pair codes: plane b of vertex v
+    packs bit b of p[v, w] over w, and a directed graph adds the planes of
+    p[w, v]."""
+    n = p.shape[0]
+    words = max(1, -(-n // 64))
+    nbits = max(1, int(p.max(initial=0)).bit_length())
+    sides = (p, p.T) if directed else (p,)
+    out = np.empty((n, len(sides) * nbits, 8 * words), dtype=np.uint8)
+    bits = np.zeros((n, 64 * words), dtype=bool)
+    for i, side in enumerate(sides):
+        for b in range(nbits):
+            np.not_equal(side & (1 << b), 0, out=bits[:, :n])
+            out[:, i * nbits + b] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def _bits_of(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, vertex) of every set bit of packed rows, in row-major order."""
+    octets = rows.view(np.uint8).reshape(-1)
+    at = np.flatnonzero(octets)
+    bit = np.flatnonzero(_BYTE_BITS[octets[at]])
+    at = at[bit >> 3]
+    row = at // (8 * rows.shape[1])
+    return row, (at - row * 8 * rows.shape[1]) * 8 + (bit & 7)
+
+
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of `ids` starts."""
+    edge = np.empty(ids.shape[0], dtype=bool)
+    edge[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=edge[1:])
+    return np.flatnonzero(edge)
+
+
+def _members(row: bytes) -> np.ndarray:
+    return _bits_of(np.frombuffer(row, np.uint64).reshape(1, -1))[1]
+
+
+def _vertex_set(row: bytes) -> frozenset[int]:
+    return frozenset(_members(row).tolist())
+
+
+def _closures(planes: np.ndarray, cls: np.ndarray, seeds: list) -> np.ndarray:
+    """Least CWS superset of every seed, one packed row each; `planes` comes
+    from `_bit_planes` and `cls` holds dense class ids.
 
     A vertex w outside S is forced in when some same-colored group of S
     disagrees on w: `p[grp, w]` (or `p[w, grp]` when directed) is not
     constant.  A group disagrees exactly where one of its members differs
     from any fixed member, so each class keeps one representative in S and
     every vertex that joins S is compared with its representative once.
-    Seeds are closed side by side, one row of S per seed.
+
+    Codes are non-negative and below 2^planes, so p[u, w] != p[r, w]
+    exactly when some bit b of the two differs, that is when bit w of
+    plane b of u XOR plane b of r is set.  ORing those XORs over the planes
+    (the in-code planes of a directed graph too) leaves bit w set exactly
+    where the int compare of the rows, or of the columns, says "differ".
+    Seeds are closed side by side, and a step reads only the rows of the
+    vertices that joined in the step before, so its cost follows what it
+    adds.
     """
-    n = p.shape[0]
-    step = max(1, _BATCH_CELLS // max(1, n * n))
-    out: list[frozenset[int]] = []
-    for lo in range(0, len(seeds), step):
-        chunk = [list(s) for s in seeds[lo : lo + step]]
-        inside = np.zeros((len(chunk), n), dtype=bool)
-        rep = np.full((len(chunk), n), -1, dtype=np.int64)
-        bb = np.repeat(np.arange(len(chunk)), [len(s) for s in chunk])
-        vv = np.asarray([v for s in chunk for v in s], dtype=np.int64)
-        while vv.size:
-            inside[bb, vv] = True
-            c = cls[vv]
-            fresh = rep[bb, c] < 0
-            rep[bb[fresh], c[fresh]] = vv[fresh]
-            r = rep[bb, c]
-            diff = p[vv] != p[r]
-            if directed:
-                diff |= (p[:, vv] != p[:, r]).T
-            # bb is sorted: OR each seed's rows together
-            first = np.flatnonzero(np.diff(bb, prepend=-1))
-            marked = np.zeros_like(inside)
-            marked[bb[first]] = np.logical_or.reduceat(diff, first, axis=0)
-            bb, vv = np.nonzero(marked & ~inside)
-        rows, members = np.nonzero(inside)
-        ends = np.cumsum(np.bincount(rows, minlength=len(chunk)))[:-1]
-        out.extend(frozenset(m.tolist()) for m in np.split(members, ends))
+    n, nplanes, words = planes.shape
+    planes = planes.reshape(n, nplanes * words)
+    out = np.zeros((len(seeds), words), dtype=np.uint64)
+    ncls = int(cls.max(initial=-1)) + 1
+    batch = max(1, _BATCH_BYTES // (32 * words + 4 * ncls))
+    gather = max(1, _BATCH_BYTES // (8 * (2 * nplanes * words + words + 8)))
+    for lo in range(0, len(seeds), batch):
+        chunk = seeds[lo : lo + batch]
+        inside = out[lo : lo + len(chunk)]
+        sizes = [len(s) for s in chunk]
+        vv = np.fromiter((v for s in chunk for v in s), dtype=np.int64, count=sum(sizes))
+        bb = np.repeat(np.arange(len(chunk)), sizes)
+        bit = np.left_shift(1, vv & 7).astype(np.uint8)
+        np.bitwise_or.at(inside.view(np.uint8), (bb, vv >> 3), bit)
+        # the representative of class c in seed b is rep[b * ncls + c]
+        rep = np.full(len(chunk) * ncls, -1, dtype=np.int32)
+        active = np.flatnonzero(inside.any(axis=1))
+        joined = np.take(inside, active, axis=0)
+        while active.size:
+            marked = np.zeros_like(joined)
+            cuts = [0, active.size]
+            if 64 * joined.size > gather:
+                # runs of seeds with about `gather` joining vertices each
+                counts = _POPCOUNT[joined.view(np.uint8)].sum(axis=1)
+                run = (np.cumsum(counts) - counts) // gather
+                cuts = _run_starts(run).tolist() + [active.size]
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                at, vv = _bits_of(joined[a:b])
+                key = active[a + at] * ncls + cls[vv]
+                fresh = rep[key] < 0
+                rep[key[fresh]] = vv[fresh]
+                r = rep[key]
+                keep = r != vv
+                if not keep.any():
+                    continue
+                at, vv, r = at[keep], vv[keep], r[keep]
+                diff = np.take(planes, vv, axis=0)
+                diff ^= np.take(planes, r, axis=0)
+                if nplanes > 1:
+                    diff = np.bitwise_or.reduce(diff.reshape(-1, nplanes, words), axis=1)
+                # at is sorted: OR each seed's rows together
+                first = _run_starts(at)
+                marked[a + at[first]] = np.bitwise_or.reduceat(diff, first, axis=0)
+            was = np.take(inside, active, axis=0)
+            marked &= ~was
+            inside[active] = was | marked
+            live = marked.any(axis=1)
+            active, joined = active[live], np.compress(live, marked, axis=0)
     return out
 
 
 class _Scan:
-    """Memoized pair closures and primality checks for one (graph, coloring)."""
+    """Memoized pair closures and primality checks for one (graph, coloring).
+    Closures are packed rows as `bytes`, so they hash and compare as keys."""
 
     def __init__(self, g: ColoredGraph, cols):
         self.g = g
         self.cls = _dense_classes(np.asarray(cols))
-        self.p = g.pair_codes()
-        self.cl: dict[tuple[int, int], frozenset[int]] = {}
-        self.prime: dict[frozenset[int], bool] = {}
+        self.cl: dict[tuple[int, int], bytes] = {}
+        self.prime: dict[bytes, bool] = {}
+
+    @cached_property
+    def planes(self) -> np.ndarray:
+        return _bit_planes(self.g.pair_codes(), self.g.directed)
+
+    def closures(self, seeds) -> list[bytes]:
+        return [row.tobytes() for row in _closures(self.planes, self.cls, seeds)]
 
     def close_pairs(self, pairs) -> None:
         """Close every uncached pair in one batch."""
         # `set - dict.keys()` would walk the whole cache on every call
         keys = {(x, y) if x < y else (y, x) for x, y in pairs}
         todo = sorted(key for key in keys if key not in self.cl)
-        self.cl.update(zip(todo, _closures(self.p, self.cls, todo, self.g.directed)))
+        if todo:
+            self.cl.update(zip(todo, self.closures(todo)))
 
-    def closure_pair(self, x: int, y: int) -> frozenset[int]:
+    def closure_pair(self, x: int, y: int) -> bytes:
         key = (x, y) if x < y else (y, x)
         if key not in self.cl:
             self.close_pairs([key])
         return self.cl[key]
 
-    def closures_of(self, x: int, ys) -> dict[frozenset[int], tuple[int, int]]:
+    def closures_of(self, x: int, ys) -> dict[bytes, tuple[int, int]]:
         """Distinct closures of x with each y, in order of first appearance,
         each mapped to the first pair (x, y) that gave it."""
         ys = list(ys)
         self.close_pairs((x, y) for y in ys)
-        out: dict[frozenset[int], tuple[int, int]] = {}
+        out: dict[bytes, tuple[int, int]] = {}
         for y in ys:
             out.setdefault(self.closure_pair(x, y), (x, y))
         return out
 
-    def is_prime(self, sset: frozenset[int]) -> bool:
-        """A CWS set (one that is its own closure) with a same-colored pair,
-        every such pair closing to exactly the set."""
-        got = self.prime.get(sset)
+    def is_prime(self, row: bytes) -> bool:
+        """Whether the closed set `row` (its own closure) has a same-colored
+        pair and every such pair closes to exactly the set."""
+        got = self.prime.get(row)
         if got is not None:
             return got
-        out = False
-        if len(sset) >= 2 and _closures(self.p, self.cls, [sset], self.g.directed)[0] == sset:
-            members = sorted(sset)
-            cls = self.cls[members].tolist()
-            pairs = [
-                (x, members[j])
-                for i, x in enumerate(members)
-                for j in range(i + 1, len(members))
-                if cls[i] == cls[j]
-            ]
-            # batches double in size, so a set that fails early costs at
-            # most twice the closures of checking pair by pair
-            out, lo, size = bool(pairs), 0, 1
-            while out and lo < len(pairs):
-                batch = pairs[lo : lo + size]
-                self.close_pairs(batch)
-                out = all(self.cl[pair] == sset for pair in batch)
-                lo, size = lo + size, 2 * size
-        self.prime[sset] = out
+        members = _members(row)
+        pairs = _classmate_pairs(members, self.cls[members]) if members.size >= 2 else []
+        # batches double in size, so a set that fails early costs at most
+        # twice the closures of checking pair by pair
+        out, lo, size = bool(pairs), 0, 1
+        while out and lo < len(pairs):
+            batch = pairs[lo : lo + size]
+            self.close_pairs(batch)
+            out = all(self.cl[pair] == row for pair in batch)
+            lo, size = lo + size, 2 * size
+        self.prime[row] = out
         return out
+
+
+def _classmate_pairs(members: np.ndarray, cls: np.ndarray) -> list[tuple[int, int]]:
+    """Every pair x < y of the increasing `members` within one class, sorted."""
+    xs, ys = [], []
+    for grp in _class_members(cls):
+        i, j = np.triu_indices(grp.size, 1)
+        xs.append(members[grp[i]])
+        ys.append(members[grp[j]])
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    order = np.lexsort((y, x))
+    return list(zip(x[order].tolist(), y[order].tolist()))
 
 
 def closure(g: ColoredGraph, coloring, seed) -> frozenset[int]:
@@ -219,7 +333,7 @@ def closure(g: ColoredGraph, coloring, seed) -> frozenset[int]:
     s = set(int(v) for v in seed)
     if not all(0 <= v < g.n for v in s):
         raise ValueError("seed vertex out of range")
-    return _closures(g.pair_codes(), _dense_classes(cols), [s], g.directed)[0]
+    return _vertex_set(_Scan(g, cols).closures([s])[0])
 
 
 def is_prime(g: ColoredGraph, coloring, s) -> bool:
@@ -227,7 +341,9 @@ def is_prime(g: ColoredGraph, coloring, s) -> bool:
     every same-colored pair inside closes to exactly s."""
     cols = _as_colors(g, coloring)
     sset = frozenset(int(v) for v in s)
-    return _Scan(g, cols).is_prime(sset)
+    scan = _Scan(g, cols)
+    row = scan.closures([sset])[0]
+    return _vertex_set(row) == sset and scan.is_prime(row)
 
 
 def cws_spectrum(g: ColoredGraph, coloring, v: int) -> list[frozenset[int]]:
@@ -236,7 +352,7 @@ def cws_spectrum(g: ColoredGraph, coloring, v: int) -> list[frozenset[int]]:
     if not 0 <= v < g.n:
         raise ValueError("vertex out of range")
     mates = [w for w in range(g.n) if w != v and cols[w] == cols[v]]
-    out = _Scan(g, cols).closures_of(v, mates)
+    out = [_vertex_set(row) for row in _Scan(g, cols).closures_of(v, mates)]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
@@ -458,29 +574,31 @@ def decompose(
         _refined_classes(g, k, limits) if coloring is None else _as_colors(g, coloring)
     )
     scan = _Scan(g, cols) if _scan is None else _scan
-    covered: set[int] = set()
+    covered = np.zeros(g.n, dtype=bool)
     records: list[CWSRecord] = []
-    for cid in sorted(set(int(c) for c in cols)):
+    for group in _class_members(cols):
         while True:
-            members = [v for v in range(g.n) if cols[v] == cid and v not in covered]
+            members = group[~covered[group]].tolist()
             if len(members) < 2:
                 break
             u = members[0]
             found = scan.closures_of(u, members[1:])
-            primes = {s: pair for s, pair in found.items() if scan.is_prime(s)}
+            primes = {row: pair for row, pair in found.items() if scan.is_prime(row)}
             if not primes:
                 break
             if len(primes) > 1:
-                sizes = sorted(len(s) for s in primes)
+                sizes = sorted(_members(row).size for row in primes)
                 raise DecompositionError(
                     f"vertex {u} closes to {len(primes)} distinct primes "
                     f"(sizes {sizes}); normalize overlaps first"
                 )
-            piece, pair = next(iter(primes.items()))
-            if piece & covered:
+            row, pair = next(iter(primes.items()))
+            inside = _members(row)
+            if covered[inside].any():
                 raise DecompositionError(
                     f"prime of vertex {u} intersects an accepted piece"
                 )
+            piece = frozenset(inside.tolist())
             records.append(
                 CWSRecord(
                     vertices=piece,
@@ -489,7 +607,7 @@ def decompose(
                     seed_pair=pair,
                 )
             )
-            covered |= piece
+            covered[inside] = True
     return records
 
 
@@ -500,25 +618,26 @@ def _overlap_blocks(
     bundled with the intersection of those primes."""
     if scan is None:
         scan = _Scan(g, cols)
-    blocks: list[frozenset[int]] = []
-    takenfrom: set[frozenset[int]] = set()
-    for cid in sorted(set(int(c) for c in cols)):
-        members = [v for v in range(g.n) if cols[v] == cid]
+    blocks: dict[bytes, None] = {}  # in order of discovery
+    for members in _class_members(cols):
         if len(members) < 3 or len(members) > limits.overlap_class_cap:
             continue
+        members = members.tolist()
+        scan.close_pairs(combinations(members, 2))
         for x in members:
             found = scan.closures_of(x, (y for y in members if y != x))
-            primes = [s for s in found if scan.is_prime(s)]
+            primes = [row for row in found if scan.is_prime(row)]
             if len(primes) >= 2:
-                block = frozenset.intersection(*primes)
-                if len(block) >= 2 and block not in takenfrom:
-                    takenfrom.add(block)
-                    blocks.append(block)
-    for i, a in enumerate(blocks):
-        for b in blocks[i + 1 :]:
-            if a & b:
-                raise DecompositionError("overlap blocks intersect each other")
-    return blocks
+                block = np.bitwise_and.reduce(
+                    np.frombuffer(b"".join(primes), np.uint8).reshape(len(primes), -1)
+                ).tobytes()
+                if _members(block).size >= 2:
+                    blocks.setdefault(block)
+    rows = [np.frombuffer(block, np.uint8) for block in blocks]
+    for i, a in enumerate(rows):
+        if any((a & b).any() for b in rows[i + 1 :]):
+            raise DecompositionError("overlap blocks intersect each other")
+    return [_vertex_set(block) for block in blocks]
 
 
 def _reduce(

@@ -61,13 +61,14 @@ def crown_graph() -> ColoredGraph:
 
 
 @st.composite
-def colored_graphs(draw, max_n: int = 8):
-    """Small graphs, either orientation, with edge colors and an arbitrary
-    (not necessarily stable) vertex coloring of up to three classes."""
+def colored_graphs(draw, max_n: int = 8, max_code: int = 2):
+    """Small graphs, either orientation, with pair codes 0..max_code (edge
+    colors below max_code) and an arbitrary (not necessarily stable) vertex
+    coloring of up to three classes."""
     n = draw(st.integers(0, max_n))
     directed = draw(st.booleans())
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
-    codes = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    codes = draw(st.lists(st.integers(0, max_code), min_size=len(pairs), max_size=len(pairs)))
     edges = [(u, v, c - 1) for (u, v), c in zip(pairs, codes) if c]
     cols = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     return ColoredGraph(n, edges, directed=directed), np.asarray(cols, dtype=np.int64)

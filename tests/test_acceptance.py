@@ -25,7 +25,7 @@ from wlkit.coherent import (
     psi_twist,
     validate,
 )
-from wlkit.cws import _Scan, closure, reduce_graph
+from wlkit.cws import _Scan, _vertex_set, closure, reduce_graph
 from wlkit.bench import fit_exponent, run_bench
 from wlkit.families import (
     bowtie,
@@ -195,9 +195,10 @@ def test_criterion_06_structural_theorems_on_random_graphs():
                     for y in range(n):
                         if x == y:
                             continue
-                        s = scan.closure_pair(x, y)
+                        row = scan.closure_pair(x, y)
+                        s = _vertex_set(row)
                         hist = tuple(sorted(int(vc[v]) for v in s))
-                        sig = (len(s), hist, scan.is_prime(s))
+                        sig = (len(s), hist, scan.is_prime(row))
                         c = int(pair_colors[x, y])
                         if c in buckets:
                             assert buckets[c] == sig

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wlkit.cws as cws
-from conftest import colored_graphs, crown_graph
+from conftest import colored_graphs, crown_graph, traced_peak
 from wlkit.cws import (
     closure,
     contract,
@@ -23,6 +25,7 @@ from wlkit.cws import (
 from wlkit.errors import DecompositionError, UnsupportedGraphError
 from wlkit.families import complete, cycle, path, petersen, random_graph
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
+from wlkit.limits import DEFAULT_LIMITS
 from wlkit.oracle import _UnionFind, orbits_oracle
 from wlkit.refine import refine_2, vertex_classes
 
@@ -165,9 +168,18 @@ def graphs_with_pieces(draw):
     return g, cols, pieces
 
 
+# pair codes up to 13 (edge colors up to 12) take four bit planes, eight
+# with a directed graph's in-codes; `colored_graphs` alone draws two
+WIDE_CODES = 13
+
+
+def any_codes(max_n: int = 8):
+    return colored_graphs(max_n) | colored_graphs(max_n, max_code=WIDE_CODES)
+
+
 @st.composite
 def graphs_with_seed(draw):
-    g, cols = draw(colored_graphs())
+    g, cols = draw(any_codes())
     # empty, singleton, pair and larger seeds
     size = min(draw(st.sampled_from((0, 1, 2, 3, 5))), g.n)
     seed = draw(st.sets(st.integers(0, max(g.n - 1, 0)), min_size=size, max_size=size))
@@ -230,25 +242,66 @@ def test_closure_matches_the_worklist_reference(case):
 
 
 @PROPERTY
-@given(colored_graphs(max_n=7))
+@given(any_codes(max_n=7))
 def test_batched_pair_closures_match_the_reference(case):
     g, cols = case
     pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
     p = g.pair_codes()
     want = [reference_closure(p, cols, pair, g.directed) for pair in pairs]
+    planes = cws._bit_planes(p, g.directed)
     dense = cws._dense_classes(cols)
-    saved = cws._BATCH_CELLS
+    saved = cws._BATCH_BYTES
     try:
-        # split the batch into chunks of two and three seeds as well
-        for cells in (saved, 2 * g.n * g.n, 3 * g.n * g.n):
-            cws._BATCH_CELLS = cells
-            assert cws._closures(p, dense, pairs, g.directed) == want
+        # batches of one, two and about six seeds, whose steps gather a few
+        # vertices at a time, as well as one batch
+        for budget in (saved, 1, 100, 300):
+            cws._BATCH_BYTES = budget
+            rows = cws._closures(planes, dense, pairs)
+            assert [cws._vertex_set(row.tobytes()) for row in rows] == want
     finally:
-        cws._BATCH_CELLS = saved
+        cws._BATCH_BYTES = saved
+
+
+def test_mirror_pair_closures_of_a_long_path(monkeypatch):
+    # the classes of a path are its mirror pairs {i, n-1-i}; the closure of a
+    # mirror pair grows by one pair per fixpoint step, toward the middle and
+    # toward the ends, so the pair of the two ends takes n/2 steps
+    n = 240
+    g = path(n)
+    cols = np.minimum(np.arange(n), n - 1 - np.arange(n))
+    pairs = [(i, n - 1 - i) for i in range(n // 2)]
+    scan = cws._Scan(g, cols)
+    steps = []
+    bits_of = cws._bits_of
+    monkeypatch.setattr(cws, "_bits_of", lambda rows: steps.append(len(rows)) or bits_of(rows))
+    scan.close_pairs(pairs)
+    assert len(steps) >= 100
+    p = g.pair_codes()
+    for pair in pairs:
+        assert cws._vertex_set(scan.cl[pair]) == reference_closure(p, cols, pair, False)
+
+
+def test_closing_a_full_overlap_class_stays_within_the_batch_budget(monkeypatch):
+    # every pair of a class as large as the overlap scan takes, on 256
+    # vertices, each pair closing to the whole graph: beyond a few hundred
+    # bytes per cached pair the traced peak follows the batch budget (the
+    # closures as frozensets alone would take about 17 MB)
+    g = random_graph(256, 0.5, seed=3)
+    cols = np.arange(256) % 4
+    members = np.flatnonzero(cols == 0).tolist()
+    assert len(members) == DEFAULT_LIMITS.overlap_class_cap
+    for budget in (1 << 20, cws._BATCH_BYTES):
+        monkeypatch.setattr(cws, "_BATCH_BYTES", budget)
+        scan = cws._Scan(g, cols)
+        scan.planes  # built before tracing
+        _, peak = traced_peak(lambda: scan.close_pairs(combinations(members, 2)))
+        assert len(scan.cl) == 64 * 63 // 2
+        assert all(cws._members(row).size == g.n for row in scan.cl.values())
+        assert peak < 2 * budget + 512 * len(scan.cl)
 
 
 @PROPERTY
-@given(colored_graphs(max_n=7))
+@given(any_codes(max_n=7))
 def test_spectrum_matches_the_per_pair_closures(case):
     # the batched scan against the public one-pair-at-a-time closure
     g, cols = case
@@ -258,7 +311,9 @@ def test_spectrum_matches_the_per_pair_closures(case):
         for w in mates:
             firsts.setdefault(closure(g, cols, {v, w}), (v, w))
         got = cws._Scan(g, cols).closures_of(v, mates)
-        assert list(got.items()) == list(firsts.items())
+        assert [(cws._vertex_set(row), pair) for row, pair in got.items()] == list(
+            firsts.items()
+        )
         assert cws_spectrum(g, cols, v) == sorted(firsts, key=lambda s: (len(s), sorted(s)))
 
 
@@ -450,6 +505,70 @@ def test_reduce_digest_is_relabeling_invariant():
         h, _ = random_relabel(g, seed=seed)
         _, cert = reduce_graph(h)
         assert cert.digest == ref.digest
+
+
+@st.composite
+def relabeled_graphs(draw):
+    """An undirected graph of at most 9 vertices with up to three vertex
+    colors and three edge colors, and a permutation of its vertices.  It is
+    made of copies of one small graph (often one copy), each vertex possibly
+    joined to its image in the next copy, so that about half reduce through
+    one to three levels of every kind."""
+    m = draw(st.integers(1, 9))
+    copies = draw(st.integers(1, 9 // m))
+    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    codes = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    colors = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    link = draw(st.integers(0, 3)) if copies > 1 else 0
+    edges = [
+        (i * m + u, i * m + v, c - 1)
+        for i in range(copies)
+        for (u, v), c in zip(pairs, codes)
+        if c
+    ]
+    if link:
+        # copy i to copy i + 1, and the last back to the first when that
+        # adds no second edge between two vertices
+        for i in range(copies if copies > 2 else 1):
+            j = (i + 1) % copies
+            edges += [(i * m + u, j * m + u, link - 1) for u in range(m)]
+    g = ColoredGraph(copies * m, edges, vertex_colors=colors * copies)
+    return g, draw(st.permutations(range(g.n)))
+
+
+def reduce_outcome(g, k):
+    """The reduction digest, or the kind of refusal (its message names
+    vertices, which a relabeling moves)."""
+    try:
+        return reduce_graph(g, k)[1].digest
+    except DecompositionError:
+        return "DecompositionError"
+
+
+@PROPERTY
+@given(relabeled_graphs())
+def test_reduce_digest_is_relabeling_invariant_on_random_colored_graphs(case):
+    g, perm = case
+    for k in (1, 2):
+        assert reduce_outcome(g.relabel(perm), k) == reduce_outcome(g, k)
+
+
+@pytest.mark.parametrize(
+    "name", ["crown", "twin towers K3+K3", "crown+crown", "C4+P3"]
+)
+def test_reduce_digest_is_relabeling_invariant_over_several_levels(name):
+    g = {
+        "crown": crown_graph(),
+        "twin towers K3+K3": disjoint_union(complete(3), complete(3)),
+        "crown+crown": disjoint_union(crown_graph(), crown_graph()),
+        "C4+P3": disjoint_union(cycle(4), path(3)),
+    }[name]
+    for k in (1, 2):
+        tree, ref = reduce_graph(g, k)
+        assert tree.depth >= 2
+        for seed in range(4):
+            h, _ = random_relabel(g, seed=seed)
+            assert reduce_graph(h, k)[1].digest == ref.digest
 
 
 def test_reduce_separates_different_unions():
