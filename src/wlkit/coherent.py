@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CoherenceError, ParseError, ResourceLimitError, UnsupportedGraphError
 from .graph import ColoredGraph
-from .kernels import dense_rank_rows
+from .kernels import code_dtype, dense_rank_rows, substitution_codes
 from .limits import DEFAULT_LIMITS, Limits
 from .records import RecordFormat, Records, Tag, repeats
 from .refine import stable_rounds
@@ -84,28 +84,21 @@ def _slab_rows(n: int) -> int:
     return max(1, _SLAB_CELLS // max(1, n * n))
 
 
-def validate(c: CoherentConfig) -> ValidationReport:
-    """Check the configuration axioms; on failure the report names the axiom
-    (1 diagonal, 2 transpose, 3 intersection numbers) and a witness cell.
-
-    Each relation's exemplar is its first cell in row-major order.  The
-    axiom-1 witness is the smallest leaking diagonal id at its first
-    off-diagonal cell; the axiom-2 witness is the smallest relation whose
-    cells disagree on the relation of their transpose, at its exemplar; the
-    axiom-3 witness is the first cell whose multiset of pairs over z differs
-    from its relation's exemplar, followed by that exemplar."""
+def _check_cells(c: CoherentConfig) -> tuple[ValidationReport, np.ndarray | None]:
+    """Axioms 0-2, O(n^2): the failing report, or an ok report with the
+    transpose map together with each relation's exemplar, its first cell in
+    row-major order (None on failure)."""
     rel = c.rel
     n, s = c.n, c.s
     if rel.shape != (n, n):
-        return ValidationReport(ok=False, axiom=0, witness=(rel.shape, (n, n)))
+        return ValidationReport(ok=False, axiom=0, witness=(rel.shape, (n, n))), None
     flat = rel.ravel()
     inside = (flat >= 0) & (flat < s)
     present = np.zeros(s, dtype=bool)
     present[flat[inside]] = True
     if not (inside.all() and present.all()):
-        return ValidationReport(
-            ok=False, axiom=0, witness=tuple(np.flatnonzero(~present).tolist()),
-        )
+        missing = tuple(np.flatnonzero(~present).tolist())
+        return ValidationReport(ok=False, axiom=0, witness=missing), None
     is_diag = np.zeros(s, dtype=bool)
     is_diag[np.diagonal(rel)] = True
     leak = is_diag[rel]
@@ -115,7 +108,7 @@ def validate(c: CoherentConfig) -> ValidationReport:
         ids = flat[cells]
         did = int(ids.min())
         x, y = divmod(int(cells[np.argmax(ids == did)]), n)
-        return ValidationReport(ok=False, axiom=1, witness=(did, x, y))
+        return ValidationReport(ok=False, axiom=1, witness=(did, x, y)), None
     first = np.full(s, n * n, dtype=np.int64)
     np.minimum.at(first, flat, np.arange(n * n, dtype=np.int64))
     ex, ey = np.divmod(first, n)
@@ -123,18 +116,46 @@ def validate(c: CoherentConfig) -> ValidationReport:
     bad = rel.T != tmap[rel]
     if bad.any():
         rid = int(rel[bad].min())
-        return ValidationReport(
-            ok=False, axiom=2, witness=(rid, int(ex[rid]), int(ey[rid])),
-        )
+        witness = (rid, int(ex[rid]), int(ey[rid]))
+        return ValidationReport(ok=False, axiom=2, witness=witness), None
+    return ValidationReport(ok=True, transpose_map=tmap.tolist()), first
+
+
+def validate(c: CoherentConfig) -> ValidationReport:
+    """Check the configuration axioms; on failure the report names the axiom
+    (1 diagonal, 2 transpose, 3 intersection numbers) and a witness cell.
+
+    Each relation's exemplar is its first cell in row-major order.  The
+    axiom-1 witness is the smallest leaking diagonal id at its first
+    off-diagonal cell; the axiom-2 witness is the smallest relation whose
+    cells disagree on the relation of their transpose, at its exemplar; the
+    axiom-3 witness is the first cell whose multiset of pairs over z differs
+    from its relation's exemplar, followed by that exemplar.
+
+    Axiom 3 reads the codes rel[x, z] * s + rel[z, y], which are refine's
+    k = 2 round codes in base s (`kernels.substitution_codes`), in slabs of
+    rows x, int32 when s^2 < 2^31.  A slab's sorted codes are compared with
+    the sorted codes of each cell's exemplar, taken from the slab that holds
+    it, which is this slab or an earlier one."""
+    report, first = _check_cells(c)
+    if first is None:
+        return report
+    rel = c.rel
+    n, s = c.n, c.s
+    ex, ey = np.divmod(first, n)
+    dtype = code_dtype(s, 2)
+    grid = rel.astype(dtype)
     # sorted rows are equal exactly when the multisets of codes are
-    rel_t = np.ascontiguousarray(rel.T)
-    ref = rel[ex] * s + rel_t[ey]
-    ref.sort(axis=1)
+    ref = np.empty((s, n), dtype=dtype)
     step = _slab_rows(n)
     for lo in range(0, n, step):
-        codes = rel[lo : lo + step, None, :] * s + rel_t[None, :, :]
+        hi = min(n, lo + step)
+        codes = np.empty((hi - lo, n, n), dtype=dtype)
+        substitution_codes(grid, s, codes, lo)
         codes.sort(axis=2)
-        differs = (codes != ref[rel[lo : lo + step]]).any(axis=2)
+        own = np.flatnonzero((ex >= lo) & (ex < hi))
+        ref[own] = codes[ex[own] - lo, ey[own]]
+        differs = (codes != ref[rel[lo:hi]]).any(axis=2)
         if differs.any():
             x, y = divmod(int(np.argmax(differs)), n)
             x += lo
@@ -142,7 +163,7 @@ def validate(c: CoherentConfig) -> ValidationReport:
             return ValidationReport(
                 ok=False, axiom=3, witness=(rid, x, y, int(ex[rid]), int(ey[rid])),
             )
-    return ValidationReport(ok=True, transpose_map=tmap.tolist(), code_rows=ref)
+    return ValidationReport(ok=True, transpose_map=report.transpose_map, code_rows=ref)
 
 
 def graph_seed(g: ColoredGraph) -> np.ndarray:
@@ -170,10 +191,15 @@ def cellular_closure(
     This is refine's 2-dim round loop (`stable_rounds`) started from the
     seed with the diagonal forced apart: rounds replace each cell's color
     with (its color, the multiset over z of the color pair (c(x, z),
-    c(z, y))) until stable.  The result is validated before it is returned.
-    Ids come out dense, diagonal relations first.  Raises
-    ResourceLimitError before the first round when a round and the
-    validation would need more than `limits.memory_bytes`.
+    c(z, y))) until stable.  The loop's last pass, the stop check, compares
+    each cell's row with the row of its class's first cell, which is
+    `validate`'s axiom 3 on the result (renumbering ids changes neither
+    side); it is the closure's one exact n^3 pass over int32 rows (int64
+    once the class count reaches 46341).  The result is then checked
+    against axioms 0-2, which are O(n^2).  Ids come out dense, diagonal
+    relations first.  Raises ResourceLimitError before the first round when
+    a round plus one validate slab would need more than
+    `limits.memory_bytes`.
     """
     if isinstance(seed, ColoredGraph):
         seed = graph_seed(seed)
@@ -183,11 +209,14 @@ def cellular_closure(
     n = seed.shape[0]
     if n == 0:
         return CoherentConfig(n=0, s=0, rel=seed.copy())
-    # a round holds its (n^2, n+1) int64 rows, dense_rank_rows' sorted copy
-    # of them and their bool compare (17 bytes a cell) and four n^2 id
-    # arrays; validate adds up to 18 bytes a cell of one slab.  Fitted to
-    # tracemalloc peaks of discrete closures at n = 64 and n = 160; the few
-    # KB of fixed-size arrays it leaves out matter only below n = 20.
+    # a round holds its (n^2, n+1) rows, dense_rank_rows' sorted copy of
+    # them and their bool compare (17 bytes a cell with int64 rows) and four
+    # n^2 id arrays; validate adds up to 18 bytes a cell of one slab.  Fitted
+    # to tracemalloc peaks of discrete closures at n = 64 and n = 160 with
+    # int64 rows.  Rows are int32 below 46341 classes and the closure no
+    # longer runs validate's slabs, but the bound keeps these numbers: int64
+    # rows can come back from n = 216 on.  The few KB of fixed-size arrays
+    # it leaves out matter only below n = 20.
     need = n * n * (17 * (n + 1) + 32) + 18 * min(n, _slab_rows(n)) * n * n
     if need > limits.memory_bytes:
         raise ResourceLimitError(
@@ -206,7 +235,9 @@ def cellular_closure(
     remap[order] = np.arange(order.shape[0])
     rel = remap[cur]
     out = CoherentConfig(n=n, s=int(rel.max()) + 1, rel=rel)
-    report = validate(out)
+    # axiom 3 held at the stop check; a coloring with n^2 classes meets it
+    # without one
+    report = _check_cells(out)[0]
     if not report.ok:
         raise CoherenceError("closure output failed validation", report.axiom, report.witness)
     return out

@@ -13,17 +13,21 @@ substitution codes]``.  A substitution code encodes the k-vector of previous
 colors obtained by substituting one vertex x into the tuple, ordered from the
 last tuple position down to the first.  Codes are order-isomorphic to the
 lexicographic order on those k-vectors, so dense-ranking the rows yields the
-same color ids whichever code scheme produced them.
+same color ids whichever code scheme produced them.  `substitution_codes` is
+the one builder of packed codes, position j weighted base^j; it also writes
+`coherent.validate`'s axiom-3 slabs, whose codes rel[x, z] * s + rel[z, y]
+are the k = 2 codes in base s.  Codes, and the rows holding them, are int32
+when base^k is below _INT32_LIMIT and int64 otherwise (`code_dtype`); the
+narrower rows halve the bytes that a round's sort, compare and rank move.
 
 A round splits nothing exactly when every tuple's row equals the row of the
 first tuple of its class (`rows_agree_within_classes`); that compare stands in
 for the rank of the round that confirms stability.
 
-`dense_rank_rows` ranks rows of at most three columns whose column bit
-lengths sum to at most 62 (a k = 2 search node's first round, seeded initial
-colorings, k = 1 rows of degree at most 2) as one packed int64 key per row
-through `argsort`; every other row is sorted as big-endian bytes.  Both give
-the same ids.
+`dense_rank_rows` ranks rows whose column bit lengths sum to at most 62 (a
+k = 2 search node's first round, initial and seeded colorings, narrow k = 1
+rows) as one packed int64 key per row through `argsort`; every other row is
+sorted as big-endian bytes of its own width.  Both give the same ids.
 """
 from __future__ import annotations
 
@@ -31,6 +35,10 @@ import numpy as np
 
 # codes must fit comfortably in int64
 _PACK_LIMIT = 2**62
+# codes below this are built, sorted and ranked as int32
+_INT32_LIMIT = 2**31
+# rows_agree_within_classes compares this many cells at a time
+_AGREE_CELLS = 1 << 18
 
 
 def backend_name() -> str:
@@ -44,23 +52,53 @@ def substitution_view(grid: np.ndarray, j: int) -> np.ndarray:
     return grid.transpose(axes)[(slice(None),) * j + (None,)]
 
 
+def code_dtype(base: int, k: int) -> type:
+    """int32 when every base-`base` code of k colors is below _INT32_LIMIT,
+    else int64."""
+    return np.int32 if base**k < _INT32_LIMIT else np.int64
+
+
+def substitution_codes(grid: np.ndarray, base: int, out: np.ndarray, lo: int = 0) -> None:
+    """Write the code sum_j C(t[j:=x]) * base^j of the ``(n,) * k`` color
+    grid at ``[t_0 - lo, t_1, ..., t_{k-1}, x]`` of `out`, for the
+    ``out.shape[0]`` values of t_0 from `lo` on.  Codes must fit `out`'s
+    dtype."""
+    k = grid.ndim
+    hi = lo + out.shape[0]
+    # the weights go on the n^k grid (a slab of it where the view is not
+    # broadcast along t_0); only the sums are n^(k+1) wide
+    views = [substitution_view(grid, 0)] + [
+        substitution_view(grid, j)[lo:hi] * base**j for j in range(1, k)
+    ]
+    np.add(views[k - 1], views[k - 2], out=out)
+    for view in views[: k - 2]:
+        out += view
+
+
 def _key_bits(rows: np.ndarray) -> list[int] | None:
-    """Each column's bit length when rows of at most three columns pack into
-    one int64 key below _PACK_LIMIT, else None."""
-    if not 1 <= rows.shape[1] <= 3:
-        return None
-    bits = [int(top).bit_length() for top in rows.max(axis=0).tolist()]
-    return bits if 1 << sum(bits) <= _PACK_LIMIT else None
+    """Each column's bit length when the rows pack into one int64 key below
+    _PACK_LIMIT, else None.  Columns are read one at a time (a strided
+    column max is fast, a multi-column one is not), the last first: a
+    padded k = 1 row or a row of sorted codes holds its widest value there,
+    so a row that cannot pack is mostly given up after one or a few."""
+    bits = [0] * rows.shape[1]
+    total = 0
+    for j in range(-1, rows.shape[1] - 1):
+        bits[j] = int(rows[:, j].max()).bit_length()
+        total += bits[j]
+        if 1 << total > _PACK_LIMIT:
+            return None
+    return bits or None
 
 
 def dense_rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Dense ids by lexicographic rank of int64 rows.
+    """Dense ids by lexicographic rank of int32 or int64 rows.
 
-    Non-negative entries only.  Rows of at most three columns whose column
-    bit lengths sum to at most 62 are packed into one int64 key each, which
-    orders like the row, and the keys are argsorted.  Other rows are
-    byte-swapped to big-endian and sorted as raw bytes, which coincides with
-    numeric lexicographic order.
+    Non-negative entries only.  Rows whose column bit lengths sum to at most
+    62 are packed into one int64 key each, which orders like the row, and
+    the keys are argsorted.  Other rows are byte-swapped to big-endian at
+    their own width and sorted as raw bytes, which coincides with numeric
+    lexicographic order.
     """
     m = rows.shape[0]
     if m == 0:
@@ -76,7 +114,8 @@ def dense_rank_rows(rows: np.ndarray) -> np.ndarray:
         differs = srt[1:] != srt[:-1]
     else:
         rows = np.ascontiguousarray(rows)
-        view = rows.astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
+        wide = rows.dtype.newbyteorder(">")
+        view = rows.astype(wide).view(f"V{wide.itemsize * rows.shape[1]}").ravel()
         # np.unique's steps, less its copy of the input
         order = view.argsort(kind="stable")
         del view  # the big-endian copy goes before the sorted rows are gathered
@@ -94,30 +133,34 @@ def dense_rank_rows(rows: np.ndarray) -> np.ndarray:
 def rows_agree_within_classes(rows: np.ndarray, colors: np.ndarray, ncolors: int) -> bool:
     """True when every tuple's row equals the row of the first tuple of its
     color class."""
-    first = np.full(ncolors, colors.shape[0], dtype=np.int64)
-    np.minimum.at(first, colors, np.arange(colors.shape[0], dtype=np.int64))
-    return bool((rows == rows[first[colors]]).all())
+    m = colors.shape[0]
+    first = np.full(ncolors, m, dtype=np.int64)
+    np.minimum.at(first, colors, np.arange(m, dtype=np.int64))
+    rep = first[colors]
+    # a slice at a time, so a round that splits stops at its first split
+    step = max(1, _AGREE_CELLS // max(1, rows.shape[1]))
+    return all(
+        np.array_equal(rows[lo : lo + step], rows[rep[lo : lo + step]])
+        for lo in range(0, m, step)
+    )
 
 
 def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray:
-    """The exact rows of one k-dim refinement round: (n^k, 1+n) int64, column
-    0 the previous color, the rest the sorted substitution codes.  Codes are
-    base-`ncolors` packed vectors, position j weighted base^j, when they fit
-    in int64, else the dense ranks of the vectors."""
+    """The exact rows of one k-dim refinement round: (n^k, 1+n) of dtype
+    `code_dtype(base, k)`, column 0 the previous color, the rest the sorted
+    substitution codes.  Codes are base-`ncolors` packed vectors
+    (`substitution_codes`) when they fit in int64, else the dense ranks of
+    the vectors."""
     if k < 2:
         raise ValueError("round_rows handles k >= 2 only")
     nk = colors.shape[0]
     base = max(2, int(ncolors))
-    grid = colors.reshape((n,) * k)
-    out = np.empty((nk, n + 1), dtype=np.int64)
+    dtype = code_dtype(base, k)
+    out = np.empty((nk, n + 1), dtype=dtype)
     out[:, 0] = colors
+    grid = colors.astype(dtype, copy=False).reshape((n,) * k)
     if base**k < _PACK_LIMIT:
-        # the weights go on the n^k grid; only the sums are n^(k+1) wide
-        views = [substitution_view(grid * base**j, j) for j in range(k)]
-        codes = out.reshape((n,) * k + (n + 1,))[..., 1:]
-        np.add(views[k - 1], views[k - 2], out=codes)
-        for view in views[: k - 2]:
-            codes += view
+        substitution_codes(grid, base, out.reshape((n,) * k + (n + 1,))[..., 1:])
     else:
         # overflow-safe path: rank the substitution vectors instead of packing
         stacked = np.empty((n,) * k + (n, k), dtype=np.int64)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wlkit.coherent as coherent
+import wlkit.refine as refine_module
 from conftest import colored_graphs, same_partition, traced_peak
+from wlkit import kernels
 from wlkit.canon import certify
 from wlkit.coherent import (
     CoherentConfig,
@@ -134,7 +137,7 @@ def reference_validate(c: CoherentConfig) -> dict:
     return dict(ok=True, transpose_map=tmap, intersection=inter)
 
 
-def assert_matches_reference(c: CoherentConfig) -> None:
+def assert_matches_reference(c: CoherentConfig, codes=np.int32) -> None:
     want = reference_validate(c)
     rep = validate(c)
     assert rep.ok == want["ok"]
@@ -144,6 +147,8 @@ def assert_matches_reference(c: CoherentConfig) -> None:
     assert rep.intersection == want.get("intersection")
     if rep.witness is not None and rep.axiom != 0:
         assert all(type(v) is int for v in rep.witness)
+    if rep.ok:
+        assert rep.code_rows.dtype == codes
 
 
 @st.composite
@@ -199,12 +204,30 @@ def closed_graphs(draw):
 def test_validate_matches_the_cell_by_cell_reference(c):
     saved = coherent._SLAB_CELLS
     try:
-        # also in slabs of one and of three rows, so slab edges are crossed
+        # also in slabs of one and of three rows, so slab edges are crossed;
+        # codes are int32 here, and int64 when the limit is forced down
         for cells in (saved, c.n * c.n, 3 * c.n * c.n):
             coherent._SLAB_CELLS = cells
             assert_matches_reference(c)
+            with mock.patch.object(kernels, "_INT32_LIMIT", 1):
+                assert_matches_reference(c, np.int64)
     finally:
         coherent._SLAB_CELLS = saved
+
+
+@pytest.mark.parametrize("n, codes", [(215, np.int32), (216, np.int64)])
+def test_validate_codes_are_int32_exactly_below_the_limit(n, codes):
+    # a discrete configuration is coherent with s = n^2 relations: s^2 is
+    # below 2^31 at n = 215 and above it at n = 216.  The exemplar rows of
+    # the last two x hold the largest codes, which must be exact
+    s = n * n
+    rel = np.arange(s, dtype=np.int64).reshape(n, n)
+    rep = validate(CoherentConfig(n=n, s=s, rel=rel))
+    assert rep.ok and rep.code_rows.dtype == codes
+    for x in (n - 2, n - 1):
+        # row y: the sorted rel[x, z] * s + rel[z, y] over z
+        want = np.sort(rel[x][None, :] * s + rel.T, axis=1)
+        assert np.array_equal(rep.code_rows[x * n : (x + 1) * n], want)
 
 
 def test_validate_names_the_smallest_leaking_diagonal_id():
@@ -293,6 +316,46 @@ def test_closure_matches_the_reference_round_loop(seed):
     want = reference_closure(seed)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_a_closure_makes_one_exact_n3_pass():
+    # the stop check of the round loop is the closure's only n^3 pass over
+    # the result: no axiom-3 slab follows it
+    checks, slabs = [], []
+    real_rows = refine_module.round_rows
+    real_agree = refine_module.rows_agree_within_classes
+    real_codes = coherent.substitution_codes
+
+    def rows_spy(colors, n, k, ncolors):
+        checks.append([ncolors])
+        return real_rows(colors, n, k, ncolors)
+
+    def agree_spy(*args):
+        out = real_agree(*args)
+        checks[-1].append(out)
+        return out
+
+    def codes_spy(*args):
+        slabs.append(args)
+        return real_codes(*args)
+
+    c = klein_scheme(complete_bipartite(3, 3))
+    with mock.patch.object(refine_module, "round_rows", rows_spy), \
+            mock.patch.object(refine_module, "rows_agree_within_classes", agree_spy), \
+            mock.patch.object(coherent, "substitution_codes", codes_spy):
+        # already coherent: one round's rows, which split nothing
+        fixed = cellular_closure(c.rel)
+        assert np.array_equal(fixed.rel, c.rel)
+        assert (checks, slabs) == ([[c.s, True]], [])
+        checks.clear()
+        # merged: splitting rounds, then one check that splits nothing
+        merged = cellular_closure(merge_relations(c, klein_merge_groups(c)))
+        assert len(checks) >= 2 and slabs == []
+        assert [agreed for _, agreed in checks] == [False] * (len(checks) - 1) + [True]
+        counts = [ncolors for ncolors, _ in checks]
+        assert counts == sorted(set(counts)) and counts[-1] == merged.s
+        # a direct call still checks axiom 3
+        assert validate(merged).ok and slabs
 
 
 def test_closure_accepts_raw_seed_matrices():

@@ -4,8 +4,19 @@ import dataclasses
 
 import pytest
 
+from wlkit.canon import certify
+from wlkit.cfi import cfi_build
 from wlkit.errors import ResourceLimitError
-from wlkit.families import bowtie, complete, cycle, path, petersen, random_graph
+from wlkit.families import (
+    bowtie,
+    complete,
+    complete_bipartite,
+    cycle,
+    hypercube,
+    path,
+    petersen,
+    random_graph,
+)
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
 from wlkit.limits import DEFAULT_LIMITS
 from wlkit.oracle import (
@@ -113,6 +124,48 @@ def test_iso_oracle_size_guards():
     assert iso_oracle(cycle(4), cycle(5)) is None
     with pytest.raises(ResourceLimitError):
         iso_oracle(random_graph(41, 0.2, seed=0), random_graph(41, 0.2, seed=1))
+
+
+# -- a second isomorphism oracle: networkx's VF2 -------------------------------------
+
+
+def _nx_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
+    """VF2 with vertex colors and edge colors matched."""
+    nx = pytest.importorskip("networkx")
+    iso = nx.algorithms.isomorphism
+
+    def to_nx(a: ColoredGraph):
+        out = nx.DiGraph() if a.directed else nx.Graph()
+        out.add_nodes_from((v, {"c": int(c)}) for v, c in enumerate(a.vertex_colors))
+        out.add_edges_from((u, v, {"c": c}) for u, v, c in a.edge_list())
+        return out
+
+    return nx.is_isomorphic(
+        to_nx(g), to_nx(h),
+        node_match=iso.categorical_node_match("c", None),
+        edge_match=iso.categorical_edge_match("c", None),
+    )
+
+
+def _same_certificate(g: ColoredGraph, h: ColoredGraph) -> bool:
+    return certify(g, 2, "canonical").digest == certify(h, 2, "canonical").digest
+
+
+@pytest.mark.parametrize(
+    "base", [complete_bipartite(3, 3), hypercube(3), petersen()], ids=["K33", "Q3", "Petersen"],
+)
+def test_vf2_agrees_with_canonical_certificates_on_relabeled_cfi_gadgets(base):
+    g, _ = cfi_build(base)
+    h, _ = random_relabel(g, seed=g.n)
+    assert (_nx_isomorphic(g, h), _same_certificate(g, h)) == (True, True)
+
+
+def test_vf2_agrees_with_canonical_certificates_on_the_cfi_k4_twist_pair():
+    # the larger twist pairs are left out: VF2 takes tens of seconds on them
+    plain, _ = cfi_build(complete(4))
+    twisted, _ = cfi_build(complete(4), twisted=((0, 1),))
+    twisted, _ = random_relabel(twisted, seed=5)
+    assert (_nx_isomorphic(plain, twisted), _same_certificate(plain, twisted)) == (False, False)
 
 
 # -- group order from generators ------------------------------------------------------

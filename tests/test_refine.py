@@ -488,6 +488,26 @@ def test_round_rows_match_the_gather_form():
             assert np.array_equal(table[:, 1:], np.searchsorted(np.unique(codes), codes))
 
 
+@pytest.mark.parametrize("k, n, below", [(2, 6, 46340), (3, 11, 1290)])
+def test_round_rows_are_int32_exactly_below_the_limit(k, n, below):
+    # base^k < 2^31 just below the limit and not at one color more; the
+    # codes must equal the int64 gather form on both sides, and forcing
+    # int64 everywhere must not change them
+    rng = np.random.default_rng(k)
+    for ncolors, dtype in ((below, np.int32), (below + 1, np.int64)):
+        assert (ncolors**k < 2**31) == (dtype is np.int32)
+        colors = rng.integers(0, ncolors, size=n**k)
+        colors[:: n + 1] = ncolors - 1  # the top code occurs
+        want = reference_round_rows(colors, n, k, ncolors)
+        got = kernels.round_rows(colors, n, k, ncolors)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        with mock.patch.object(kernels, "_INT32_LIMIT", 1):
+            wide = kernels.round_rows(colors, n, k, ncolors)
+        assert wide.dtype == np.int64
+        assert np.array_equal(wide, want)
+
+
 def test_refinement_keeps_nothing_after_it_returns():
     # no round's arrays, and no index arrays, outlive the call; a round's
     # peak stays within the estimate the memory budget is checked against
@@ -751,7 +771,7 @@ def test_stable_names_match_the_record_based_reference(pair):
 
 
 def dense_rank_cases(rng):
-    """Random rows, wide duplicate-heavy rows, and rows of one to three
+    """Random rows, wide duplicate-heavy rows, and rows of one to 63
     columns whose column bit lengths sum to 62 (they pack into one key) or
     63 (they take the byte path)."""
     for trial in range(400):
@@ -768,9 +788,16 @@ def dense_rank_cases(rng):
             distinct[distinct.shape[0] // 2 :, -1] += 1
             rows = distinct[rng.integers(0, distinct.shape[0], size=m)]
         yield trial, rows
-    boundary = ((62,), (63,), (31, 31), (31, 32), (20, 21, 21), (21, 21, 21), (1, 60, 1), (2, 60, 1))
-    for trial in range(160):
-        bits = boundary[trial % len(boundary)]
+    boundary = (
+        (62,), (63,), (31, 31), (31, 32), (20, 21, 21), (21, 21, 21), (1, 60, 1), (2, 60, 1),
+        (15, 16, 15, 16), (16, 16, 15, 16), (12, 13, 12, 12, 13), (13, 13, 12, 12, 13),
+        (10, 11, 10, 10, 11, 10), (10, 11, 11, 10, 11, 10),
+        # wider than one block of column maxima, zero-bit columns included
+        (1,) * 62, (1,) * 63, (0,) * 9 + (31, 31), (0,) * 9 + (31, 32),
+    )
+    for trial in range(4 * len(boundary)):
+        # each case four times: as is, reversed, int32, reversed int32
+        bits = boundary[trial // 4]
         m, d = int(rng.integers(1, 60)), int(rng.integers(1, 8))
         distinct = np.column_stack(
             [rng.integers(0, (1 << b) - 1, size=d, endpoint=True) for b in bits]
@@ -786,6 +813,8 @@ def test_dense_rank_rows_matches_np_unique():
     for trial, rows in dense_rank_cases(np.random.default_rng(7)):
         if trial % 2:
             rows = rows[:, ::-1]  # a non-contiguous view
+        if trial % 4 >= 2 and rows.max() < 2**31:
+            rows = rows.astype(np.int32)  # round rows below the int32 limit
         view = np.ascontiguousarray(rows).astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
         _, inverse = np.unique(view, return_inverse=True)
         ids = kernels.dense_rank_rows(rows)
