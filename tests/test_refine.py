@@ -552,6 +552,10 @@ def test_rows_agree_within_classes_matches_a_row_by_row_compare(data):
         for i, c in enumerate(colors)
     )
     assert kernels.rows_agree_within_classes(rows, colors, ncolors) == want
+    # also a slice of one row, or of a few, at a time
+    cells = data.draw(st.integers(1, 3 * w))
+    with mock.patch.object(kernels, "_AGREE_CELLS", cells):
+        assert kernels.rows_agree_within_classes(rows, colors, ncolors) == want
 
 
 def test_rows_agree_within_classes():
