@@ -25,7 +25,7 @@ from .graph import ColoredGraph
 from .kernels import code_dtype, dense_rank_rows, substitution_codes
 from .limits import DEFAULT_LIMITS, Limits
 from .records import RecordFormat, Records, Tag, repeats
-from .refine import stable_rounds
+from .refine import _estimate_bytes, stable_rounds
 
 
 @dataclass
@@ -198,8 +198,8 @@ def cellular_closure(
     once the class count reaches 46341).  The result is then checked
     against axioms 0-2, which are O(n^2).  Ids come out dense, diagonal
     relations first.  Raises ResourceLimitError before the first round when
-    a round plus one validate slab would need more than
-    `limits.memory_bytes`.
+    a k = 2 round would need more than `limits.memory_bytes`
+    (`refine._estimate_bytes`).
     """
     if isinstance(seed, ColoredGraph):
         seed = graph_seed(seed)
@@ -209,15 +209,13 @@ def cellular_closure(
     n = seed.shape[0]
     if n == 0:
         return CoherentConfig(n=0, s=0, rel=seed.copy())
-    # a round holds its (n^2, n+1) rows, dense_rank_rows' sorted copy of
-    # them and their bool compare (17 bytes a cell with int64 rows) and four
-    # n^2 id arrays; validate adds up to 18 bytes a cell of one slab.  Fitted
-    # to tracemalloc peaks of discrete closures at n = 64 and n = 160 with
-    # int64 rows.  Rows are int32 below 46341 classes and the closure no
-    # longer runs validate's slabs, but the bound keeps these numbers: int64
-    # rows can come back from n = 216 on.  The few KB of fixed-size arrays
-    # it leaves out matter only below n = 20.
-    need = n * n * (17 * (n + 1) + 32) + 18 * min(n, _slab_rows(n)) * n * n
+    # the closure's rounds are refine's k = 2 rounds, and what it holds
+    # besides (O(n^2) ids after the loop; the seed goes before the first
+    # round) stays below their per-tuple allowance.  Checked against
+    # tracemalloc peaks: peak/need 0.89-0.91 for discrete closures at
+    # n = 64-160, 0.97 at n = 220 with one twin pair (int64 rows at the stop
+    # check), 0.49 for the discrete 220-point closure, whose rows stay int32
+    need = _estimate_bytes(n, 2)
     if need > limits.memory_bytes:
         raise ResourceLimitError(
             f"cellular closure at n={n} exceeds memory_bytes",
@@ -226,6 +224,7 @@ def cellular_closure(
     # force the diagonal apart from the rest before refining
     start = seed * 2 + np.eye(n, dtype=np.int64)
     cur = dense_rank_rows(start.reshape(n * n, 1))
+    del seed, start  # only the rounds' own arrays are live during them
     cur = stable_rounds(cur, n, 2)[0].reshape(n, n)
     # canonical ids: diagonal relations first, then the rest, old order kept
     on_diag = np.zeros(int(cur.max()) + 1, dtype=bool)

@@ -27,7 +27,12 @@ for the rank of the round that confirms stability.
 `dense_rank_rows` ranks rows whose column bit lengths sum to at most 62 (a
 k = 2 search node's first round, initial and seeded colorings, narrow k = 1
 rows) as one packed int64 key per row through `argsort`; every other row is
-sorted as big-endian bytes of its own width.  Both give the same ids.
+sorted as big-endian bytes of its own width.  Both give the same ids.  The
+round loop owns the rows it builds, so once its stop check fails it swaps
+them to big-endian in place (`big_endian`) and the rank sorts them where
+they lie: a round holds its n^k * (n + 1) cells once, plus one slab of at
+most _AGREE_CELLS gathered cells and a few n^k-long id arrays.  Any other
+input is copied first; the rank never writes its argument.
 """
 from __future__ import annotations
 
@@ -37,7 +42,8 @@ import numpy as np
 _PACK_LIMIT = 2**62
 # codes below this are built, sorted and ranked as int32
 _INT32_LIMIT = 2**31
-# rows_agree_within_classes compares this many cells at a time
+# rows_agree_within_classes, and dense_rank_rows' compare of sorted
+# neighbours, gather this many cells at a time
 _AGREE_CELLS = 1 << 18
 
 
@@ -91,18 +97,36 @@ def _key_bits(rows: np.ndarray) -> list[int] | None:
     return bits or None
 
 
+def big_endian(rows: np.ndarray) -> np.ndarray:
+    """The values of C-contiguous `rows` as a big-endian view of the same
+    memory, which is rewritten in place: the caller gives `rows` up.  The
+    swap is a cast onto the aliased view, several times faster than
+    ``ndarray.byteswap``; it goes through 1-d views because numpy casts
+    aliased 1-d arrays element by element, where it would copy aliased 2-d
+    ones first."""
+    big = rows.dtype.newbyteorder(">")
+    flat = rows.reshape(-1)
+    np.copyto(flat.view(big), flat)
+    return rows.view(big)
+
+
 def dense_rank_rows(rows: np.ndarray) -> np.ndarray:
     """Dense ids by lexicographic rank of int32 or int64 rows.
 
-    Non-negative entries only.  Rows whose column bit lengths sum to at most
-    62 are packed into one int64 key each, which orders like the row, and
-    the keys are argsorted.  Other rows are byte-swapped to big-endian at
-    their own width and sorted as raw bytes, which coincides with numeric
-    lexicographic order.
+    Non-negative entries only; `rows` is never written.  Rows whose column
+    bit lengths sum to at most 62 are packed into one int64 key each, which
+    orders like the row, and the keys are argsorted.  Other rows are sorted
+    as raw big-endian bytes of their own width, which coincides with numeric
+    lexicographic order: C-contiguous big-endian rows (`big_endian`) are
+    sorted where they lie, any other rows are first copied to big-endian.
+    Sorted neighbours are then compared one _AGREE_CELLS slab at a time, on
+    the raw words, since equality does not depend on byte order.
     """
     m = rows.shape[0]
     if m == 0:
         return np.empty(0, dtype=np.int64)
+    starts = np.empty(m, dtype=bool)
+    starts[0] = True
     bits = _key_bits(rows)
     if bits is not None:
         key = rows[:, 0].astype(np.int64)
@@ -111,22 +135,27 @@ def dense_rank_rows(rows: np.ndarray) -> np.ndarray:
             key |= rows[:, j]
         order = key.argsort()
         srt = key[order]
-        differs = srt[1:] != srt[:-1]
+        np.not_equal(srt[1:], srt[:-1], out=starts[1:])
+        del key, srt
     else:
-        rows = np.ascontiguousarray(rows)
-        wide = rows.dtype.newbyteorder(">")
-        view = rows.astype(wide).view(f"V{wide.itemsize * rows.shape[1]}").ravel()
-        # np.unique's steps, less its copy of the input
-        order = view.argsort(kind="stable")
-        del view  # the big-endian copy goes before the sorted rows are gathered
-        srt = rows[order]
-        differs = np.any(srt[1:] != srt[:-1], axis=1)
-    del srt
-    starts = np.empty(m, dtype=bool)
-    starts[0] = True
-    starts[1:] = differs
+        big = rows.dtype.newbyteorder(">")
+        if rows.dtype != big or not rows.flags.c_contiguous:
+            rows = np.ascontiguousarray(rows, dtype=big)
+        w = rows.shape[1]
+        # stable (timsort) for speed, not for the ids: a round's rows come
+        # in runs, and tied rows are equal anyway
+        order = rows.view(f"V{big.itemsize * w}").ravel().argsort(kind="stable")
+        words = rows.view(big.newbyteorder("="))
+        step = max(1, _AGREE_CELLS // max(1, w))
+        for lo in range(0, m - 1, step):
+            srt = words[order[lo : lo + step + 1]]
+            np.any(srt[1:] != srt[:-1], axis=1, out=starts[lo + 1 : lo + step + 1])
+            del srt  # one slab at a time
+        del rows, words  # a copy goes before the ids are built
+    dense = starts.cumsum()
+    dense -= 1  # in place: one m-long int64 array fewer at the peak
     ids = np.empty(m, dtype=np.int64)
-    ids[order] = starts.cumsum() - 1
+    ids[order] = dense
     return ids
 
 
@@ -162,8 +191,9 @@ def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray:
     if base**k < _PACK_LIMIT:
         substitution_codes(grid, base, out.reshape((n,) * k + (n + 1,))[..., 1:])
     else:
-        # overflow-safe path: rank the substitution vectors instead of packing
-        stacked = np.empty((n,) * k + (n, k), dtype=np.int64)
+        # overflow-safe path: rank the substitution vectors instead of
+        # packing them, built big-endian so that the rank sorts them in place
+        stacked = np.empty((n,) * k + (n, k), dtype=">i8")
         for t in range(k):
             stacked[..., t] = substitution_view(grid, k - 1 - t)
         out[:, 1:] = dense_rank_rows(stacked.reshape(nk * n, k)).reshape(nk, n)

@@ -74,9 +74,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import ResourceLimitError, UnsupportedGraphError
 from .graph import ColoredGraph, NeighborCodes, disjoint_union
 from .kernels import (
+    big_endian,
+    code_dtype,
     dense_rank_rows,
     round_rows,
     rows_agree_within_classes,
@@ -197,10 +200,34 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     the rank's two row-sized copies and a few n-vectors; building the
     `pairs` adjacent ordered pairs takes up to 16 int64 arrays of that
     length.  Checked against tracemalloc peaks of paths, cycles, a star,
-    K_100 and random graphs, directed or not (peak/estimate 0.4-0.7)."""
+    K_100 and random graphs, directed or not (peak/estimate 0.4-0.7).
+
+    A k >= 2 round holds its n^k * (n + 1) cells once, at the itemsize of
+    the widest codes n^k colors can take (`code_dtype`), since the rank
+    sorts them where they lie; one slab of at most _AGREE_CELLS gathered
+    cells with their bool compare, for the stop check and for the rank's
+    neighbour compare; and up to 96 bytes a tuple of id, order and index
+    arrays.  Where base^k can reach _PACK_LIMIT, `round_rows`' overflow-safe
+    branch adds its n^(k+1) stacked k-vectors (8k bytes a cell, ranked in
+    place) and the rank's 32 bytes a cell.  Fitted to tracemalloc peaks of
+    random graphs: peak/estimate 0.86-0.91 at k = 2, n = 40-160 (int32
+    rows), 0.96-0.98 at n = 220 and 400 (a round ranks int64 rows), 0.49 at
+    n = 240, whose rows stay int32 below the int64 the estimate allows;
+    0.85-0.86 at k = 3, n = 20-40; 0.74-0.82 for the branch with
+    _PACK_LIMIT patched to 1 (k = 2-4).  numpy's per-call buffers, about
+    100 KB, are left out: they matter only below n = 30 at k = 2 and
+    n = 12 at k = 3.  At the default 2 GiB this admits k = 2 up to n = 640,
+    k = 3 up to n = 118 (the branch can run from n = 119) and k = 4 up to
+    n = 30."""
     if k == 1:
         return 8 * (n * (3 * width + 8) + 16 * pairs)
-    return 8 * (n**k) * (n + 1) * (k + 3)
+    nk = n**k
+    cells = nk * (n + 1)
+    size = np.dtype(code_dtype(nk, k)).itemsize
+    need = cells * size + min(cells, kernels._AGREE_CELLS) * (size + 1) + 96 * nk
+    if nk**k >= kernels._PACK_LIMIT:
+        need += nk * n * (8 * k + 32)
+    return need
 
 
 def _round_rows_k1(nc: NeighborCodes, colors: np.ndarray) -> np.ndarray:
@@ -232,11 +259,11 @@ def _pivot(start: np.ndarray, vc: np.ndarray, n: int, k: int) -> int | None:
     `start` (read off its diagonal tuples): every class has one color under
     `vc`, but for v, whose color is above the rest of its class.  None when
     `vc` differs from the classes in any other way."""
+    # the diagonal ids index a per-class array as they are
     diag = start[np.arange(n) * sum(n**j for j in range(k))]
-    cls = np.unique(diag, return_inverse=True)[1]
-    low = np.full(int(cls.max()) + 1, int(vc.max()), dtype=np.int64)
-    np.minimum.at(low, cls, vc)
-    raised = np.flatnonzero(vc != low[cls])
+    low = np.full(int(diag.max()) + 1, int(vc.max()), dtype=np.int64)
+    np.minimum.at(low, diag, vc)
+    raised = np.flatnonzero(vc != low[diag])
     return int(raised[0]) if raised.shape[0] == 1 else None
 
 
@@ -285,7 +312,9 @@ def stable_rounds(
                 pivot = None
             if rows_agree_within_classes(rows, colors, ncolors):
                 return colors, class_counts
-            ids = dense_rank_rows(rows)
+            # the rows are the loop's own: swapped in place, they are
+            # ranked without a copy
+            ids = dense_rank_rows(big_endian(rows))
             del rows  # freed before the next round allocates its own
         colors = ids
         ncolors = int(colors.max()) + 1

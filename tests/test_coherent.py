@@ -389,11 +389,28 @@ def _closure_required(seed) -> int:
 
 
 def test_discrete_closure_peak_stays_within_its_required_bytes():
-    # a discrete closure is the widest case: every round keeps n^2 classes
-    seed = graph_seed(random_graph(100, 0.5, seed=3))
+    # a discrete closure is the widest case with int32 rows: its last
+    # splitting round leaves n^2 classes; at the largest size the required
+    # bytes are at most twice the peak
+    for n in (100, 160):
+        seed = graph_seed(random_graph(n, 0.5, seed=3))
+        c, peak = traced_peak(lambda: cellular_closure(seed))
+        assert c.s == n * n
+        assert peak <= _closure_required(seed), n
+    assert _closure_required(seed) <= 2 * peak
+
+
+def test_closure_peak_with_int64_rows_stays_within_its_required_bytes():
+    # a random graph with one pair of twin vertices closes to 220^2 - 438
+    # classes, past 46340, so its stop check builds int64 rows: the widest
+    # rows a closure can hold, which its required bytes are sized for
+    n = 220
+    g = random_graph(n - 1, 0.5, seed=3)
+    twin = ColoredGraph(n, list(g.edges) + [(v, n - 1) for v in g.neighbors(0)])
+    seed = graph_seed(twin)
     c, peak = traced_peak(lambda: cellular_closure(seed))
-    assert c.s == 100 * 100
-    assert peak <= _closure_required(seed)
+    assert c.s == n * n - 438 and c.s**2 >= 2**31
+    assert peak <= _closure_required(seed) <= 2 * peak
 
 
 def test_closure_runs_at_exactly_its_required_bytes():

@@ -23,7 +23,7 @@ from wlkit.families import (
     shrikhande,
 )
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
-from wlkit.limits import DEFAULT_LIMITS, limits_from_env
+from wlkit.limits import DEFAULT_LIMITS, Limits, limits_from_env
 from wlkit.refine import (
     count_paths,
     invariant_bytes,
@@ -508,21 +508,66 @@ def test_round_rows_are_int32_exactly_below_the_limit(k, n, below):
         assert np.array_equal(wide, want)
 
 
+def _traced_refinement(g, k, **kwargs):
+    """refine_k(g, k, **kwargs), the bytes it still holds after returning
+    and its traced peak, both above what was allocated when it started."""
+    g.pair_codes()  # the graph's own cache is not the refinement's
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tc = refine_k(g, k, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return tc, held - base, peak - base
+
+
 def test_refinement_keeps_nothing_after_it_returns():
     # no round's arrays, and no index arrays, outlive the call; a round's
-    # peak stays within the estimate the memory budget is checked against
-    for n, k in ((40, 2), (80, 2), (20, 3), (30, 3)):
+    # peak stays within the estimate the memory budget is checked against,
+    # and at each k's largest size the estimate is at most twice the peak.
+    # The last k = 2 case starts from 47072 classes of 220^2 pairs (215
+    # singleton vertex colors), so its one splitting round ranks int64 rows
+    cases = [
+        (40, 2, None), (80, 2, None), (160, 2, None), (20, 3, None), (30, 3, None),
+        (220, 2, list(range(215)) + [215] * 5),
+    ]
+    for n, k, vc in cases:
+        tc, held, peak = _traced_refinement(random_graph(n, 0.5, seed=1), k, vertex_colors=vc)
+        estimate = refine_module._estimate_bytes(n, k)
+        assert held < 2**20, (n, k)
+        assert peak <= estimate, (n, k)
+        if (n, k) in ((220, 2), (30, 3)):
+            assert estimate <= 2 * peak, (n, k)
+    assert tc.class_counts[-2] >= 46341 and tc.rounds == 1  # int64 rows were ranked
+
+
+def test_a_400_vertex_two_dim_refinement_fits_the_default_budget():
+    # the k = 2 round holds its n^2 (n + 1) cells once, so 400 vertices fit
+    # in the default 2 GiB; a budget of three row-sized copies asked 2.57 GB
+    n = 400
+    estimate = refine_module._estimate_bytes(n, 2)
+    assert estimate <= Limits().memory_bytes == 2 * 1024**3
+    tc, _, peak = _traced_refinement(random_graph(n, 0.5, seed=1), 2, limits=Limits())
+    assert tc.num_colors == n * n
+    assert peak <= estimate <= 2 * peak
+
+
+def test_overflow_safe_rows_stay_within_the_estimate():
+    # where base^k reaches _PACK_LIMIT, round_rows ranks n^(k+1) stacked
+    # k-vectors; the estimate counts them wherever the branch can run, and
+    # the branch gives the packed codes' ids
+    for n, k in ((80, 2), (30, 3)):
         g = random_graph(n, 0.5, seed=1)
-        g.pair_codes()  # the graph's own cache is not the refinement's
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            refine_k(g, k)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held - base < 2**20, (n, k)
-        assert peak - base <= refine_module._estimate_bytes(n, k), (n, k)
+        want = refine_k(g, k)
+        with mock.patch.object(kernels, "_PACK_LIMIT", 1):
+            tc, held, peak = _traced_refinement(g, k)
+            estimate = refine_module._estimate_bytes(n, k)
+        assert tc.class_counts == want.class_counts
+        assert np.array_equal(tc.colors, want.colors)
+        assert held < 2**20
+        assert peak <= estimate <= 2 * peak, (n, k)
+        assert refine_module._estimate_bytes(n, k) < estimate  # the branch is budgeted
 
 
 @settings(max_examples=300, deadline=None)
@@ -812,15 +857,42 @@ def dense_rank_cases(rng):
         yield trial, rows
 
 
+def reference_dense_ids(rows: np.ndarray) -> np.ndarray:
+    """np.unique on the big-endian byte view of each row."""
+    view = np.ascontiguousarray(rows).astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
+    return np.unique(view, return_inverse=True)[1].reshape(-1)
+
+
 def test_dense_rank_rows_matches_np_unique():
-    # reference: np.unique on the big-endian byte view of each row
+    # each case as int64 and, below the int32 limit, as int32 (round rows),
+    # both native and big-endian (rows the round loop swapped in place),
+    # and every other case as a non-contiguous view; no input is written
     for trial, rows in dense_rank_cases(np.random.default_rng(7)):
-        if trial % 2:
-            rows = rows[:, ::-1]  # a non-contiguous view
-        if trial % 4 >= 2 and rows.max() < 2**31:
-            rows = rows.astype(np.int32)  # round rows below the int32 limit
-        view = np.ascontiguousarray(rows).astype(">i8").view(f"V{8 * rows.shape[1]}").ravel()
-        _, inverse = np.unique(view, return_inverse=True)
-        ids = kernels.dense_rank_rows(rows)
-        assert ids.dtype == np.int64
-        assert np.array_equal(ids, inverse.reshape(-1))
+        widths = (np.int64, np.int32) if rows.max() < 2**31 else (np.int64,)
+        for dtype in widths:
+            for order in "=>":
+                held = rows.astype(np.dtype(dtype).newbyteorder(order))
+                given = held[:, ::-1] if trial % 2 else held
+                kept = held.copy()
+                ids = kernels.dense_rank_rows(given)
+                assert ids.dtype == np.int64
+                assert np.array_equal(ids, reference_dense_ids(given)), (trial, dtype, order)
+                assert held.tobytes() == kept.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dense_rank_rows_compares_neighbours_across_slab_edges(data):
+    # the byte path compares sorted neighbours a slab of _AGREE_CELLS cells
+    # at a time; slabs of one row or a few put the edges everywhere
+    m = data.draw(st.integers(1, 14))
+    w = data.draw(st.integers(1, 5))
+    rows = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=w, max_size=w), min_size=m, max_size=m,
+    )))
+    cells = data.draw(st.integers(1, 3 * w))
+    want = reference_dense_ids(rows)
+    for held in (rows, kernels.big_endian(rows.astype(np.int32))):
+        with mock.patch.object(kernels, "_PACK_LIMIT", 1), \
+                mock.patch.object(kernels, "_AGREE_CELLS", cells):
+            assert np.array_equal(kernels.dense_rank_rows(held), want)
