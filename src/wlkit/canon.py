@@ -14,9 +14,13 @@ Three modes, all built on k-dim refinement:
   class at every level.  Branches are ordered by a label-invariant
   node invariant (refinement round counts and color histograms); the
   certificate is the minimum (invariant path, leaf serialization) over the
-  tree, which is label-invariant.  Discovered automorphisms prune sibling
-  branches (orbit pruning) and cut subtrees that an automorphism maps onto
-  already-explored ones.
+  tree, which is label-invariant.  A leaf equal to the incumbent gives the
+  automorphism sigma that maps the incumbent leaf onto it, so
+  sigma(incumbent path[j]) = current path[j] at every level j; every such
+  leaf unwinds the search to the level where the two paths part, since
+  sigma maps the explored subtree there onto the current one.  Siblings in
+  the orbit of explored ones under the automorphisms that fix the current
+  prefix are skipped (orbit pruning).
 
 All three share one descent step.  A search node is a vertex coloring (the
 root's colors with each individualized vertex given a fresh color); its
@@ -64,6 +68,8 @@ class SearchStats:
     nodes: int = 0
     leaves: int = 0
     generators: list[tuple[int, ...]] = field(default_factory=list)
+    jumps: int = 0  # equal leaves that unwound the search
+    orbit_skips: int = 0  # siblings pruned as images of explored ones
 
 
 def individualize(g: ColoredGraph, v: int) -> ColoredGraph:
@@ -201,16 +207,20 @@ def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
                         and prefix[common] == bpath[common]
                     ):
                         common += 1
-                    # jump only when sigma provably maps the rest of the
-                    # current child's subtree onto the earlier-explored one:
-                    # it must fix the common prefix pointwise and send this
-                    # child's branch vertex to the incumbent's.
+                    # sigma maps the incumbent leaf onto this one, so at an
+                    # equal leaf sigma(bpath[j]) == prefix[j] for every j:
+                    # it fixes the common prefix pointwise and sends the
+                    # incumbent's branch vertex to this child's, so the rest
+                    # of this child's subtree is the image of the explored
+                    # one.  Every equal leaf jumps; these checks and
+                    # is_automorphism cross-check the leaf compare.
                     if (
                         all(int(sigma[p]) == p for p in prefix[:common])
                         and common < len(prefix)
                         and common < len(bpath)
-                        and int(sigma[prefix[common]]) == bpath[common]
+                        and int(sigma[bpath[common]]) == prefix[common]
                     ):
+                        stats.jumps += 1
                         raise _Jump(common)
             return
         cid, members = _target_class(pv.colors)
@@ -218,6 +228,7 @@ def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
         for v in members:
             if explored and stats.generators:
                 if v in _orbit_reach(explored, prefix, stats.generators, n):
+                    stats.orbit_skips += 1
                     explored.append(v)
                     continue
             try:

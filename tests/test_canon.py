@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import colored_graphs
 from wlkit.canon import (
+    _canonical_search,
     aut_generators_via_recursion,
     certify,
     depth_d_1dim,
@@ -174,6 +175,41 @@ def test_generators_respect_vertex_colors():
     assert aut_group_order(gens, 4) == aut_order_oracle(g) == 2
 
 
+# -- pruning with found automorphisms -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "base", [complete_bipartite(3, 3), petersen()], ids=["K33", "Petersen"],
+)
+def test_search_size_is_stable_under_relabeling(base):
+    # a search that prunes with every automorphism it finds visits about the
+    # same tree whatever the labels
+    g, _ = cfi_build(base)
+    certs = [certify(random_relabel(g, seed=s)[0], 2, "canonical") for s in range(8)]
+    assert len({c.digest for c in certs}) == 1
+    nodes = [c.nodes for c in certs]
+    assert max(nodes) / min(nodes) <= 1.5
+
+
+@pytest.mark.parametrize(
+    "g,k",
+    [
+        (cfi_build(complete(4))[0], 2),
+        (cfi_build(complete(4), twisted=((0, 1),))[0], 2),
+        (petersen(), 1),
+    ],
+    ids=["cfi_k4", "cfi_k4_twisted", "petersen_k1"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_every_equal_leaf_jumps(g, k, seed):
+    # each distinct generator is found at an equal leaf, and every equal leaf
+    # unwinds the search to where its path parts from the incumbent's
+    _, stats = _canonical_search(random_relabel(g, seed=seed)[0], k, DEFAULT_LIMITS)
+    assert stats.generators
+    assert stats.jumps >= len(stats.generators)
+    assert stats.orbit_skips > 0
+
+
 # -- iterated-individualization invariant ----------------------------------------
 
 
@@ -237,10 +273,26 @@ def test_depth_d_guards_its_budget():
 # -- pinned certificate bytes ------------------------------------------------------
 
 
-# SHA-256 of the certificates and reduction digests of `_pinned_graphs`,
-# computed before k >= 2 search nodes took their first round from the
-# individualized vertex alone; color ids, and so every digest, must not move
-PINNED_SHA256 = "cd8d72119de39e7dd06ccd4afee13721577ab33fa9167e6b55eb1362bf9f8b03"
+# SHA-256 of the certificates (digest, trace, orbit flag) and reduction digests
+# of `_pinned_graphs`.  Pruning and seeded refinement change no color id, so
+# no digest may move when they change; search sizes are in PINNED_NODES.
+PINNED_SHA256 = "c2eeaf546e0f7ba53573d02afe6e27d0a0b4b6e76aec497693f774cd75e4d093"
+
+# Certificate.nodes of each graph of `_pinned_graphs`, in its order, as
+# {k: (fast, verified, canonical)}.  The canonical counts are those of a search
+# that jumps on every automorphism found at an equal leaf.
+PINNED_NODES = [
+    {1: (4, 86, 15), 2: (4, 86, 15)},  # CFI(K4)
+    {1: (4, 86, 15), 2: (4, 86, 15)},  # CFI(K4), one twisted edge
+    {1: (4, 86, 15), 2: (4, 86, 15)},  # the same, relabeled
+    {1: (5, 179, 26), 2: (5, 171, 28)},  # CFI(K3,3)
+    {1: (4, 48, 10), 2: (5, 60, 15)},  # Petersen
+    {1: (4, 36, 10), 2: (4, 36, 10)},  # Q3
+    {1: (3, 23, 6), 2: (3, 23, 6)},  # C9
+    {1: (2, 5, 3), 2: (2, 5, 3)},  # directed colored 6-cycle
+    {1: (2, 4, 3), 2: (2, 4, 3)},  # random (6, 7) beside a relabeled copy
+    {1: (2, 4, 3), 2: (2, 4, 3)},  # random (8, 14) beside a relabeled copy
+]
 
 
 def _pinned_graphs():
@@ -263,13 +315,29 @@ def _pinned_graphs():
     return graphs
 
 
-def test_certificates_and_reduction_digests_are_pinned():
+@pytest.fixture(scope="module")
+def pinned_certificates():
+    """[(certificates in mode order, reduce digest or None)] per graph and k"""
+    return [
+        (
+            tuple(certify(g, k, mode) for mode in ("fast", "verified", "canonical")),
+            None if g.directed else reduce_graph(g, k)[1].digest,
+        )
+        for g in _pinned_graphs()
+        for k in (1, 2)
+    ]
+
+
+def test_certificates_and_reduction_digests_are_pinned(pinned_certificates):
     h = hashlib.sha256()
-    for g in _pinned_graphs():
-        for k in (1, 2):
-            for mode in ("fast", "verified", "canonical"):
-                c = certify(g, k, mode)
-                h.update(c.digest + repr((c.trace, c.orbit_flag, c.nodes)).encode("ascii"))
-            if not g.directed:
-                h.update(reduce_graph(g, k)[1].digest)
+    for certs, reduced in pinned_certificates:
+        for c in certs:
+            h.update(c.digest + repr((c.trace, c.orbit_flag)).encode("ascii"))
+        if reduced is not None:
+            h.update(reduced)
     assert h.hexdigest() == PINNED_SHA256
+
+
+def test_search_node_counts_are_pinned(pinned_certificates):
+    nodes = [tuple(c.nodes for c in certs) for certs, _ in pinned_certificates]
+    assert nodes == [row[k] for row in PINNED_NODES for k in (1, 2)]

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from wlkit.canon import certify
+from wlkit.canon import aut_generators_via_recursion, certify
 from wlkit.cfi import cfi_build
 from wlkit.errors import ResourceLimitError
 from wlkit.families import (
@@ -129,22 +129,27 @@ def test_iso_oracle_size_guards():
 # -- a second isomorphism oracle: networkx's VF2 -------------------------------------
 
 
+def to_nx(a: ColoredGraph):
+    """a as a networkx graph with vertex and edge colors under the key "c"."""
+    nx = pytest.importorskip("networkx")
+    out = nx.DiGraph() if a.directed else nx.Graph()
+    out.add_nodes_from((v, {"c": int(c)}) for v, c in enumerate(a.vertex_colors))
+    out.add_edges_from((u, v, {"c": c}) for u, v, c in a.edge_list())
+    return out
+
+
+def _color_matches():
+    iso = pytest.importorskip("networkx").algorithms.isomorphism
+    return {
+        "node_match": iso.categorical_node_match("c", None),
+        "edge_match": iso.categorical_edge_match("c", None),
+    }
+
+
 def _nx_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
     """VF2 with vertex colors and edge colors matched."""
     nx = pytest.importorskip("networkx")
-    iso = nx.algorithms.isomorphism
-
-    def to_nx(a: ColoredGraph):
-        out = nx.DiGraph() if a.directed else nx.Graph()
-        out.add_nodes_from((v, {"c": int(c)}) for v, c in enumerate(a.vertex_colors))
-        out.add_edges_from((u, v, {"c": c}) for u, v, c in a.edge_list())
-        return out
-
-    return nx.is_isomorphic(
-        to_nx(g), to_nx(h),
-        node_match=iso.categorical_node_match("c", None),
-        edge_match=iso.categorical_edge_match("c", None),
-    )
+    return nx.is_isomorphic(to_nx(g), to_nx(h), **_color_matches())
 
 
 def _same_certificate(g: ColoredGraph, h: ColoredGraph) -> bool:
@@ -166,6 +171,19 @@ def test_vf2_agrees_with_canonical_certificates_on_the_cfi_k4_twist_pair():
     twisted, _ = cfi_build(complete(4), twisted=((0, 1),))
     twisted, _ = random_relabel(twisted, seed=5)
     assert (_nx_isomorphic(plain, twisted), _same_certificate(plain, twisted)) == (False, False)
+
+
+@pytest.mark.parametrize("twisted", [(), ((0, 1),)], ids=["plain", "twisted"])
+def test_search_generators_span_the_vf2_group_of_a_relabeled_cfi_k4(twisted):
+    # a search that jumps on every equal leaf keeps few generators; they must
+    # still generate every color-preserving automorphism
+    nx = pytest.importorskip("networkx")
+    g, _ = random_relabel(cfi_build(complete(4), twisted=twisted)[0], seed=3)
+    a = to_nx(g)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(a, a, **_color_matches())
+    vf2 = sum(1 for _ in matcher.isomorphisms_iter())
+    assert vf2 == 192
+    assert aut_group_order(aut_generators_via_recursion(g, 2), g.n) == vf2
 
 
 # -- group order from generators ------------------------------------------------------
