@@ -20,7 +20,8 @@ Three modes, all built on k-dim refinement:
   leaf unwinds the search to the level where the two paths part, since
   sigma maps the explored subtree there onto the current one.  Siblings in
   the orbit of explored ones under the automorphisms that fix the current
-  prefix are skipped (orbit pruning).
+  prefix are skipped (orbit pruning); each frame keeps that orbit and
+  grows it, so a generator is tested against a prefix once per frame.
 
 All three share one descent step.  A search node is a vertex coloring (the
 root's colors with each individualized vertex given a fresh color); its
@@ -141,21 +142,22 @@ def _fast_leaf(g, k, colors, start, limits, stats, trace=None, on_siblings=None)
         colors, start = _child_colors(colors, members[0]), tc.colors
 
 
-def _orbit_reach(seed: list[int], prefix: tuple[int, ...], gens, n: int) -> set[int]:
-    """Orbit closure of `seed` under the generators fixing `prefix` pointwise."""
-    fixing = [s for s in gens if all(s[p] == p for p in prefix)]
-    reach = set(seed)
-    if not fixing:
-        return reach
-    queue = list(reach)
+def _fixes(s: tuple[int, ...], prefix: tuple[int, ...]) -> bool:
+    """Whether the permutation s fixes every vertex of `prefix`."""
+    return all(s[p] == p for p in prefix)
+
+
+def _grow(reach: set[int], xs, gens) -> None:
+    """Add xs to the orbit closure `reach` and close it again under gens."""
+    queue = [x for x in xs if x not in reach]
+    reach.update(queue)
     while queue:
         x = queue.pop()
-        for s in fixing:
-            y = int(s[x])
+        for s in gens:
+            y = s[x]
             if y not in reach:
                 reach.add(y)
                 queue.append(y)
-    return reach
 
 
 class _Jump(Exception):
@@ -172,7 +174,9 @@ def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
     stats = SearchStats()
     best: dict = {"inv": None, "bytes": None, "path": None, "order": None, "trace": None}
 
-    def node(colors, start, prefix, inv_path, trace):
+    def node(colors, start, prefix, inv_path, trace, fixing, known):
+        """`fixing` holds the generators that fix `prefix` pointwise among
+        the first `known` found; each later one is tested once, below."""
         depth = len(prefix)
         _count_node(stats, limits, "canonical")
         tc, pv = _refine_node(g, k, colors, start, limits)
@@ -224,26 +228,29 @@ def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
                         raise _Jump(common)
             return
         cid, members = _target_class(pv.colors)
-        explored: list[int] = []
+        reach: set[int] = set()  # the orbits of the explored members
         for v in members:
-            if explored and stats.generators:
-                if v in _orbit_reach(explored, prefix, stats.generators, n):
-                    stats.orbit_skips += 1
-                    explored.append(v)
-                    continue
+            for s in stats.generators[known:]:
+                if _fixes(s, prefix):
+                    fixing.append(s)
+                    _grow(reach, [s[x] for x in reach], fixing)
+            known = len(stats.generators)
+            if v in reach:
+                stats.orbit_skips += 1
+                continue
             try:
                 node(
                     _child_colors(colors, v), tc.colors, prefix + (v,), path2,
-                    trace + ((cid, len(members)),),
+                    trace + ((cid, len(members)),), [s for s in fixing if s[v] == v], known,
                 )
             except _Jump as j:
                 if j.depth < depth:
                     raise
                 # j.depth == depth: the subtree under v repeats an explored
                 # sibling's; move on to the next candidate.
-            explored.append(v)
+            _grow(reach, [v], fixing)
 
-    node(base_colors, None, (), (), ())
+    node(base_colors, None, (), (), (), [], 0)
     if best["bytes"] is None:
         raise ResourceLimitError("canonical search ended with no leaf")
     return best, stats

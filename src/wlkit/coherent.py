@@ -487,6 +487,6 @@ def parse_scheme(text: str) -> CoherentConfig:
         raise ParseError(f"expected {n * n} cells, found {cells.shape[0]}")
     rel = np.empty(n * n, dtype=np.int64)
     rel[x * n + y] = rid
-    if np.unique(rel).shape[0] != s:
+    if not np.bincount(rel, minlength=s).all():  # every id is in range by now
         raise ParseError("relation ids must be exactly 0..s-1")
     return CoherentConfig(n=n, s=s, rel=rel.reshape(n, n))

@@ -438,46 +438,6 @@ def _piece_digest(
     return certify(_piece_graph(g, cols, piece), k, "canonical", limits=limits).digest
 
 
-def _attachment_profiles(
-    g: ColoredGraph, cols: np.ndarray, pieces: list[frozenset[int]]
-) -> tuple[dict, dict]:
-    """Serialized colored attachment patterns: per (outside vertex, piece)
-    and per adjacent piece pair, in one walk over the edges.  Entries use
-    class colors, so they are stable under relabeling of the input."""
-    owner = {}
-    for pi, piece in enumerate(pieces):
-        for v in piece:
-            owner[v] = pi
-    col = [int(c) for c in cols]
-    op: dict[tuple[int, int], bytes] = {}
-    between: dict[tuple[int, int], list] = {}
-    for w in range(g.n):
-        pw = owner.get(w)
-        per_piece: dict[int, list] = {}
-        for u in g.neighbors(w):
-            pu = owner.get(u)
-            if pu is None:
-                continue
-            if pw is None:
-                c = g.edge_color(w, u)
-                cr = g.edge_color(u, w)
-                per_piece.setdefault(pu, []).append(
-                    (col[u], -1 if c is None else c, -1 if cr is None else cr)
-                )
-            elif pu > pw:
-                c = g.edge_color(w, u)
-                between.setdefault((pw, pu), []).append(
-                    (*sorted((col[w], col[u])), 0 if c is None else c)
-                )
-        for pi, entries in per_piece.items():
-            op[(w, pi)] = ("op" + repr(sorted(entries))).encode("ascii")
-    pp = {
-        key: ("pp" + repr(sorted(entries))).encode("ascii")
-        for key, entries in sorted(between.items())
-    }
-    return op, pp
-
-
 def contract_batch(
     g: ColoredGraph,
     cols: np.ndarray,
@@ -486,44 +446,53 @@ def contract_batch(
 ) -> tuple[ColoredGraph, list[int], list[bytes], list[bytes]]:
     """Replace each piece by one vertex; returns (new graph, old->new map,
     digest table behind the fresh colors, profile table behind the fresh
-    edge colors)."""
-    seen: set[int] = set()
-    for piece in pieces:
-        if seen & piece:
-            raise DecompositionError("pieces overlap")
-        seen |= piece
-    outside = [v for v in range(g.n) if v not in seen]
+    edge colors).  One walk over the edges keeps the edges outside every
+    piece and collects the serialized attachment patterns, per (outside
+    vertex, piece) and per adjacent piece pair; their entries use class
+    colors, so they are stable under relabeling of the input."""
+    if g.directed:
+        raise UnsupportedGraphError("contraction is defined for undirected graphs")
     order = sorted(range(len(pieces)), key=lambda i: (digests[i], min(pieces[i])))
-    mapping = [-1] * g.n
+    slot = [-1] * g.n  # the piece slot holding each vertex; -1 outside every piece
+    for at, i in enumerate(order):
+        for v in pieces[i]:
+            if slot[v] >= 0:
+                raise DecompositionError("pieces overlap")
+            slot[v] = at
+    outside = [v for v in range(g.n) if slot[v] < 0]
+    m = len(outside)  # outside vertices map below m, pieces to m and above
+    mapping = [m + at for at in slot]
     for new, v in enumerate(outside):
         mapping[v] = new
-    for slot, i in enumerate(order):
-        for v in pieces[i]:
-            mapping[v] = len(outside) + slot
     color_table = sorted(set(digests))
     color_rank = {d: r for r, d in enumerate(color_table)}
     vbase = g.max_vertex_color() + 1
     colors = [g.vertex_colors[v] for v in outside] + [
         vbase + color_rank[digests[i]] for i in order
     ]
-    op, pp = _attachment_profiles(g, cols, pieces)
-    profile_table = sorted(set(op.values()) | set(pp.values()))
+    col = np.asarray(cols).tolist()
+    edges: dict[tuple[int, int], int] = {}
+    found: dict[tuple[int, int], list] = {}
+    for u, v, c in g.edge_list():
+        a, b = sorted((mapping[u], mapping[v]))
+        if b < m:
+            edges[(a, b)] = c
+        elif a < m:
+            x = u if mapping[u] == b else v  # the piece end
+            found.setdefault((a, b), []).append((col[x], c, c))
+        elif a != b:
+            found.setdefault((a, b), []).append((*sorted((col[u], col[v])), c))
+    profiles = {
+        (a, b): (("op" if a < m else "pp") + repr(sorted(entries))).encode("ascii")
+        for (a, b), entries in found.items()
+    }
+    profile_table = sorted(set(profiles.values()))
     profile_rank = {prof: r for r, prof in enumerate(profile_table)}
     ebase = g.max_edge_color() + 1
-    edges: dict[tuple[int, int], int] = {}
-    for u, v, c in g.edge_list():
-        iu, iv = u in seen, v in seen
-        if not iu and not iv:
-            edges[(mapping[u], mapping[v])] = c
-    slot_of_piece = {i: len(outside) + slot for slot, i in enumerate(order)}
-    for (w, pi), prof in op.items():
-        a, b = mapping[w], slot_of_piece[pi]
-        edges[(min(a, b), max(a, b))] = ebase + profile_rank[prof]
-    for (i, j), prof in pp.items():
-        a, b = slot_of_piece[i], slot_of_piece[j]
-        edges[(min(a, b), max(a, b))] = ebase + profile_rank[prof]
+    for key, prof in profiles.items():
+        edges[key] = ebase + profile_rank[prof]
     out = ColoredGraph(
-        len(outside) + len(pieces),
+        m + len(pieces),
         [(u, v, c) for (u, v), c in sorted(edges.items())],
         directed=False,
         vertex_colors=colors,

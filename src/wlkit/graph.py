@@ -222,13 +222,11 @@ class ColoredGraph:
 
     def relabel(self, perm: list[int]) -> "ColoredGraph":
         """Apply vertex permutation: vertex i of self becomes perm[i]."""
-        if sorted(perm) != list(range(self.n)):
-            raise UnsupportedGraphError("relabel requires a permutation of 0..n-1")
-        colors = [0] * self.n
-        for i, c in enumerate(self.vertex_colors):
-            colors[perm[i]] = c
-        edges = [(perm[u], perm[v], c) for (u, v), c in self.edges.items()]
-        return ColoredGraph(self.n, edges, self.directed, colors)
+        colors, rows = _relabeled(self, perm)
+        u, v, c = rows.T.tolist()
+        return ColoredGraph._checked(
+            self.n, self.directed, colors, dict(zip(zip(u, v), c)), rows
+        )
 
     def induced(self, subset) -> tuple["ColoredGraph", list[int]]:
         """Subgraph on ``subset``; returns (graph, sorted original indices)."""
@@ -315,14 +313,23 @@ def serialize_wlg(g: ColoredGraph) -> str:
 def serialize_wlg_relabeled(g: ColoredGraph, perm) -> str:
     """serialize_wlg(g.relabel(perm)), written without building the
     relabeled graph: vertex i of g becomes perm[i]."""
-    n = g.n
-    p = np.asarray(perm, dtype=np.int64)
-    pl = p.tolist()
-    if p.shape != (n,) or sorted(pl) != list(range(n)):
+    return _format_wlg(g.n, g.directed, *_relabeled(g, perm))
+
+
+def is_permutation(p, n: int) -> bool:
+    """Whether p lists each of 0..n-1 exactly once."""
+    p = np.asarray(p)
+    return p.shape == (n,) and bool(np.array_equal(np.sort(p), np.arange(n)))
+
+
+def _relabeled(g: ColoredGraph, perm) -> tuple[tuple[int, ...], np.ndarray]:
+    """The vertex colors and the normalized edge rows (u, v, color), in
+    `edges` order, of g with vertex i renamed perm[i]."""
+    if not is_permutation(perm, g.n):
         raise UnsupportedGraphError("relabel requires a permutation of 0..n-1")
-    colors = [0] * n
-    for i, c in enumerate(g.vertex_colors):
-        colors[pl[i]] = c
+    p = np.asarray(perm, dtype=np.int64)
+    colors = np.empty(g.n, dtype=np.int64)
+    colors[p] = g.vertex_colors
     e = g.edge_array()
     rows = e.copy()
     u, v = p[e[:, 0]], p[e[:, 1]]
@@ -331,7 +338,7 @@ def serialize_wlg_relabeled(g: ColoredGraph, perm) -> str:
     else:
         np.minimum(u, v, out=rows[:, 0])
         np.maximum(u, v, out=rows[:, 1])
-    return _format_wlg(n, g.directed, colors, rows)
+    return tuple(colors.tolist()), rows
 
 
 def _format_wlg(n: int, directed: bool, colors, rows: np.ndarray) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResourceLimitError
-from .graph import ColoredGraph, disjoint_union
+from .graph import ColoredGraph, disjoint_union, is_permutation
 from .limits import DEFAULT_LIMITS, Limits
 from .refine import refine_k
 
@@ -25,7 +25,7 @@ def is_isomorphism(g: ColoredGraph, h: ColoredGraph, mapping) -> bool:
     mapping = [int(x) for x in mapping]
     if g.n != h.n or g.directed != h.directed:
         return False
-    if sorted(mapping) != list(range(g.n)):
+    if not is_permutation(mapping, g.n):
         return False
     if any(h.vertex_colors[mapping[v]] != g.vertex_colors[v] for v in range(g.n)):
         return False
@@ -206,7 +206,7 @@ def aut_group_order(
     composition, breadth first)."""
     gens = [tuple(int(x) for x in s) for s in generators]
     for s in gens:
-        if sorted(s) != list(range(n)):
+        if not is_permutation(s, n):
             raise ValueError("generator is not a permutation of range(n)")
     identity = tuple(range(n))
     seen = {identity}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wlkit.canon as canon
 from conftest import colored_graphs
 from wlkit.canon import (
     _canonical_search,
@@ -208,6 +209,26 @@ def test_every_equal_leaf_jumps(g, k, seed):
     assert stats.generators
     assert stats.jumps >= len(stats.generators)
     assert stats.orbit_skips > 0
+
+
+def test_orbit_pruning_tests_each_generator_once_per_frame(monkeypatch):
+    # an edgeless graph is searched along n(n+1)/2 nodes and finds n - 1
+    # generators; testing every generator against the prefix again for every
+    # candidate would take on the order of n^4 steps
+    n = 40
+    tests = []
+    fixes = canon._fixes
+
+    def spy(s, prefix):
+        tests.append(len(prefix))
+        return fixes(s, prefix)
+
+    monkeypatch.setattr(canon, "_fixes", spy)
+    _, stats = _canonical_search(ColoredGraph(n, []), 1, DEFAULT_LIMITS)
+    assert stats.nodes == n * (n + 1) // 2
+    assert len(stats.generators) == stats.jumps == n - 1
+    assert stats.orbit_skips == (n - 1) * (n - 2) // 2
+    assert len(tests) <= n * n
 
 
 # -- iterated-individualization invariant ----------------------------------------

@@ -92,7 +92,9 @@ def reference_twin_classes(g, cols):
 
 
 def reference_attachment_profiles(g, cols, pieces):
-    """The per-piece-pair loop `cws._attachment_profiles` replaced."""
+    """Attachment profiles per (outside vertex, piece index) and per adjacent
+    piece pair, from each outside vertex's neighbors and a loop over every
+    pair of pieces."""
     owner = {}
     for pi, piece in enumerate(pieces):
         for v in piece:
@@ -336,10 +338,36 @@ def test_twin_classes_match_the_pairwise_reference(case):
 @PROPERTY
 @given(graphs_with_pieces())
 def test_attachment_profiles_match_the_pairwise_reference(case):
+    # contraction reads each edge once; the profile table, each attachment
+    # edge's color and the kept edges must match the pairwise reference
     g, cols, pieces = case
-    got = cws._attachment_profiles(g, cols, pieces)
-    assert got == reference_attachment_profiles(g, cols, pieces)
-    assert list(got[1]) == sorted(got[1])
+    digests = [bytes([i % 2]) for i in range(len(pieces))]
+    if g.directed:
+        with pytest.raises(UnsupportedGraphError):
+            contract_batch(g, cols, pieces, digests)
+        return
+    out, mapping, _, profile_table = contract_batch(g, cols, pieces, digests)
+    op, pp = reference_attachment_profiles(g, cols, pieces)
+    assert profile_table == sorted(set(op.values()) | set(pp.values()))
+    ebase = g.max_edge_color() + 1
+    slot = [mapping[min(piece)] for piece in pieces]
+    expected = {}
+    for (w, i), prof in op.items():
+        expected[(mapping[w], slot[i])] = ebase + profile_table.index(prof)
+    for (i, j), prof in pp.items():
+        expected[tuple(sorted((slot[i], slot[j])))] = ebase + profile_table.index(prof)
+    inside = set().union(*pieces)
+    for u, v, c in g.edge_list():
+        if u not in inside and v not in inside:
+            expected[(mapping[u], mapping[v])] = c
+    assert out.edges == expected
+
+
+def test_contraction_refuses_a_directed_graph():
+    # arcs 0->1, 2->1 and 3->2 with the piece {1, 2}
+    g = ColoredGraph(4, [(0, 1, 0), (2, 1, 0), (3, 2, 0)], directed=True)
+    with pytest.raises(UnsupportedGraphError):
+        contract_batch(g, np.zeros(4, dtype=np.int64), [frozenset({1, 2})], [b""])
 
 
 def test_prime_pieces_of_c4():

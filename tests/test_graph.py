@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import colored_graphs
 from wlkit.errors import ParseError, UnsupportedGraphError
@@ -27,8 +27,9 @@ from wlkit.graph import (
     parse_wlg,
     random_relabel,
     serialize_wlg,
+    serialize_wlg_relabeled,
 )
-from wlkit.oracle import is_isomorphism, iso_oracle
+from wlkit.oracle import aut_group_order, is_isomorphism, iso_oracle
 
 
 # -- construction ------------------------------------------------------------
@@ -223,3 +224,37 @@ def test_random_relabel_is_isomorphic():
         h, perm = random_relabel(g, seed=seed + 100)
         assert h == g.relabel(perm)
         assert is_isomorphism(g, h, perm)
+
+
+def reference_relabel(g: ColoredGraph, perm: list[int]) -> ColoredGraph:
+    """Relabel by a per-vertex and a per-edge loop through the checking
+    constructor."""
+    colors = [0] * g.n
+    for i, c in enumerate(g.vertex_colors):
+        colors[perm[i]] = c
+    edges = [(perm[u], perm[v], c) for (u, v), c in g.edges.items()]
+    return ColoredGraph(g.n, edges, g.directed, colors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_relabel_matches_the_per_edge_reference(data):
+    g, _ = data.draw(colored_graphs())
+    g = g.with_vertex_colors(data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n)))
+    perm = data.draw(st.permutations(range(g.n)))
+    h, ref = g.relabel(perm), reference_relabel(g, perm)
+    assert h == ref
+    assert list(h.edges.items()) == list(ref.edges.items())
+    assert np.array_equal(h.edge_array(), ref.edge_array())
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 3]])
+def test_every_permutation_check_refuses_a_non_permutation(perm):
+    g = path(3)
+    with pytest.raises(UnsupportedGraphError, match="permutation of 0..n-1"):
+        g.relabel(perm)
+    with pytest.raises(UnsupportedGraphError, match="permutation of 0..n-1"):
+        serialize_wlg_relabeled(g, perm)
+    assert is_isomorphism(g, g, perm) is False
+    with pytest.raises(ValueError, match="not a permutation"):
+        aut_group_order([perm], 3)
