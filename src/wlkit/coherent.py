@@ -212,7 +212,7 @@ def cellular_closure(
     # the closure's rounds are refine's k = 2 rounds, and what it holds
     # besides (O(n^2) ids after the loop; the seed goes before the first
     # round) stays below their per-tuple allowance.  Checked against
-    # tracemalloc peaks: peak/need 0.89-0.91 for discrete closures at
+    # tracemalloc peaks: peak/need 0.90-0.92 for discrete closures at
     # n = 64-160, 0.97 at n = 220 with one twin pair (int64 rows at the stop
     # check), 0.49 for the discrete 220-point closure, whose rows stay int32
     need = _estimate_bytes(n, 2)

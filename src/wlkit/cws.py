@@ -38,7 +38,7 @@ import numpy as np
 
 from .canon import Certificate, certify
 from .errors import DecompositionError, UnsupportedGraphError
-from .graph import ColoredGraph
+from .graph import ColoredGraph, serialize_wlg
 from .kernels import dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import _UnionFind
@@ -438,6 +438,12 @@ def _piece_digest(
     return certify(_piece_graph(g, cols, piece), k, "canonical", limits=limits).digest
 
 
+def _twin_digest(g: ColoredGraph, cols: np.ndarray, piece: frozenset[int]) -> bytes:
+    """`_piece_digest` of a twin group, a uniformly colored complete or
+    edgeless graph: every leaf of its search serializes as the graph does."""
+    return hashlib.sha256(serialize_wlg(_piece_graph(g, cols, piece)).encode("ascii")).digest()
+
+
 def contract_batch(
     g: ColoredGraph,
     cols: np.ndarray,
@@ -637,7 +643,11 @@ def _reduce(
                 break
         else:
             return levels, cur
-        digests = [_piece_digest(cur, cols, p, piece_k, limits) for p in pieces]
+        digests = [
+            _twin_digest(cur, cols, p) if kind == "twin"
+            else _piece_digest(cur, cols, p, piece_k, limits)
+            for p in pieces
+        ]
         nxt, mapping, color_table, profile_table = contract_batch(
             cur, cols, pieces, digests
         )

@@ -21,18 +21,20 @@ when base^k is below _INT32_LIMIT and int64 otherwise (`code_dtype`); the
 narrower rows halve the bytes that a round's sort, compare and rank move.
 
 A round splits nothing exactly when every tuple's row equals the row of the
-first tuple of its class (`rows_agree_within_classes`); that compare stands in
-for the rank of the round that confirms stability.
+first tuple of its class; `refine` checks that first, and on a split ranks
+only the rows that differ from their class's first row, with the first rows
+of the classes that split (`refine._split_ids`).
 
 `dense_rank_rows` ranks rows whose column bit lengths sum to at most 62 (a
 k = 2 search node's first round, initial and seeded colorings, narrow k = 1
 rows) as one packed int64 key per row through `argsort`; every other row is
 sorted as big-endian bytes of its own width.  Both give the same ids.  The
-round loop owns the rows it builds, so once its stop check fails it swaps
-them to big-endian in place (`big_endian`) and the rank sorts them where
-they lie: a round holds its n^k * (n + 1) cells once, plus one slab of at
-most _AGREE_CELLS gathered cells and a few n^k-long id arrays.  Any other
-input is copied first; the rank never writes its argument.
+round loop owns the rows it builds, so once its stop check fails it moves
+the rows to rank to the front, swaps them to big-endian in place
+(`big_endian`) and the rank sorts them where they lie: a round holds its
+n^k * (n + 1) cells once, plus one slab of at most _AGREE_CELLS gathered
+cells and a few n^k-long id arrays.  Any other input is copied first; the
+rank never writes its argument.
 """
 from __future__ import annotations
 
@@ -42,8 +44,8 @@ import numpy as np
 _PACK_LIMIT = 2**62
 # codes below this are built, sorted and ranked as int32
 _INT32_LIMIT = 2**31
-# rows_agree_within_classes, and dense_rank_rows' compare of sorted
-# neighbours, gather this many cells at a time
+# refine's stop check and compaction, and dense_rank_rows' compare of
+# sorted neighbours, gather this many cells at a time
 _AGREE_CELLS = 1 << 18
 
 
@@ -157,21 +159,6 @@ def dense_rank_rows(rows: np.ndarray) -> np.ndarray:
     ids = np.empty(m, dtype=np.int64)
     ids[order] = dense
     return ids
-
-
-def rows_agree_within_classes(rows: np.ndarray, colors: np.ndarray, ncolors: int) -> bool:
-    """True when every tuple's row equals the row of the first tuple of its
-    color class."""
-    m = colors.shape[0]
-    first = np.full(ncolors, m, dtype=np.int64)
-    np.minimum.at(first, colors, np.arange(m, dtype=np.int64))
-    rep = first[colors]
-    # a slice at a time, so a round that splits stops at its first split
-    step = max(1, _AGREE_CELLS // max(1, rows.shape[1]))
-    return all(
-        np.array_equal(rows[lo : lo + step], rows[rep[lo : lo + step]])
-        for lo in range(0, m, step)
-    )
 
 
 def round_rows(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray:

@@ -22,15 +22,19 @@ the round, for any k.
 Every k runs one round loop (`stable_rounds`), and so does the coherent
 closure.  A round's rows are dense-ranked lexicographically, previous color
 first, so a color id is the rank of its row among the round's rows, and a
-round that splits nothing gives back the previous ids.  For k >= 2 a round
-first checks whether anything splits: each tuple's exact row is compared
-with the row of the first tuple of its class.  When all agree the coloring
-is stable and the loop stops without ranking; the round that confirms
-stability thus costs a compare, not a sort of its n + 1 wide rows.  A
+round that splits nothing gives back the previous ids.  A full k >= 2
+round first compares each tuple's exact row with the row of the first
+tuple of its class; when all agree the loop stops without ranking, so the
+round that confirms stability costs a compare, not a sort of its n + 1
+wide rows.  Otherwise only the rows that differ from their class's first
+row, and the first row of each class that splits, are ranked
+(`_split_ids`; Berkholz, Bonsma and Grohe, and McKay and Piperno, likewise
+refine only the cells that change).  Column 0 is the class, so a class's
+rows rank in one block, and every other row takes its first row's id.  A
 k >= 2 coloring with n^k classes cannot split, so the loop stops there
-without building a round.  A k = 1 row is as narrow as a vertex's degree,
-so it is ranked at once and the loop stops when the ids come back
-unchanged.
+without building a round.  A k = 1 round and a search node's first round
+(below) are narrow, so they are ranked at once and the loop stops when the
+class count does not grow.
 
 A search node individualizes one vertex v on top of its parent's stable
 coloring `start`, and its first round then depends only on each tuple's
@@ -82,7 +86,6 @@ from .kernels import (
     code_dtype,
     dense_rank_rows,
     round_rows,
-    rows_agree_within_classes,
     substitution_view,
 )
 from .limits import DEFAULT_LIMITS, Limits
@@ -204,21 +207,26 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
 
     A k >= 2 round holds its n^k * (n + 1) cells once, at the itemsize of
     the widest codes n^k colors can take (`code_dtype`), since the rank
-    sorts them where they lie; one slab of at most _AGREE_CELLS gathered
-    cells with their bool compare, for the stop check and for the rank's
-    neighbour compare; and up to 96 bytes a tuple of id, order and index
-    arrays.  Where base^k can reach _PACK_LIMIT, `round_rows`' overflow-safe
-    branch adds its n^(k+1) stacked k-vectors (8k bytes a cell, ranked in
-    place) and the rank's 32 bytes a cell.  Fitted to tracemalloc peaks of
-    random graphs: peak/estimate 0.86-0.91 at k = 2, n = 40-160 (int32
-    rows), 0.96-0.98 at n = 220 and 400 (a round ranks int64 rows), 0.49 at
-    n = 240, whose rows stay int32 below the int64 the estimate allows;
-    0.85-0.86 at k = 3, n = 20-40; 0.74-0.82 for the branch with
-    _PACK_LIMIT patched to 1 (k = 2-4).  numpy's per-call buffers, about
-    100 KB, are left out: they matter only below n = 30 at k = 2 and
-    n = 12 at k = 3.  At the default 2 GiB this admits k = 2 up to n = 640,
-    k = 3 up to n = 118 (the branch can run from n = 119) and k = 4 up to
-    n = 30."""
+    sorts them where they lie; one slab of at most _AGREE_CELLS cells, for
+    the stop check (gathered cells and their bool compare, then that
+    compare's float32 copy for the row flags: itemsize + 1 bytes a cell
+    either way) and for the rank's neighbour compare; and up to 96 bytes a
+    tuple of id, order and index arrays: the previous ids, each class's
+    first tuple, the row flags, the index of the ranked rows, the rank's
+    order, run starts and ids, and the new ids.  Beside the rows and the
+    slab these were traced at no more than 56 bytes a tuple, at k = 2,
+    n = 40-160, where nearly every row is ranked.  Where base^k can reach
+    _PACK_LIMIT, `round_rows`' overflow-safe branch adds its n^(k+1)
+    stacked k-vectors (8k bytes a cell, ranked in place) and the rank's 32
+    bytes a cell.  Fitted to tracemalloc peaks of random graphs:
+    peak/estimate 0.87-0.92 at k = 2, n = 40-160 (int32 rows), 0.96-0.98
+    at n = 220 and 400 (a round ranks int64 rows), 0.49 at n = 240, whose
+    rows stay int32 below the int64 the estimate allows; 0.85-0.86 at
+    k = 3, n = 20-40; 0.74-0.82 for the branch with _PACK_LIMIT patched to
+    1 (k = 2-4).  numpy's per-call buffers, about 100 KB, are left out:
+    they matter only below n = 30 at k = 2 and n = 12 at k = 3.  At the
+    default 2 GiB this admits k = 2 up to n = 640, k = 3 up to n = 118 (the
+    branch can run from n = 119) and k = 4 up to n = 30."""
     if k == 1:
         return 8 * (n * (3 * width + 8) + 16 * pairs)
     nk = n**k
@@ -280,6 +288,55 @@ def _pivot_rows(colors: np.ndarray, n: int, k: int, ncolors: int, v: int) -> np.
     return rows
 
 
+def _split_ids(rows: np.ndarray, colors: np.ndarray, ncolors: int) -> np.ndarray | None:
+    """The ids `dense_rank_rows(rows)` gives a full k >= 2 round's rows, or
+    None when every row equals the row of its class's first tuple.  Only
+    the rows that differ from it, and the first row of each class that
+    splits, are moved to the front of `rows` (which the caller gives up)
+    and ranked; every other row takes its first row's id."""
+    m = colors.shape[0]
+    first = np.full(ncolors, m, dtype=np.int64)
+    np.minimum.at(first, colors, np.arange(m, dtype=np.int64))
+    rep = first[colors]
+    # a slab at a time, flagging rows from the first slab that splits on; a
+    # float32 matrix-vector product counts a row's differing cells several
+    # times faster than any(axis=1) on rows this short
+    step = max(1, kernels._AGREE_CELLS // rows.shape[1])
+    ones = np.ones(rows.shape[1], dtype=np.float32)
+    keep = np.zeros(m, dtype=bool)
+    split = False
+    for lo in range(0, m, step):
+        differ = rows[lo : lo + step] != rows[rep[lo : lo + step]]
+        split = split or bool(differ.any())
+        if split:
+            np.greater(differ.astype(np.float32) @ ones, 0, out=keep[lo : lo + step])
+        del differ
+    if not split:
+        return None
+    dirty = np.zeros(ncolors, dtype=bool)
+    dirty[colors[keep]] = True
+    keep[first[dirty]] = True
+    idx = np.flatnonzero(keep)
+    del rep, keep
+    kept = idx.shape[0]
+    for lo in range(0, kept, step):  # in place: no source lies below its slot
+        rows[lo : min(lo + step, kept)] = rows[idx[lo : lo + step]]
+    ranks = dense_rank_rows(big_endian(rows[:kept]))
+    # column 0 is the class, so the kept rows rank in class blocks; a class
+    # that splits nothing holds one id, above the distinct rows below it
+    cls = colors[idx]
+    block = np.empty(int(ranks.max()) + 1, dtype=np.int64)
+    block[ranks] = cls
+    below = np.cumsum(~dirty) - ~dirty  # the clean classes below each class
+    ranks += below[cls]
+    per_class = np.searchsorted(block, np.arange(ncolors)) + below
+    del block, cls, below
+    per_class[dirty] = ranks[np.searchsorted(idx, first[dirty])]
+    ids = per_class[colors]
+    ids[idx] = ranks
+    return ids
+
+
 def stable_rounds(
     colors: np.ndarray,
     n: int,
@@ -300,24 +357,19 @@ def stable_rounds(
     while True:
         if k == 1:
             ids = dense_rank_rows(_round_rows_k1(nc, colors))
-            if np.array_equal(ids, colors):
-                return colors, class_counts
+        elif ncolors == colors.shape[0]:
+            return colors, class_counts
+        elif pivot is not None:
+            ids = dense_rank_rows(_pivot_rows(colors, n, k, ncolors, pivot))
+            pivot = None
         else:
-            if ncolors == colors.shape[0]:
+            ids = _split_ids(round_rows(colors, n, k, ncolors), colors, ncolors)
+            if ids is None:
                 return colors, class_counts
-            if pivot is None:
-                rows = round_rows(colors, n, k, ncolors)
-            else:
-                rows = _pivot_rows(colors, n, k, ncolors, pivot)
-                pivot = None
-            if rows_agree_within_classes(rows, colors, ncolors):
-                return colors, class_counts
-            # the rows are the loop's own: swapped in place, they are
-            # ranked without a copy
-            ids = dense_rank_rows(big_endian(rows))
-            del rows  # freed before the next round allocates its own
-        colors = ids
-        ncolors = int(colors.max()) + 1
+        count = int(ids.max()) + 1
+        if count == ncolors:  # column 0 is the previous color: the same ids
+            return colors, class_counts
+        colors, ncolors = ids, count
         class_counts.append(ncolors)
 
 

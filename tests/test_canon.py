@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,6 +230,113 @@ def test_orbit_pruning_tests_each_generator_once_per_frame(monkeypatch):
     assert len(stats.generators) == stats.jumps == n - 1
     assert stats.orbit_skips == (n - 1) * (n - 2) // 2
     assert len(tests) <= n * n
+
+
+def logged_search(g, k):
+    """Run the canonical search and log, in order, each node (its prefix and
+    its target class, None at a leaf), each automorphism found at an equal
+    leaf and each jump (the depth it unwinds to)."""
+    log = []
+    top = max(g.vertex_colors, default=0)
+    refine_node, is_aut = canon._refine_node, canon.is_automorphism
+
+    def node_spy(g, k, colors, start, limits):
+        tc, pv = refine_node(g, k, colors, start, limits)
+        # individualized vertices carry fresh colors above the graph's own,
+        # one level after another
+        picked = np.flatnonzero(colors > top)
+        prefix = tuple(int(v) for v in picked[np.argsort(colors[picked])])
+        members = None if pv.num_colors == g.n else canon._target_class(pv.colors)[1]
+        log.append(("node", prefix, members))
+        return tc, pv
+
+    def aut_spy(g, sigma):
+        out = is_aut(g, sigma)
+        if out:
+            log.append(("gen", tuple(int(x) for x in sigma)))
+        return out
+
+    class Jump(canon._Jump):
+        def __init__(self, depth):
+            log.append(("jump", depth))
+            super().__init__(depth)
+
+    with mock.patch.object(canon, "_refine_node", node_spy), \
+            mock.patch.object(canon, "is_automorphism", aut_spy), \
+            mock.patch.object(canon, "_Jump", Jump):
+        _, stats = _canonical_search(g, k, DEFAULT_LIMITS)
+    return log, stats
+
+
+def check_orbit_pruning(g, k):
+    """At every candidate of every frame, the search skips exactly the
+    members in the orbits of the members before it under the automorphisms
+    found so far that fix the frame's prefix pointwise, recomputed from
+    scratch; returns the number of skips."""
+    log, stats = logged_search(g, k)
+    at = {e[1]: i for i, e in enumerate(log) if e[0] == "node"}
+    # a jump that unwinds past a frame ends its loop after the child it
+    # came through
+    last_child = {}
+    leaf = None
+    for e in log:
+        if e[0] == "node":
+            leaf = e[1]
+        elif e[0] == "jump":
+            for depth in range(e[1] + 1, len(leaf)):
+                last_child[leaf[:depth]] = leaf[depth]
+    skips = 0
+    for i, e in enumerate(log):
+        if e[0] != "node" or e[2] is None or e[1] + (e[2][0],) not in at:
+            continue  # a leaf, or pruned by its invariant before the loop
+        prefix, members = e[1], e[2]
+        end = next(
+            (j for j in range(i + 1, len(log))
+             if log[j][0] == "node" and log[j][1][: len(prefix)] != prefix),
+            len(log),
+        )
+        if prefix in last_child:
+            members = members[: members.index(last_child[prefix]) + 1]
+        for pos, v in enumerate(members):
+            visited = prefix + (v,) in at
+            # the loop decides on v when the earlier siblings' subtrees are done
+            t = next((at[prefix + (w,)] for w in members[pos:] if prefix + (w,) in at), end)
+            gens = [
+                s for kind, *rest in log[:t] if kind == "gen"
+                for s in rest if all(s[p] == p for p in prefix)
+            ]
+            reach = set(members[:pos])
+            queue = list(reach)
+            while queue:
+                x = queue.pop()
+                for s in gens:
+                    if s[x] not in reach:
+                        reach.add(s[x])
+                        queue.append(s[x])
+            assert visited == (v not in reach), (prefix, v)
+            skips += not visited
+    assert skips == stats.orbit_skips
+    return skips
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_orbit_pruning_skips_exactly_the_orbits_of_explored_members(seed):
+    skips = 0
+    for g, k in (
+        (random_relabel(cfi_build(complete(4))[0], seed=seed)[0], 2),
+        (random_relabel(petersen(), seed=seed)[0], 1),
+        (random_relabel(ColoredGraph(6, []), seed=seed)[0], 1),
+    ):
+        skips += check_orbit_pruning(g, k)
+    assert skips > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(colored_graphs(max_n=7), st.sampled_from((1, 2)))
+def test_orbit_pruning_is_exact_on_random_colored_graphs(case, k):
+    g, cols = case
+    if g.n:
+        check_orbit_pruning(g.with_vertex_colors(cols.tolist()), k)
 
 
 # -- iterated-individualization invariant ----------------------------------------

@@ -323,16 +323,16 @@ def test_a_closure_makes_one_exact_n3_pass():
     # the result: no axiom-3 slab follows it
     checks, slabs = [], []
     real_rows = refine_module.round_rows
-    real_agree = refine_module.rows_agree_within_classes
+    real_split = refine_module._split_ids
     real_codes = coherent.substitution_codes
 
     def rows_spy(colors, n, k, ncolors):
         checks.append([ncolors])
         return real_rows(colors, n, k, ncolors)
 
-    def agree_spy(*args):
-        out = real_agree(*args)
-        checks[-1].append(out)
+    def split_spy(*args):
+        out = real_split(*args)
+        checks[-1].append(out is None)  # every row agrees with its class's first
         return out
 
     def codes_spy(*args):
@@ -341,7 +341,7 @@ def test_a_closure_makes_one_exact_n3_pass():
 
     c = klein_scheme(complete_bipartite(3, 3))
     with mock.patch.object(refine_module, "round_rows", rows_spy), \
-            mock.patch.object(refine_module, "rows_agree_within_classes", agree_spy), \
+            mock.patch.object(refine_module, "_split_ids", split_spy), \
             mock.patch.object(coherent, "substitution_codes", codes_spy):
         # already coherent: one round's rows, which split nothing
         fixed = cellular_closure(c.rel)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -401,6 +402,56 @@ def test_twin_classes():
 def test_no_twins_in_c6():
     t, f = twin_classes(cycle(6), classes_of(cycle(6)))
     assert t == [] and f == []
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_twin_digests_are_the_canonical_certificates(k):
+    # a twin group, uniformly colored and complete or edgeless with one
+    # edge code, inside a graph that joins every member to one hub; its
+    # digest without a search is the canonical search's
+    for size in range(1, 9):
+        for code in (0, 1, 2):
+            inner = [] if code == 0 else [
+                (u, v, code - 1) for u, v in combinations(range(size), 2)
+            ]
+            g = ColoredGraph(
+                size + 1, inner + [(u, size, 0) for u in range(size)],
+                vertex_colors=[2] * size + [0],
+            )
+            g, perm = random_relabel(g, seed=size)
+            cols = np.asarray(g.vertex_colors)
+            piece = frozenset(perm[u] for u in range(size))
+            want = cws._piece_digest(g, cols, piece, k, DEFAULT_LIMITS)
+            assert cws._twin_digest(g, cols, piece) == want, (size, code)
+
+
+def test_reduction_runs_no_search_on_twin_pieces():
+    # 100 disjoint C4s reduce in three twin levels; only the one-vertex
+    # terminal graph is certified, and the digests are those of searching
+    # every twin piece (a 200-vertex group alone took 20 100 search nodes)
+    def disjoint_c4s(m):
+        out = cycle(4)
+        for _ in range(m - 1):
+            out = disjoint_union(out, cycle(4))
+        return out
+
+    sizes = []
+    real = cws.certify
+
+    def spy(g, *args, **kwargs):
+        sizes.append(g.n)
+        return real(g, *args, **kwargs)
+
+    with mock.patch.object(cws, "certify", spy):
+        tree, cert = reduce_graph(disjoint_c4s(100), 1)
+    assert [lv.kind for lv in tree.levels] == ["twin"] * 3
+    assert sizes == [1]
+    assert cert.hexdigest == (
+        "486bf8a12d8fe98be8b8794bd9c8b26dcde8ac3f0de4c3758cf014b08052f95d"
+    )
+    assert reduce_graph(disjoint_c4s(200), 1)[1].hexdigest == (
+        "ccc07afe353ac0339ee3f66f3e5e1ac1715afdcba2978c8101acdc9ada344d8d"
+    )
 
 
 # -- contraction ----------------------------------------------------------------------

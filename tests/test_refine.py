@@ -414,9 +414,15 @@ def test_refinement_matches_the_lexicographic_reference(case, k, steps):
         assert np.array_equal(tc.colors, colors)
         assert tc.rounds == rounds
         assert tc.class_counts == counts
-        # the initial coloring and each splitting round are ranked; the round
-        # that finds nothing to split is not
-        assert len(ranked) == 1 + rounds
+        # the initial coloring and each splitting round are ranked; a full
+        # round that finds nothing to split is not, and a search node's
+        # first round is ranked whether it splits or not
+        pivot_round = (
+            start is not None
+            and refine_module._pivot(start, cols, g.n, k) is not None
+            and counts[0] < g.n**k
+        )
+        assert len(ranked) == 1 + rounds + (pivot_round and rounds == 0)
         start = tc.colors
 
 
@@ -572,47 +578,70 @@ def test_overflow_safe_rows_stay_within_the_estimate():
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_rows_agree_within_classes_matches_a_row_by_row_compare(data):
+def test_split_ids_match_the_rank_of_all_rows(data):
     m = data.draw(st.integers(1, 12))
     w = data.draw(st.integers(1, 6))
     ncolors = data.draw(st.integers(1, m))
-    colors = np.array(data.draw(st.lists(st.integers(0, ncolors - 1), min_size=m, max_size=m)))
+    # dense colors: every id below ncolors occurs
+    colors = np.array(data.draw(st.permutations(
+        list(range(ncolors)) + data.draw(st.lists(
+            st.integers(0, ncolors - 1), min_size=m - ncolors, max_size=m - ncolors,
+        ))
+    )))
     # each class starts from one shared row; a few cells then change, most
-    # of them in the last column
+    # of them in the last column, so some classes split and some do not
     shared = np.array(data.draw(st.lists(
         st.lists(st.integers(0, 3), min_size=w, max_size=w),
         min_size=ncolors, max_size=ncolors,
     )))
-    rows = shared[colors]
+    dtype = data.draw(st.sampled_from((np.int32, np.int64)))
+    rows = np.empty((m, 1 + w), dtype=dtype)
+    rows[:, 0] = colors
+    rows[:, 1:] = shared[colors]
     changes = data.draw(st.lists(st.tuples(
         st.integers(0, m - 1),
-        st.one_of(st.just(w - 1), st.integers(0, w - 1)),
+        st.one_of(st.just(w), st.integers(1, w)),
         st.integers(1, 2),
     ), max_size=3))
     for i, j, step in changes:
         rows[i, j] += step
     first: dict[int, int] = {}
-    want = all(
+    agree = all(
         rows[i].tolist() == rows[first.setdefault(int(c), i)].tolist()
         for i, c in enumerate(colors)
     )
-    assert kernels.rows_agree_within_classes(rows, colors, ncolors) == want
-    # also a slice of one row, or of a few, at a time
-    cells = data.draw(st.integers(1, 3 * w))
-    with mock.patch.object(kernels, "_AGREE_CELLS", cells):
-        assert kernels.rows_agree_within_classes(rows, colors, ncolors) == want
+    want = None if agree else kernels.dense_rank_rows(rows)
+    # a slab of one row, or of a few, at a time as well, so that the rows
+    # kept for the rank cross slab edges
+    cells = data.draw(st.integers(1, 3 * (1 + w)))
+    for patch in (kernels._AGREE_CELLS, cells):
+        with mock.patch.object(kernels, "_AGREE_CELLS", patch):
+            got = refine_module._split_ids(rows.copy(), colors, ncolors)
+        if agree:
+            assert got is None
+        else:
+            assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
-def test_rows_agree_within_classes():
+def test_split_ids_rank_only_the_rows_of_classes_that_split():
     rows = np.array([[0, 1, 2], [0, 1, 2], [1, 5, 5], [1, 5, 6]])
-    assert kernels.rows_agree_within_classes(rows[:3], np.array([0, 0, 1]), 2)
-    # rows 2 and 3 differ in their last column only, rows 0 and 2 in the middle
-    assert not kernels.rows_agree_within_classes(rows, np.array([0, 0, 1, 1]), 2)
-    assert not kernels.rows_agree_within_classes(rows[[0, 2]], np.array([0, 0]), 1)
+    assert refine_module._split_ids(rows[:3].copy(), np.array([0, 0, 1]), 2) is None
     # classes are compared with their first tuple, wherever it sits
-    assert kernels.rows_agree_within_classes(
+    assert refine_module._split_ids(
         rows[[2, 0, 2, 1]], np.array([1, 0, 1, 0]), 2
-    )
+    ) is None
+    ranked = []
+
+    def spy(got):
+        ranked.append(got.tolist())
+        return kernels.dense_rank_rows(got)
+
+    # rows 2 and 3 differ in their last column only: class 1 splits, and its
+    # two rows alone are ranked; class 0 keeps one id below them
+    with mock.patch.object(refine_module, "dense_rank_rows", spy):
+        ids = refine_module._split_ids(rows.copy(), np.array([0, 0, 1, 1]), 2)
+    assert ids.tolist() == [0, 0, 1, 2]
+    assert ranked == [[[1, 5, 5], [1, 5, 6]]]
 
 
 # -- the sparse k = 1 round against the dense one ----------------------------------
