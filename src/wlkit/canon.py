@@ -186,8 +186,6 @@ def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
             bpfx = best["inv"][: len(path2)]
             if path2 > bpfx:
                 return  # every leaf below is larger than the incumbent
-            if path2 < bpfx:
-                best["bytes"] = None  # incumbent is not minimal; rebuild below
         if pv.num_colors == n:
             stats.leaves += 1
             order = np.argsort(pv.colors)

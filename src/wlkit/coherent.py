@@ -1,9 +1,11 @@
 """Coherent configurations: validation, closure, and the Klein-group scheme.
 
 A configuration is stored as an (n, n) matrix of relation ids.  Validation
-checks the three axioms directly: the diagonal is a union of relations, the
+checks the three axioms: the diagonal is a union of relations, the
 transpose of every relation is a relation, and the number of z with
-(x, z) in R_i, (z, y) in R_j depends only on the relation of (x, y).
+(x, z) in R_i, (z, y) in R_j depends only on the relation of (x, y).  The
+third is the k = 2 stop check that ends the closure's round loop, so a
+closure needs no separate pass for it.
 
 The Klein scheme of a cubic graph puts a 4-point fibre on every vertex,
 carrying that fibre's identity relation and three pairings (points as 2-bit
@@ -20,12 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoherenceError, ParseError, ResourceLimitError, UnsupportedGraphError
+from .errors import CoherenceError, ParseError, UnsupportedGraphError
 from .graph import ColoredGraph
-from .kernels import code_dtype, dense_rank_rows, substitution_codes
+from .kernels import code_dtype, dense_rank_rows, differing_rows, round_rows
 from .limits import DEFAULT_LIMITS, Limits
 from .records import RecordFormat, Records, Tag, repeats
-from .refine import _estimate_bytes, stable_rounds
+from .refine import check_round_budget, stable_rounds
 
 
 @dataclass
@@ -72,16 +74,6 @@ class ValidationReport:
         ):
             out[rid][(i, j)] = cnt
         return out
-
-
-# one slab of validate's axiom-3 check holds at most this many cells of
-# rows x n x n codes, plus a gathered copy of the exemplar rows as large
-_SLAB_CELLS = 1 << 18
-
-
-def _slab_rows(n: int) -> int:
-    """Rows x of validate's axiom-3 check done per slab."""
-    return max(1, _SLAB_CELLS // max(1, n * n))
 
 
 def _check_cells(c: CoherentConfig) -> tuple[ValidationReport, np.ndarray | None]:
@@ -132,38 +124,35 @@ def validate(c: CoherentConfig) -> ValidationReport:
     axiom-3 witness is the first cell whose multiset of pairs over z differs
     from its relation's exemplar, followed by that exemplar.
 
-    Axiom 3 reads the codes rel[x, z] * s + rel[z, y], which are refine's
-    k = 2 round codes in base s (`kernels.substitution_codes`), in slabs of
-    rows x, int32 when s^2 < 2^31.  A slab's sorted codes are compared with
-    the sorted codes of each cell's exemplar, taken from the slab that holds
-    it, which is this slab or an earlier one."""
+    Axiom 3 is refine's k = 2 stop check on the relation ids: each cell's
+    round row (its id, then its sorted codes rel[x, z] * s + rel[z, y] over
+    z; `kernels.round_rows`) against its exemplar's (`kernels.differing_rows`).
+    The round and the exemplar rows kept beside it must fit
+    `DEFAULT_LIMITS.memory_bytes`, read at the call (ResourceLimitError):
+    under 2 GiB, 640 points at most, 632 for a Klein scheme."""
     report, first = _check_cells(c)
     if first is None:
         return report
-    rel = c.rel
     n, s = c.n, c.s
-    ex, ey = np.divmod(first, n)
-    dtype = code_dtype(s, 2)
-    grid = rel.astype(dtype)
+    # the exemplar rows are taken before the round, so that the round's
+    # space, freed above them, is reused by later rounds (peak RSS)
+    dtype = code_dtype(max(2, s), 2)
+    held = s * (n + 1) * np.dtype(dtype).itemsize
+    check_round_budget(f"validation at n={n}", DEFAULT_LIMITS, n, 2, held=held)
+    kept = np.empty((s, n + 1), dtype=dtype)
+    flat = c.rel.ravel()
+    rows = round_rows(flat, n, 2, s)
+    differs = differing_rows(rows, first[flat])
+    if differs is not None:
+        x, y = divmod(int(np.argmax(differs)), n)
+        rid = int(flat[x * n + y])
+        witness = (rid, x, y) + divmod(int(first[rid]), n)
+        return ValidationReport(ok=False, axiom=3, witness=witness)
+    np.take(rows, first, axis=0, out=kept, mode="clip")  # "raise" would buffer
     # sorted rows are equal exactly when the multisets of codes are
-    ref = np.empty((s, n), dtype=dtype)
-    step = _slab_rows(n)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        codes = np.empty((hi - lo, n, n), dtype=dtype)
-        substitution_codes(grid, s, codes, lo)
-        codes.sort(axis=2)
-        own = np.flatnonzero((ex >= lo) & (ex < hi))
-        ref[own] = codes[ex[own] - lo, ey[own]]
-        differs = (codes != ref[rel[lo:hi]]).any(axis=2)
-        if differs.any():
-            x, y = divmod(int(np.argmax(differs)), n)
-            x += lo
-            rid = int(rel[x, y])
-            return ValidationReport(
-                ok=False, axiom=3, witness=(rid, x, y, int(ex[rid]), int(ey[rid])),
-            )
-    return ValidationReport(ok=True, transpose_map=report.transpose_map, code_rows=ref)
+    return ValidationReport(
+        ok=True, transpose_map=report.transpose_map, code_rows=kept[:, 1:],
+    )
 
 
 def graph_seed(g: ColoredGraph) -> np.ndarray:
@@ -199,7 +188,7 @@ def cellular_closure(
     against axioms 0-2, which are O(n^2).  Ids come out dense, diagonal
     relations first.  Raises ResourceLimitError before the first round when
     a k = 2 round would need more than `limits.memory_bytes`
-    (`refine._estimate_bytes`).
+    (`refine.check_round_budget`).
     """
     if isinstance(seed, ColoredGraph):
         seed = graph_seed(seed)
@@ -215,12 +204,7 @@ def cellular_closure(
     # tracemalloc peaks: peak/need 0.90-0.92 for discrete closures at
     # n = 64-160, 0.97 at n = 220 with one twin pair (int64 rows at the stop
     # check), 0.49 for the discrete 220-point closure, whose rows stay int32
-    need = _estimate_bytes(n, 2)
-    if need > limits.memory_bytes:
-        raise ResourceLimitError(
-            f"cellular closure at n={n} exceeds memory_bytes",
-            required=need, cap=limits.memory_bytes,
-        )
+    check_round_budget(f"cellular closure at n={n}", limits, n, 2)
     # force the diagonal apart from the rest before refining
     start = seed * 2 + np.eye(n, dtype=np.int64)
     cur = dense_rank_rows(start.reshape(n * n, 1))

@@ -14,16 +14,16 @@ colors obtained by substituting one vertex x into the tuple, ordered from the
 last tuple position down to the first.  Codes are order-isomorphic to the
 lexicographic order on those k-vectors, so dense-ranking the rows yields the
 same color ids whichever code scheme produced them.  `substitution_codes` is
-the one builder of packed codes, position j weighted base^j; it also writes
-`coherent.validate`'s axiom-3 slabs, whose codes rel[x, z] * s + rel[z, y]
-are the k = 2 codes in base s.  Codes, and the rows holding them, are int32
-when base^k is below _INT32_LIMIT and int64 otherwise (`code_dtype`); the
-narrower rows halve the bytes that a round's sort, compare and rank move.
+the one builder of packed codes, position j weighted base^j.  Codes, and the
+rows holding them, are int32 when base^k is below _INT32_LIMIT and int64
+otherwise (`code_dtype`); the narrower rows halve the bytes that a round's
+sort, compare and rank move.
 
 A round splits nothing exactly when every tuple's row equals the row of the
-first tuple of its class; `refine` checks that first, and on a split ranks
-only the rows that differ from their class's first row, with the first rows
-of the classes that split (`refine._split_ids`).
+first tuple of its class, the one exact check `differing_rows`.  `refine`
+runs it first and on a split ranks only the rows it flags, with the first
+rows of the classes that split (`refine._split_ids`); `coherent.validate`
+runs it as axiom 3 on the k = 2 round of the relation ids.
 
 `dense_rank_rows` ranks rows whose column bit lengths sum to at most 62 (a
 k = 2 search node's first round, initial and seeded colorings, narrow k = 1
@@ -44,8 +44,8 @@ import numpy as np
 _PACK_LIMIT = 2**62
 # codes below this are built, sorted and ranked as int32
 _INT32_LIMIT = 2**31
-# refine's stop check and compaction, and dense_rank_rows' compare of
-# sorted neighbours, gather this many cells at a time
+# differing_rows, refine's compaction and dense_rank_rows' compare of
+# sorted neighbours gather this many cells at a time
 _AGREE_CELLS = 1 << 18
 
 
@@ -66,21 +66,43 @@ def code_dtype(base: int, k: int) -> type:
     return np.int32 if base**k < _INT32_LIMIT else np.int64
 
 
-def substitution_codes(grid: np.ndarray, base: int, out: np.ndarray, lo: int = 0) -> None:
+def substitution_codes(grid: np.ndarray, base: int, out: np.ndarray) -> None:
     """Write the code sum_j C(t[j:=x]) * base^j of the ``(n,) * k`` color
-    grid at ``[t_0 - lo, t_1, ..., t_{k-1}, x]`` of `out`, for the
-    ``out.shape[0]`` values of t_0 from `lo` on.  Codes must fit `out`'s
+    grid at ``[t_0, ..., t_{k-1}, x]`` of `out`.  Codes must fit `out`'s
     dtype."""
     k = grid.ndim
-    hi = lo + out.shape[0]
-    # the weights go on the n^k grid (a slab of it where the view is not
-    # broadcast along t_0); only the sums are n^(k+1) wide
+    # the weights go on the n^k grid; only the sums are n^(k+1) wide
     views = [substitution_view(grid, 0)] + [
-        substitution_view(grid, j)[lo:hi] * base**j for j in range(1, k)
+        substitution_view(grid, j) * base**j for j in range(1, k)
     ]
-    np.add(views[k - 1], views[k - 2], out=out)
-    for view in views[: k - 2]:
-        out += view
+    # numpy buffers each strided or broadcast operand (all three) in blocks
+    # of bufsize, 8192 elements by default; n^k-element blocks keep that
+    # within a round's per-tuple allowance, at the same speed
+    with np.errstate():
+        np.setbufsize(16 * max(1, min(np.getbufsize(), grid.size) // 16))
+        np.add(views[k - 1], views[k - 2], out=out)
+        for view in views[: k - 2]:
+            out += view
+
+
+def differing_rows(rows: np.ndarray, first: np.ndarray) -> np.ndarray | None:
+    """Flags of the rows i that differ from row ``first[i]``, the first row
+    of their class, or None when none does.  One _AGREE_CELLS slab at a
+    time, flagging from the first slab that differs; a float32
+    matrix-vector product counts a row's differing cells several times
+    faster than any(axis=1) on rows this short."""
+    m, w = rows.shape
+    step = max(1, _AGREE_CELLS // w)
+    ones = np.ones(w, dtype=np.float32)
+    flags = np.zeros(m, dtype=bool)
+    split = False
+    for lo in range(0, m, step):
+        differ = rows[lo : lo + step] != rows[first[lo : lo + step]]
+        split = split or bool(differ.any())
+        if split:
+            np.greater(differ.astype(np.float32) @ ones, 0, out=flags[lo : lo + step])
+        del differ  # one slab at a time
+    return flags if split else None
 
 
 def _key_bits(rows: np.ndarray) -> list[int] | None:

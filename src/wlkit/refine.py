@@ -24,7 +24,8 @@ closure.  A round's rows are dense-ranked lexicographically, previous color
 first, so a color id is the rank of its row among the round's rows, and a
 round that splits nothing gives back the previous ids.  A full k >= 2
 round first compares each tuple's exact row with the row of the first
-tuple of its class; when all agree the loop stops without ranking, so the
+tuple of its class (`kernels.differing_rows`, which `coherent.validate`
+runs as axiom 3); when all agree the loop stops without ranking, so the
 round that confirms stability costs a compare, not a sort of its n + 1
 wide rows.  Otherwise only the rows that differ from their class's first
 row, and the first row of each class that splits, are ranked
@@ -85,6 +86,7 @@ from .kernels import (
     big_endian,
     code_dtype,
     dense_rank_rows,
+    differing_rows,
     round_rows,
     substitution_view,
 )
@@ -223,10 +225,11 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     at n = 220 and 400 (a round ranks int64 rows), 0.49 at n = 240, whose
     rows stay int32 below the int64 the estimate allows; 0.85-0.86 at
     k = 3, n = 20-40; 0.74-0.82 for the branch with _PACK_LIMIT patched to
-    1 (k = 2-4).  numpy's per-call buffers, about 100 KB, are left out:
-    they matter only below n = 30 at k = 2 and n = 12 at k = 3.  At the
-    default 2 GiB this admits k = 2 up to n = 640, k = 3 up to n = 118 (the
-    branch can run from n = 119) and k = 4 up to n = 30."""
+    1 (k = 2-4); 0.97 at k = 2, n = 10 and 0.80 at n = 20, where numpy's
+    ufunc buffers, which `substitution_codes` sizes to the n^k grid, fall
+    within the per-tuple allowance.  At the default 2 GiB this admits k = 2
+    up to n = 640, k = 3 up to n = 118 (the branch can run from n = 119) and
+    k = 4 up to n = 30."""
     if k == 1:
         return 8 * (n * (3 * width + 8) + 16 * pairs)
     nk = n**k
@@ -236,6 +239,19 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     if nk**k >= kernels._PACK_LIMIT:
         need += nk * n * (8 * k + 32)
     return need
+
+
+def check_round_budget(
+    what: str, limits: Limits, n: int, k: int, width: int = 0, pairs: int = 0, held: int = 0
+) -> None:
+    """Raise ResourceLimitError, naming memory_bytes, when a round of `what`
+    (`_estimate_bytes`) plus `held` bytes kept beside it would pass it."""
+    need = _estimate_bytes(n, k, width, pairs) + held
+    if need > limits.memory_bytes:
+        raise ResourceLimitError(
+            f"{what} needs about {need} bytes, past memory_bytes",
+            required=need, cap=limits.memory_bytes,
+        )
 
 
 def _round_rows_k1(nc: NeighborCodes, colors: np.ndarray) -> np.ndarray:
@@ -297,28 +313,16 @@ def _split_ids(rows: np.ndarray, colors: np.ndarray, ncolors: int) -> np.ndarray
     m = colors.shape[0]
     first = np.full(ncolors, m, dtype=np.int64)
     np.minimum.at(first, colors, np.arange(m, dtype=np.int64))
-    rep = first[colors]
-    # a slab at a time, flagging rows from the first slab that splits on; a
-    # float32 matrix-vector product counts a row's differing cells several
-    # times faster than any(axis=1) on rows this short
-    step = max(1, kernels._AGREE_CELLS // rows.shape[1])
-    ones = np.ones(rows.shape[1], dtype=np.float32)
-    keep = np.zeros(m, dtype=bool)
-    split = False
-    for lo in range(0, m, step):
-        differ = rows[lo : lo + step] != rows[rep[lo : lo + step]]
-        split = split or bool(differ.any())
-        if split:
-            np.greater(differ.astype(np.float32) @ ones, 0, out=keep[lo : lo + step])
-        del differ
-    if not split:
+    keep = differing_rows(rows, first[colors])
+    if keep is None:
         return None
     dirty = np.zeros(ncolors, dtype=bool)
     dirty[colors[keep]] = True
     keep[first[dirty]] = True
     idx = np.flatnonzero(keep)
-    del rep, keep
+    del keep
     kept = idx.shape[0]
+    step = max(1, kernels._AGREE_CELLS // rows.shape[1])
     for lo in range(0, kept, step):  # in place: no source lies below its slot
         rows[lo : min(lo + step, kept)] = rows[idx[lo : lo + step]]
     ranks = dense_rank_rows(big_endian(rows[:kept]))
@@ -396,18 +400,9 @@ def refine_k(
     n = g.n
     if start is not None and np.shape(start) != (n**k,):
         raise ValueError(f"start must be a coloring of all {n}^{k} tuples")
-    if k == 1:
-        nc = g.neighbor_codes()
-        need = _estimate_bytes(n, 1, 1 + nc.delta, nc.src.shape[0])
-    else:
-        nc = None
-        need = _estimate_bytes(n, k)
-    if need > limits.memory_bytes:
-        raise ResourceLimitError(
-            f"refinement at n={n}, k={k} needs about {need} bytes",
-            required=need,
-            cap=limits.memory_bytes,
-        )
+    nc = g.neighbor_codes() if k == 1 else None
+    k1_rows = () if nc is None else (1 + nc.delta, nc.src.shape[0])  # width, pairs
+    check_round_budget(f"refinement at n={n}, k={k}", limits, n, k, *k1_rows)
     if n == 0:
         return TupleColoring(
             k=k, n=0, colors=np.empty(0, dtype=np.int64), num_colors=0,

@@ -92,6 +92,19 @@ def test_canonical_digest_is_invariant_on_random_colored_graphs(case, k, seed):
         assert certify(h, k, "canonical").digest == ref
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_canonical_digest_for_either_component_order(k):
+    # at k = 1 most of these searches meet a node whose invariant path is
+    # below the incumbent's prefix; each leaf below it compares smaller and
+    # replaces the incumbent, so every order and labeling ends on one leaf
+    digests = set()
+    for a, b in ((4, 3), (3, 4)):
+        g = disjoint_union(cycle(a), cycle(b))
+        graphs = [g] + [random_relabel(g, seed=s)[0] for s in range(4)]
+        digests |= {certify(h, k, "canonical").digest for h in graphs}
+    assert len(digests) == 1
+
+
 def test_modes_agree_with_each_other():
     for make in (petersen, bowtie, cycle):
         g = make() if make is not cycle else cycle(7)

@@ -202,17 +202,14 @@ def closed_graphs(draw):
 @PROPERTY
 @given(st.one_of(relation_matrices(), klein_variants(), closed_graphs()))
 def test_validate_matches_the_cell_by_cell_reference(c):
-    saved = coherent._SLAB_CELLS
-    try:
-        # also in slabs of one and of three rows, so slab edges are crossed;
-        # codes are int32 here, and int64 when the limit is forced down
-        for cells in (saved, c.n * c.n, 3 * c.n * c.n):
-            coherent._SLAB_CELLS = cells
+    # also in slabs of one and of three n + 1 wide round rows, so slab edges
+    # are crossed; codes are int32 here, and int64 when the limit is forced
+    # down
+    for cells in (kernels._AGREE_CELLS, c.n + 1, 3 * (c.n + 1)):
+        with mock.patch.object(kernels, "_AGREE_CELLS", cells):
             assert_matches_reference(c)
             with mock.patch.object(kernels, "_INT32_LIMIT", 1):
                 assert_matches_reference(c, np.int64)
-    finally:
-        coherent._SLAB_CELLS = saved
 
 
 @pytest.mark.parametrize("n, codes", [(215, np.int32), (216, np.int64)])
@@ -320,11 +317,12 @@ def test_closure_matches_the_reference_round_loop(seed):
 
 def test_a_closure_makes_one_exact_n3_pass():
     # the stop check of the round loop is the closure's only n^3 pass over
-    # the result: no axiom-3 slab follows it
-    checks, slabs = [], []
+    # the result: validate's round, built through coherent's own global,
+    # does not follow it
+    checks, validated = [], []
     real_rows = refine_module.round_rows
     real_split = refine_module._split_ids
-    real_codes = coherent.substitution_codes
+    real_validate_rows = coherent.round_rows
 
     def rows_spy(colors, n, k, ncolors):
         checks.append([ncolors])
@@ -335,27 +333,27 @@ def test_a_closure_makes_one_exact_n3_pass():
         checks[-1].append(out is None)  # every row agrees with its class's first
         return out
 
-    def codes_spy(*args):
-        slabs.append(args)
-        return real_codes(*args)
+    def validate_rows_spy(*args):
+        validated.append(args[1:])
+        return real_validate_rows(*args)
 
     c = klein_scheme(complete_bipartite(3, 3))
     with mock.patch.object(refine_module, "round_rows", rows_spy), \
             mock.patch.object(refine_module, "_split_ids", split_spy), \
-            mock.patch.object(coherent, "substitution_codes", codes_spy):
+            mock.patch.object(coherent, "round_rows", validate_rows_spy):
         # already coherent: one round's rows, which split nothing
         fixed = cellular_closure(c.rel)
         assert np.array_equal(fixed.rel, c.rel)
-        assert (checks, slabs) == ([[c.s, True]], [])
+        assert (checks, validated) == ([[c.s, True]], [])
         checks.clear()
         # merged: splitting rounds, then one check that splits nothing
         merged = cellular_closure(merge_relations(c, klein_merge_groups(c)))
-        assert len(checks) >= 2 and slabs == []
+        assert len(checks) >= 2 and validated == []
         assert [agreed for _, agreed in checks] == [False] * (len(checks) - 1) + [True]
         counts = [ncolors for ncolors, _ in checks]
         assert counts == sorted(set(counts)) and counts[-1] == merged.s
-        # a direct call still checks axiom 3
-        assert validate(merged).ok and slabs
+        # a direct call still checks axiom 3, on one k = 2 round
+        assert validate(merged).ok and validated == [(merged.n, 2, merged.s)]
 
 
 def test_closure_accepts_raw_seed_matrices():
@@ -379,6 +377,57 @@ def test_closure_refuses_a_round_past_memory_bytes():
     assert err.value.cap == 10_000 and err.value.required > 10_000
     small = cellular_closure(cycle(4), limits=tight)
     assert small.s == cellular_closure(cycle(4)).s
+
+
+def test_closure_of_a_non_square_or_empty_seed():
+    with pytest.raises(UnsupportedGraphError, match="square"):
+        cellular_closure(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(UnsupportedGraphError, match="square"):
+        cellular_closure(np.zeros(4, dtype=np.int64))
+    empty = cellular_closure(np.zeros((0, 0), dtype=np.int64))
+    assert (empty.n, empty.s, empty.rel.shape) == (0, 0, (0, 0))
+
+
+def _validate_required(c: CoherentConfig) -> int:
+    """The bytes validate says it needs for `c`."""
+    tight = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=1)
+    with mock.patch.object(coherent, "DEFAULT_LIMITS", tight), \
+            pytest.raises(ResourceLimitError) as err:
+        validate(c)
+    return err.value.required
+
+
+def test_validate_refuses_a_round_past_memory_bytes():
+    # validate holds one k = 2 round of n^2 (n + 1) cells and gathers the
+    # s x n code rows beside it; it reads DEFAULT_LIMITS at the call
+    c = klein_scheme(petersen())
+    required = _validate_required(c)
+    assert required > refine_module._estimate_bytes(c.n, 2)
+    below = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=required - 1)
+    with mock.patch.object(coherent, "DEFAULT_LIMITS", below), \
+            pytest.raises(ResourceLimitError, match="memory_bytes") as err:
+        validate(c)
+    assert (err.value.required, err.value.cap) == (required, required - 1)
+    at = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=required)
+    with mock.patch.object(coherent, "DEFAULT_LIMITS", at):
+        assert validate(c).ok
+    # axioms 0-2 need no round: their failures are reported under any cap
+    broken = c.copy()
+    broken.rel[0, 1] = 0  # a diagonal id off the diagonal
+    with mock.patch.object(coherent, "DEFAULT_LIMITS", below):
+        assert validate(broken).axiom == 1
+
+
+def test_validate_peak_stays_within_its_required_bytes():
+    # a discrete configuration returns n^3 code cells, as many as its round
+    # holds; a Klein scheme returns few
+    for c in (
+        CoherentConfig(n=100, s=100**2, rel=np.arange(100**2).reshape(100, 100)),
+        klein_scheme(petersen()),
+    ):
+        rep, peak = traced_peak(lambda: validate(c))
+        assert rep.ok
+        assert peak <= _validate_required(c) <= 2 * peak, c.n
 
 
 def _closure_required(seed) -> int:

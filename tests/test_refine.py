@@ -235,6 +235,12 @@ def test_lift_enumeration_is_capped_by_lift_tuples(monkeypatch):
     assert limits_from_env().lift_tuples == 63
 
 
+def test_a_non_integer_limit_override_names_its_variable(monkeypatch):
+    monkeypatch.setenv("WLKIT_CANON_NODES", "x")
+    with pytest.raises(ValueError, match="WLKIT_CANON_NODES must be an integer, got 'x'"):
+        limits_from_env()
+
+
 # -- path counting ---------------------------------------------------------------
 
 
@@ -535,7 +541,8 @@ def test_refinement_keeps_nothing_after_it_returns():
     # The last k = 2 case starts from 47072 classes of 220^2 pairs (215
     # singleton vertex colors), so its one splitting round ranks int64 rows
     cases = [
-        (40, 2, None), (80, 2, None), (160, 2, None), (20, 3, None), (30, 3, None),
+        (10, 2, None), (20, 2, None), (40, 2, None), (80, 2, None), (160, 2, None),
+        (20, 3, None), (30, 3, None),
         (220, 2, list(range(215)) + [215] * 5),
     ]
     for n, k, vc in cases:
