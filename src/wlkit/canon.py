@@ -29,10 +29,13 @@ refinement starts from the parent's stable tuple coloring met with the new
 vertex colors rather than from the iso-type coloring.  The node's stable
 coloring refines its parent's, so the stable partition is the one refining
 from scratch would give; only color ids differ.  For k >= 2 a child's
-first round is read off its individualized vertex alone in O(n^k), and a
-tuple coloring that is already discrete runs no round (see `refine`); the
-ids are those of full rounds.  Ids are still fixed by the graph and the
-individualized sequence alone, so digests stay label-invariant.
+first round is read off its individualized vertex alone in O(n^k) and
+ranked once, from keys of the parent's coloring that order like the seeded
+one, a tuple coloring that is already discrete runs no round, and a leaf's
+discrete coloring projects to vertex classes by tuple minima, with no rank
+(see `refine`); the ids are those of ranking the seeded coloring and full
+rounds.  Ids are still fixed by the graph and the individualized sequence
+alone, so digests stay label-invariant.
 """
 from __future__ import annotations
 

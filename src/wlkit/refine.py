@@ -33,9 +33,9 @@ row, and the first row of each class that splits, are ranked
 refine only the cells that change).  Column 0 is the class, so a class's
 rows rank in one block, and every other row takes its first row's id.  A
 k >= 2 coloring with n^k classes cannot split, so the loop stops there
-without building a round.  A k = 1 round and a search node's first round
-(below) are narrow, so they are ranked at once and the loop stops when the
-class count does not grow.
+without building a round.  A k = 1 round is narrow, so it is ranked at once
+and the loop stops when the class count does not grow.  A search node's
+first round (below) is ranked once, before the loop.
 
 A search node individualizes one vertex v on top of its parent's stable
 coloring `start`, and its first round then depends only on each tuple's
@@ -58,7 +58,20 @@ of the full round, and two tuples of a class agree there exactly when
 their full rows do.  `refine_k` finds v itself: under the new vertex
 colors every vertex class of `start` (read off its diagonal tuples) must
 keep one color, but for v, whose color is above the rest of its class.
-Any other `start` takes full rounds.
+Any other `start` is ranked from its seeded rows and takes full rounds.
+
+C itself is never ranked.  A stable `start` (k >= 2) fixes the vertex class
+of every position of t, so within a class of `start` the new vertex colors
+differ only where a position holds v, and v's is the larger.  The seed key
+key(t) = start(t) * 2^k + sum_j [t_j = v] * 2^(k-1-j) therefore orders like
+C's rows ``[start | vertex color at each position]``: C is the dense rank of
+the keys.  A dense rank depends only on order and equality, so the rows
+above with the key in place of C and the largest key + 1 in place of M
+order, and rank, like C's (`_pivot_round`).  Column 0 is the key, so the ids run through the keys in
+order, and the number of distinct keys is C's class count.  When the ids
+are no more than that, the round split nothing and its ids are C's; that
+covers keys that are already all distinct.  The ids, round counts and class
+counts are those of ranking C and then its first round.
 
 For k = 1 tuples are vertices and a round's row is ``[previous color |
 sorted codes of the (neighbor color, edge code out, edge code in) triples]``,
@@ -293,8 +306,9 @@ def _pivot(start: np.ndarray, vc: np.ndarray, n: int, k: int) -> int | None:
 
 def _pivot_rows(colors: np.ndarray, n: int, k: int, ncolors: int, v: int) -> np.ndarray:
     """Rows ``[C(t) | M - C(t[k-1:=v]) | ... | M - C(t[0:=v])]`` with M =
-    `ncolors`: the first round after v is individualized, ranked in O(n^k)
-    (see the module docstring)."""
+    `ncolors`, above every entry of `colors`: the first round after v is
+    individualized, ranked in O(n^k) (see the module docstring).  `colors`
+    may be any keys that order like the seeded coloring."""
     grid = colors.reshape((n,) * k)
     rows = np.empty((n**k, k + 1), dtype=np.int64)
     cols = rows.reshape((n,) * k + (k + 1,))
@@ -302,6 +316,23 @@ def _pivot_rows(colors: np.ndarray, n: int, k: int, ncolors: int, v: int) -> np.
     for i in range(k):
         cols[..., 1 + i] = ncolors - substitution_view(grid, k - 1 - i)[..., v]
     return rows
+
+
+def _pivot_round(start: np.ndarray, n: int, k: int, v: int) -> tuple[np.ndarray, int]:
+    """The ids of the first round of the child that individualizes v on top
+    of `start`, and the class count of its seeded coloring: the pivot rows
+    of the seed keys ``start(t) * 2^k + sum_j [t_j = v] * 2^(k-1-j)``,
+    which order like the seeded rows when `_pivot` found v (see the module
+    docstring), ranked once."""
+    keys = start.astype(np.int64) << k
+    grid = keys.reshape((n,) * k)
+    for j in range(k):
+        grid[(slice(None),) * j + (v,)] += 1 << (k - 1 - j)
+    ids = dense_rank_rows(_pivot_rows(keys, n, k, int(keys.max()) + 1, v))
+    # column 0 is the key, so the ids run through the keys in order
+    key_of = np.empty(int(ids.max()) + 1, dtype=np.int64)
+    key_of[ids] = keys
+    return ids, 1 + int(np.count_nonzero(key_of[1:] != key_of[:-1]))
 
 
 def _split_ids(rows: np.ndarray, colors: np.ndarray, ncolors: int) -> np.ndarray | None:
@@ -346,16 +377,12 @@ def stable_rounds(
     n: int,
     k: int,
     nc: NeighborCodes | None = None,
-    pivot: int | None = None,
 ) -> tuple[np.ndarray, list[int]]:
     """Refine `colors`, dense ids of all n^k tuples, until a round splits
     nothing; returns the stable colors and the class count before the first
     round and after each splitting round.  A k = 1 round needs the graph's
-    neighbor codes `nc`.  For k >= 2, `pivot` is a vertex individualized on
-    top of the stable coloring that `colors` was seeded from, and the first
-    round is built from it alone in O(n^k) (see the module docstring);
-    every later round is a full one.  A k >= 2 coloring with n^k classes is
-    stable without a round."""
+    neighbor codes `nc`; a k >= 2 round is a full one.  A k >= 2 coloring
+    with n^k classes is stable without a round."""
     ncolors = int(colors.max()) + 1
     class_counts = [ncolors]
     while True:
@@ -363,9 +390,6 @@ def stable_rounds(
             ids = dense_rank_rows(_round_rows_k1(nc, colors))
         elif ncolors == colors.shape[0]:
             return colors, class_counts
-        elif pivot is not None:
-            ids = dense_rank_rows(_pivot_rows(colors, n, k, ncolors, pivot))
-            pivot = None
         else:
             ids = _split_ids(round_rows(colors, n, k, ncolors), colors, ncolors)
             if ids is None:
@@ -391,15 +415,22 @@ def refine_k(
     individualization); the edges and the cached pair codes (neighbor codes
     for k = 1) of `g` are used as they are.  `start`, when given, is a
     stable n^k coloring of `g` under coarser vertex colors (a search node's
-    parent).  The first coloring is then `start` met with the vertex colors
-    of each position instead of the iso type; the stable partition is the
-    same, only the color ids differ, and fewer rounds are needed."""
+    parent), with integer ids below n^k.  The first coloring is then
+    `start` met with the vertex colors of each position instead of the iso
+    type; the stable partition is the same, only the color ids differ, and
+    fewer rounds are needed."""
     if k < 1:
         raise ValueError("k must be >= 1")
     vc = _vertex_color_array(g, vertex_colors)
     n = g.n
-    if start is not None and np.shape(start) != (n**k,):
-        raise ValueError(f"start must be a coloring of all {n}^{k} tuples")
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != (n**k,):
+            raise ValueError(f"start must be a coloring of all {n}^{k} tuples")
+        if start.dtype.kind not in "iu" or (
+            start.size and not (int(start.min()) >= 0 and int(start.max()) < n**k)
+        ):
+            raise ValueError(f"start must hold integer ids from 0 to {n}^{k} - 1")
     nc = g.neighbor_codes() if k == 1 else None
     k1_rows = () if nc is None else (1 + nc.delta, nc.src.shape[0])  # width, pairs
     check_round_budget(f"refinement at n={n}, k={k}", limits, n, k, *k1_rows)
@@ -410,9 +441,16 @@ def refine_k(
         )
     if nc is not None and n * nc.base**2 >= _SENTINEL:
         raise ResourceLimitError("edge color space too large for the 1-dim round")
-    pivot = _pivot(np.asarray(start), vc, n, k) if start is not None and k >= 2 else None
-    colors = dense_rank_rows(_initial_rows(g, k, vc, start))
-    colors, class_counts = stable_rounds(colors, n, k, nc, pivot)
+    pivot = _pivot(start, vc, n, k) if start is not None and k >= 2 else None
+    if pivot is None:
+        colors = dense_rank_rows(_initial_rows(g, k, vc, start))
+        colors, class_counts = stable_rounds(colors, n, k, nc)
+    else:
+        colors, seeded = _pivot_round(start, n, k, pivot)
+        class_counts = [seeded]
+        if int(colors.max()) + 1 > seeded:  # the first round split
+            colors, later = stable_rounds(colors, n, k)
+            class_counts += later
     return TupleColoring(
         k=k, n=n, colors=colors, num_colors=class_counts[-1],
         rounds=len(class_counts) - 1, class_counts=class_counts,
@@ -438,15 +476,26 @@ def invariant_bytes(tc: TupleColoring) -> bytes:
 
 def project(tc: TupleColoring, t: int) -> ProjectedColoring:
     """Restrict a stable k-coloring to t-tuples (1 <= t <= k) by repeatedly
-    sorting out the last position."""
+    sorting out the last position: a tuple's id is the dense rank of the
+    sorted ids of its n extensions.  In a discrete coloring (n^k classes,
+    every search leaf's) all ids differ, so sorted rows differ in their
+    first entry and rank like their minima, and each level's ids differ
+    again.  A t-tuple then ranks like the least id of its n^(k-t)
+    extensions, and the argsort of those minima gives the ids with no row
+    sort and no rank."""
     if not 1 <= t <= tc.k:
         raise ValueError("projection needs 1 <= t <= k")
     cur = tc.colors
     n = tc.n
-    for level in range(tc.k - 1, t - 1, -1):
-        rows = cur.reshape(n**level, n).copy()
-        rows.sort(axis=1)
-        cur = dense_rank_rows(rows)
+    if t < tc.k and n and tc.num_colors == n**tc.k:
+        order = cur.reshape(n**t, n ** (tc.k - t)).min(axis=1).argsort()
+        cur = np.empty(n**t, dtype=np.int64)
+        cur[order] = np.arange(n**t)
+    else:
+        for level in range(tc.k - 1, t - 1, -1):
+            rows = cur.reshape(n**level, n).copy()
+            rows.sort(axis=1)
+            cur = dense_rank_rows(rows)
     num = int(cur.max()) + 1 if cur.size else 0
     return ProjectedColoring(t=t, n=n, colors=cur, num_colors=num)
 

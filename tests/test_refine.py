@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wlkit.canon as canon_module
 import wlkit.refine as refine_module
 from conftest import colored_graphs, same_partition, traced_peak
 from wlkit import kernels
@@ -188,6 +189,24 @@ def test_start_must_cover_every_tuple():
     g = cycle(4)
     with pytest.raises(ValueError):
         refine_2(g, start=refine_1(g).colors)
+
+
+def test_a_malformed_start_is_refused_before_any_allocation():
+    # a negative id, an id past n^k and a float id would each reach numpy:
+    # negative dimensions, a petabyte allocation or a float index
+    g = petersen()
+    root = refine_2(g)
+    vc = individualized(np.zeros(g.n, dtype=np.int64), 0)
+    for bad in (root.colors - 5, root.colors * 10**15, root.colors.astype(float)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="start"):
+                refine_2(g, vertex_colors=vc, start=bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+    assert refine_2(g, vertex_colors=vc, start=root.colors).num_colors > root.num_colors
 
 
 # -- strongly regular pair -----------------------------------------------------
@@ -420,15 +439,15 @@ def test_refinement_matches_the_lexicographic_reference(case, k, steps):
         assert np.array_equal(tc.colors, colors)
         assert tc.rounds == rounds
         assert tc.class_counts == counts
-        # the initial coloring and each splitting round are ranked; a full
-        # round that finds nothing to split is not, and a search node's
-        # first round is ranked whether it splits or not
-        pivot_round = (
-            start is not None
-            and refine_module._pivot(start, cols, g.n, k) is not None
-            and counts[0] < g.n**k
-        )
-        assert len(ranked) == 1 + rounds + (pivot_round and rounds == 0)
+        # a search node that individualizes one vertex ranks its first
+        # round once, from seed keys, whether it splits or not, and never
+        # its seeded coloring; any other node ranks its initial or seeded
+        # coloring.  Each later splitting round is ranked, and a full round
+        # that finds nothing to split is not
+        if start is not None and refine_module._pivot(start, cols, g.n, k) is not None:
+            assert len(ranked) == max(rounds, 1)
+        else:
+            assert len(ranked) == 1 + rounds
         start = tc.colors
 
 
@@ -449,6 +468,120 @@ def test_an_individualized_child_takes_its_first_round_from_the_vertex(cfi_k4):
     # built full rows from the classes round 1 left
     assert child.rounds >= 2
     assert calls == child.class_counts[1:]
+
+
+def two_rank_refine(g, k, vc, start):
+    """A seeded k >= 2 refinement by way of the seeded coloring C: rank C's
+    rows, then, when `_pivot` finds v and C is not discrete, rank C's first
+    round from v and go on with full rounds.  Returns the colors, rounds,
+    class counts and which of the four cases the node is."""
+    n = g.n
+    colors = kernels.dense_rank_rows(refine_module._initial_rows(g, k, vc, start))
+    ncolors = int(colors.max()) + 1
+    v = refine_module._pivot(start, vc, n, k)
+    if v is None:
+        colors, counts = refine_module.stable_rounds(colors, n, k)
+        return colors, len(counts) - 1, counts, "rejected"
+    if ncolors == n**k:
+        return colors, 0, [ncolors], "discrete"
+    ids = kernels.dense_rank_rows(refine_module._pivot_rows(colors, n, k, ncolors, v))
+    if int(ids.max()) + 1 == ncolors:
+        return colors, 0, [ncolors], "no split"
+    colors, counts = refine_module.stable_rounds(ids, n, k)
+    return colors, len(counts), [ncolors] + counts, "split"
+
+
+def assert_keyed_first_round(g, k, coarse, fine):
+    """refine_k seeded from the stable coloring under `coarse` vertex colors
+    against `two_rank_refine`; returns the node's case."""
+    start = refine_k(g, k, vertex_colors=coarse).colors
+    tc = refine_k(g, k, vertex_colors=fine, start=start)
+    colors, rounds, counts, case = two_rank_refine(g, k, np.asarray(fine), start)
+    assert np.array_equal(tc.colors, colors), case
+    assert (tc.rounds, tc.class_counts) == (rounds, counts), case
+    return case
+
+
+# each case's graph and the vertices individualized at once; K_n less one
+# vertex is K_(n-1), so there the seeded coloring is already stable
+KEYED_CASES = {
+    "split": (cycle(6), [0]),
+    "no split": (complete(4), [0]),
+    "discrete": (complete(2), [0]),
+    "rejected": (cycle(6), [0, 3]),
+}
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("case", list(KEYED_CASES))
+def test_the_keyed_first_round_equals_the_two_rank_path(case, k):
+    g, raised = KEYED_CASES[case]
+    coarse = fine = np.zeros(g.n, dtype=np.int64)
+    for v in raised:
+        fine = individualized(fine, v)
+    assert assert_keyed_first_round(g, k, coarse, fine) == case
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_graphs(), st.sampled_from((2, 3)), recolorings())
+def test_the_keyed_first_round_equals_the_two_rank_path_on_random_graphs(case, k, steps):
+    g, cols = case
+    if g.n == 0:
+        return
+    for kind, v, w in steps:
+        # recolor vertices that share a class where there are any
+        vcls = vertex_classes(refine_k(g, k, vertex_colors=cols))
+        pool = np.flatnonzero(np.bincount(vcls)[vcls] >= 2)
+        pool = pool if pool.shape[0] else np.arange(g.n)
+        fine = recolored(cols, kind, int(pool[v % pool.shape[0]]), int(pool[w % pool.shape[0]]))
+        assert_keyed_first_round(g, k, cols, fine)
+        cols = fine
+
+
+def reference_project(colors, n, k, t):
+    """Sort out the last position, then rank the sorted rows, k - t times."""
+    for level in range(k - 1, t - 1, -1):
+        colors = kernels.dense_rank_rows(np.sort(colors.reshape(n**level, n), axis=1))
+    return colors
+
+
+def assert_discrete_projection(tc):
+    assert tc.num_colors == tc.n**tc.k
+    for t in range(1, tc.k + 1):
+        ranked = []
+
+        def spy(rows):
+            ranked.append(rows.shape[0])
+            return kernels.dense_rank_rows(rows)
+
+        with mock.patch.object(refine_module, "dense_rank_rows", spy):
+            got = project(tc, t)
+        want = reference_project(tc.colors, tc.n, tc.k, t)
+        assert np.array_equal(got.colors, want), (tc.n, tc.k, t)
+        assert got.num_colors == tc.n**t
+        assert ranked == [] or tc.n == 0  # no rank of rows
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_a_discrete_projection_equals_sort_and_rank(k):
+    # all-distinct vertex colors make every tuple its own class
+    for n in (0, 1, 2, 3, 7):
+        g = random_graph(n, 0.5, seed=n)
+        assert_discrete_projection(refine_k(g, k, vertex_colors=list(range(n))[::-1]))
+    # the leaves of a canonical search
+    leaves = []
+
+    def refine_spy(*args, **kwargs):
+        tc = refine_k(*args, **kwargs)
+        if tc.num_colors == tc.n**tc.k:
+            leaves.append(tc)
+        return tc
+
+    with mock.patch.object(canon_module, "refine_k", refine_spy):
+        canon_module.certify(petersen(), k, "canonical")
+    assert leaves
+    for tc in leaves:
+        assert_discrete_projection(tc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -553,6 +686,21 @@ def test_refinement_keeps_nothing_after_it_returns():
         if (n, k) in ((220, 2), (30, 3)):
             assert estimate <= 2 * peak, (n, k)
     assert tc.class_counts[-2] >= 46341 and tc.rounds == 1  # int64 rows were ranked
+
+
+def test_a_seeded_child_keeps_nothing_after_it_returns():
+    # a child that individualizes one vertex of a graph beside a relabeled
+    # copy of itself: its first round comes from seed keys and splits
+    for n, k in ((40, 2), (160, 2), (30, 3)):
+        half = random_graph(n // 2, 0.5, seed=1)
+        g = disjoint_union(half, random_relabel(half, 2)[0])
+        root = refine_k(g, k)
+        vc = individualized(np.zeros(n, dtype=np.int64), 0)
+        assert refine_module._pivot(root.colors, vc, n, k) == 0
+        tc, held, peak = _traced_refinement(g, k, vertex_colors=vc, start=root.colors)
+        assert tc.rounds >= 1, (n, k)  # the first round split
+        assert held < 2**20, (n, k)
+        assert peak <= refine_module._estimate_bytes(n, k), (n, k)
 
 
 def test_a_400_vertex_two_dim_refinement_fits_the_default_budget():
