@@ -1,41 +1,48 @@
 """Canonical certificates by individualization and refinement.
 
-Three modes, all built on k-dim refinement:
+The three modes run one search (`_search`) built on k-dim refinement.  A
+node refines its coloring, takes the smallest color class of size >= 2 as
+its target and branches on its members, each individualized in turn, until
+the vertex classes are discrete; the certificate hashes the best leaf, the
+graph serialized in discrete-color order.
 
-* fast: repeatedly refine, pick the smallest color class of size >= 2,
-  individualize its smallest vertex, until the vertex classes are discrete;
-  the certificate hashes the graph serialized in discrete-color order.
-  Cheap, label-dependent in the worst case.
-* verified: the fast descent, but at every level each other member of the
-  target class is also descended (fast) and the resulting digests are
-  compared; a mismatch sets `orbit_flag`, signalling that the fast digest
-  may depend on labels.
-* canonical: a full backtracking search over the members of the target
-  class at every level.  Branches are ordered by a label-invariant
-  node invariant (refinement round counts and color histograms); the
-  certificate is the minimum (invariant path, leaf serialization) over the
-  tree, which is label-invariant.  A leaf equal to the incumbent gives the
-  automorphism sigma that maps the incumbent leaf onto it, so
-  sigma(incumbent path[j]) = current path[j] at every level j; every such
-  leaf unwinds the search to the level where the two paths part, since
-  sigma maps the explored subtree there onto the current one.  Siblings in
-  the orbit of explored ones under the automorphisms that fix the current
-  prefix are skipped (orbit pruning); each frame keeps that orbit and
-  grows it, so a generator is tested against a prefix once per frame.
+* canonical: branches on every member.  The certificate is the minimum
+  (invariant path, leaf serialization) over the tree, where a node's
+  invariant is its refinement round counts and color histograms, so it is
+  label-invariant.  A leaf equal to the incumbent gives the automorphism
+  sigma that maps the incumbent leaf onto it, so sigma(incumbent path[j]) =
+  current path[j] at every level j; every such leaf unwinds the search to
+  the level where the two paths part, since sigma maps the explored
+  subtree there onto the current one.  Siblings in the orbit of explored
+  ones under the automorphisms that fix the current prefix are skipped
+  (orbit pruning); each frame keeps that orbit and grows it, so a
+  generator is tested against a prefix once per frame.
+* fast: the canonical search's first branch, member 0 of each target
+  class.  Its one leaf is compared with nothing, so it builds no invariant
+  path.  Cheap, label-dependent in the worst case.
+* verified: fast, plus a fast search below each member of every target
+  class; differing digests set `orbit_flag`, signalling that the fast
+  digest may depend on labels.
 
-All three share one descent step.  A search node is a vertex coloring (the
-root's colors with each individualized vertex given a fresh color); its
-refinement starts from the parent's stable tuple coloring met with the new
-vertex colors rather than from the iso-type coloring.  The node's stable
-coloring refines its parent's, so the stable partition is the one refining
-from scratch would give; only color ids differ.  For k >= 2 a child's
-first round is read off its individualized vertex alone in O(n^k) and
-ranked once, from keys of the parent's coloring that order like the seeded
-one, a tuple coloring that is already discrete runs no round, and a leaf's
-discrete coloring projects to vertex classes by tuple minima, with no rank
-(see `refine`); the ids are those of ranking the seeded coloring and full
-rounds.  Ids are still fixed by the graph and the individualized sequence
-alone, so digests stay label-invariant.
+A node is a generator that yields its children's arguments, and one loop
+over the suspended nodes drives the search, so depth adds no Python stack
+frame and no recursion limit applies: a deep search ends at its leaf or at
+`Limits.canon_nodes`.  A node that has yielded its last member is dropped,
+so fast holds O(1) frames.
+
+A search node is a vertex coloring (the root's colors with each
+individualized vertex given a fresh color); its refinement starts from the
+parent's stable tuple coloring met with the new vertex colors rather than
+from the iso-type coloring.  The node's stable coloring refines its
+parent's, so the stable partition is the one refining from scratch would
+give; only color ids differ.  For k >= 2 a child's first round is read off
+its individualized vertex alone in O(n^k) and ranked once, from keys of
+the parent's coloring that order like the seeded one, a tuple coloring
+that is already discrete runs no round, and a leaf's discrete coloring
+projects to vertex classes by tuple minima, with no rank (see `refine`);
+the ids are those of ranking the seeded coloring and full rounds.  Ids are
+still fixed by the graph and the individualized sequence alone, so digests
+stay label-invariant.
 """
 from __future__ import annotations
 
@@ -90,18 +97,19 @@ def serialize_in_order(g: ColoredGraph, order: np.ndarray | list[int]) -> bytes:
 
 
 def _target_class(vc: np.ndarray) -> tuple[int, list[int]]:
-    counts = np.bincount(vc)
-    for cid in range(counts.shape[0]):
-        if counts[cid] >= 2:
-            return cid, [int(v) for v in np.flatnonzero(vc == cid)]
-    raise ValueError("no class of size >= 2 (coloring is discrete)")
+    """The class of size >= 2 with the smallest id, and its members."""
+    big = np.flatnonzero(np.bincount(vc) >= 2)
+    if big.size == 0:
+        raise ValueError("no class of size >= 2 (coloring is discrete)")
+    cid = int(big[0])
+    return cid, np.flatnonzero(vc == cid).tolist()
 
 
-def _count_node(stats: SearchStats, limits: Limits, what: str) -> None:
+def _count_node(stats: SearchStats, limits: Limits, mode: str) -> None:
     stats.nodes += 1
     if stats.nodes > limits.canon_nodes:
         raise ResourceLimitError(
-            f"{what} search exceeded the node budget",
+            f"{mode} search exceeded the node budget canon_nodes",
             required=stats.nodes, cap=limits.canon_nodes,
         )
 
@@ -122,29 +130,6 @@ def _child_colors(colors: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-def _fast_leaf(g, k, colors, start, limits, stats, trace=None, on_siblings=None):
-    """Descend greedily to a discrete coloring; returns the leaf bytes.
-    `on_siblings`, when given, is called at every level with the digests of
-    the fast leaves below each member of the target class."""
-    n = g.n
-    while True:
-        _count_node(stats, limits, "certificate")
-        tc, pv = _refine_node(g, k, colors, start, limits)
-        if pv.num_colors == n:
-            return serialize_in_order(g, np.argsort(pv.colors))
-        cid, members = _target_class(pv.colors)
-        if trace is not None:
-            trace.append((cid, len(members)))
-        if on_siblings is not None:
-            on_siblings([
-                hashlib.sha256(_fast_leaf(
-                    g, k, _child_colors(colors, w), tc.colors, limits, stats,
-                )).digest()
-                for w in members
-            ])
-        colors, start = _child_colors(colors, members[0]), tc.colors
-
-
 def _fixes(s: tuple[int, ...], prefix: tuple[int, ...]) -> bool:
     """Whether the permutation s fixes every vertex of `prefix`."""
     return all(s[p] == p for p in prefix)
@@ -163,72 +148,82 @@ def _grow(reach: set[int], xs, gens) -> None:
                 queue.append(y)
 
 
-class _Jump(Exception):
-    """Unwind the search to the frame at `depth` (an automorphism showed the
-    rest of the current subtree repeats an already-explored one)."""
+def _jump_depth(sigma: np.ndarray, prefix: tuple[int, ...], bpath: tuple[int, ...]) -> int | None:
+    """The depth that the automorphism sigma, found at the leaf `prefix`
+    equal to the incumbent leaf `bpath`, unwinds the search to (the rest of
+    the current subtree repeats an explored one there), or None."""
+    common = 0
+    while common < len(prefix) and common < len(bpath) and prefix[common] == bpath[common]:
+        common += 1
+    # sigma maps the incumbent leaf onto this one, so at an equal leaf
+    # sigma(bpath[j]) == prefix[j] for every j: it fixes the common prefix
+    # pointwise and sends the incumbent's branch vertex to this child's, so
+    # the rest of this child's subtree is the image of the explored one.
+    # Every equal leaf jumps; these checks and is_automorphism cross-check
+    # the leaf compare.
+    if (
+        all(int(sigma[p]) == p for p in prefix[:common])
+        and common < len(prefix)
+        and common < len(bpath)
+        and int(sigma[bpath[common]]) == prefix[common]
+    ):
+        return common
+    return None
 
-    def __init__(self, depth: int):
-        self.depth = depth
 
-
-def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
+def _search(g, k, limits, stats, mode, colors, start=None) -> dict:
+    """Search the tree below the node with vertex colors `colors`, seeded
+    from `start`, in `mode`; returns its best leaf as a dict (`bytes`,
+    `trace`, and `flag`, the verified orbit flag, among others)."""
     n = g.n
-    base_colors = np.asarray(g.vertex_colors, dtype=np.int64)
-    stats = SearchStats()
-    best: dict = {"inv": None, "bytes": None, "path": None, "order": None, "trace": None}
+    best: dict = {
+        "inv": None, "bytes": None, "path": None, "order": None, "trace": None, "flag": False,
+    }
 
     def node(colors, start, prefix, inv_path, trace, fixing, known):
-        """`fixing` holds the generators that fix `prefix` pointwise among
-        the first `known` found; each later one is tested once, below."""
-        depth = len(prefix)
-        _count_node(stats, limits, "canonical")
+        """A generator: yields each child's arguments, with whether it is the
+        last member, and returns the depth a jump unwinds to, or None.
+        `fixing` holds the generators that fix `prefix` pointwise among the
+        first `known` found; each later one is tested once, below."""
+        _count_node(stats, limits, mode)
         tc, pv = _refine_node(g, k, colors, start, limits)
-        vhist = np.bincount(pv.colors, minlength=pv.num_colors).astype(np.int64)
-        path2 = inv_path + (invariant_bytes(tc) + b"#" + vhist.tobytes(),)
-        if best["bytes"] is not None:
-            bpfx = best["inv"][: len(path2)]
-            if path2 > bpfx:
-                return  # every leaf below is larger than the incumbent
+        path2 = None  # a search with one leaf compares nothing with it
+        if mode == "canonical":
+            vhist = np.bincount(pv.colors, minlength=pv.num_colors).astype(np.int64)
+            path2 = inv_path + (invariant_bytes(tc) + b"#" + vhist.tobytes(),)
+            if best["bytes"] is not None and path2 > best["inv"][: len(path2)]:
+                return None  # every leaf below is larger than the incumbent
         if pv.num_colors == n:
             stats.leaves += 1
             order = np.argsort(pv.colors)
             leafb = serialize_in_order(g, order)
             if best["bytes"] is None or (path2, leafb) < (best["inv"], best["bytes"]):
                 best.update(inv=path2, bytes=leafb, path=prefix, order=order, trace=trace)
-                return
+                return None
             if path2 == best["inv"] and leafb == best["bytes"]:
-                b_order = best["order"]
                 sigma = np.empty(n, dtype=np.int64)
-                sigma[np.asarray(b_order)] = np.asarray(order)
+                sigma[np.asarray(best["order"])] = np.asarray(order)
                 if not np.array_equal(sigma, np.arange(n)) and is_automorphism(g, sigma):
                     tup = tuple(int(x) for x in sigma)
                     if tup not in stats.generators:
                         stats.generators.append(tup)
-                    bpath = best["path"]
-                    common = 0
-                    while (
-                        common < len(prefix)
-                        and common < len(bpath)
-                        and prefix[common] == bpath[common]
-                    ):
-                        common += 1
-                    # sigma maps the incumbent leaf onto this one, so at an
-                    # equal leaf sigma(bpath[j]) == prefix[j] for every j:
-                    # it fixes the common prefix pointwise and sends the
-                    # incumbent's branch vertex to this child's, so the rest
-                    # of this child's subtree is the image of the explored
-                    # one.  Every equal leaf jumps; these checks and
-                    # is_automorphism cross-check the leaf compare.
-                    if (
-                        all(int(sigma[p]) == p for p in prefix[:common])
-                        and common < len(prefix)
-                        and common < len(bpath)
-                        and int(sigma[bpath[common]]) == prefix[common]
-                    ):
+                    depth = _jump_depth(sigma, prefix, best["path"])
+                    if depth is not None:
                         stats.jumps += 1
-                        raise _Jump(common)
-            return
+                    return depth
+            return None
         cid, members = _target_class(pv.colors)
+        trace += ((cid, len(members)),)
+        if mode == "verified":
+            digests = {
+                hashlib.sha256(_search(
+                    g, k, limits, stats, "fast", _child_colors(colors, w), tc.colors,
+                )["bytes"]).digest()
+                for w in members
+            }
+            best["flag"] |= len(digests) > 1
+        if mode != "canonical":
+            members = members[:1]  # fast is the canonical search's first branch
         reach: set[int] = set()  # the orbits of the explored members
         for v in members:
             for s in stats.generators[known:]:
@@ -239,22 +234,40 @@ def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
             if v in reach:
                 stats.orbit_skips += 1
                 continue
-            try:
-                node(
-                    _child_colors(colors, v), tc.colors, prefix + (v,), path2,
-                    trace + ((cid, len(members)),), [s for s in fixing if s[v] == v], known,
-                )
-            except _Jump as j:
-                if j.depth < depth:
-                    raise
-                # j.depth == depth: the subtree under v repeats an explored
-                # sibling's; move on to the next candidate.
+            yield (
+                _child_colors(colors, v), tc.colors, prefix + (v,), path2, trace,
+                [s for s in fixing if s[v] == v], known,
+            ), v == members[-1]
             _grow(reach, [v], fixing)
 
-    node(base_colors, None, (), (), (), [], 0)
-    if best["bytes"] is None:
-        raise ResourceLimitError("canonical search ended with no leaf")
-    return best, stats
+    # One loop drives the nodes, so search depth adds no Python stack frame.
+    # A frame is dropped when it yields its last member: resumed, it would
+    # only return None.  A jump to depth d drops every frame deeper than d;
+    # the frame at d, or the nearest one above it, then resumes.
+    stack = [(0, node(colors, start, (), (), (), [], 0))]
+    jump = None
+    while stack:
+        depth, frame = stack[-1]
+        if jump is not None and depth > jump:
+            stack.pop()
+            continue
+        jump = None
+        try:
+            child, last = next(frame)
+        except StopIteration as done:
+            stack.pop()
+            jump = done.value
+            continue
+        if last:
+            stack.pop()
+        stack.append((depth + 1, node(*child)))
+    return best
+
+
+def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
+    stats = SearchStats()
+    base = np.asarray(g.vertex_colors, dtype=np.int64)
+    return _search(g, k, limits, stats, "canonical", base), stats
 
 
 def certify(
@@ -274,22 +287,10 @@ def certify(
         return Certificate(digest=digest, k=k, mode=mode, n=0)
     stats = SearchStats()
     base = np.asarray(g.vertex_colors, dtype=np.int64)
-    if mode != "canonical":
-        trace: list[tuple[int, int]] = []
-        levels: list[list[bytes]] = []  # verified: each level's sibling digests
-        leafb = _fast_leaf(
-            g, k, base, None, limits, stats, trace,
-            levels.append if mode == "verified" else None,
-        )
-        return Certificate(
-            digest=hashlib.sha256(leafb).digest(), k=k, mode=mode, n=n,
-            trace=tuple(trace), orbit_flag=any(len(set(ds)) > 1 for ds in levels),
-            nodes=stats.nodes,
-        )
-    best, stats = _canonical_search(g, k, limits)
+    best = _search(g, k, limits, stats, mode, base)
     return Certificate(
         digest=hashlib.sha256(best["bytes"]).digest(), k=k, mode=mode, n=n,
-        trace=tuple(best["trace"]), nodes=stats.nodes,
+        trace=best["trace"], orbit_flag=best["flag"], nodes=stats.nodes,
     )
 
 

@@ -457,7 +457,7 @@ def min_separator_size(
             examined += 1
             if examined > limits.separator_subsets:
                 raise ResourceLimitError(
-                    "separator search too large",
+                    "separator search examined more subsets than separator_subsets",
                     required=examined,
                     cap=limits.separator_subsets,
                 )

@@ -63,7 +63,8 @@ def _aut_backtrack(g: ColoredGraph, limits: Limits):
     n = g.n
     if n > limits.oracle_vertices:
         raise ResourceLimitError(
-            f"automorphism oracle is capped at {limits.oracle_vertices} vertices",
+            f"automorphism oracle is capped at {limits.oracle_vertices} vertices "
+            "(oracle_vertices)",
             required=n, cap=limits.oracle_vertices,
         )
     p = g.pair_codes()
@@ -77,7 +78,7 @@ def _aut_backtrack(g: ColoredGraph, limits: Limits):
         state["nodes"] += 1
         if state["nodes"] > limits.oracle_nodes:
             raise ResourceLimitError(
-                "automorphism oracle exceeded the node budget",
+                "automorphism oracle exceeded the node budget oracle_nodes",
                 required=state["nodes"], cap=limits.oracle_nodes,
             )
         if v == n:
@@ -142,7 +143,7 @@ def iso_oracle(
         return []
     if n > limits.iso_vertices:
         raise ResourceLimitError(
-            f"isomorphism oracle is capped at {limits.iso_vertices} vertices",
+            f"isomorphism oracle is capped at {limits.iso_vertices} vertices (iso_vertices)",
             required=n, cap=limits.iso_vertices,
         )
     if g.num_edges != h.num_edges:
@@ -159,7 +160,7 @@ def iso_oracle(
         state["nodes"] += 1
         if state["nodes"] > limits.iso_nodes:
             raise ResourceLimitError(
-                "isomorphism oracle exceeded the node budget",
+                "isomorphism oracle exceeded the node budget iso_nodes",
                 required=state["nodes"], cap=limits.iso_nodes,
             )
         tc = refine_k(u, 1, vertex_colors=colors, limits=limits)
@@ -219,7 +220,7 @@ def aut_group_order(
                 if comp not in seen:
                     if len(seen) >= limits.group_elements:
                         raise ResourceLimitError(
-                            "group closure exceeded the element budget",
+                            "group closure exceeded the element budget group_elements",
                             required=len(seen) + 1, cap=limits.group_elements,
                         )
                     seen.add(comp)

@@ -213,12 +213,23 @@ def _initial_rows(
     return rows.reshape(n**k, len(cols))
 
 
+# Bytes a round holds whatever its size: the Python and numpy objects of a
+# call (array headers, views, the graph's lazily built codes, small index
+# arrays).  Fitted to tracemalloc peaks at n = 1-20 (edgeless, complete,
+# path, cycle, discrete and random graphs, directed or not) of refine_k at
+# k = 1, 2 and 3, cellular_closure and validate (Python 3.11, numpy 2.4):
+# the peak passes the size-dependent terms by at most 6956 bytes.
+_CALL_BYTES = 8192
+
+
 def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
-    """Working bytes of a round.  A k = 1 round holds its rows `width` wide,
-    the rank's two row-sized copies and a few n-vectors; building the
-    `pairs` adjacent ordered pairs takes up to 16 int64 arrays of that
-    length.  Checked against tracemalloc peaks of paths, cycles, a star,
-    K_100 and random graphs, directed or not (peak/estimate 0.4-0.7).
+    """Working bytes of a round: `_CALL_BYTES` and a term that grows with
+    the round; the peak/estimate ratios below were taken against the
+    growing term alone.  A k = 1 round holds its rows `width` wide, the
+    rank's two row-sized copies and a few n-vectors; building the `pairs`
+    adjacent ordered pairs takes up to 16 int64 arrays of that length.
+    Checked against tracemalloc peaks of paths, cycles, a star, K_100 and
+    random graphs, directed or not (peak/estimate 0.4-0.7).
 
     A k >= 2 round holds its n^k * (n + 1) cells once, at the itemsize of
     the widest codes n^k colors can take (`code_dtype`), since the rank
@@ -244,11 +255,11 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     up to n = 640, k = 3 up to n = 118 (the branch can run from n = 119) and
     k = 4 up to n = 30."""
     if k == 1:
-        return 8 * (n * (3 * width + 8) + 16 * pairs)
+        return _CALL_BYTES + 8 * (n * (3 * width + 8) + 16 * pairs)
     nk = n**k
     cells = nk * (n + 1)
     size = np.dtype(code_dtype(nk, k)).itemsize
-    need = cells * size + min(cells, kernels._AGREE_CELLS) * (size + 1) + 96 * nk
+    need = _CALL_BYTES + cells * size + min(cells, kernels._AGREE_CELLS) * (size + 1) + 96 * nk
     if nk**k >= kernels._PACK_LIMIT:
         need += nk * n * (8 * k + 32)
     return need

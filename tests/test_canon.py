@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wlkit.canon as canon
-from conftest import colored_graphs
+import wlkit.refine as refine_module
+from conftest import colored_graphs, traced_peak
 from wlkit.canon import (
     _canonical_search,
     aut_generators_via_recursion,
@@ -156,6 +157,18 @@ def test_node_budget_is_enforced():
         certify(petersen(), 2, "canonical", limits=tight)
 
 
+def test_a_search_deeper_than_the_recursion_limit_ends_in_a_typed_error():
+    # an edgeless graph's first descent individualizes all but one vertex,
+    # 1099 levels deep; a loop drives the search, so it reaches its leaf
+    # or the node budget rather than Python's recursion limit
+    g = ColoredGraph(1100, [])
+    budget = dataclasses.replace(DEFAULT_LIMITS, canon_nodes=1200)
+    with pytest.raises(ResourceLimitError, match="canon_nodes") as err:
+        certify(g, 1, "canonical", limits=budget)
+    assert (err.value.required, err.value.cap) == (1201, 1200)
+    assert certify(g, 1, "fast", limits=budget).nodes == 1100
+
+
 def test_vertex_colors_change_the_digest():
     g = cycle(5)
     marked = g.with_vertex_colors([1, 0, 0, 0, 0])
@@ -251,7 +264,7 @@ def logged_search(g, k):
     leaf and each jump (the depth it unwinds to)."""
     log = []
     top = max(g.vertex_colors, default=0)
-    refine_node, is_aut = canon._refine_node, canon.is_automorphism
+    refine_node, is_aut, jump_depth = canon._refine_node, canon.is_automorphism, canon._jump_depth
 
     def node_spy(g, k, colors, start, limits):
         tc, pv = refine_node(g, k, colors, start, limits)
@@ -269,14 +282,15 @@ def logged_search(g, k):
             log.append(("gen", tuple(int(x) for x in sigma)))
         return out
 
-    class Jump(canon._Jump):
-        def __init__(self, depth):
+    def jump_spy(sigma, prefix, bpath):
+        depth = jump_depth(sigma, prefix, bpath)
+        if depth is not None:
             log.append(("jump", depth))
-            super().__init__(depth)
+        return depth
 
     with mock.patch.object(canon, "_refine_node", node_spy), \
             mock.patch.object(canon, "is_automorphism", aut_spy), \
-            mock.patch.object(canon, "_Jump", Jump):
+            mock.patch.object(canon, "_jump_depth", jump_spy):
         _, stats = _canonical_search(g, k, DEFAULT_LIMITS)
     return log, stats
 
@@ -350,6 +364,63 @@ def test_orbit_pruning_is_exact_on_random_colored_graphs(case, k):
     g, cols = case
     if g.n:
         check_orbit_pruning(g.with_vertex_colors(cols.tolist()), k)
+
+
+# -- fast and verified against the former greedy descent -------------------------
+
+
+def reference_fast_leaf(g, k, colors, start, limits, stats, trace=None, on_siblings=None):
+    """The fast descent as a loop of its own, as it was before the modes
+    shared one search: refine, take the target class, descend into its
+    first member; `on_siblings` gets the digests of the fast leaves below
+    each member at every level."""
+    n = g.n
+    while True:
+        canon._count_node(stats, limits, "fast")
+        tc, pv = canon._refine_node(g, k, colors, start, limits)
+        if pv.num_colors == n:
+            return serialize_in_order(g, np.argsort(pv.colors))
+        cid, members = canon._target_class(pv.colors)
+        if trace is not None:
+            trace.append((cid, len(members)))
+        if on_siblings is not None:
+            on_siblings([
+                hashlib.sha256(reference_fast_leaf(
+                    g, k, canon._child_colors(colors, w), tc.colors, limits, stats,
+                )).digest()
+                for w in members
+            ])
+        colors, start = canon._child_colors(colors, members[0]), tc.colors
+
+
+@settings(max_examples=120, deadline=None)
+@given(colored_graphs(max_n=12), st.sampled_from((1, 2)))
+def test_fast_and_verified_match_the_reference_descent(case, k):
+    g, cols = case
+    if not g.n:
+        return
+    g = g.with_vertex_colors(cols.tolist())
+    for mode in ("fast", "verified"):
+        stats, trace, levels = canon.SearchStats(), [], []
+        leafb = reference_fast_leaf(
+            g, k, cols, None, DEFAULT_LIMITS, stats, trace,
+            levels.append if mode == "verified" else None,
+        )
+        c = certify(g, k, mode)
+        assert c.digest == hashlib.sha256(leafb).digest()
+        assert c.trace == tuple(trace)
+        assert c.orbit_flag == any(len(set(ds)) > 1 for ds in levels)
+        assert c.nodes == stats.nodes
+
+
+def test_fast_holds_one_node_at_a_time():
+    # fast keeps no invariant path and drops a node once it has descended
+    # into its one member: a node held per level would keep an n^k coloring
+    # each, about 14 MB more at k = 2 below
+    _, peak = traced_peak(lambda: certify(ColoredGraph(1000, []), 1, "fast"))
+    assert peak < 2**20
+    _, peak = traced_peak(lambda: certify(ColoredGraph(120, []), 2, "fast"))
+    assert peak < 1.5 * refine_module._estimate_bytes(120, 2)
 
 
 # -- iterated-individualization invariant ----------------------------------------

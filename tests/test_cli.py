@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+import wlkit.cli as cli
 from wlkit.cli import main
 from wlkit.cfi import cfi_build, parse_cfi_map_roles
 from wlkit.coherent import klein_scheme, parse_scheme, serialize_scheme
 from wlkit.errors import ResourceLimitError
 from wlkit.families import complete, cycle, path, petersen, random_graph, rook_4x4, shrikhande
-from wlkit.graph import parse_wlg, serialize_wlg
+from wlkit.graph import ColoredGraph, parse_wlg, serialize_wlg
 from wlkit.limits import Limits
 from wlkit.refine import project, refine_k
 
@@ -245,6 +246,19 @@ def test_library_value_errors_exit_2(files, capsys, argv):
     src = write("c4.wlg", cycle(4))
     assert main([a.replace("{g}", src) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_iso_of_a_search_past_the_node_budget_exits_2(files, capsys, monkeypatch):
+    # the canonical search on an edgeless 1100-vertex graph descends 1099
+    # levels before the budget trips; it ends in the budget's error, not
+    # in a verdict
+    _, write = files
+    a = write("a.wlg", ColoredGraph(1100, []))
+    b = write("b.wlg", ColoredGraph(1100, []))
+    monkeypatch.setattr(cli, "DEFAULT_LIMITS", Limits(canon_nodes=1200))
+    assert main(["iso", a, b, "-k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "canon_nodes" in err
 
 
 def test_version_flag(capsys):

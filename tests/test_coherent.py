@@ -371,10 +371,10 @@ def test_closure_respects_vertex_colors():
 
 
 def test_closure_refuses_a_round_past_memory_bytes():
-    tight = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=10_000)
+    tight = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=12_000)
     with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
         cellular_closure(petersen(), limits=tight)
-    assert err.value.cap == 10_000 and err.value.required > 10_000
+    assert err.value.cap == 12_000 and err.value.required > 12_000
     small = cellular_closure(cycle(4), limits=tight)
     assert small.s == cellular_closure(cycle(4)).s
 
@@ -471,6 +471,37 @@ def test_closure_runs_at_exactly_its_required_bytes():
     with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
         cellular_closure(seed, limits=below)
     assert (err.value.required, err.value.cap) == (required, required - 1)
+
+
+def test_small_rounds_stay_within_their_required_bytes():
+    # below about 8 points the Python and numpy objects of a call outweigh
+    # a round's arrays; the fixed term `refine._CALL_BYTES` budgets them.
+    # Each call gets a new graph, so it builds the graph's codes itself
+    def refine_required(g, k):
+        tight = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=1)
+        with pytest.raises(ResourceLimitError) as err:
+            refine_module.refine_k(g, k, limits=tight)
+        return err.value.required
+
+    cellular_closure(cycle(4))  # first-call allocations are not the run's
+    discrete = CoherentConfig(n=2, s=4, rel=np.array([[0, 2], [3, 1]]))
+    rep, peak = traced_peak(lambda: validate(discrete))
+    assert rep.ok and peak <= _validate_required(discrete)
+    for n in range(2, 9):
+        edges = random_graph(n, 0.5, seed=1).edge_list()
+        for directed in (False, True):
+            def fresh():
+                return ColoredGraph(n, edges, directed)
+
+            for k in (1, 2, 3):
+                g = fresh()
+                _, peak = traced_peak(lambda: refine_module.refine_k(g, k))
+                assert peak <= refine_required(fresh(), k), (n, directed, k)
+            g = fresh()
+            c, peak = traced_peak(lambda: cellular_closure(g))
+            assert peak <= _closure_required(fresh()), (n, directed)
+            _, peak = traced_peak(lambda: validate(c))
+            assert peak <= _validate_required(c), (n, directed)
 
 
 def test_closure_output_is_diagonal_first():

@@ -23,8 +23,9 @@ from wlkit.families import (
     rook_4x4,
     shrikhande,
 )
-from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
+from wlkit.graph import ColoredGraph, disjoint_union, min_separator_size, random_relabel
 from wlkit.limits import DEFAULT_LIMITS, Limits, limits_from_env
+from wlkit.oracle import aut_group_order, aut_order_oracle, iso_oracle
 from wlkit.refine import (
     count_paths,
     invariant_bytes,
@@ -299,6 +300,37 @@ def test_memory_budget_is_enforced_before_allocation():
     tight = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=1024)
     with pytest.raises(ResourceLimitError):
         refine_2(petersen(), limits=tight)
+
+
+# each budget error of `Limits`: the field, a cap it passes, and a call
+# that passes it.  overlap_class_cap raises nothing: it only bounds the
+# classes that overlap normalization scans
+BUDGETS = {
+    "memory_bytes": (1024, lambda lim: refine_2(petersen(), limits=lim)),
+    "canon_nodes": (1, lambda lim: canon_module.certify(petersen(), 2, "canonical", limits=lim)),
+    "oracle_vertices": (4, lambda lim: aut_order_oracle(cycle(5), limits=lim)),
+    "oracle_nodes": (1, lambda lim: aut_order_oracle(cycle(5), limits=lim)),
+    "iso_vertices": (4, lambda lim: iso_oracle(cycle(5), cycle(5), limits=lim)),
+    "iso_nodes": (1, lambda lim: iso_oracle(cycle(6), cycle(6), limits=lim)),
+    "separator_subsets": (1, lambda lim: min_separator_size(cycle(6), limits=lim)),
+    "group_elements": (2, lambda lim: aut_group_order([(1, 2, 3, 0)], 4, limits=lim)),
+    "lift_tuples": (63, lambda lim: lift(cycle(4), refine_1(cycle(4)), 3, limits=lim)),
+    "depth_sweep_vertices": (24, lambda lim: canon_module.depth_d_1dim(cycle(5), 1, limits=lim)),
+}
+
+
+def test_every_budget_of_limits_is_tripped_below():
+    names = {f.name for f in dataclasses.fields(Limits)}
+    assert names - set(BUDGETS) == {"overlap_class_cap"}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_a_budget_error_names_its_limits_field(name):
+    cap, run = BUDGETS[name]
+    run(DEFAULT_LIMITS)  # within the default caps
+    with pytest.raises(ResourceLimitError, match=rf"\b{name}\b") as err:
+        run(dataclasses.replace(DEFAULT_LIMITS, **{name: cap}))
+    assert err.value.cap == cap and err.value.required > cap
 
 
 def test_stable_names_memory_grows_linearly():
