@@ -20,9 +20,10 @@ graph serialized in discrete-color order.
 * fast: the canonical search's first branch, member 0 of each target
   class.  Its one leaf is compared with nothing, so it builds no invariant
   path.  Cheap, label-dependent in the worst case.
-* verified: fast, plus a fast search below each member of every target
-  class; differing digests set `orbit_flag`, signalling that the fast
-  digest may depend on labels.
+* verified: fast, plus a fast search below every other member of each
+  target class it meets (the search below member 0 is its own descent); a
+  leaf digest among them that differs from the certificate's sets
+  `orbit_flag`, signalling that the fast digest may depend on labels.
 
 A node is a generator that yields its children's arguments, and one loop
 over the suspended nodes drives the search, so depth adds no Python stack
@@ -30,19 +31,18 @@ frame and no recursion limit applies: a deep search ends at its leaf or at
 `Limits.canon_nodes`.  A node that has yielded its last member is dropped,
 so fast holds O(1) frames.
 
-A search node is a vertex coloring (the root's colors with each
-individualized vertex given a fresh color); its refinement starts from the
-parent's stable tuple coloring met with the new vertex colors rather than
-from the iso-type coloring.  The node's stable coloring refines its
-parent's, so the stable partition is the one refining from scratch would
-give; only color ids differ.  For k >= 2 a child's first round is read off
-its individualized vertex alone in O(n^k) and ranked once, from keys of
-the parent's coloring that order like the seeded one, a tuple coloring
-that is already discrete runs no round, and a leaf's discrete coloring
-projects to vertex classes by tuple minima, with no rank (see `refine`);
-the ids are those of ranking the seeded coloring and full rounds.  Ids are
-still fixed by the graph and the individualized sequence alone, so digests
-stay label-invariant.
+A search node is its parent's stable tuple coloring and the vertex it
+individualizes, `refine_k`'s `parent`; the root has none and refines the
+graph from its iso-type coloring.  The node's stable coloring refines its
+parent's, so the stable partition is the one refining from scratch under
+the individualized colors would give; only color ids differ.  For k >= 2
+a child's first round is read off its individualized vertex alone in
+O(n^k) and ranked once, from keys of the parent's coloring that order
+like the seeded one, a tuple coloring that is already discrete runs no
+round, and a leaf's discrete coloring projects to vertex classes by tuple
+minima, with no rank (see `refine`); the ids are those of ranking the
+seeded coloring and full rounds.  Ids are still fixed by the graph and the
+individualized sequence alone, so digests stay label-invariant.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ from .errors import ResourceLimitError
 from .graph import ColoredGraph, serialize_wlg, serialize_wlg_relabeled
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import is_automorphism
-from .refine import invariant_bytes, project, refine_k, stable_vertex_names
+from .refine import check_k, invariant_bytes, project, refine_k, stable_vertex_names
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,12 @@ def _count_node(stats: SearchStats, limits: Limits, mode: str) -> None:
         )
 
 
-def _refine_node(g, k, colors, start, limits):
-    """Stable coloring of a search node with vertex colors `colors`, seeded
-    from its parent's stable tuple coloring `start` (None at the root);
-    returns it with its vertex classes."""
-    tc = refine_k(g, k, vertex_colors=colors, start=start, limits=limits)
+def _refine_node(g, k, parent, limits):
+    """Stable coloring of a search node, `parent` = (its parent's stable
+    coloring, the vertex it individualizes), or None at the root; returns
+    it with its vertex classes."""
+    tc = refine_k(g, k, parent=parent, limits=limits)
     return tc, project(tc, 1)
-
-
-def _child_colors(colors: np.ndarray, v: int) -> np.ndarray:
-    """Vertex colors of the child that individualizes v: a fresh color one
-    past the current maximum, the same for every sibling."""
-    out = colors.copy()
-    out[v] = int(colors.max()) + 1
-    return out
 
 
 def _fixes(s: tuple[int, ...], prefix: tuple[int, ...]) -> bool:
@@ -171,22 +163,22 @@ def _jump_depth(sigma: np.ndarray, prefix: tuple[int, ...], bpath: tuple[int, ..
     return None
 
 
-def _search(g, k, limits, stats, mode, colors, start=None) -> dict:
-    """Search the tree below the node with vertex colors `colors`, seeded
-    from `start`, in `mode`; returns its best leaf as a dict (`bytes`,
-    `trace`, and `flag`, the verified orbit flag, among others)."""
+def _search(g, k, limits, stats, mode, parent=None) -> dict:
+    """Search the tree below the node `parent` (see `_refine_node`) in
+    `mode`; returns its best leaf as a dict (`bytes`, `trace`, and `below`,
+    the leaf digests of verified's fast searches, among others)."""
     n = g.n
     best: dict = {
-        "inv": None, "bytes": None, "path": None, "order": None, "trace": None, "flag": False,
+        "inv": None, "bytes": None, "path": None, "order": None, "trace": None, "below": set(),
     }
 
-    def node(colors, start, prefix, inv_path, trace, fixing, known):
+    def node(parent, prefix, inv_path, trace, fixing, known):
         """A generator: yields each child's arguments, with whether it is the
         last member, and returns the depth a jump unwinds to, or None.
         `fixing` holds the generators that fix `prefix` pointwise among the
         first `known` found; each later one is tested once, below."""
         _count_node(stats, limits, mode)
-        tc, pv = _refine_node(g, k, colors, start, limits)
+        tc, pv = _refine_node(g, k, parent, limits)
         path2 = None  # a search with one leaf compares nothing with it
         if mode == "canonical":
             vhist = np.bincount(pv.colors, minlength=pv.num_colors).astype(np.int64)
@@ -215,13 +207,10 @@ def _search(g, k, limits, stats, mode, colors, start=None) -> dict:
         cid, members = _target_class(pv.colors)
         trace += ((cid, len(members)),)
         if mode == "verified":
-            digests = {
-                hashlib.sha256(_search(
-                    g, k, limits, stats, "fast", _child_colors(colors, w), tc.colors,
-                )["bytes"]).digest()
-                for w in members
-            }
-            best["flag"] |= len(digests) > 1
+            best["below"].update(
+                hashlib.sha256(_search(g, k, limits, stats, "fast", (tc, w))["bytes"]).digest()
+                for w in members[1:]
+            )
         if mode != "canonical":
             members = members[:1]  # fast is the canonical search's first branch
         reach: set[int] = set()  # the orbits of the explored members
@@ -235,8 +224,7 @@ def _search(g, k, limits, stats, mode, colors, start=None) -> dict:
                 stats.orbit_skips += 1
                 continue
             yield (
-                _child_colors(colors, v), tc.colors, prefix + (v,), path2, trace,
-                [s for s in fixing if s[v] == v], known,
+                (tc, v), prefix + (v,), path2, trace, [s for s in fixing if s[v] == v], known,
             ), v == members[-1]
             _grow(reach, [v], fixing)
 
@@ -244,7 +232,7 @@ def _search(g, k, limits, stats, mode, colors, start=None) -> dict:
     # A frame is dropped when it yields its last member: resumed, it would
     # only return None.  A jump to depth d drops every frame deeper than d;
     # the frame at d, or the nearest one above it, then resumes.
-    stack = [(0, node(colors, start, (), (), (), [], 0))]
+    stack = [(0, node(parent, (), (), (), [], 0))]
     jump = None
     while stack:
         depth, frame = stack[-1]
@@ -266,8 +254,7 @@ def _search(g, k, limits, stats, mode, colors, start=None) -> dict:
 
 def _canonical_search(g: ColoredGraph, k: int, limits: Limits):
     stats = SearchStats()
-    base = np.asarray(g.vertex_colors, dtype=np.int64)
-    return _search(g, k, limits, stats, "canonical", base), stats
+    return _search(g, k, limits, stats, "canonical"), stats
 
 
 def certify(
@@ -281,16 +268,17 @@ def certify(
     what each mode guarantees."""
     if mode not in ("fast", "verified", "canonical"):
         raise ValueError(f"unknown mode {mode!r}")
+    check_k(k)
     n = g.n
     if n == 0:
         digest = hashlib.sha256(serialize_wlg(g).encode("ascii")).digest()
         return Certificate(digest=digest, k=k, mode=mode, n=0)
     stats = SearchStats()
-    base = np.asarray(g.vertex_colors, dtype=np.int64)
-    best = _search(g, k, limits, stats, mode, base)
+    best = _search(g, k, limits, stats, mode)
+    digest = hashlib.sha256(best["bytes"]).digest()
     return Certificate(
-        digest=hashlib.sha256(best["bytes"]).digest(), k=k, mode=mode, n=n,
-        trace=best["trace"], orbit_flag=best["flag"], nodes=stats.nodes,
+        digest=digest, k=k, mode=mode, n=n, trace=best["trace"],
+        orbit_flag=bool(best["below"] - {digest}), nodes=stats.nodes,
     )
 
 
@@ -305,6 +293,7 @@ def aut_generators_via_recursion(
     On small graphs these generate the full automorphism group; each returned
     permutation is verified against the graph before being reported.
     """
+    check_k(k)
     if g.n == 0:
         return []
     _, stats = _canonical_search(g, k, limits)

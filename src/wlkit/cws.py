@@ -42,7 +42,7 @@ from .graph import ColoredGraph, serialize_wlg
 from .kernels import dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import _UnionFind
-from .refine import project, refine_k
+from .refine import check_k, project, refine_k
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,18 @@ def _refined_classes(g: ColoredGraph, k: int, limits: Limits) -> np.ndarray:
     return project(tc, 1).colors
 
 
+def _seed(g: ColoredGraph, s) -> frozenset[int]:
+    """The vertices of `s` as a set, each checked to be a vertex of g."""
+    sset = frozenset(int(v) for v in s)
+    if not all(0 <= v < g.n for v in sset):
+        raise ValueError("seed vertex out of range")
+    return sset
+
+
 def is_cws(g: ColoredGraph, coloring, s) -> bool:
     """Same-colored members of s must agree on their colored adjacency to
     every vertex outside s, i.e. s is its own closure."""
-    sset = frozenset(int(v) for v in s)
+    sset = _seed(g, s)
     return closure(g, coloring, sset) == sset
 
 
@@ -330,17 +338,14 @@ def closure(g: ColoredGraph, coloring, seed) -> frozenset[int]:
     """Minimal CWS superset of `seed`: whenever a same-colored pair inside
     disagrees about a vertex, that vertex is forced in."""
     cols = _as_colors(g, coloring)
-    s = set(int(v) for v in seed)
-    if not all(0 <= v < g.n for v in s):
-        raise ValueError("seed vertex out of range")
-    return _vertex_set(_Scan(g, cols).closures([s])[0])
+    return _vertex_set(_Scan(g, cols).closures([_seed(g, seed)])[0])
 
 
 def is_prime(g: ColoredGraph, coloring, s) -> bool:
     """True when s is a CWS set, contains at least one same-colored pair, and
     every same-colored pair inside closes to exactly s."""
     cols = _as_colors(g, coloring)
-    sset = frozenset(int(v) for v in s)
+    sset = _seed(g, s)
     scan = _Scan(g, cols)
     row = scan.closures([sset])[0]
     return _vertex_set(row) == sset and scan.is_prime(row)
@@ -723,8 +728,9 @@ def mutually_stable_trivial(
     union of the family."""
     from .refine import similar_k
 
+    check_k(k)
     cols = _as_colors(g, coloring)
-    fam = [frozenset(int(v) for v in s) for s in subsets]
+    fam = [_seed(g, s) for s in subsets]
     if len(fam) < 2:
         return True
     union: set[int] = set()

@@ -36,6 +36,17 @@ def petersen() -> ColoredGraph:
     return ColoredGraph(10, edges)
 
 
+def generalized_petersen(n: int, j: int) -> ColoredGraph:
+    """GP(n, j): outer cycle 0..n-1, spokes i-(n+i), inner edges
+    (n+i)-(n+(i+j) mod n); cubic for n >= 3 and 1 <= j < n/2."""
+    if n < 3 or not 1 <= j < n / 2:
+        raise ValueError("generalized_petersen needs n >= 3 and 1 <= j < n/2")
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + j) % n) for i in range(n)]
+    return ColoredGraph(2 * n, edges)
+
+
 def shrikhande() -> ColoredGraph:
     """Shrikhande graph on Z4 x Z4: differences (±1,0),(0,±1),(1,1),(-1,-1)."""
     diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}

@@ -34,19 +34,20 @@ refine only the cells that change).  Column 0 is the class, so a class's
 rows rank in one block, and every other row takes its first row's id.  A
 k >= 2 coloring with n^k classes cannot split, so the loop stops there
 without building a round.  A k = 1 round is narrow, so it is ranked at once
-and the loop stops when the class count does not grow.  A search node's
+and the loop stops when the class count does not grow.  A k >= 2 child's
 first round (below) is ranked once, before the loop.
 
-A search node individualizes one vertex v on top of its parent's stable
-coloring `start`, and its first round then depends only on each tuple's
-relation to v (the first-round observation of McKay and Piperno's
-"Practical graph isomorphism, II"), so it costs O(n^k), not O(n^(k+1)).
-Let C be the seeded coloring, `start` met with the new vertex colors,
-which set apart only v from the vertex classes of `start`.  Because
-`start` is stable, all tuples of one class of C share one multiset of
-substitution vectors under `start`.  So a tuple t's row is that shared
-multiset, read in C, with one vector swapped: u(t), the vector x = v
-would give if v kept the color of the rest of its class, becomes the
+A search node's child is given by its parent: `parent=(tc, v)`
+individualizes vertex v on top of the parent's stable coloring tc, and the
+child's first round then depends only on each tuple's relation to v (the
+first-round observation of McKay and Piperno's "Practical graph
+isomorphism, II"), so it costs O(n^k), not O(n^(k+1)).  Let C be the
+seeded coloring: tc met with the child's vertex colors, under which v's
+color is above the rest of its vertex class of tc and no other vertex
+changes.  Because tc is stable, all tuples of one class of C share one
+multiset of substitution vectors under tc.  So a tuple t's row is that
+shared multiset, read in C, with one vector swapped: u(t), the vector x =
+v would give if v kept the color of the rest of its class, becomes the
 marked vector m(t) = (C(t[k-1:=v]), ..., C(t[0:=v])).  Within a class of
 C, m(t) fixes u(t) and the row, and orders like u(t).  v's new color is
 above the rest of its class, so m(t) > u(t), and of two rows the one with
@@ -55,23 +56,22 @@ the larger m(t) is lexicographically smaller: their differences are
 smaller u.  Ranking the k + 1 wide rows ``[C(t) | M - C(t[k-1:=v]) |
 ... | M - C(t[0:=v])]``, M being C's class count, therefore gives the ids
 of the full round, and two tuples of a class agree there exactly when
-their full rows do.  `refine_k` finds v itself: under the new vertex
-colors every vertex class of `start` (read off its diagonal tuples) must
-keep one color, but for v, whose color is above the rest of its class.
-Any other `start` is ranked from its seeded rows and takes full rounds.
+their full rows do.
 
-C itself is never ranked.  A stable `start` (k >= 2) fixes the vertex class
-of every position of t, so within a class of `start` the new vertex colors
+C itself is never ranked.  A stable tc (k >= 2) fixes the vertex class of
+every position of t, so within a class of tc the child's vertex colors
 differ only where a position holds v, and v's is the larger.  The seed key
-key(t) = start(t) * 2^k + sum_j [t_j = v] * 2^(k-1-j) therefore orders like
-C's rows ``[start | vertex color at each position]``: C is the dense rank of
+key(t) = tc(t) * 2^k + sum_j [t_j = v] * 2^(k-1-j) therefore orders like
+C's rows ``[tc | vertex color at each position]``: C is the dense rank of
 the keys.  A dense rank depends only on order and equality, so the rows
 above with the key in place of C and the largest key + 1 in place of M
-order, and rank, like C's (`_pivot_round`).  Column 0 is the key, so the ids run through the keys in
-order, and the number of distinct keys is C's class count.  When the ids
-are no more than that, the round split nothing and its ids are C's; that
-covers keys that are already all distinct.  The ids, round counts and class
-counts are those of ranking C and then its first round.
+order, and rank, like C's (`_pivot_round`).  Column 0 is the key, so the
+ids run through the keys in order, and the number of distinct keys is C's
+class count.  When the ids are no more than that, the round split nothing
+and its ids are C's; that covers keys that are already all distinct.  The
+ids, round counts and class counts are those of ranking C and then its
+first round.  At k = 1 the key is tc(t) * 2 + [t = v], its dense rank is
+C, and the k = 1 rounds below go on from C.
 
 For k = 1 tuples are vertices and a round's row is ``[previous color |
 sorted codes of the (neighbor color, edge code out, edge code in) triples]``,
@@ -187,25 +187,19 @@ def iso_type(g: ColoredGraph, tup: Sequence[int]) -> tuple:
     return (eq, pc, vc)
 
 
-def _initial_rows(
-    g: ColoredGraph, k: int, vc: np.ndarray, start: np.ndarray | None = None
-) -> np.ndarray:
+def _initial_rows(g: ColoredGraph, k: int, vc: np.ndarray) -> np.ndarray:
     """Feature rows for all n^k tuples (dense-rankable): the iso type under
-    vertex colors `vc`, or `[start | vc at each position]` when seeded.
-    Each column is eye(n), the pair codes or `vc` laid along its positions
-    and broadcast over the tuple grid."""
+    vertex colors `vc`.  Each column is eye(n), the pair codes or `vc` laid
+    along its positions and broadcast over the tuple grid."""
     n = g.n
     # digits[i] is the vertex at position i, n long along axis i
     digits = np.indices((n,) * k, sparse=True)
-    if start is not None:
-        cols = [np.reshape(start, (n,) * k)]
-    else:
-        cols = [digits[i] == digits[j] for i in range(k) for j in range(i + 1, k)]
-        # a vertex has no position pairs, so k = 1 builds no pair codes
-        cols += [
-            g.pair_codes()[digits[i], digits[j]]
-            for i in range(k) for j in range(k) if i != j
-        ]
+    cols = [digits[i] == digits[j] for i in range(k) for j in range(i + 1, k)]
+    # a vertex has no position pairs, so k = 1 builds no pair codes
+    cols += [
+        g.pair_codes()[digits[i], digits[j]]
+        for i in range(k) for j in range(k) if i != j
+    ]
     cols += [vc[digits[i]] for i in range(k)]
     rows = np.empty((n,) * k + (len(cols),), dtype=np.int64)
     for c, col in enumerate(cols):
@@ -289,6 +283,12 @@ def _round_rows_k1(nc: NeighborCodes, colors: np.ndarray) -> np.ndarray:
     return rows
 
 
+def check_k(k: int) -> None:
+    """Refuse a refinement dimension below 1, whatever the graph."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def _vertex_color_array(g: ColoredGraph, vertex_colors) -> np.ndarray:
     """Vertex colors as an int64 array, checked the way ColoredGraph checks
     its own."""
@@ -300,19 +300,6 @@ def _vertex_color_array(g: ColoredGraph, vertex_colors) -> np.ndarray:
     if vc.size and int(vc.min()) < 0:
         raise UnsupportedGraphError("vertex colors must be non-negative")
     return vc
-
-
-def _pivot(start: np.ndarray, vc: np.ndarray, n: int, k: int) -> int | None:
-    """The vertex v that `vc` alone sets apart from the vertex classes of
-    `start` (read off its diagonal tuples): every class has one color under
-    `vc`, but for v, whose color is above the rest of its class.  None when
-    `vc` differs from the classes in any other way."""
-    # the diagonal ids index a per-class array as they are
-    diag = start[np.arange(n) * sum(n**j for j in range(k))]
-    low = np.full(int(diag.max()) + 1, int(vc.max()), dtype=np.int64)
-    np.minimum.at(low, diag, vc)
-    raised = np.flatnonzero(vc != low[diag])
-    return int(raised[0]) if raised.shape[0] == 1 else None
 
 
 def _pivot_rows(colors: np.ndarray, n: int, k: int, ncolors: int, v: int) -> np.ndarray:
@@ -329,16 +316,22 @@ def _pivot_rows(colors: np.ndarray, n: int, k: int, ncolors: int, v: int) -> np.
     return rows
 
 
-def _pivot_round(start: np.ndarray, n: int, k: int, v: int) -> tuple[np.ndarray, int]:
-    """The ids of the first round of the child that individualizes v on top
-    of `start`, and the class count of its seeded coloring: the pivot rows
-    of the seed keys ``start(t) * 2^k + sum_j [t_j = v] * 2^(k-1-j)``,
-    which order like the seeded rows when `_pivot` found v (see the module
-    docstring), ranked once."""
+def _seed_keys(start: np.ndarray, n: int, k: int, v: int) -> np.ndarray:
+    """Keys ``start(t) * 2^k + sum_j [t_j = v] * 2^(k-1-j)`` of the tuples of
+    the child that individualizes v on top of the stable coloring `start`:
+    they order like its seeded coloring (see the module docstring)."""
     keys = start.astype(np.int64) << k
     grid = keys.reshape((n,) * k)
     for j in range(k):
         grid[(slice(None),) * j + (v,)] += 1 << (k - 1 - j)
+    return keys
+
+
+def _pivot_round(start: np.ndarray, n: int, k: int, v: int) -> tuple[np.ndarray, int]:
+    """The ids of the first round of the k >= 2 child that individualizes v
+    on top of `start`, and the class count of its seeded coloring: the
+    pivot rows of the seed keys, ranked once."""
+    keys = _seed_keys(start, n, k, v)
     ids = dense_rank_rows(_pivot_rows(keys, n, k, int(keys.max()) + 1, v))
     # column 0 is the key, so the ids run through the keys in order
     key_of = np.empty(int(ids.max()) + 1, dtype=np.int64)
@@ -417,31 +410,36 @@ def refine_k(
     k: int,
     *,
     vertex_colors: Sequence[int] | None = None,
-    start: np.ndarray | None = None,
+    parent: tuple[TupleColoring, int] | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> TupleColoring:
     """Run k-dim refinement to stability.
 
-    `vertex_colors` overrides the graph's own colors (used for
-    individualization); the edges and the cached pair codes (neighbor codes
-    for k = 1) of `g` are used as they are.  `start`, when given, is a
-    stable n^k coloring of `g` under coarser vertex colors (a search node's
-    parent), with integer ids below n^k.  The first coloring is then
-    `start` met with the vertex colors of each position instead of the iso
-    type; the stable partition is the same, only the color ids differ, and
-    fewer rounds are needed."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    vc = _vertex_color_array(g, vertex_colors)
+    `vertex_colors` overrides the graph's own colors; the edges and the
+    cached pair codes (neighbor codes for k = 1) of `g` are used as they
+    are.  `parent` = (tc, v), when given, makes this a search node's child:
+    tc is a stable coloring of `g` at this k, and the child individualizes
+    vertex v on top of it, giving v a color above the rest of its class.
+    The stable partition is the one refining from scratch under those
+    vertex colors would give; only the color ids differ, and fewer rounds
+    are needed."""
+    check_k(k)
     n = g.n
-    if start is not None:
-        start = np.asarray(start)
-        if start.shape != (n**k,):
-            raise ValueError(f"start must be a coloring of all {n}^{k} tuples")
-        if start.dtype.kind not in "iu" or (
-            start.size and not (int(start.min()) >= 0 and int(start.max()) < n**k)
+    if parent is None:
+        vc = _vertex_color_array(g, vertex_colors)
+    elif vertex_colors is not None:
+        raise ValueError("pass vertex_colors or parent, not both")
+    else:
+        tc, v = parent
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
+            raise ValueError("parent vertex out of range")
+        if (tc.k, tc.n) != (k, n) or np.shape(tc.colors) != (n**k,):
+            raise ValueError(f"parent must be a coloring of all {n}^{k} tuples")
+        start = np.asarray(tc.colors)
+        if start.dtype.kind not in "iu" or not (
+            int(start.min()) >= 0 and int(start.max()) < n**k
         ):
-            raise ValueError(f"start must hold integer ids from 0 to {n}^{k} - 1")
+            raise ValueError(f"parent must hold integer ids from 0 to {n}^{k} - 1")
     nc = g.neighbor_codes() if k == 1 else None
     k1_rows = () if nc is None else (1 + nc.delta, nc.src.shape[0])  # width, pairs
     check_round_budget(f"refinement at n={n}, k={k}", limits, n, k, *k1_rows)
@@ -452,16 +450,18 @@ def refine_k(
         )
     if nc is not None and n * nc.base**2 >= _SENTINEL:
         raise ResourceLimitError("edge color space too large for the 1-dim round")
-    pivot = _pivot(start, vc, n, k) if start is not None and k >= 2 else None
-    if pivot is None:
-        colors = dense_rank_rows(_initial_rows(g, k, vc, start))
-        colors, class_counts = stable_rounds(colors, n, k, nc)
-    else:
-        colors, seeded = _pivot_round(start, n, k, pivot)
+    if parent is not None and k >= 2:
+        colors, seeded = _pivot_round(start, n, k, v)
         class_counts = [seeded]
         if int(colors.max()) + 1 > seeded:  # the first round split
             colors, later = stable_rounds(colors, n, k)
             class_counts += later
+    else:
+        if parent is None:
+            colors = dense_rank_rows(_initial_rows(g, k, vc))
+        else:  # the seed keys rank like the seeded coloring
+            colors = dense_rank_rows(_seed_keys(start, n, 1, v)[:, None])
+        colors, class_counts = stable_rounds(colors, n, k, nc)
     return TupleColoring(
         k=k, n=n, colors=colors, num_colors=class_counts[-1],
         rounds=len(class_counts) - 1, class_counts=class_counts,
@@ -573,6 +573,7 @@ def similar_k(
     """True when no k-dim refinement invariant separates g and h: run the
     refinement on the disjoint union and compare the color multisets of the
     all-in-g and all-in-h tuples, the two corner blocks of the tuple grid."""
+    check_k(k)
     if g.n != h.n or g.directed != h.directed:
         return False
     if g.n == 0:

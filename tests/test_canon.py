@@ -151,6 +151,21 @@ def test_unknown_mode_rejected():
         certify(cycle(4), 2, "fancy")
 
 
+@pytest.mark.parametrize("n", (0, 4))
+def test_k_below_one_is_rejected_before_the_empty_graph_shortcut(n):
+    g = ColoredGraph(n)
+    for k in (0, -3):
+        for mode in ("fast", "verified", "canonical"):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                certify(g, k, mode)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            aut_generators_via_recursion(g, k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            refine_module.similar_k(g, g, k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            reduce_graph(g, k)
+
+
 def test_node_budget_is_enforced():
     tight = dataclasses.replace(DEFAULT_LIMITS, canon_nodes=1)
     with pytest.raises(ResourceLimitError):
@@ -263,15 +278,14 @@ def logged_search(g, k):
     its target class, None at a leaf), each automorphism found at an equal
     leaf and each jump (the depth it unwinds to)."""
     log = []
-    top = max(g.vertex_colors, default=0)
+    prefixes = {}  # id of a node's coloring: (the coloring, the node's prefix)
     refine_node, is_aut, jump_depth = canon._refine_node, canon.is_automorphism, canon._jump_depth
 
-    def node_spy(g, k, colors, start, limits):
-        tc, pv = refine_node(g, k, colors, start, limits)
-        # individualized vertices carry fresh colors above the graph's own,
-        # one level after another
-        picked = np.flatnonzero(colors > top)
-        prefix = tuple(int(v) for v in picked[np.argsort(colors[picked])])
+    def node_spy(g, k, parent, limits):
+        tc, pv = refine_node(g, k, parent, limits)
+        # a node's prefix is its parent's and the vertex it individualizes
+        prefix = () if parent is None else prefixes[id(parent[0])][1] + (int(parent[1]),)
+        prefixes[id(tc)] = (tc, prefix)
         members = None if pv.num_colors == g.n else canon._target_class(pv.colors)[1]
         log.append(("node", prefix, members))
         return tc, pv
@@ -369,15 +383,15 @@ def test_orbit_pruning_is_exact_on_random_colored_graphs(case, k):
 # -- fast and verified against the former greedy descent -------------------------
 
 
-def reference_fast_leaf(g, k, colors, start, limits, stats, trace=None, on_siblings=None):
+def reference_fast_leaf(g, k, parent, limits, stats, trace=None, on_siblings=None):
     """The fast descent as a loop of its own, as it was before the modes
     shared one search: refine, take the target class, descend into its
     first member; `on_siblings` gets the digests of the fast leaves below
-    each member at every level."""
+    every other member at every level (below the first lies the descent)."""
     n = g.n
     while True:
         canon._count_node(stats, limits, "fast")
-        tc, pv = canon._refine_node(g, k, colors, start, limits)
+        tc, pv = canon._refine_node(g, k, parent, limits)
         if pv.num_colors == n:
             return serialize_in_order(g, np.argsort(pv.colors))
         cid, members = canon._target_class(pv.colors)
@@ -385,12 +399,10 @@ def reference_fast_leaf(g, k, colors, start, limits, stats, trace=None, on_sibli
             trace.append((cid, len(members)))
         if on_siblings is not None:
             on_siblings([
-                hashlib.sha256(reference_fast_leaf(
-                    g, k, canon._child_colors(colors, w), tc.colors, limits, stats,
-                )).digest()
-                for w in members
+                hashlib.sha256(reference_fast_leaf(g, k, (tc, w), limits, stats)).digest()
+                for w in members[1:]
             ])
-        colors, start = canon._child_colors(colors, members[0]), tc.colors
+        parent = (tc, members[0])
 
 
 @settings(max_examples=120, deadline=None)
@@ -403,13 +415,14 @@ def test_fast_and_verified_match_the_reference_descent(case, k):
     for mode in ("fast", "verified"):
         stats, trace, levels = canon.SearchStats(), [], []
         leafb = reference_fast_leaf(
-            g, k, cols, None, DEFAULT_LIMITS, stats, trace,
+            g, k, None, DEFAULT_LIMITS, stats, trace,
             levels.append if mode == "verified" else None,
         )
         c = certify(g, k, mode)
         assert c.digest == hashlib.sha256(leafb).digest()
         assert c.trace == tuple(trace)
-        assert c.orbit_flag == any(len(set(ds)) > 1 for ds in levels)
+        # the flag: some member's fast leaf differs from the descent's own
+        assert c.orbit_flag == any(d != c.digest for ds in levels for d in ds)
         assert c.nodes == stats.nodes
 
 
@@ -495,16 +508,16 @@ PINNED_SHA256 = "c2eeaf546e0f7ba53573d02afe6e27d0a0b4b6e76aec497693f774cd75e4d09
 # {k: (fast, verified, canonical)}.  The canonical counts are those of a search
 # that jumps on every automorphism found at an equal leaf.
 PINNED_NODES = [
-    {1: (4, 86, 15), 2: (4, 86, 15)},  # CFI(K4)
-    {1: (4, 86, 15), 2: (4, 86, 15)},  # CFI(K4), one twisted edge
-    {1: (4, 86, 15), 2: (4, 86, 15)},  # the same, relabeled
-    {1: (5, 179, 26), 2: (5, 171, 28)},  # CFI(K3,3)
-    {1: (4, 48, 10), 2: (5, 60, 15)},  # Petersen
-    {1: (4, 36, 10), 2: (4, 36, 10)},  # Q3
-    {1: (3, 23, 6), 2: (3, 23, 6)},  # C9
-    {1: (2, 5, 3), 2: (2, 5, 3)},  # directed colored 6-cycle
-    {1: (2, 4, 3), 2: (2, 4, 3)},  # random (6, 7) beside a relabeled copy
-    {1: (2, 4, 3), 2: (2, 4, 3)},  # random (8, 14) beside a relabeled copy
+    {1: (4, 80, 15), 2: (4, 80, 15)},  # CFI(K4)
+    {1: (4, 80, 15), 2: (4, 80, 15)},  # CFI(K4), one twisted edge
+    {1: (4, 80, 15), 2: (4, 80, 15)},  # the same, relabeled
+    {1: (5, 169, 26), 2: (5, 161, 28)},  # CFI(K3,3)
+    {1: (4, 42, 10), 2: (5, 50, 15)},  # Petersen
+    {1: (4, 30, 10), 2: (4, 30, 10)},  # Q3
+    {1: (3, 20, 6), 2: (3, 20, 6)},  # C9
+    {1: (2, 4, 3), 2: (2, 4, 3)},  # directed colored 6-cycle
+    {1: (2, 3, 3), 2: (2, 3, 3)},  # random (6, 7) beside a relabeled copy
+    {1: (2, 3, 3), 2: (2, 3, 3)},  # random (8, 14) beside a relabeled copy
 ]
 
 

@@ -248,6 +248,21 @@ def test_library_value_errors_exit_2(files, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "{g}", "-k", "0"],
+        ["iso", "{g}", "{g}", "-k", "0"],
+        ["iso", "{g}", "{g}", "--method", "similar", "-k", "0"],
+    ],
+)
+def test_k_below_one_exits_2_on_the_empty_graph_too(files, capsys, argv):
+    _, write = files
+    src = write("empty.wlg", ColoredGraph(0))
+    assert main([a.replace("{g}", src) for a in argv]) == 2
+    assert "k must be >= 1" in capsys.readouterr().err
+
+
 def test_iso_of_a_search_past_the_node_budget_exits_2(files, capsys, monkeypatch):
     # the canonical search on an edgeless 1100-vertex graph descends 1099
     # levels before the budget trips; it ends in the budget's error, not

@@ -223,6 +223,31 @@ def test_closures_in_c4():
         closure(g, cols, {0, 9})
 
 
+@pytest.mark.parametrize("check", [closure, is_cws, is_prime])
+def test_a_set_with_a_vertex_out_of_range_is_refused(check):
+    # 64 would index past the packed rows, and -1 would wrap to bit 63
+    g = cycle(64)
+    cols = classes_of(g)
+    for bad in ([64, 0], [-1, 31]):
+        with pytest.raises(ValueError, match="seed vertex out of range"):
+            check(g, cols, bad)
+
+
+def test_mutually_stable_trivial_checks_k_before_its_shortcuts():
+    # a family of fewer than two subsets is trivially interchangeable
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        mutually_stable_trivial(cycle(4), [0] * 4, [{0}], k=0)
+
+
+def test_a_family_with_a_vertex_out_of_range_is_refused():
+    # checked before the family's other tests, which may pass or fail first
+    g = cycle(6)
+    cols = classes_of(g)
+    for fam in ([[0, 6]], [[0, 1], [-1, 3]], [[0, 1], [1, 7]]):
+        with pytest.raises(ValueError, match="seed vertex out of range"):
+            mutually_stable_trivial(g, cols, fam)
+
+
 def test_closure_is_monotone_and_idempotent():
     for seed in range(6):
         g = random_graph(8, 0.5, seed=seed)

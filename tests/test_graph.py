@@ -11,6 +11,7 @@ from wlkit.families import (
     complete,
     complete_bipartite,
     cycle,
+    generalized_petersen,
     path,
     petersen,
     random_graph,
@@ -47,6 +48,26 @@ def test_basic_accessors():
     assert g.degree(1) == 2 and g.degree(3) == 0
     assert g.max_vertex_color() == 2
     assert g.max_edge_color() == 5
+
+
+@pytest.mark.parametrize("n, j", [(3, 1), (5, 2), (8, 3), (10, 2), (10, 3), (11, 5)])
+def test_generalized_petersen_is_cubic_on_2n_vertices(n, j):
+    g = generalized_petersen(n, j)
+    assert (g.n, g.num_edges) == (2 * n, 3 * n)
+    assert all(g.degree(v) == 3 for v in range(g.n))
+
+
+def test_generalized_petersen_5_2_is_the_petersen_graph():
+    g = generalized_petersen(5, 2)
+    assert iso_oracle(g, petersen()) is not None
+    # GP(5, 1), the pentagonal prism, is cubic on 10 vertices as well
+    assert iso_oracle(generalized_petersen(5, 1), petersen()) is None
+
+
+@pytest.mark.parametrize("n, j", [(2, 1), (6, 3), (5, 0), (5, 3)])
+def test_generalized_petersen_refuses_parameters_off_its_range(n, j):
+    with pytest.raises(ValueError):
+        generalized_petersen(n, j)
 
 
 def test_directed_edges_are_one_way():

@@ -134,11 +134,11 @@ def test_history_is_monotone():
 
 @st.composite
 def individualization_runs(draw, max_n: int = 7):
-    """A small colored graph, k in {1, 2}, and a sequence of vertices to
-    individualize one after another."""
+    """A small colored graph, k in {1, 2, 3}, and a sequence of vertices to
+    individualize one after another (a vertex may come again)."""
     g, cols = draw(colored_graphs(max_n=max_n))
-    k = draw(st.sampled_from((1, 2)))
-    seq = draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=3)) if g.n else []
+    k = draw(st.sampled_from((1, 2, 3)))
+    seq = draw(st.lists(st.sampled_from(range(g.n)), max_size=4)) if g.n else []
     return g, cols, k, seq
 
 
@@ -146,6 +146,14 @@ def individualized(colors: np.ndarray, v: int) -> np.ndarray:
     out = colors.copy()
     out[v] = int(colors.max()) + 1
     return out
+
+
+def seeded_rows(start, vc, n: int, k: int) -> np.ndarray:
+    """Rows ``[start | vc at each position]`` of all n^k tuples in rank
+    order: the seeded coloring of a child whose vertex colors are `vc`."""
+    tuples = itertools.product(range(n), repeat=k)
+    rows = [[int(start[i])] + [int(vc[x]) for x in t] for i, t in enumerate(tuples)]
+    return np.asarray(rows, dtype=np.int64).reshape(n**k, k + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -158,19 +166,33 @@ def test_seeded_refinement_matches_refinement_from_scratch(case):
     assert np.array_equal(tc.colors, rebuilt.colors)
     colors = cols
     for v in seq:
+        # a chain of children, each individualizing v on top of the last
         colors = individualized(colors, v)
-        seeded = refine_k(g, k, vertex_colors=colors, start=tc.colors)
+        seeded = refine_k(g, k, parent=(tc, v))
         scratch = refine_k(g, k, vertex_colors=colors)
         assert same_partition(seeded.colors, scratch.colors)
         assert seeded.num_colors == scratch.num_colors
         tc = seeded
 
 
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_a_child_of_a_singleton_vertex_keeps_its_parents_partition(k):
+    # the middle vertex of a path is alone in its class, so individualizing
+    # it splits nothing, however often
+    g = path(5)
+    tc = refine_k(g, k)
+    for _ in range(2):
+        child = refine_k(g, k, parent=(tc, 2))
+        assert same_partition(child.colors, tc.colors)
+        assert (child.num_colors, child.rounds) == (tc.num_colors, 0)
+        tc = child
+
+
 def test_seeding_saves_rounds_on_a_cycle():
     g = cycle(12)
     root = refine_2(g)
     colors = individualized(np.zeros(12, dtype=np.int64), 0)
-    seeded = refine_2(g, vertex_colors=colors, start=root.colors)
+    seeded = refine_2(g, parent=(root, 0))
     scratch = refine_2(g, vertex_colors=colors)
     assert same_partition(seeded.colors, scratch.colors)
     assert seeded.rounds < scratch.rounds
@@ -182,32 +204,43 @@ def test_bad_vertex_colors_are_rejected_without_a_rebuild():
         for k in (1, 2):
             with pytest.raises(UnsupportedGraphError):
                 refine_k(g, k, vertex_colors=bad)
-            with pytest.raises(UnsupportedGraphError):
-                refine_k(g, k, vertex_colors=bad, start=refine_k(g, k).colors)
 
 
-def test_start_must_cover_every_tuple():
+def test_vertex_colors_and_a_parent_are_not_both_taken():
     g = cycle(4)
-    with pytest.raises(ValueError):
-        refine_2(g, start=refine_1(g).colors)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="not both"):
+            refine_k(g, k, vertex_colors=[0, 0, 0, 0], parent=(refine_k(g, k), 0))
 
 
-def test_a_malformed_start_is_refused_before_any_allocation():
+def test_parent_must_cover_every_tuple():
+    g = cycle(4)
+    for parent in ((refine_1(g), 0), (refine_2(cycle(5)), 0)):
+        with pytest.raises(ValueError, match="parent"):
+            refine_2(g, parent=parent)
+
+
+def test_a_malformed_parent_is_refused_before_any_allocation():
     # a negative id, an id past n^k and a float id would each reach numpy:
-    # negative dimensions, a petabyte allocation or a float index
+    # negative dimensions, a petabyte allocation or a float index; so would
+    # a vertex past n or a negative one
     g = petersen()
     root = refine_2(g)
-    vc = individualized(np.zeros(g.n, dtype=np.int64), 0)
-    for bad in (root.colors - 5, root.colors * 10**15, root.colors.astype(float)):
+    bad_parents = [
+        (dataclasses.replace(root, colors=colors), 0)
+        for colors in (root.colors - 5, root.colors * 10**15, root.colors.astype(float))
+    ]
+    bad_parents += [(root, g.n), (root, -1), (root, 0.5)]
+    for parent in bad_parents:
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="start"):
-                refine_2(g, vertex_colors=vc, start=bad)
+            with pytest.raises(ValueError, match="parent"):
+                refine_2(g, parent=parent)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**16
-    assert refine_2(g, vertex_colors=vc, start=root.colors).num_colors > root.num_colors
+    assert refine_2(g, parent=(root, 0)).num_colors > root.num_colors
 
 
 # -- strongly regular pair -----------------------------------------------------
@@ -378,13 +411,16 @@ def test_export_text_lists_every_tuple():
 
 def reference_refine(g, k, vertex_colors=None, start=None):
     """Rank every tuple's (color, sorted substitution vectors) each round,
-    lexicographically, until a round splits nothing; returns the colors,
-    the number of splitting rounds and the class count after each round."""
+    lexicographically, until a round splits nothing, starting from the iso
+    types or, when `start` is given, from the seeded rows; returns the
+    colors, the number of splitting rounds and the class count after each
+    round."""
     n = g.n
     vc = np.asarray(
         g.vertex_colors if vertex_colors is None else vertex_colors, dtype=np.int64
     )
-    colors = kernels.dense_rank_rows(refine_module._initial_rows(g, k, vc, start)).tolist()
+    first = refine_module._initial_rows(g, k, vc) if start is None else seeded_rows(start, vc, n, k)
+    colors = kernels.dense_rank_rows(first).tolist()
     tuples = list(itertools.product(range(n), repeat=k))  # in rank order
     rank = {t: i for i, t in enumerate(tuples)}
     counts = [max(colors) + 1]
@@ -406,34 +442,24 @@ def reference_refine(g, k, vertex_colors=None, start=None):
         counts.append(len(index))
 
 
-@st.composite
-def recolorings(draw):
-    """Up to three recolorings, each applied on top of the previous stable
-    coloring: one vertex individualized (the first round then comes from
-    that vertex alone), or, for the fallback to full rounds, two vertices
-    individualized at once or one vertex recolored below the rest of its
-    class."""
-    steps = st.tuples(
-        st.sampled_from(("one", "one", "two", "below")),
-        st.integers(0, 5), st.integers(0, 5),
-    )
-    return draw(st.lists(steps, min_size=1, max_size=3))
+# up to three children, each individualizing one vertex on top of the last
+# stable coloring; a step picks among the vertices that share a class
+children = st.lists(st.integers(0, 5), min_size=1, max_size=3)
 
 
-def recolored(colors: np.ndarray, kind: str, v: int, w: int) -> np.ndarray:
-    if kind == "one":
-        return individualized(colors, v)
-    if kind == "two":
-        return individualized(individualized(colors, v), w)
-    out = colors + 1
-    out[v] = 0
-    return out
+def pick(tc, step: int) -> int:
+    """The vertex a step individualizes: one that shares its class with
+    another where there are any."""
+    vcls = vertex_classes(tc)
+    pool = np.flatnonzero(np.bincount(vcls)[vcls] >= 2)
+    pool = pool if pool.shape[0] else np.arange(tc.n)
+    return int(pool[step % pool.shape[0]])
 
 
 @st.composite
 def reference_graphs(draw):
     """A colored graph, or a smaller one beside a relabeled copy of itself
-    (its vertex classes are never all singletons, so recolorings split
+    (its vertex classes are never all singletons, so individualizing splits
     them)."""
     if draw(st.booleans()):
         return draw(colored_graphs(max_n=6))
@@ -444,19 +470,16 @@ def reference_graphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(reference_graphs(), st.sampled_from((2, 3)), recolorings())
+@given(reference_graphs(), st.sampled_from((2, 3)), children)
 def test_refinement_matches_the_lexicographic_reference(case, k, steps):
     g, cols = case
     if g.n == 0:
         return
-    start = None
-    for kind, v, w in [(None, 0, 0)] + steps:
-        if kind is not None:
-            # recolor vertices that share a class where there are any
-            vcls = vertex_classes(tc)
-            pool = np.flatnonzero(np.bincount(vcls)[vcls] >= 2)
-            pool = pool if pool.shape[0] else np.arange(g.n)
-            cols = recolored(cols, kind, int(pool[v % pool.shape[0]]), int(pool[w % pool.shape[0]]))
+    tc = None
+    for step in [None] + steps:
+        if step is not None:
+            v = pick(tc, step)
+            cols = individualized(cols, v)
         ranked = []
 
         def spy(rows):
@@ -464,29 +487,27 @@ def test_refinement_matches_the_lexicographic_reference(case, k, steps):
             return kernels.dense_rank_rows(rows)
 
         with mock.patch.object(refine_module, "dense_rank_rows", spy):
-            tc = refine_k(g, k, vertex_colors=cols, start=start)
-        colors, rounds, counts = reference_refine(g, k, cols, start)
+            if tc is None:
+                child = refine_k(g, k, vertex_colors=cols)
+            else:
+                child = refine_k(g, k, parent=(tc, v))
+        colors, rounds, counts = reference_refine(g, k, cols, None if tc is None else tc.colors)
         # ids, not only the partition: every splitting round is ranked
         # lexicographically, previous color first
-        assert np.array_equal(tc.colors, colors)
-        assert tc.rounds == rounds
-        assert tc.class_counts == counts
-        # a search node that individualizes one vertex ranks its first
-        # round once, from seed keys, whether it splits or not, and never
-        # its seeded coloring; any other node ranks its initial or seeded
-        # coloring.  Each later splitting round is ranked, and a full round
-        # that finds nothing to split is not
-        if start is not None and refine_module._pivot(start, cols, g.n, k) is not None:
-            assert len(ranked) == max(rounds, 1)
-        else:
-            assert len(ranked) == 1 + rounds
-        start = tc.colors
+        assert np.array_equal(child.colors, colors)
+        assert child.rounds == rounds
+        assert child.class_counts == counts
+        # a child ranks its first round once, from seed keys, whether it
+        # splits or not, and never its seeded coloring; the root ranks its
+        # initial coloring.  Each later splitting round is ranked, and a
+        # full round that finds nothing to split is not
+        assert len(ranked) == (1 + rounds if tc is None else max(rounds, 1))
+        tc = child
 
 
 def test_an_individualized_child_takes_its_first_round_from_the_vertex(cfi_k4):
     g = cfi_k4[0]
     root = refine_2(g)
-    base = np.asarray(g.vertex_colors, dtype=np.int64)
     v = int(np.flatnonzero(vertex_classes(root) == 0)[0])
     calls = []
 
@@ -495,25 +516,22 @@ def test_an_individualized_child_takes_its_first_round_from_the_vertex(cfi_k4):
         return kernels.round_rows(colors, *args)
 
     with mock.patch.object(refine_module, "round_rows", rows_spy):
-        child = refine_2(g, vertex_colors=individualized(base, v), start=root.colors)
+        child = refine_2(g, parent=(root, v))
     # round 1 came from v alone; every later round, and the stop check,
     # built full rows from the classes round 1 left
     assert child.rounds >= 2
     assert calls == child.class_counts[1:]
 
 
-def two_rank_refine(g, k, vc, start):
-    """A seeded k >= 2 refinement by way of the seeded coloring C: rank C's
-    rows, then, when `_pivot` finds v and C is not discrete, rank C's first
-    round from v and go on with full rounds.  Returns the colors, rounds,
-    class counts and which of the four cases the node is."""
+def two_rank_refine(g, k, vc, start, v):
+    """A k >= 2 child that individualizes v by way of its seeded coloring C,
+    `start` met with the child's vertex colors `vc`: rank C's rows, then,
+    when C is not discrete, rank C's first round from v and go on with full
+    rounds.  Returns the colors, rounds, class counts and which of the
+    three cases the node is."""
     n = g.n
-    colors = kernels.dense_rank_rows(refine_module._initial_rows(g, k, vc, start))
+    colors = kernels.dense_rank_rows(seeded_rows(start, vc, n, k))
     ncolors = int(colors.max()) + 1
-    v = refine_module._pivot(start, vc, n, k)
-    if v is None:
-        colors, counts = refine_module.stable_rounds(colors, n, k)
-        return colors, len(counts) - 1, counts, "rejected"
     if ncolors == n**k:
         return colors, 0, [ncolors], "discrete"
     ids = kernels.dense_rank_rows(refine_module._pivot_rows(colors, n, k, ncolors, v))
@@ -523,51 +541,46 @@ def two_rank_refine(g, k, vc, start):
     return colors, len(counts), [ncolors] + counts, "split"
 
 
-def assert_keyed_first_round(g, k, coarse, fine):
-    """refine_k seeded from the stable coloring under `coarse` vertex colors
-    against `two_rank_refine`; returns the node's case."""
-    start = refine_k(g, k, vertex_colors=coarse).colors
-    tc = refine_k(g, k, vertex_colors=fine, start=start)
-    colors, rounds, counts, case = two_rank_refine(g, k, np.asarray(fine), start)
+def assert_keyed_first_round(g, k, coarse, v):
+    """The child that individualizes v on top of the stable coloring under
+    `coarse` vertex colors against `two_rank_refine`; returns the node's
+    case."""
+    parent = refine_k(g, k, vertex_colors=coarse)
+    tc = refine_k(g, k, parent=(parent, v))
+    colors, rounds, counts, case = two_rank_refine(
+        g, k, individualized(coarse, v), parent.colors, v,
+    )
     assert np.array_equal(tc.colors, colors), case
     assert (tc.rounds, tc.class_counts) == (rounds, counts), case
     return case
 
 
-# each case's graph and the vertices individualized at once; K_n less one
-# vertex is K_(n-1), so there the seeded coloring is already stable
+# each case's graph, individualizing vertex 0 on top of uniform colors; K_n
+# less one vertex is K_(n-1), so there the seeded coloring is already stable
 KEYED_CASES = {
-    "split": (cycle(6), [0]),
-    "no split": (complete(4), [0]),
-    "discrete": (complete(2), [0]),
-    "rejected": (cycle(6), [0, 3]),
+    "split": cycle(6),
+    "no split": complete(4),
+    "discrete": complete(2),
 }
 
 
 @pytest.mark.parametrize("k", (2, 3))
 @pytest.mark.parametrize("case", list(KEYED_CASES))
 def test_the_keyed_first_round_equals_the_two_rank_path(case, k):
-    g, raised = KEYED_CASES[case]
-    coarse = fine = np.zeros(g.n, dtype=np.int64)
-    for v in raised:
-        fine = individualized(fine, v)
-    assert assert_keyed_first_round(g, k, coarse, fine) == case
+    g = KEYED_CASES[case]
+    assert assert_keyed_first_round(g, k, np.zeros(g.n, dtype=np.int64), 0) == case
 
 
 @settings(max_examples=200, deadline=None)
-@given(reference_graphs(), st.sampled_from((2, 3)), recolorings())
+@given(reference_graphs(), st.sampled_from((2, 3)), children)
 def test_the_keyed_first_round_equals_the_two_rank_path_on_random_graphs(case, k, steps):
     g, cols = case
     if g.n == 0:
         return
-    for kind, v, w in steps:
-        # recolor vertices that share a class where there are any
-        vcls = vertex_classes(refine_k(g, k, vertex_colors=cols))
-        pool = np.flatnonzero(np.bincount(vcls)[vcls] >= 2)
-        pool = pool if pool.shape[0] else np.arange(g.n)
-        fine = recolored(cols, kind, int(pool[v % pool.shape[0]]), int(pool[w % pool.shape[0]]))
-        assert_keyed_first_round(g, k, cols, fine)
-        cols = fine
+    for step in steps:
+        v = pick(refine_k(g, k, vertex_colors=cols), step)
+        assert_keyed_first_round(g, k, cols, v)
+        cols = individualized(cols, v)
 
 
 def reference_project(colors, n, k, t):
@@ -617,18 +630,13 @@ def test_a_discrete_projection_equals_sort_and_rank(k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(colored_graphs(max_n=5), st.sampled_from((1, 2, 3)), st.booleans())
-def test_initial_rows_are_the_iso_types(case, k, seeded):
+@given(colored_graphs(max_n=5), st.sampled_from((1, 2, 3)))
+def test_initial_rows_are_the_iso_types(case, k):
     g, cols = case
     recolored = g.with_vertex_colors(cols.tolist())
     tuples = list(itertools.product(range(g.n), repeat=k))
-    if seeded:
-        start = np.arange(len(tuples), dtype=np.int64)[::-1] % 4
-        want = [[int(start[i])] + [int(cols[v]) for v in t] for i, t in enumerate(tuples)]
-    else:
-        start = None
-        want = [[x for part in iso_type(recolored, t) for x in part] for t in tuples]
-    rows = refine_module._initial_rows(g, k, cols, start)
+    want = [[x for part in iso_type(recolored, t) for x in part] for t in tuples]
+    rows = refine_module._initial_rows(g, k, cols)
     assert rows.tolist() == want
 
 
@@ -727,9 +735,7 @@ def test_a_seeded_child_keeps_nothing_after_it_returns():
         half = random_graph(n // 2, 0.5, seed=1)
         g = disjoint_union(half, random_relabel(half, 2)[0])
         root = refine_k(g, k)
-        vc = individualized(np.zeros(n, dtype=np.int64), 0)
-        assert refine_module._pivot(root.colors, vc, n, k) == 0
-        tc, held, peak = _traced_refinement(g, k, vertex_colors=vc, start=root.colors)
+        tc, held, peak = _traced_refinement(g, k, parent=(root, 0))
         assert tc.rounds >= 1, (n, k)  # the first round split
         assert held < 2**20, (n, k)
         assert peak <= refine_module._estimate_bytes(n, k), (n, k)
@@ -871,11 +877,13 @@ def decode_dense_k1(row, n, pb):
 
 
 def reference_refine_k1(g, vertex_colors, start=None):
-    """k = 1 refinement ranking the dense rows until a round splits nothing;
+    """k = 1 refinement ranking the dense rows until a round splits nothing,
+    from the vertex colors or, when `start` is given, from the seeded rows;
     returns the colors, the class count after each round and, for every
     splitting round, the decoded structure of each color id."""
     colors = kernels.dense_rank_rows(
-        refine_module._initial_rows(g, 1, vertex_colors, start)
+        refine_module._initial_rows(g, 1, vertex_colors)
+        if start is None else seeded_rows(start, vertex_colors, g.n, 1)
     )
     counts = [int(colors.max()) + 1]
     decoded = []
@@ -898,9 +906,11 @@ def test_sparse_one_dim_rounds_match_the_dense_reference(case, v, seeded):
         return
     start = None
     if seeded:
-        start = refine_1(g, vertex_colors=cols).colors
-        cols = individualized(cols, v % g.n)
-    tc = refine_1(g, vertex_colors=cols, start=start)
+        parent = refine_1(g, vertex_colors=cols)
+        start, cols = parent.colors, individualized(cols, v % g.n)
+        tc = refine_1(g, parent=(parent, v % g.n))
+    else:
+        tc = refine_1(g, vertex_colors=cols)
     colors, counts, decoded = reference_refine_k1(g, cols, start)
     # the same ids, not only the same partition
     assert np.array_equal(tc.colors, colors)
@@ -919,8 +929,7 @@ def test_table_rounds_match_packed_rounds(case, k, v):
         return
     v %= g.n
     packed = refine_k(g, k, vertex_colors=cols)
-    child = individualized(cols, v)
-    packed_child = refine_k(g, k, vertex_colors=child, start=packed.colors)
+    packed_child = refine_k(g, k, parent=(packed, v))
     rounds, widths = [], []
 
     def rows_spy(*args):
@@ -939,7 +948,7 @@ def test_table_rounds_match_packed_rounds(case, k, v):
             mock.patch.object(refine_module, "round_rows", rows_spy), \
             mock.patch.object(kernels, "dense_rank_rows", rank_spy):
         table = refine_k(g, k, vertex_colors=cols)
-        table_child = refine_k(g, k, vertex_colors=child, start=table.colors)
+        table_child = refine_k(g, k, parent=(table, v))
     # every round that runs ranks k-wide vectors; a coloring discrete from
     # the start is stable without a round
     assert widths == [k] * len(rounds)
