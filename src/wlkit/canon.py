@@ -1,10 +1,10 @@
 """Canonical certificates by individualization and refinement.
 
 The three modes run one search (`_search`) built on k-dim refinement.  A
-node refines its coloring, takes the smallest color class of size >= 2 as
-its target and branches on its members, each individualized in turn, until
-the vertex classes are discrete; the certificate hashes the best leaf, the
-graph serialized in discrete-color order.
+node refines its coloring, takes the class of size >= 2 with the smallest
+id as its target and branches on its members, each individualized in turn,
+until the vertex classes are discrete; the certificate hashes the best
+leaf, the graph serialized in discrete-color order.
 
 * canonical: branches on every member.  The certificate is the minimum
   (invariant path, leaf serialization) over the tree, where a node's
@@ -38,10 +38,10 @@ parent's, so the stable partition is the one refining from scratch under
 the individualized colors would give; only color ids differ.  For k >= 2
 a child's first round is read off its individualized vertex alone in
 O(n^k) and ranked once, from keys of the parent's coloring that order
-like the seeded one, a tuple coloring that is already discrete runs no
-round, and a leaf's discrete coloring projects to vertex classes by tuple
-minima, with no rank (see `refine`); the ids are those of ranking the
-seeded coloring and full rounds.  Ids are still fixed by the graph and the
+like the seeded one, and a tuple coloring that is already discrete runs no
+round (see `refine`); the ids are those of ranking the seeded coloring and
+full rounds.  Every node's stable coloring projects to vertex classes by its
+tuple minima (`refine.project`).  Ids are still fixed by the graph and the
 individualized sequence alone, so digests stay label-invariant.
 """
 from __future__ import annotations

@@ -37,11 +37,10 @@ from itertools import combinations
 import numpy as np
 
 from .canon import Certificate, certify
-from .errors import DecompositionError, UnsupportedGraphError
+from .errors import DecompositionError, ResourceLimitError, UnsupportedGraphError
 from .graph import ColoredGraph, serialize_wlg
 from .kernels import dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
-from .oracle import _UnionFind
 from .refine import check_k, project, refine_k
 
 
@@ -302,6 +301,10 @@ class _Scan:
             out.setdefault(self.closure_pair(x, y), (x, y))
         return out
 
+    def prime_closures_of(self, x: int, ys) -> dict[bytes, tuple[int, int]]:
+        """The prime ones of `closures_of(x, ys)`, in the same order."""
+        return {row: pair for row, pair in self.closures_of(x, ys).items() if self.is_prime(row)}
+
     def is_prime(self, row: bytes) -> bool:
         """Whether the closed set `row` (its own closure) has a same-colored
         pair and every such pair closes to exactly the set."""
@@ -364,69 +367,49 @@ def cws_spectrum(g: ColoredGraph, coloring, v: int) -> list[frozenset[int]]:
 def twin_classes(
     g: ColoredGraph, coloring
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Groups of mutual twins: (adjacent-pair groups, non-adjacent groups).
-    Twins share a class color and their colored adjacency to every other
-    vertex; adjacent twin groups come out as uniform cliques.  A pair counts
-    as adjacent when the code of (smaller, larger) is non-zero."""
+    """Groups of mutual twins: (adjacent-pair groups, non-adjacent groups),
+    each by smallest member, members ascending.  Twins share a class color,
+    a symmetric code a = p[x, y] = p[y, x] (adjacent when a is non-zero)
+    and their colored adjacency to every other vertex; adjacent twin groups
+    come out as uniform cliques."""
     cls = _dense_classes(_as_colors(g, coloring))
     p = g.pair_codes()
-    n = g.n
-    uf_t, uf_f = _UnionFind(n), _UnionFind(n)
-    # x and y are twins when the codes of (x, w) and (w, x) equal those of
-    # (y, w) and (w, y) at every other w.  With a = p[x, y] and b = p[y, x]
-    # that is: x's row [class | p[x, :] | p[:, x]] with its own two cells set
-    # to (b, a) equals y's row with its own two set to (a, b).  Rows are
-    # sorted once for a = b = 0 and once per code pair {a, b} of an adjacent
-    # pair within a class.
+    # twins with codes (a, a) form an equivalence whose classes hold one
+    # code each: if x, y are twins with a and y, z with b, then p[y, x] =
+    # p[z, x] gives a = b.  x and y are twins with a exactly when x's row
+    # [class | p[x, :] | p[:, x]] with its own cells set to a equals y's
+    # row with its own set to a.  Rows are ranked once for a = 0 and once
+    # per code a of an adjacent (a, a) pair within a class.
     nc = g.neighbor_codes()
-    within = cls[nc.src] == cls[nc.tgt]
-    src, part = nc.src[within], nc.part[within]
-    a_of, b_of = np.divmod(part, nc.base)
-    passes = [(0, 0, np.flatnonzero(np.bincount(cls)[cls] >= 2), None)]
-    for code in np.unique(np.minimum(a_of, b_of) * nc.base + np.maximum(a_of, b_of)).tolist():
-        a, b = divmod(code, nc.base)
-        xs = np.unique(src[(a_of == a) & (b_of == b)])
-        passes.append((a, b, xs, None if a == b else np.unique(src[(a_of == b) & (b_of == a)])))
-    for a, b, xs, ys in passes:
-        if ys is None:
-            ids = dense_rank_rows(_twin_rows(p, cls, xs, a, a, g.directed))
-            order = np.argsort(ids, kind="stable")
-            starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
-            uf = uf_t if a else uf_f
-            for grp in np.split(xs[order], starts[1:]):
-                for y in grp[1:].tolist():
-                    uf.union(int(grp[0]), y)
-            continue
-        # a != b: a row of one side equals at most one row of the other
-        ids = dense_rank_rows(np.vstack((
-            _twin_rows(p, cls, xs, b, a, True), _twin_rows(p, cls, ys, a, b, True),
-        )))
-        x_of = dict(zip(ids[: xs.shape[0]].tolist(), xs.tolist()))
-        for rid, y in zip(ids[xs.shape[0] :].tolist(), ys.tolist()):
-            x = x_of.get(rid)
-            if x is not None:
-                (uf_t if p[min(x, y), max(x, y)] != 0 else uf_f).union(x, y)
-    return (
-        [grp for grp in uf_t.groups() if len(grp) >= 2],
-        [grp for grp in uf_f.groups() if len(grp) >= 2],
-    )
+    a_of, b_of = np.divmod(nc.part, nc.base)
+    sym = (cls[nc.src] == cls[nc.tgt]) & (a_of == b_of)
+    passes = [(0, np.flatnonzero(np.bincount(cls)[cls] >= 2))]
+    passes += [(a, np.unique(nc.src[sym & (a_of == a)])) for a in np.unique(a_of[sym]).tolist()]
+    true_groups, false_groups = [], []
+    for a, xs in passes:
+        ids = dense_rank_rows(_twin_rows(p, cls, xs, a, g.directed))
+        order = np.argsort(ids, kind="stable")
+        for grp in np.split(xs[order], _run_starts(ids[order])[1:]):
+            if grp.size >= 2:
+                (true_groups if a else false_groups).append(grp.tolist())
+    return sorted(true_groups), sorted(false_groups)
 
 
 def _twin_rows(
-    p: np.ndarray, cls: np.ndarray, vs: np.ndarray, out: int, into: int, directed: bool
+    p: np.ndarray, cls: np.ndarray, vs: np.ndarray, code: int, directed: bool
 ) -> np.ndarray:
     """Rows [class | p[v, :] | p[:, v]] of the vertices vs, with p[v, v] set
-    to `out` in the first half and to `into` in the second.  The second half
-    repeats the first in an undirected graph and is left out."""
+    to `code` in both halves.  The second half repeats the first in an
+    undirected graph and is left out."""
     n = p.shape[0]
     rows = np.empty((vs.shape[0], 1 + n * (1 + directed)), dtype=np.int64)
     at = np.arange(vs.shape[0])
     rows[:, 0] = cls[vs]
     rows[:, 1 : n + 1] = p[vs]
-    rows[at, 1 + vs] = out
+    rows[at, 1 + vs] = code
     if directed:
         rows[:, n + 1 :] = p.T[vs]
-        rows[at, n + 1 + vs] = into
+        rows[at, n + 1 + vs] = code
     return rows
 
 
@@ -547,7 +530,9 @@ def decompose(
     member of a class, collect the closures with its uncovered classmates
     and accept the unique prime among them.  A class whose scan vertex has
     no prime closure is dropped; several distinct primes raise, since that
-    is exactly the overlap situation normalization removes."""
+    is exactly the overlap situation normalization removes.  Normalization
+    skips classes past `Limits.overlap_class_cap`, so there the error is a
+    `ResourceLimitError` naming that cap."""
     if g.directed:
         raise UnsupportedGraphError("decomposition is defined for undirected graphs")
     cols = (
@@ -562,11 +547,16 @@ def decompose(
             if len(members) < 2:
                 break
             u = members[0]
-            found = scan.closures_of(u, members[1:])
-            primes = {row: pair for row, pair in found.items() if scan.is_prime(row)}
+            primes = scan.prime_closures_of(u, members[1:])
             if not primes:
                 break
             if len(primes) > 1:
+                if group.size > limits.overlap_class_cap:
+                    raise ResourceLimitError(
+                        f"vertex {u} closes to {len(primes)} distinct primes in a class "
+                        "that overlap normalization skips past overlap_class_cap",
+                        required=int(group.size), cap=limits.overlap_class_cap,
+                    )
                 sizes = sorted(_members(row).size for row in primes)
                 raise DecompositionError(
                     f"vertex {u} closes to {len(primes)} distinct primes "
@@ -605,8 +595,7 @@ def _overlap_blocks(
         members = members.tolist()
         scan.close_pairs(combinations(members, 2))
         for x in members:
-            found = scan.closures_of(x, (y for y in members if y != x))
-            primes = [row for row in found if scan.is_prime(row)]
+            primes = list(scan.prime_closures_of(x, (y for y in members if y != x)))
             if len(primes) >= 2:
                 block = np.bitwise_and.reduce(
                     np.frombuffer(b"".join(primes), np.uint8).reshape(len(primes), -1)

@@ -27,11 +27,10 @@ runs it as axiom 3 on the k = 2 round of the relation ids.
 
 `dense_rank_rows` ranks rows whose column bit lengths sum to at most 62 (a
 k = 2 search node's first round, built from its seed keys; initial
-colorings, and seeded ones whose node individualizes no single vertex or
-has k = 1; narrow k = 1 rows) as one packed int64 key per row through
-`argsort`; every other row is sorted as big-endian bytes of its own width.
-Both give the same ids.  The
-round loop owns the rows it builds, so once its stop check fails it moves
+colorings, and a k = 1 search node's seed keys; narrow k = 1 rows) as one
+packed int64 key per row through `argsort`; every other row is sorted as
+big-endian bytes of its own width.  Both give the same ids.  The round
+loop owns the rows it builds, so once its stop check fails it moves
 the rows to rank to the front, swaps them to big-endian in place
 (`big_endian`) and the rank sorts them where they lie: a round holds its
 n^k * (n + 1) cells once, plus one slab of at most _AGREE_CELLS gathered

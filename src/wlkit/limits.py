@@ -25,7 +25,8 @@ class Limits:
     iso_nodes: int = 2_000_000
     # subsets examined by the exhaustive separator search
     separator_subsets: int = 5_000_000
-    # vertices in a color class considered by overlap normalization
+    # vertices in a color class considered by overlap normalization; decompose
+    # raises past it on a class with several primes
     overlap_class_cap: int = 64
     # element cap for naive generated-group order counting
     group_elements: int = 1_000_000

@@ -486,27 +486,31 @@ def invariant_bytes(tc: TupleColoring) -> bytes:
 
 
 def project(tc: TupleColoring, t: int) -> ProjectedColoring:
-    """Restrict a stable k-coloring to t-tuples (1 <= t <= k) by repeatedly
-    sorting out the last position: a tuple's id is the dense rank of the
-    sorted ids of its n extensions.  In a discrete coloring (n^k classes,
-    every search leaf's) all ids differ, so sorted rows differ in their
-    first entry and rank like their minima, and each level's ids differ
-    again.  A t-tuple then ranks like the least id of its n^(k-t)
-    extensions, and the argsort of those minima gives the ids with no row
-    sort and no rank."""
+    """Restrict a stable k-coloring C to t-tuples (1 <= t <= k): a t-tuple's
+    id is the dense rank of the least color of its n^(k-t) extensions.
+
+    These are the ids of sorting out the last position k - t times, each
+    time dense-ranking the sorted ids of each prefix's n extensions.  Write
+    K(p) for the colors of all extensions of a prefix p.
+    * C(s.x) fixes the multiset {C(s.y)}, which is the last-position part
+      of its stable round row.  Substituting one position after another,
+      any color in K(p) fixes K(p) and the multiset of K(p.y) over y, so
+      the K of two prefixes are equal or disjoint.
+    * Disjoint sorted rows compare by their first entries.
+    * At every lower level, a prefix's id fixes the rows of its
+      extensions: going down from level k, the id of p.y ranks min K(p.y),
+      a color of K(p), and equal ids mean equal K(p.y).  So p's row is
+      fixed by K(p), and rows of two prefixes are equal or disjoint as
+      their K are.
+    * A monotone rank commutes with min, so the first entry of p's sorted
+      row ranks like min K(p), and so does p's id.
+    """
     if not 1 <= t <= tc.k:
         raise ValueError("projection needs 1 <= t <= k")
     cur = tc.colors
     n = tc.n
-    if t < tc.k and n and tc.num_colors == n**tc.k:
-        order = cur.reshape(n**t, n ** (tc.k - t)).min(axis=1).argsort()
-        cur = np.empty(n**t, dtype=np.int64)
-        cur[order] = np.arange(n**t)
-    else:
-        for level in range(tc.k - 1, t - 1, -1):
-            rows = cur.reshape(n**level, n).copy()
-            rows.sort(axis=1)
-            cur = dense_rank_rows(rows)
+    if t < tc.k and n:
+        cur = np.unique(cur.reshape(n**t, -1).min(axis=1), return_inverse=True)[1]
     num = int(cur.max()) + 1 if cur.size else 0
     return ProjectedColoring(t=t, n=n, colors=cur, num_colors=num)
 

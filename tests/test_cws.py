@@ -78,7 +78,7 @@ def reference_twin_classes(g, cols):
     uf_t, uf_f = _UnionFind(g.n), _UnionFind(g.n)
     for x in range(g.n):
         for y in range(x + 1, g.n):
-            if cols[x] != cols[y]:
+            if cols[x] != cols[y] or p[x, y] != p[y, x]:
                 continue
             rest = [w for w in range(g.n) if w != x and w != y]
             if all(p[x, w] == p[y, w] and p[w, x] == p[w, y] for w in rest):
@@ -427,6 +427,17 @@ def test_twin_classes():
 def test_no_twins_in_c6():
     t, f = twin_classes(cycle(6), classes_of(cycle(6)))
     assert t == [] and f == []
+
+
+@pytest.mark.parametrize("arcs", [
+    [(0, 1, 0), (0, 2, 0), (1, 2, 0)],  # transitive tournament: 0 and 2 differ at 1
+    [(2, 0, 0), (0, 1, 0), (2, 1, 0)],  # 0 twins 1 and 2 only through arcs one way
+])
+def test_twins_need_a_symmetric_code(arcs):
+    # pairs whose codes differ each way are not twins, so no union of them
+    # groups vertices that are not mutual twins
+    g = ColoredGraph(3, arcs, directed=True)
+    assert twin_classes(g, np.zeros(3, dtype=np.int64)) == ([], [])
 
 
 @pytest.mark.parametrize("k", [1, 2])

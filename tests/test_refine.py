@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import wlkit.canon as canon_module
 import wlkit.refine as refine_module
-from conftest import colored_graphs, same_partition, traced_peak
+from conftest import colored_graphs, crown_graph, same_partition, traced_peak
 from wlkit import kernels
+from wlkit.cws import reduce_graph
 from wlkit.errors import ResourceLimitError, UnsupportedGraphError
 from wlkit.families import (
     complete,
@@ -336,8 +337,7 @@ def test_memory_budget_is_enforced_before_allocation():
 
 
 # each budget error of `Limits`: the field, a cap it passes, and a call
-# that passes it.  overlap_class_cap raises nothing: it only bounds the
-# classes that overlap normalization scans
+# that passes it
 BUDGETS = {
     "memory_bytes": (1024, lambda lim: refine_2(petersen(), limits=lim)),
     "canon_nodes": (1, lambda lim: canon_module.certify(petersen(), 2, "canonical", limits=lim)),
@@ -349,12 +349,14 @@ BUDGETS = {
     "group_elements": (2, lambda lim: aut_group_order([(1, 2, 3, 0)], 4, limits=lim)),
     "lift_tuples": (63, lambda lim: lift(cycle(4), refine_1(cycle(4)), 3, limits=lim)),
     "depth_sweep_vertices": (24, lambda lim: canon_module.depth_d_1dim(cycle(5), 1, limits=lim)),
+    # crown_graph's classes of 3 need overlap normalization
+    "overlap_class_cap": (2, lambda lim: reduce_graph(crown_graph(), 1, limits=lim)),
 }
 
 
 def test_every_budget_of_limits_is_tripped_below():
     names = {f.name for f in dataclasses.fields(Limits)}
-    assert names - set(BUDGETS) == {"overlap_class_cap"}
+    assert names == set(BUDGETS)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGETS))
@@ -590,8 +592,8 @@ def reference_project(colors, n, k, t):
     return colors
 
 
-def assert_discrete_projection(tc):
-    assert tc.num_colors == tc.n**tc.k
+def assert_projection(tc):
+    """Every t's ids against `reference_project`, with no rank of rows."""
     for t in range(1, tc.k + 1):
         ranked = []
 
@@ -603,8 +605,24 @@ def assert_discrete_projection(tc):
             got = project(tc, t)
         want = reference_project(tc.colors, tc.n, tc.k, t)
         assert np.array_equal(got.colors, want), (tc.n, tc.k, t)
-        assert got.num_colors == tc.n**t
-        assert ranked == [] or tc.n == 0  # no rank of rows
+        assert got.num_colors == (int(want.max()) + 1 if want.size else 0)
+        assert ranked == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored_graphs(max_n=6), st.sampled_from((2, 3)), children)
+def test_a_projection_equals_sort_and_rank(case, k, steps):
+    # roots, recolorings and search nodes up to three vertices deep: in a
+    # stable coloring the rows of two prefixes are equal or disjoint
+    g, cols = case
+    assert_projection(refine_k(g, k))
+    tc = refine_k(g, k, vertex_colors=cols)
+    assert_projection(tc)
+    if g.n == 0:
+        return
+    for step in steps:
+        tc = refine_k(g, k, parent=(tc, pick(tc, step)))
+        assert_projection(tc)
 
 
 @pytest.mark.parametrize("k", (2, 3))
@@ -612,7 +630,9 @@ def test_a_discrete_projection_equals_sort_and_rank(k):
     # all-distinct vertex colors make every tuple its own class
     for n in (0, 1, 2, 3, 7):
         g = random_graph(n, 0.5, seed=n)
-        assert_discrete_projection(refine_k(g, k, vertex_colors=list(range(n))[::-1]))
+        tc = refine_k(g, k, vertex_colors=list(range(n))[::-1])
+        assert tc.num_colors == n**k
+        assert_projection(tc)
     # the leaves of a canonical search
     leaves = []
 
@@ -626,7 +646,7 @@ def test_a_discrete_projection_equals_sort_and_rank(k):
         canon_module.certify(petersen(), k, "canonical")
     assert leaves
     for tc in leaves:
-        assert_discrete_projection(tc)
+        assert_projection(tc)
 
 
 @settings(max_examples=60, deadline=None)
