@@ -61,11 +61,11 @@ def crown_graph() -> ColoredGraph:
 
 
 @st.composite
-def colored_graphs(draw, max_n: int = 8, max_code: int = 2):
-    """Small graphs, either orientation, with pair codes 0..max_code (edge
-    colors below max_code) and an arbitrary (not necessarily stable) vertex
-    coloring of up to three classes."""
-    n = draw(st.integers(0, max_n))
+def colored_graphs(draw, max_n: int = 8, max_code: int = 2, min_n: int = 0):
+    """Small graphs of min_n..max_n vertices, either orientation, with pair
+    codes 0..max_code (edge colors below max_code) and an arbitrary (not
+    necessarily stable) vertex coloring of up to three classes."""
+    n = draw(st.integers(min_n, max_n))
     directed = draw(st.booleans())
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
     codes = draw(st.lists(st.integers(0, max_code), min_size=len(pairs), max_size=len(pairs)))

@@ -1,9 +1,10 @@
 """End-to-end acceptance checks.
 
-Each test covers one acceptance criterion, prints a PASS line with its
-wall-clock time, and asserts the stated runtime budget.  The expected values
-come from exhaustive oracles (`wlkit.oracle`), independent combinatorial
-formulas recomputed inline, or exact structural statements.
+Each numbered test covers one acceptance criterion, prints a PASS line with
+its wall-clock time, and asserts the stated runtime budget.  The expected
+values come from exhaustive oracles (`wlkit.oracle`), independent
+combinatorial formulas recomputed inline, or exact structural statements.
+The last test pins the cheap cells of the paper's separation table.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from wlkit.coherent import (
     klein_relation_count,
     klein_scheme,
     psi_twist,
+    scheme_graph,
     validate,
 )
 from wlkit.cws import _Scan, _vertex_set, closure, reduce_graph
@@ -32,6 +34,7 @@ from wlkit.families import (
     complete,
     complete_bipartite,
     cycle,
+    hypercube,
     path,
     petersen,
     random_graph,
@@ -283,3 +286,42 @@ def test_criterion_11_scaling_smoke():
     exponent = fit_exponent(rows)
     assert 2.2 <= exponent <= 4.2
     _report(11, f"runtime exponent {exponent:.2f} within [2.2, 4.2]", t0)
+
+
+# -- the paper's separation table, its cheap cells ----------------------------------
+
+
+SEPARATION_BASES = {
+    "K4": lambda: complete(4),
+    "K33": lambda: complete_bipartite(3, 3),
+    "Q3": lambda: hypercube(3),
+    "Petersen": petersen,
+}
+
+
+def _separation_pair(family: str, base: ColoredGraph) -> tuple[ColoredGraph, ColoredGraph]:
+    """A CFI gadget against the one with its base's first edge twisted, or a
+    Klein scheme graph against its psi-twist at fibre 0."""
+    if family == "CFI":
+        u, v, _ = base.edge_list()[0]
+        return cfi_build(base)[0], cfi_build(base, twisted=((u, v),))[0]
+    c = klein_scheme(base)
+    return scheme_graph(c), scheme_graph(psi_twist(c, 0))
+
+
+@pytest.mark.parametrize(
+    "family,base,nodes",
+    [
+        ("CFI", "K4", 10), ("CFI", "K33", 19), ("CFI", "Q3", 18), ("CFI", "Petersen", 30),
+        ("Klein", "K4", 8), ("Klein", "K33", 9), ("Klein", "Q3", 15), ("Klein", "Petersen", 16),
+    ],
+)
+def test_separation_table_pins_the_cheap_cells(family, base, nodes):
+    # every pair is 2-WL-similar and canonical search separates it at k = 1
+    # and at k = 2; `nodes` is the search size of either side at either k
+    g, h = _separation_pair(family, SEPARATION_BASES[base]())
+    assert similar_k(g, h, 2)
+    for k in (1, 2):
+        cg, ch = certify(g, k, "canonical"), certify(h, k, "canonical")
+        assert cg.digest != ch.digest
+        assert (cg.nodes, ch.nodes) == (nodes, nodes)

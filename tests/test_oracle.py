@@ -6,12 +6,14 @@ import pytest
 
 from wlkit.canon import aut_generators_via_recursion, certify
 from wlkit.cfi import cfi_build
+from wlkit.coherent import klein_scheme, psi_twist, scheme_graph
 from wlkit.errors import ResourceLimitError
 from wlkit.families import (
     bowtie,
     complete,
     complete_bipartite,
     cycle,
+    generalized_petersen,
     hypercube,
     path,
     petersen,
@@ -152,25 +154,48 @@ def _nx_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
     return nx.is_isomorphic(to_nx(g), to_nx(h), **_color_matches())
 
 
-def _same_certificate(g: ColoredGraph, h: ColoredGraph) -> bool:
-    return certify(g, 2, "canonical").digest == certify(h, 2, "canonical").digest
+def _same_certificate(g: ColoredGraph, h: ColoredGraph, k: int = 2) -> bool:
+    return certify(g, k, "canonical").digest == certify(h, k, "canonical").digest
 
 
 @pytest.mark.parametrize(
-    "base", [complete_bipartite(3, 3), hypercube(3), petersen()], ids=["K33", "Q3", "Petersen"],
+    "base,seed",
+    # VF2's time on the 120-vertex CFI(GP(6, 1)) swings with the labeling:
+    # 0.2-0.3 s at seeds 3 and 7, 9 s at seed 120
+    [(complete_bipartite(3, 3), 60), (hypercube(3), 80), (petersen(), 100),
+     (generalized_petersen(6, 1), 3)],
+    ids=["K33", "Q3", "Petersen", "GP(6,1)"],
 )
-def test_vf2_agrees_with_canonical_certificates_on_relabeled_cfi_gadgets(base):
+def test_vf2_agrees_with_canonical_certificates_on_relabeled_cfi_gadgets(base, seed):
     g, _ = cfi_build(base)
-    h, _ = random_relabel(g, seed=g.n)
+    h, _ = random_relabel(g, seed=seed)
     assert (_nx_isomorphic(g, h), _same_certificate(g, h)) == (True, True)
 
 
 def test_vf2_agrees_with_canonical_certificates_on_the_cfi_k4_twist_pair():
-    # the larger twist pairs are left out: VF2 takes tens of seconds on them
+    # the larger twist pairs are left out: VF2 takes tens of seconds on
+    # them, and over three minutes on the 120-vertex CFI(GP(6, 1)) pair
     plain, _ = cfi_build(complete(4))
     twisted, _ = cfi_build(complete(4), twisted=((0, 1),))
     twisted, _ = random_relabel(twisted, seed=5)
     assert (_nx_isomorphic(plain, twisted), _same_certificate(plain, twisted)) == (False, False)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [complete(4), complete_bipartite(3, 3), hypercube(3), petersen()],
+    ids=["K4", "K33", "Q3", "Petersen"],
+)
+def test_vf2_agrees_with_canonical_certificates_on_klein_pairs(base):
+    # the directed scheme graph of a Klein scheme (16-40 points) against its
+    # psi-twisted form and against a copy of itself, both relabeled
+    c = klein_scheme(base)
+    g = scheme_graph(c)
+    twisted, _ = random_relabel(scheme_graph(psi_twist(c, 0)), seed=g.n)
+    copy, _ = random_relabel(g, seed=g.n + 1)
+    for h, iso in ((twisted, False), (copy, True)):
+        assert _nx_isomorphic(g, h) == iso
+        assert [_same_certificate(g, h, k) for k in (1, 2)] == [iso, iso]
 
 
 @pytest.mark.parametrize("twisted", [(), ((0, 1),)], ids=["plain", "twisted"])
