@@ -5,7 +5,10 @@ checks the three axioms: the diagonal is a union of relations, the
 transpose of every relation is a relation, and the number of z with
 (x, z) in R_i, (z, y) in R_j depends only on the relation of (x, y).  The
 third is the k = 2 stop check that ends the closure's round loop, so a
-closure needs no separate pass for it.
+closure needs no separate pass for it.  The closure splits its classes with
+hashed rounds (`refine.hashed_rounds`) and then runs refine's exact loop
+from their result: that loop's stop check is normally its one exact round,
+and it goes on with exact rounds only where a hash collision hid a split.
 
 The Klein scheme of a cubic graph puts a 4-point fibre on every vertex,
 carrying that fibre's identity relation and three pairings (points as 2-bit
@@ -27,7 +30,7 @@ from .graph import ColoredGraph
 from .kernels import code_dtype, dense_rank_rows, differing_rows, round_rows
 from .limits import DEFAULT_LIMITS, Limits
 from .records import RecordFormat, Records, Tag, repeats
-from .refine import check_round_budget, stable_rounds
+from .refine import check_round_budget, hashed_rounds, stable_rounds
 
 
 @dataclass
@@ -177,39 +180,73 @@ def cellular_closure(
 ) -> CoherentConfig:
     """Coarsest coherent configuration refining the seed partition.
 
-    This is refine's 2-dim round loop (`stable_rounds`) started from the
-    seed with the diagonal forced apart: rounds replace each cell's color
-    with (its color, the multiset over z of the color pair (c(x, z),
-    c(z, y))) until stable.  The loop's last pass, the stop check, compares
-    each cell's row with the row of its class's first cell, which is
-    `validate`'s axiom 3 on the result (renumbering ids changes neither
-    side); it is the closure's one exact n^3 pass over int32 rows (int64
-    once the class count reaches 46341).  The result is then checked
-    against axioms 0-2, which are O(n^2).  Ids come out dense, diagonal
-    relations first.  Raises ResourceLimitError before the first round when
-    a k = 2 round would need more than `limits.memory_bytes`
-    (`refine.check_round_budget`).
+    Let P* be the exact stable partition of the seed with the diagonal
+    forced apart: where refine's 2-dim round loop (`stable_rounds`) ends,
+    a round replacing each cell's color with (its color, the multiset over
+    z of the color pair (c(x, z), c(z, y))).  The closure runs hashed
+    rounds first (`refine.hashed_rounds`), then that exact loop from their
+    result.  The result is P*, whatever collides:
+    * A hashed round is a function of each cell's exact row.  P* is stable,
+      so if P* refines a coloring C, it refines C's exact round and hence
+      C's hashed round.  P* refines the seed, so by induction it refines
+      every hashed iterate, and then every exact one.
+    * Every round ranks the previous id first, so the exact loop ends at a
+      stable partition Q that refines the seed.  P* is the coarsest such
+      partition, so Q refines P*; P* refines Q by the induction above.  So
+      the result is P*.
+    * A collision can only cost an extra exact round.
+
+    The exact loop's last pass, the stop check, compares each cell's row
+    with the row of its class's first cell, which is `validate`'s axiom 3
+    on the result (renumbering ids changes neither side).  Unless a
+    collision hid a split, it is the closure's one exact n^3 pass, over
+    int32 rows (int64 once the class count reaches 46341); a discrete
+    result needs none.  The result is then checked against axioms 0-2,
+    which are O(n^2).
+
+    Ids are the dense ranks of the last splitting round, renumbered
+    diagonal relations first, each part in its order.  That round is
+    normally a hashed one, ranking (previous id, h_1, h_2) with salts fixed
+    by the color id alone.  So ids are relabeling-equivariant whatever
+    collides, but no longer the lexicographic order of exact rows.  A
+    hashed round cannot split a stable coloring, so a coherent input whose
+    diagonal relations hold the lowest ids closes to itself, id for id.
+    Each hashed product sums n terms below 2^40, exact in float64 in any
+    order for n < 8192 (`refine._HASH_MAX_N`), so the ids do not depend on
+    the BLAS or its threads; past that the exact loop runs alone, and the
+    default budget stops the closure at 640 points.
+
+    The seed must hold integers or bools (UnsupportedGraphError otherwise,
+    before anything of its size is allocated).  Raises ResourceLimitError
+    before the first round when a k = 2 round would need more than
+    `limits.memory_bytes` (`refine.check_round_budget`): the stop check
+    may build the n^2 (n + 1) rows, and the hashed rounds' 100 or so bytes
+    a pair fit the estimate's per-tuple allowance.
     """
     if isinstance(seed, ColoredGraph):
         seed = graph_seed(seed)
-    seed = np.asarray(seed, dtype=np.int64)
+    seed = np.asarray(seed)
+    if seed.dtype.kind not in "biu":
+        raise UnsupportedGraphError(f"seed must hold integers or bools, not {seed.dtype}")
+    seed = seed.astype(np.int64, copy=False)
     if seed.ndim != 2 or seed.shape[0] != seed.shape[1]:
         raise UnsupportedGraphError("seed must be a square matrix")
     n = seed.shape[0]
     if n == 0:
         return CoherentConfig(n=0, s=0, rel=seed.copy())
-    # the closure's rounds are refine's k = 2 rounds, and what it holds
-    # besides (O(n^2) ids after the loop; the seed goes before the first
-    # round) stays below their per-tuple allowance.  Checked against
-    # tracemalloc peaks: peak/need 0.90-0.92 for discrete closures at
-    # n = 64-160, 0.97 at n = 220 with one twin pair (int64 rows at the stop
-    # check), 0.49 for the discrete 220-point closure, whose rows stay int32
+    # the closure's exact rounds are refine's k = 2 rounds, and what it
+    # holds besides (the hashed rounds' O(n^2) arrays, O(n^2) ids after the
+    # loop; the seed goes before the first round) stays below their
+    # per-tuple allowance.  Checked against tracemalloc peaks: peak/need
+    # 0.90-0.92 at n = 100-160 with one twin pair (int32 rows at the stop
+    # check), 0.97 at n = 220 (int64 rows); a discrete closure builds no
+    # exact round, so its peak stays far below the need
     check_round_budget(f"cellular closure at n={n}", limits, n, 2)
     # force the diagonal apart from the rest before refining
     start = seed * 2 + np.eye(n, dtype=np.int64)
     cur = dense_rank_rows(start.reshape(n * n, 1))
     del seed, start  # only the rounds' own arrays are live during them
-    cur = stable_rounds(cur, n, 2)[0].reshape(n, n)
+    cur = stable_rounds(hashed_rounds(cur, n), n, 2)[0].reshape(n, n)
     # canonical ids: diagonal relations first, then the rest, old order kept
     on_diag = np.zeros(int(cur.max()) + 1, dtype=bool)
     on_diag[np.diag(cur)] = True

@@ -19,8 +19,15 @@ enumerate tuples with `itertools.product`, which yields them in rank
 order.  No index array is built, and nothing a round allocates outlives
 the round, for any k.
 
-Every k runs one round loop (`stable_rounds`), and so does the coherent
-closure.  A round's rows are dense-ranked lexicographically, previous color
+Every k runs one round loop (`stable_rounds`).  The coherent closure runs
+it after a hashed pass (`hashed_rounds`, k = 2 only): each hashed round
+ranks (previous color, two bilinear hashes of the exact row), read with one
+float64 matrix product per prime, until the class count stops growing.
+That pass splits as far as exact rounds would unless a hash collides, so
+the exact loop that follows normally runs its stop check alone; a collision
+costs exact rounds, never a wrong partition.
+
+An exact round's rows are dense-ranked lexicographically, previous color
 first, so a color id is the rank of its row among the round's rows, and a
 round that splits nothing gives back the previous ids.  A full k >= 2
 round first compares each tuple's exact row with the row of the first
@@ -403,6 +410,65 @@ def stable_rounds(
             return colors, class_counts
         colors, ncolors = ids, count
         class_counts.append(ncolors)
+
+
+# the two primes of the hashed rounds, below 2^20
+_PRIMES = (1048573, 1048571)
+# a hashed round's product sums n products below 2^40, exact in float64
+# while n * 2^40 < 2^53
+_HASH_MAX_N = 8192
+
+
+def _salts(m: int) -> np.ndarray:
+    """Salts (a_1, b_1, a_2, b_2) of color ids 0..m-1 as float64 rows: row j
+    of id c is splitmix64(4c + j), mapped to 1..p-1 of its row's prime.  A
+    fixed function of the id alone, so each id keeps its salts whatever m."""
+    z = np.arange(4 * m, dtype=np.uint64).reshape(m, 4).T + np.uint64(1)
+    z *= np.uint64(0x9E3779B97F4A7C15)  # uint64 arrays wrap, as splitmix64 does
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    p = np.repeat(np.asarray(_PRIMES, dtype=np.uint64), 2)[:, None]
+    return (z % (p - np.uint64(1)) + np.uint64(1)).astype(np.float64)
+
+
+def hashed_rounds(colors: np.ndarray, n: int) -> np.ndarray:
+    """Refine `colors`, dense ids of all n^2 pairs, by hashed 2-dim rounds
+    until the class count stops growing (or reaches n^2); returns the ids.
+
+    A round ranks (previous id, h_1, h_2), h_i = (a_i[C] @ b_i[C]) mod p_i:
+    a bilinear hash of the multiset over z of (C(x, z), C(z, y)), that is of
+    the pair's exact round row, read with one float64 product per prime.
+    The salts depend on the color id alone (`_salts`), so the ids are
+    relabeling-equivariant whatever collides; a collision only leaves a
+    class unsplit.  Every entry is below p < 2^20, so each sum is below
+    n * 2^40 < 2^53 for n < _HASH_MAX_N: the product is exact in any
+    summation order, and the ids are the same on every BLAS and thread
+    count.  From _HASH_MAX_N up the colors come back as they are.
+
+    Each round is a function of each class's exact rows, so it never splits
+    a stable coloring, and whatever stable partition refines its input
+    refines its output: exact rounds from here end at the same stable
+    partition as from `colors`.  The rounds hold about 100 bytes a pair."""
+    if n >= _HASH_MAX_N:
+        return colors
+    ncolors = int(colors.max()) + 1
+    while ncolors < colors.shape[0]:
+        grid = colors.reshape(n, n)
+        salts = _salts(ncolors)
+        rows = np.empty((n * n, 3), dtype=np.int64)
+        rows[:, 0] = colors
+        for i, p in enumerate(_PRIMES):
+            rows[:, 1 + i] = (salts[2 * i][grid] @ salts[2 * i + 1][grid]).reshape(-1)
+            rows[:, 1 + i] %= p  # as integers: several times faster than fmod
+        ids = dense_rank_rows(rows)
+        count = int(ids.max()) + 1
+        if count == ncolors:  # column 0 is the previous id: the same ids
+            return colors
+        colors, ncolors = ids, count
+    return colors
 
 
 def refine_k(

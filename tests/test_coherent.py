@@ -33,6 +33,7 @@ from wlkit.families import (
     complete,
     complete_bipartite,
     cycle,
+    generalized_petersen,
     path,
     petersen,
     random_graph,
@@ -302,23 +303,149 @@ def colored_graph_seeds(draw):
     return graph_seed(g.with_vertex_colors(cols.tolist()))
 
 
-@PROPERTY
-@given(st.one_of(
+CLOSURE_SEEDS = st.one_of(
     relation_matrices().map(lambda c: c.rel),
     klein_variants().map(lambda c: c.rel),
     colored_graph_seeds(),
-))
-def test_closure_matches_the_reference_round_loop(seed):
-    got = cellular_closure(seed).rel
-    want = reference_closure(seed)
+)
+
+
+def constant_salts(m):
+    return np.ones((4, m))
+
+
+def two_valued_salts(m):
+    return np.ones((4, 1)) + np.arange(m) % 2
+
+
+def assert_same_closure(got: np.ndarray, want: np.ndarray) -> None:
+    """The same partition and s as `want`, diagonal relations first."""
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert same_partition(got, want) and got.max() == want.max()
+    ndiag = len(set(np.diag(want).tolist()))
+    assert set(np.diag(got).tolist()) == set(range(ndiag))
+
+
+def relabeled(rel: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    return rel[np.ix_(perm, perm)]
+
+
+def exact_rounds(seed) -> list[int]:
+    """The class count of each exact round a closure of `seed` builds."""
+    counts = []
+    real_rows = refine_module.round_rows
+
+    def rows_spy(colors, n, k, ncolors):
+        counts.append(ncolors)
+        return real_rows(colors, n, k, ncolors)
+
+    with mock.patch.object(refine_module, "round_rows", rows_spy):
+        cellular_closure(seed)
+    return counts
+
+
+@PROPERTY
+@given(CLOSURE_SEEDS)
+def test_closure_matches_the_reference_round_loop(seed):
+    # the hashed rounds number classes their own way, so the ids are not
+    # the reference's; with constant salts no hashed round splits, the exact
+    # loop does every round and the ids are the reference's byte for byte
+    want = reference_closure(seed)
+    assert_same_closure(cellular_closure(seed).rel, want)
+    with mock.patch.object(refine_module, "_salts", constant_salts):
+        assert cellular_closure(seed).rel.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(CLOSURE_SEEDS, st.randoms(use_true_random=False))
+def test_closure_is_relabeling_equivariant(seed, rnd):
+    perm = np.asarray(rnd.sample(range(seed.shape[0]), seed.shape[0]), dtype=np.int64)
+    got = cellular_closure(relabeled(seed, perm)).rel
+    assert got.tobytes() == relabeled(cellular_closure(seed).rel, perm).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(CLOSURE_SEEDS, st.randoms(use_true_random=False))
+def test_two_valued_salts_keep_the_partition_and_equivariance(seed, rnd):
+    # collisions everywhere: the exact loop finishes what the hash missed
+    perm = np.asarray(rnd.sample(range(seed.shape[0]), seed.shape[0]), dtype=np.int64)
+    with mock.patch.object(refine_module, "_salts", two_valued_salts):
+        got = cellular_closure(seed).rel
+        back = cellular_closure(relabeled(seed, perm)).rel
+    assert_same_closure(got, reference_closure(seed))
+    assert back.tobytes() == relabeled(got, perm).tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: complete(4), lambda: complete_bipartite(3, 3), petersen])
+def test_two_valued_salts_leave_more_exact_rounds(make):
+    c = klein_scheme(make())
+    seed = merge_relations(c, klein_merge_groups(c))
+    want = cellular_closure(seed)
+    assert exact_rounds(seed) == [want.s]
+    with mock.patch.object(refine_module, "_salts", two_valued_salts):
+        counts = exact_rounds(seed)
+        got = cellular_closure(seed)
+    assert len(counts) > 1 and counts[-1] == want.s
+    assert same_partition(got.rel, want.rel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CLOSURE_SEEDS)
+def test_past_the_hash_bound_the_exact_loop_runs_alone(seed):
+    with mock.patch.object(refine_module, "_HASH_MAX_N", 1):
+        got = cellular_closure(seed).rel
+    assert got.tobytes() == reference_closure(seed).tobytes()
+
+
+@st.composite
+def coherent_configs(draw):
+    """Klein schemes, psi-twisted or not, and closures of small colored
+    graphs."""
+    if draw(st.booleans()):
+        g, cols = draw(colored_graphs(max_n=6).filter(lambda case: case[0].n > 0))
+        return cellular_closure(g.with_vertex_colors(cols.tolist()))
+    g = draw(st.sampled_from([complete(4), complete_bipartite(3, 3), petersen()]))
+    c = klein_scheme(g)
+    for fibre in draw(st.lists(st.integers(0, g.n - 1), max_size=2)):
+        c = psi_twist(c, fibre)
+    return c
+
+
+@PROPERTY
+@given(coherent_configs())
+def test_a_hashed_round_never_splits_a_coherent_configuration(c):
+    flat = c.rel.ravel()
+    assert np.array_equal(refine_module.hashed_rounds(flat, c.n), flat)
+
+
+@pytest.mark.parametrize("m", [5, 10, 20])  # Petersen, Y10, Y20: 40-160 points
+def test_merged_klein_closures_make_one_exact_round(m):
+    # timing-free: the hashed rounds split as far as the exact ones, class
+    # count for class count, and leave the exact loop its stop check alone
+    c = klein_scheme(petersen() if m == 5 else generalized_petersen(m, 1))
+    seed = merge_relations(c, klein_merge_groups(c))
+    assert exact_rounds(seed) == [c.s]
+    n = c.n
+    cur = kernels.dense_rank_rows((seed * 2 + np.eye(n, dtype=np.int64)).reshape(-1, 1))
+    counts = [int(cur.max()) + 1]
+    real_rank = refine_module.dense_rank_rows
+
+    def rank_spy(rows):
+        ids = real_rank(rows)
+        counts.append(int(ids.max()) + 1)
+        return ids
+
+    with mock.patch.object(refine_module, "dense_rank_rows", rank_spy):
+        refine_module.hashed_rounds(cur, n)
+    assert counts[-1] == counts[-2]  # the last round split nothing
+    assert counts[:-1] == refine_module.stable_rounds(cur, n, 2)[1]
+    assert counts[-1] == c.s
 
 
 def test_a_closure_makes_one_exact_n3_pass():
-    # the stop check of the round loop is the closure's only n^3 pass over
-    # the result: validate's round, built through coherent's own global,
-    # does not follow it
+    # the stop check of the round loop is the closure's only n^3 pass: the
+    # hashed rounds split as far as exact ones would, and validate's round,
+    # built through coherent's own global, does not follow it
     checks, validated = [], []
     real_rows = refine_module.round_rows
     real_split = refine_module._split_ids
@@ -346,12 +473,9 @@ def test_a_closure_makes_one_exact_n3_pass():
         assert np.array_equal(fixed.rel, c.rel)
         assert (checks, validated) == ([[c.s, True]], [])
         checks.clear()
-        # merged: splitting rounds, then one check that splits nothing
+        # merged: hashed splitting rounds, then one exact check
         merged = cellular_closure(merge_relations(c, klein_merge_groups(c)))
-        assert len(checks) >= 2 and validated == []
-        assert [agreed for _, agreed in checks] == [False] * (len(checks) - 1) + [True]
-        counts = [ncolors for ncolors, _ in checks]
-        assert counts == sorted(set(counts)) and counts[-1] == merged.s
+        assert (checks, validated) == ([[merged.s, True]], [])
         # a direct call still checks axiom 3, on one k = 2 round
         assert validate(merged).ok and validated == [(merged.n, 2, merged.s)]
 
@@ -362,6 +486,27 @@ def test_closure_accepts_raw_seed_matrices():
     c2 = cellular_closure(g)
     assert c1.s == c2.s
     assert same_partition(c1.rel.reshape(-1), c2.rel.reshape(-1))
+
+
+def test_closure_refuses_a_seed_that_is_not_integer():
+    # a float seed used to be truncated: this one closed to s = 2, while the
+    # same seed times 10 closes to s = 5.  It is refused before the budget
+    # check, so before anything of its size is allocated
+    seed = np.array([[1, 0.2, 0.7], [0.2, 1, 0.7], [0.7, 0.7, 1]])
+    tight = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=1)
+    for bad in (seed, seed.astype(np.float32), seed.astype(object)):
+        with pytest.raises(UnsupportedGraphError, match="integers or bools"):
+            cellular_closure(bad, limits=tight)
+    assert cellular_closure((seed * 10).astype(np.int64)).s == 5
+    # integer and bool seeds of any width close as their int64 values do
+    want = cellular_closure((seed * 10).astype(np.int64)).rel
+    for dtype in (np.int8, np.uint16, np.int32):
+        got = cellular_closure((seed * 10).astype(dtype))
+        assert got.rel.tobytes() == want.tobytes()
+    flags = seed > 0.5
+    got = cellular_closure(flags)
+    assert got.rel.tobytes() == cellular_closure(flags.astype(np.int64)).rel.tobytes()
+    assert got.rel.tobytes() == cellular_closure(flags.tolist()).rel.tobytes()
 
 
 def test_closure_respects_vertex_colors():
@@ -437,16 +582,28 @@ def _closure_required(seed) -> int:
     return err.value.required
 
 
+def twin_pair_seed(n: int) -> np.ndarray:
+    """The seed of a random graph on n - 1 vertices with a twin of vertex 0
+    added: its closure is one swap short of discrete, so its stop check
+    builds the n^3 round."""
+    g = random_graph(n - 1, 0.5, seed=3)
+    return graph_seed(ColoredGraph(n, list(g.edges) + [(v, n - 1) for v in g.neighbors(0)]))
+
+
 def test_discrete_closure_peak_stays_within_its_required_bytes():
-    # a discrete closure is the widest case with int32 rows: its last
-    # splitting round leaves n^2 classes; at the largest size the required
-    # bytes are at most twice the peak
+    # a discrete closure ends in its hashed rounds and builds no n^3 round,
+    # so its peak is well below the round the estimate reserves; a twin
+    # pair's closure builds that round at its stop check, and there the
+    # required bytes are at most twice the peak
     for n in (100, 160):
         seed = graph_seed(random_graph(n, 0.5, seed=3))
         c, peak = traced_peak(lambda: cellular_closure(seed))
         assert c.s == n * n
         assert peak <= _closure_required(seed), n
-    assert _closure_required(seed) <= 2 * peak
+        seed = twin_pair_seed(n)
+        c, peak = traced_peak(lambda: cellular_closure(seed))
+        assert c.s < n * n
+        assert peak <= _closure_required(seed) <= 2 * peak, n
 
 
 def test_closure_peak_with_int64_rows_stays_within_its_required_bytes():
@@ -514,12 +671,18 @@ def test_closure_output_is_diagonal_first():
 
 def test_closure_moves_diagonal_ids_first_and_keeps_the_rest_in_order():
     # the diagonal seed value sorts last, so before the diagonal-first remap
-    # the diagonal relations hold the highest ids of the stable partition
+    # the diagonal relations hold the highest ids of the stable partition.
+    # Under constant salts the exact loop numbers the classes: ends, middle;
+    # then non-adjacent pairs by distance, then adjacent ones
     seed = np.array([[5, 1, 0, 0], [1, 5, 1, 0], [0, 1, 5, 1], [0, 0, 1, 5]])
-    c = cellular_closure(seed)
-    # ends, middle; then non-adjacent pairs by distance, then adjacent ones
-    assert c.rel.tolist() == [
-        [0, 5, 3, 2], [6, 1, 7, 4], [4, 7, 1, 6], [2, 3, 5, 0],
+    with mock.patch.object(refine_module, "_salts", constant_salts):
+        assert cellular_closure(seed).rel.tolist() == [
+            [0, 5, 3, 2], [6, 1, 7, 4], [4, 7, 1, 6], [2, 3, 5, 0],
+        ]
+    # under the real salts the hashed rounds order the split classes by
+    # their hashes: the same partition, diagonal relations still first
+    assert cellular_closure(seed).rel.tolist() == [
+        [0, 7, 2, 4], [5, 1, 6, 3], [3, 6, 1, 5], [4, 2, 7, 0],
     ]
 
 
