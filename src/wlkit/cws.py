@@ -20,12 +20,17 @@ built only for what leaves the module: `closure`, `cws_spectrum`,
 `reduce_graph` repeats: refine, contract twin groups, contract overlap blocks
 (vertices whose pair closures give several distinct primes), then contract
 the prime pieces found by the scan, each piece replaced by one vertex whose
-color ranks the piece's canonical certificate and whose attachment edges
-rank the colored attachment profiles.  The run ends in a terminal graph; the
-combined digest hashes the terminal certificate plus every level's piece
-digests and rank tables, so two inputs reduce to the same digest only if the
-whole decomposition matches piece for piece.  The normalizations run the
-same loop restricted to one kind of piece.
+color ranks the canonical certificate of the piece's induced subgraph and
+whose attachment edges rank the colored attachment profiles.  A piece is
+certified in the vertex colors its graph already holds, not in colors ranked
+within the piece, so its digest keeps what its vertices were and means the
+same in every graph.  The run ends in a terminal graph; the combined digest
+hashes the terminal certificate plus every level's piece digests and
+attachment profiles.  Each of these is invariant under relabeling, so
+isomorphic inputs reduce to one digest; that non-isomorphic inputs reduce to
+different ones is checked against `oracle.iso_oracle` on small
+vertex-colored graphs (tests/test_cws.py).  The normalizations run the same
+loop restricted to one kind of piece.
 """
 from __future__ import annotations
 
@@ -41,7 +46,7 @@ from .errors import DecompositionError, ResourceLimitError, UnsupportedGraphErro
 from .graph import ColoredGraph, serialize_wlg
 from .kernels import dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
-from .refine import check_k, project, refine_k
+from .refine import check_k, project, refine_k, similar_k
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,6 @@ class DecompositionTree:
             h.update(lv.kind.encode("ascii"))
             for d in sorted(lv.digests):
                 h.update(b"p")
-                h.update(d)
-            for d in lv.color_table:
-                h.update(b"c")
                 h.update(d)
             for p in lv.profile_table:
                 h.update(b"e")
@@ -381,10 +383,9 @@ def twin_classes(
     # row with its own set to a.  Rows are ranked once for a = 0 and once
     # per code a of an adjacent (a, a) pair within a class.
     nc = g.neighbor_codes()
-    a_of, b_of = np.divmod(nc.part, nc.base)
-    sym = (cls[nc.src] == cls[nc.tgt]) & (a_of == b_of)
+    sym = (cls[nc.src] == cls[nc.tgt]) & (nc.out == nc.inn)
     passes = [(0, np.flatnonzero(np.bincount(cls)[cls] >= 2))]
-    passes += [(a, np.unique(nc.src[sym & (a_of == a)])) for a in np.unique(a_of[sym]).tolist()]
+    passes += [(a, np.unique(nc.src[sym & (nc.out == a)])) for a in np.unique(nc.out[sym]).tolist()]
     true_groups, false_groups = [], []
     for a, xs in passes:
         ids = dense_rank_rows(_twin_rows(p, cls, xs, a, g.directed))
@@ -413,23 +414,18 @@ def _twin_rows(
     return rows
 
 
-def _piece_graph(g: ColoredGraph, cols: np.ndarray, piece: frozenset[int]) -> ColoredGraph:
-    sub, index = g.induced(sorted(piece))
-    local = cols[np.asarray(index, dtype=np.int64)]
-    _, dense = np.unique(local, return_inverse=True)
-    return sub.with_vertex_colors([int(c) for c in dense])
+def _piece_digest(g: ColoredGraph, piece: frozenset[int], k: int, limits: Limits) -> bytes:
+    """The canonical certificate of the piece's induced subgraph, in the
+    vertex colors g gives it."""
+    return certify(g.induced(piece)[0], k, "canonical", limits=limits).digest
 
 
-def _piece_digest(
-    g: ColoredGraph, cols: np.ndarray, piece: frozenset[int], k: int, limits: Limits
-) -> bytes:
-    return certify(_piece_graph(g, cols, piece), k, "canonical", limits=limits).digest
-
-
-def _twin_digest(g: ColoredGraph, cols: np.ndarray, piece: frozenset[int]) -> bytes:
-    """`_piece_digest` of a twin group, a uniformly colored complete or
-    edgeless graph: every leaf of its search serializes as the graph does."""
-    return hashlib.sha256(serialize_wlg(_piece_graph(g, cols, piece)).encode("ascii")).digest()
+def _twin_digest(g: ColoredGraph, piece: frozenset[int]) -> bytes:
+    """`_piece_digest` of a twin group.  Its members share a class, so they
+    share a vertex color, and its induced subgraph is complete or edgeless
+    with one edge color: every leaf of its search serializes as the graph
+    does."""
+    return hashlib.sha256(serialize_wlg(g.induced(piece)[0]).encode("ascii")).digest()
 
 
 def contract_batch(
@@ -514,7 +510,7 @@ def contract(
     piece = frozenset(int(v) for v in s)
     if not piece or not is_cws(g, cols, piece):
         raise UnsupportedGraphError("subset is not color-stable; refusing to contract")
-    out, _, _, _ = contract_batch(g, cols, [piece], [_piece_digest(g, cols, piece, k, limits)])
+    out, _, _, _ = contract_batch(g, cols, [piece], [_piece_digest(g, piece, k, limits)])
     return out
 
 
@@ -638,8 +634,7 @@ def _reduce(
         else:
             return levels, cur
         digests = [
-            _twin_digest(cur, cols, p) if kind == "twin"
-            else _piece_digest(cur, cols, p, piece_k, limits)
+            _twin_digest(cur, p) if kind == "twin" else _piece_digest(cur, p, piece_k, limits)
             for p in pieces
         ]
         nxt, mapping, color_table, profile_table = contract_batch(
@@ -715,8 +710,6 @@ def mutually_stable_trivial(
     interchangeable: equal class-color multisets, pairwise k-similar induced
     graphs, and same-colored members agreeing on adjacency outside the
     union of the family."""
-    from .refine import similar_k
-
     check_k(k)
     cols = _as_colors(g, coloring)
     fam = [_seed(g, s) for s in subsets]
@@ -733,7 +726,10 @@ def mutually_stable_trivial(
     profs = [sorted(int(cols[v]) for v in s) for s in fam]
     if any(p != profs[0] for p in profs[1:]):
         return False
-    graphs = [_piece_graph(g, cols, s) for s in fam]
+    # classes renumbered over the whole graph, so negative ids still make
+    # vertex colors, and one map serves every piece
+    dense = _dense_classes(cols)
+    graphs = [g.induced(s)[0].with_vertex_colors(dense[sorted(s)]) for s in fam]
     for other in graphs[1:]:
         if not similar_k(graphs[0], other, k, limits=limits):
             return False

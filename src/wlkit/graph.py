@@ -31,13 +31,14 @@ from .records import RecordFormat, Records, Tag, repeats
 
 class NeighborCodes(NamedTuple):
     """Adjacent ordered pairs (x, y) in CSR order, di-edges counted in either
-    orientation: `part` is p[x, y] * base + p[y, x] for the pair codes p of
+    orientation: `out` is p[x, y] and `inn` p[y, x] for the pair codes p of
     `ColoredGraph.pair_codes`, `pos` the pair's place among the pairs of x,
     `delta` the largest number of pairs of one x and `base` p.max() + 1."""
 
     src: np.ndarray
     tgt: np.ndarray
-    part: np.ndarray
+    out: np.ndarray
+    inn: np.ndarray
     pos: np.ndarray
     delta: int
     base: int
@@ -191,7 +192,7 @@ class ColoredGraph:
             degree = np.bincount(src, minlength=n)
             first_pair = np.cumsum(degree) - degree
             self._neighbor_codes = NeighborCodes(
-                src=src, tgt=tgt, part=out * base + inn,
+                src=src, tgt=tgt, out=out, inn=inn,
                 pos=np.arange(src.shape[0], dtype=np.int64) - first_pair[src],
                 delta=int(degree.max()) if n else 0,
                 base=base,

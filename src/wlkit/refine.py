@@ -285,7 +285,7 @@ def _round_rows_k1(nc: NeighborCodes, colors: np.ndarray) -> np.ndarray:
     pb = nc.base
     rows = np.full((colors.shape[0], 1 + nc.delta), _SENTINEL, dtype=np.int64)
     rows[:, 0] = colors
-    rows[nc.src, 1 + nc.pos] = colors[nc.tgt] * (pb * pb) + nc.part
+    rows[nc.src, 1 + nc.pos] = (colors[nc.tgt] * pb + nc.out) * pb + nc.inn
     rows[:, 1:].sort(axis=1)
     return rows
 
@@ -515,7 +515,11 @@ def refine_k(
             rounds=0, class_counts=[0],
         )
     if nc is not None and n * nc.base**2 >= _SENTINEL:
-        raise ResourceLimitError("edge color space too large for the 1-dim round")
+        raise UnsupportedGraphError(
+            "the 1-dim round packs each neighbor code into int64 and needs "
+            f"n * (largest pair code + 1)^2 < 2^62; here n={n}, largest pair code "
+            f"{nc.base - 1}"
+        )
     if parent is not None and k >= 2:
         colors, seeded = _pivot_round(start, n, k, v)
         class_counts = [seeded]
@@ -719,7 +723,7 @@ def stable_vertex_names(
     lo = np.searchsorted(nc.src, reps)
     hi = np.searchsorted(nc.src, reps + 1)
     # each adjacent pair's codes out and in, 8 big-endian bytes each
-    codes = np.column_stack(np.divmod(nc.part, nc.base)).astype(">i8").tobytes()
+    codes = np.column_stack((nc.out, nc.inn)).astype(">i8").tobytes()
     cls = tc.colors[nc.tgt].tolist()
     nbrs = [
         [(cls[i], codes[16 * i : 16 * i + 16]) for i in range(a, b)]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from wlkit.families import complete
 from wlkit.cfi import cfi_build
-from wlkit.graph import ColoredGraph
+from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
 
 
 def canon_partition(colors) -> np.ndarray:
@@ -61,17 +61,45 @@ def crown_graph() -> ColoredGraph:
 
 
 @st.composite
-def colored_graphs(draw, max_n: int = 8, max_code: int = 2, min_n: int = 0):
-    """Small graphs of min_n..max_n vertices, either orientation, with pair
-    codes 0..max_code (edge colors below max_code) and an arbitrary (not
-    necessarily stable) vertex coloring of up to three classes."""
+def colored_graphs(
+    draw, max_n: int = 8, max_code: int = 2, min_n: int = 0, directed: bool | None = None
+):
+    """Small graphs of min_n..max_n vertices, of the given orientation or
+    either, with pair codes 0..max_code (edge colors below max_code) and an
+    arbitrary (not necessarily stable) vertex coloring of up to three
+    classes."""
     n = draw(st.integers(min_n, max_n))
-    directed = draw(st.booleans())
+    if directed is None:
+        directed = draw(st.booleans())
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
     codes = draw(st.lists(st.integers(0, max_code), min_size=len(pairs), max_size=len(pairs)))
     edges = [(u, v, c - 1) for (u, v), c in zip(pairs, codes) if c]
     cols = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     return ColoredGraph(n, edges, directed=directed), np.asarray(cols, dtype=np.int64)
+
+
+@st.composite
+def graph_pairs(draw, max_n: int = 7, directed: bool | None = None):
+    """(g, h), vertex-colored graphs of at most max_n vertices: h is a
+    relabeled copy of g, an independent draw of the same size, or, for
+    g = A + B where B is A with every vertex color raised by one, a relabeled
+    B + B.  The last pair is never isomorphic, and its pieces match up to a
+    shift of their colors."""
+    kind = draw(st.sampled_from(("relabeled", "independent", "union")), label="pair kind")
+    if kind == "union":
+        a, cols = draw(colored_graphs(max_n=max_n // 2, min_n=1, directed=directed))
+        a = a.with_vertex_colors(cols.tolist())
+        b = a.with_vertex_colors((cols + 1).tolist())
+        g, h = disjoint_union(a, b), disjoint_union(b, b)
+    else:
+        g, cols = draw(colored_graphs(max_n=max_n, directed=directed))
+        g = h = g.with_vertex_colors(cols.tolist())
+        if kind == "independent":
+            h, hcols = draw(colored_graphs(max_n=g.n, min_n=g.n, directed=g.directed))
+            h = h.with_vertex_colors(hcols.tolist())
+    if kind != "independent":
+        h, _ = random_relabel(h, seed=draw(st.integers(0, 2**16)))
+    return g, h
 
 
 @pytest.fixture(scope="session")

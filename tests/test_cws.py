@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wlkit.cws as cws
-from conftest import colored_graphs, crown_graph, traced_peak
+from conftest import colored_graphs, crown_graph, graph_pairs, traced_peak
+from wlkit.cfi import cfi_build
 from wlkit.cws import (
     closure,
     contract,
@@ -27,7 +28,7 @@ from wlkit.errors import DecompositionError, UnsupportedGraphError
 from wlkit.families import complete, cycle, path, petersen, random_graph
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
 from wlkit.limits import DEFAULT_LIMITS
-from wlkit.oracle import _UnionFind, orbits_oracle
+from wlkit.oracle import _UnionFind, iso_oracle, orbits_oracle
 from wlkit.refine import refine_2, vertex_classes
 
 
@@ -455,10 +456,9 @@ def test_twin_digests_are_the_canonical_certificates(k):
                 vertex_colors=[2] * size + [0],
             )
             g, perm = random_relabel(g, seed=size)
-            cols = np.asarray(g.vertex_colors)
             piece = frozenset(perm[u] for u in range(size))
-            want = cws._piece_digest(g, cols, piece, k, DEFAULT_LIMITS)
-            assert cws._twin_digest(g, cols, piece) == want, (size, code)
+            want = cws._piece_digest(g, piece, k, DEFAULT_LIMITS)
+            assert cws._twin_digest(g, piece) == want, (size, code)
 
 
 def test_reduction_runs_no_search_on_twin_pieces():
@@ -483,10 +483,10 @@ def test_reduction_runs_no_search_on_twin_pieces():
     assert [lv.kind for lv in tree.levels] == ["twin"] * 3
     assert sizes == [1]
     assert cert.hexdigest == (
-        "486bf8a12d8fe98be8b8794bd9c8b26dcde8ac3f0de4c3758cf014b08052f95d"
+        "2541fcec799a27509cc82e977213914f588b17d201d1f8cc39894414fac0c3fb"
     )
     assert reduce_graph(disjoint_c4s(200), 1)[1].hexdigest == (
-        "ccc07afe353ac0339ee3f66f3e5e1ac1715afdcba2978c8101acdc9ada344d8d"
+        "de149d0d29d67d9efd05ef74e82c0cf68cbff11587da8e62ab26cc8166209fa8"
     )
 
 
@@ -510,7 +510,7 @@ def test_contract_is_the_one_piece_batch():
     from wlkit.limits import DEFAULT_LIMITS
 
     piece = frozenset({0, 2})
-    digest = _piece_digest(g, cols, piece, 2, DEFAULT_LIMITS)
+    digest = _piece_digest(g, piece, 2, DEFAULT_LIMITS)
     batch, _, _, _ = contract_batch(g, cols, [piece], [digest])
     assert contract(g, piece, coloring=cols) == batch
 
@@ -522,7 +522,7 @@ def test_equal_pieces_share_a_color():
     from wlkit.cws import _piece_digest
     from wlkit.limits import DEFAULT_LIMITS
 
-    digests = [_piece_digest(g, cols, p, 2, DEFAULT_LIMITS) for p in pieces]
+    digests = [_piece_digest(g, p, 2, DEFAULT_LIMITS) for p in pieces]
     assert digests[0] == digests[1]
     out, mapping, color_table, profile_table = contract_batch(g, cols, pieces, digests)
     assert out.n == 2
@@ -542,7 +542,7 @@ def test_attachment_profiles_separate_different_contexts():
     from wlkit.cws import _piece_digest
     from wlkit.limits import DEFAULT_LIMITS
 
-    digests = [_piece_digest(g, cols, p, 2, DEFAULT_LIMITS) for p in pieces]
+    digests = [_piece_digest(g, p, 2, DEFAULT_LIMITS) for p in pieces]
     out, mapping, _, profile_table = contract_batch(g, cols, pieces, digests)
     assert out.n == 3
 
@@ -713,6 +713,52 @@ def test_reduce_records_piece_members():
     assert level0.size_before == 12 and level0.size_after == 2
 
 
+def _shifted(g, by):
+    return g.with_vertex_colors([c + by for c in g.vertex_colors])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["K2+K1", "2K2", "CFI(K4) unions"])
+def test_reduction_keeps_the_vertex_colors_of_its_pieces(name, k):
+    # non-isomorphic pairs whose pieces look alike once their colors are
+    # ranked within each piece
+    cfi = cfi_build(complete(4))[0]
+    g, h = {
+        "K2+K1": (
+            disjoint_union(complete(2), complete(1)).with_vertex_colors([0, 0, 1]),
+            disjoint_union(complete(2), complete(1)).with_vertex_colors([1, 1, 1]),
+        ),
+        "2K2": (
+            disjoint_union(complete(2), complete(2)).with_vertex_colors([1, 1, 1, 1]),
+            disjoint_union(complete(2), complete(2)).with_vertex_colors([1, 1, 0, 0]),
+        ),
+        "CFI(K4) unions": (
+            disjoint_union(cfi, _shifted(cfi, 2)),
+            disjoint_union(_shifted(cfi, 2), _shifted(cfi, 2)),
+        ),
+    }[name]
+    assert reduce_graph(g, k)[1].digest != reduce_graph(h, k)[1].digest
+
+
+@PROPERTY
+@given(graph_pairs(directed=False), st.sampled_from((1, 2)))
+def test_reduction_digests_agree_with_the_isomorphism_oracle(pair, k):
+    g, h = pair
+    same = reduce_graph(g, k)[1].digest == reduce_graph(h, k)[1].digest
+    assert same == (iso_oracle(g, h) is not None)
+
+
+def test_reduction_levels_do_not_depend_on_how_large_an_edge_color_is():
+    # K4 less an edge, all edges one color: its twin groups must be found
+    # whatever that color is, even past the square root of 2^63
+    def levels(color):
+        edges = [(u, v, color) for u, v in combinations(range(4), 2) if (u, v) != (0, 1)]
+        tree, _ = reduce_graph(ColoredGraph(4, edges), 2)
+        return [(lv.kind, sorted(sorted(r.vertices) for r in lv.pieces)) for lv in tree.levels]
+
+    assert levels(4 * 10**9) == levels(3) == [("twin", [[2, 3]]), ("twin", [[0, 1]])]
+
+
 # -- interchangeability check ----------------------------------------------------------------
 
 
@@ -728,6 +774,8 @@ def test_mutually_stable_trivial():
     assert not mutually_stable_trivial(g, cols, [{0, 1}, {6, 7}])
     # singletons pass every check but the last: their union is not CWS
     assert not mutually_stable_trivial(g, cols, [{0}, {3}])
+    # class ids are any integers, as every other coloring argument takes
+    assert mutually_stable_trivial(cycle(4), [-1] * 4, [{0, 2}, {1, 3}])
 
 
 def test_mutually_stable_trivial_catches_unequal_attachments():

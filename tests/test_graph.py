@@ -188,7 +188,7 @@ def test_neighbor_codes_are_the_pair_codes_of_adjacent_pairs(case):
     assert np.array_equal(nc.src, src) and np.array_equal(nc.tgt, tgt)
     base = int(p.max()) + 1 if g.n else 1
     assert nc.base == base
-    assert np.array_equal(nc.part, p[src, tgt] * base + p[tgt, src])
+    assert np.array_equal(nc.out, p[src, tgt]) and np.array_equal(nc.inn, p[tgt, src])
     degree = adjacent.sum(axis=1)
     assert nc.delta == (int(degree.max()) if g.n else 0)
     assert nc.pos.tolist() == [int((src[:i] == src[i]).sum()) for i in range(src.shape[0])]

@@ -336,6 +336,20 @@ def test_memory_budget_is_enforced_before_allocation():
         refine_2(petersen(), limits=tight)
 
 
+@pytest.mark.parametrize("color, refused", [(2**30 - 3, False), (2**30 - 2, True)])
+def test_one_dim_rounds_refuse_edge_colors_past_their_int64_packing(color, refused):
+    # a 4-vertex path whose end edge has the largest pair code, color + 1:
+    # n * (color + 2)^2 is just below 2^62, then at it
+    g = ColoredGraph(4, [(0, 1, color), (1, 2, 0), (2, 3, 0)])
+    assert (4 * (color + 2) ** 2 >= 2**62) == refused
+    if refused:
+        with pytest.raises(UnsupportedGraphError, match=r"\(largest pair code \+ 1\)\^2 < 2\^62"):
+            refine_k(g, 1)
+    else:
+        small = ColoredGraph(4, [(0, 1, 1), (1, 2, 0), (2, 3, 0)])
+        assert np.array_equal(refine_k(g, 1).colors, refine_k(small, 1).colors)
+
+
 # each budget error of `Limits`: the field, a cap it passes, and a call
 # that passes it
 BUDGETS = {
