@@ -22,9 +22,10 @@ built only for what leaves the module: `closure`, `cws_spectrum`,
 the prime pieces found by the scan, each piece replaced by one vertex whose
 color ranks the canonical certificate of the piece's induced subgraph and
 whose attachment edges rank the colored attachment profiles.  A piece is
-certified in the vertex colors its graph already holds, not in colors ranked
-within the piece, so its digest keeps what its vertices were and means the
-same in every graph.  The run ends in a terminal graph; the combined digest
+certified with each vertex colored by its (class color, vertex color) pair:
+the class colors keep where each class sits in the piece, which the
+attachment profiles (class colors only) cannot say, and the vertex colors
+what its vertices were.  The run ends in a terminal graph; the combined digest
 hashes the terminal certificate plus every level's piece digests and
 attachment profiles.  Each of these is invariant under relabeling, so
 isomorphic inputs reduce to one digest; that non-isomorphic inputs reduce to
@@ -63,7 +64,6 @@ class Level:
     pieces: list[CWSRecord]
     digests: list[bytes]
     mapping: list[int]  # old vertex -> new vertex
-    color_table: list[bytes]  # piece digest per fresh color rank
     profile_table: list[bytes]  # attachment profile per fresh edge color rank
     size_before: int
     size_after: int
@@ -414,18 +414,25 @@ def _twin_rows(
     return rows
 
 
-def _piece_digest(g: ColoredGraph, piece: frozenset[int], k: int, limits: Limits) -> bytes:
-    """The canonical certificate of the piece's induced subgraph, in the
-    vertex colors g gives it."""
-    return certify(g.induced(piece)[0], k, "canonical", limits=limits).digest
-
-
-def _twin_digest(g: ColoredGraph, piece: frozenset[int]) -> bytes:
-    """`_piece_digest` of a twin group.  Its members share a class, so they
-    share a vertex color, and its induced subgraph is complete or edgeless
-    with one edge color: every leaf of its search serializes as the graph
-    does."""
-    return hashlib.sha256(serialize_wlg(g.induced(piece)[0]).encode("ascii")).digest()
+def _piece_digest(
+    g: ColoredGraph, cols: np.ndarray, piece, k: int, limits: Limits, *, twin: bool = False
+) -> bytes:
+    """The canonical certificate of the piece's induced subgraph, each vertex
+    colored by the rank of its (class color, vertex color) pair, hashed with
+    the sorted table of the pairs, which says what each rank means.  A `twin`
+    group needs no search: its members share a class, so one rank, and it is
+    complete or edgeless with one edge color, so every leaf of its search
+    serializes as the graph does."""
+    keep = sorted(piece)
+    pairs = [(int(cols[v]), g.vertex_colors[v]) for v in keep]
+    table = sorted(set(pairs))
+    rank = {pair: r for r, pair in enumerate(table)}
+    sub = g.induced(keep)[0].with_vertex_colors([rank[pair] for pair in pairs])
+    if twin:
+        cert = hashlib.sha256(serialize_wlg(sub).encode("ascii")).digest()
+    else:
+        cert = certify(sub, k, "canonical", limits=limits).digest
+    return hashlib.sha256(cert + repr(table).encode("ascii")).digest()
 
 
 def contract_batch(
@@ -433,10 +440,10 @@ def contract_batch(
     cols: np.ndarray,
     pieces: list[frozenset[int]],
     digests: list[bytes],
-) -> tuple[ColoredGraph, list[int], list[bytes], list[bytes]]:
+) -> tuple[ColoredGraph, list[int], list[bytes]]:
     """Replace each piece by one vertex; returns (new graph, old->new map,
-    digest table behind the fresh colors, profile table behind the fresh
-    edge colors).  One walk over the edges keeps the edges outside every
+    profile table behind the fresh edge colors); a piece's fresh color ranks
+    its digest.  One walk over the edges keeps the edges outside every
     piece and collects the serialized attachment patterns, per (outside
     vertex, piece) and per adjacent piece pair; their entries use class
     colors, so they are stable under relabeling of the input."""
@@ -454,8 +461,7 @@ def contract_batch(
     mapping = [m + at for at in slot]
     for new, v in enumerate(outside):
         mapping[v] = new
-    color_table = sorted(set(digests))
-    color_rank = {d: r for r, d in enumerate(color_table)}
+    color_rank = {d: r for r, d in enumerate(sorted(set(digests)))}
     vbase = g.max_vertex_color() + 1
     colors = [g.vertex_colors[v] for v in outside] + [
         vbase + color_rank[digests[i]] for i in order
@@ -487,7 +493,7 @@ def contract_batch(
         directed=False,
         vertex_colors=colors,
     )
-    return out, mapping, color_table, profile_table
+    return out, mapping, profile_table
 
 
 def contract(
@@ -500,8 +506,8 @@ def contract(
 ) -> ColoredGraph:
     """Contract one CWS subset to a single vertex: `contract_batch` on one
     piece.  The fresh vertex and attachment-edge colors rank the piece digest
-    and the attachment profiles; `contract_batch` also returns the tables
-    behind those ranks."""
+    and the attachment profiles; `contract_batch` also returns the profile
+    table behind the edge ranks."""
     if g.directed:
         raise UnsupportedGraphError("contraction is defined for undirected graphs")
     cols = (
@@ -510,7 +516,7 @@ def contract(
     piece = frozenset(int(v) for v in s)
     if not piece or not is_cws(g, cols, piece):
         raise UnsupportedGraphError("subset is not color-stable; refusing to contract")
-    out, _, _, _ = contract_batch(g, cols, [piece], [_piece_digest(g, piece, k, limits)])
+    out, _, _ = contract_batch(g, cols, [piece], [_piece_digest(g, cols, piece, k, limits)])
     return out
 
 
@@ -634,12 +640,9 @@ def _reduce(
         else:
             return levels, cur
         digests = [
-            _twin_digest(cur, p) if kind == "twin" else _piece_digest(cur, p, piece_k, limits)
-            for p in pieces
+            _piece_digest(cur, cols, p, piece_k, limits, twin=kind == "twin") for p in pieces
         ]
-        nxt, mapping, color_table, profile_table = contract_batch(
-            cur, cols, pieces, digests
-        )
+        nxt, mapping, profile_table = contract_batch(cur, cols, pieces, digests)
         recs = [
             CWSRecord(
                 vertices=p,
@@ -651,8 +654,7 @@ def _reduce(
         levels.append(
             Level(
                 kind=kind, pieces=recs, digests=digests, mapping=mapping,
-                color_table=color_table, profile_table=profile_table,
-                size_before=cur.n, size_after=nxt.n,
+                profile_table=profile_table, size_before=cur.n, size_after=nxt.n,
             )
         )
         cur = nxt

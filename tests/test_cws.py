@@ -373,7 +373,7 @@ def test_attachment_profiles_match_the_pairwise_reference(case):
         with pytest.raises(UnsupportedGraphError):
             contract_batch(g, cols, pieces, digests)
         return
-    out, mapping, _, profile_table = contract_batch(g, cols, pieces, digests)
+    out, mapping, profile_table = contract_batch(g, cols, pieces, digests)
     op, pp = reference_attachment_profiles(g, cols, pieces)
     assert profile_table == sorted(set(op.values()) | set(pp.values()))
     ebase = g.max_edge_color() + 1
@@ -456,9 +456,11 @@ def test_twin_digests_are_the_canonical_certificates(k):
                 vertex_colors=[2] * size + [0],
             )
             g, perm = random_relabel(g, seed=size)
+            cols = np.asarray(g.vertex_colors)
             piece = frozenset(perm[u] for u in range(size))
-            want = cws._piece_digest(g, piece, k, DEFAULT_LIMITS)
-            assert cws._twin_digest(g, piece) == want, (size, code)
+            want = cws._piece_digest(g, cols, piece, k, DEFAULT_LIMITS)
+            fast = cws._piece_digest(g, cols, piece, k, DEFAULT_LIMITS, twin=True)
+            assert fast == want, (size, code)
 
 
 def test_reduction_runs_no_search_on_twin_pieces():
@@ -483,10 +485,10 @@ def test_reduction_runs_no_search_on_twin_pieces():
     assert [lv.kind for lv in tree.levels] == ["twin"] * 3
     assert sizes == [1]
     assert cert.hexdigest == (
-        "2541fcec799a27509cc82e977213914f588b17d201d1f8cc39894414fac0c3fb"
+        "a9364813f83cc21c3a70d652c4f3ff444c1ebef32e770d2f8162381cbb8065e2"
     )
     assert reduce_graph(disjoint_c4s(200), 1)[1].hexdigest == (
-        "de149d0d29d67d9efd05ef74e82c0cf68cbff11587da8e62ab26cc8166209fa8"
+        "308d3731f49883469e276788855cacb020d39cc023c1ddc606848d59c2d38026"
     )
 
 
@@ -510,8 +512,8 @@ def test_contract_is_the_one_piece_batch():
     from wlkit.limits import DEFAULT_LIMITS
 
     piece = frozenset({0, 2})
-    digest = _piece_digest(g, piece, 2, DEFAULT_LIMITS)
-    batch, _, _, _ = contract_batch(g, cols, [piece], [digest])
+    digest = _piece_digest(g, cols, piece, 2, DEFAULT_LIMITS)
+    batch, _, _ = contract_batch(g, cols, [piece], [digest])
     assert contract(g, piece, coloring=cols) == batch
 
 
@@ -522,12 +524,11 @@ def test_equal_pieces_share_a_color():
     from wlkit.cws import _piece_digest
     from wlkit.limits import DEFAULT_LIMITS
 
-    digests = [_piece_digest(g, p, 2, DEFAULT_LIMITS) for p in pieces]
+    digests = [_piece_digest(g, cols, p, 2, DEFAULT_LIMITS) for p in pieces]
     assert digests[0] == digests[1]
-    out, mapping, color_table, profile_table = contract_batch(g, cols, pieces, digests)
+    out, mapping, profile_table = contract_batch(g, cols, pieces, digests)
     assert out.n == 2
     assert out.vertex_colors[0] == out.vertex_colors[1]
-    assert len(color_table) == 1
 
 
 def test_attachment_profiles_separate_different_contexts():
@@ -542,8 +543,8 @@ def test_attachment_profiles_separate_different_contexts():
     from wlkit.cws import _piece_digest
     from wlkit.limits import DEFAULT_LIMITS
 
-    digests = [_piece_digest(g, p, 2, DEFAULT_LIMITS) for p in pieces]
-    out, mapping, _, profile_table = contract_batch(g, cols, pieces, digests)
+    digests = [_piece_digest(g, cols, p, 2, DEFAULT_LIMITS) for p in pieces]
+    out, mapping, profile_table = contract_batch(g, cols, pieces, digests)
     assert out.n == 3
 
 
@@ -721,7 +722,7 @@ def _shifted(g, by):
 @pytest.mark.parametrize("name", ["K2+K1", "2K2", "CFI(K4) unions"])
 def test_reduction_keeps_the_vertex_colors_of_its_pieces(name, k):
     # non-isomorphic pairs whose pieces look alike once their colors are
-    # ranked within each piece
+    # ranked within each piece with no record of what each rank stands for
     cfi = cfi_build(complete(4))[0]
     g, h = {
         "K2+K1": (
@@ -743,6 +744,52 @@ def test_reduction_keeps_the_vertex_colors_of_its_pieces(name, k):
 @PROPERTY
 @given(graph_pairs(directed=False), st.sampled_from((1, 2)))
 def test_reduction_digests_agree_with_the_isomorphism_oracle(pair, k):
+    g, h = pair
+    same = reduce_graph(g, k)[1].digest == reduce_graph(h, k)[1].digest
+    assert same == (iso_oracle(g, h) is not None)
+
+
+def _hooked_cycle(m, hooks, colors):
+    """C_m in vertex color 0 with one outside vertex per hook, in its color,
+    joined to the cycle vertices the hook names."""
+    edges = [(i, (i + 1) % m, 0) for i in range(m)]
+    edges += [(m + j, v, 0) for j, hook in enumerate(hooks) for v in hook]
+    return ColoredGraph(m + len(hooks), edges, vertex_colors=[0] * m + list(colors))
+
+
+@pytest.mark.parametrize("m", [8, 10])
+@pytest.mark.parametrize("k", [1, 2])
+def test_reduction_keeps_where_each_class_sits_in_a_piece(m, k):
+    # C_m stays one prime piece whose vertex colors are all 0; only the two
+    # outside vertices, each hooked onto an antipodal pair, split it into
+    # classes.  An edge joins the two hooks in g and none does in h, which a
+    # piece certified in its vertex colors alone cannot tell, since the
+    # attachment profiles name classes only
+    half = m // 2
+    g = _hooked_cycle(m, [(0, half), (1, 1 + half)], [1, 2])
+    h = _hooked_cycle(m, [(0, half), (2, 2 + half)], [1, 2])
+    assert reduce_graph(g, k)[1].digest != reduce_graph(h, k)[1].digest
+
+
+@st.composite
+def hooked_cycle_pairs(draw):
+    """A cycle of 4..9 vertices with one to three colored outside vertices
+    hooked onto it, each onto a rotation orbit or any proper subset, against a relabeled copy or the same cycle and outside
+    colors with hooks drawn afresh."""
+    m = draw(st.integers(4, 9))
+    colors = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    step = st.sampled_from([d for d in range(1, m) if m % d == 0])
+    orbit = st.builds(lambda s, d: {(s + j * d) % m for j in range(m // d)}, st.integers(0, m - 1), step)
+    hook = st.one_of(orbit, st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1))
+    g = _hooked_cycle(m, [draw(hook) for _ in colors], colors)
+    if draw(st.booleans()):
+        return g, random_relabel(g, seed=draw(st.integers(0, 2**16)))[0]
+    return g, _hooked_cycle(m, [draw(hook) for _ in colors], colors)
+
+
+@PROPERTY
+@given(hooked_cycle_pairs(), st.sampled_from((1, 2)))
+def test_reduction_digests_of_hooked_cycles_agree_with_the_isomorphism_oracle(pair, k):
     g, h = pair
     same = reduce_graph(g, k)[1].digest == reduce_graph(h, k)[1].digest
     assert same == (iso_oracle(g, h) is not None)
