@@ -639,21 +639,20 @@ def _reduce(
                 break
         else:
             return levels, cur
+        if kind != "prime":
+            records = [
+                CWSRecord(
+                    vertices=p, colors=tuple(sorted((v, int(cols[v])) for v in p)), prime=False
+                )
+                for p in pieces
+            ]
         digests = [
             _piece_digest(cur, cols, p, piece_k, limits, twin=kind == "twin") for p in pieces
         ]
         nxt, mapping, profile_table = contract_batch(cur, cols, pieces, digests)
-        recs = [
-            CWSRecord(
-                vertices=p,
-                colors=tuple(sorted((v, int(cols[v])) for v in p)),
-                prime=(kind == "prime"),
-            )
-            for p in pieces
-        ]
         levels.append(
             Level(
-                kind=kind, pieces=recs, digests=digests, mapping=mapping,
+                kind=kind, pieces=records, digests=digests, mapping=mapping,
                 profile_table=profile_table, size_before=cur.n, size_after=nxt.n,
             )
         )

@@ -28,8 +28,6 @@ class Limits:
     # vertices in a color class considered by overlap normalization; decompose
     # raises past it on a class with several primes
     overlap_class_cap: int = 64
-    # element cap for naive generated-group order counting
-    group_elements: int = 1_000_000
     # tuples lift enumerates when no explicit tuples are passed
     lift_tuples: int = 200_000
     # vertex refinements of a depth_d_1dim sweep: n^d runs times n vertices

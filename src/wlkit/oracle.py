@@ -1,4 +1,5 @@
-"""Brute-force reference algorithms for small graphs.
+"""Brute-force reference algorithms for small graphs, and the order of a
+generated permutation group.
 
 The automorphism search is plain color- and adjacency-pruned backtracking
 over vertex images — no refinement of any kind — so it can serve as an
@@ -6,6 +7,8 @@ independent check of everything the refinement machinery reports.  The
 isomorphism search uses the classical 1-dim partition to prune (sound: class
 sizes are isomorphism invariants) but returns only explicitly verified
 mappings, and exhausts the branch space before reporting non-isomorphism.
+`aut_group_order` is not brute force: it builds a Schreier–Sims stabilizer
+chain in polynomial time, so it needs no budget.
 """
 from __future__ import annotations
 
@@ -197,33 +200,68 @@ def iso_oracle(
     return rec(base)
 
 
-def aut_group_order(
-    generators,
-    n: int,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-) -> int:
-    """Order of the permutation group generated by `generators` (closure by
-    composition, breadth first)."""
-    gens = [tuple(int(x) for x in s) for s in generators]
-    for s in gens:
+def aut_group_order(generators, n: int) -> int:
+    """Order of the permutation group generated by `generators`: a
+    deterministic Schreier–Sims (Sims 1970; Seress 2003) over the base
+    0..n-1, in polynomial time.  Level j keeps the strong generators that
+    fix 0..j-1, the orbit of j under them and, per orbit point, a coset
+    representative with its inverse; the order is the product of the orbit
+    lengths.  Each Schreier generator is sifted once.  A residue that is
+    not the identity joins every level from the one tested down to the one
+    where it stopped, and testing resumes there."""
+    ident = np.arange(n, dtype=np.int64)
+    gens: list[list[np.ndarray]] = [[] for _ in range(n)]
+    done: list[list[int]] = [[] for _ in range(n)]  # orbit points sifted per generator
+    orbits = [[j] for j in range(n)]
+    reps = [{j: (ident, ident)} for j in range(n)]
+
+    def grow(j: int, s: np.ndarray) -> None:
+        gens[j].append(s)
+        done[j].append(0)
+        orb, rep = orbits[j], reps[j]
+        old, pos = len(orb), 0
+        while pos < len(orb):  # old points meet only s, new points every generator
+            x = orb[pos]
+            for t in gens[j] if pos >= old else (s,):
+                y = int(t[x])
+                if y not in rep:
+                    u = t[rep[x][0]]
+                    rep[y] = (u, np.argsort(u))
+                    orb.append(y)
+            pos += 1
+
+    def residue(i: int) -> tuple[int, np.ndarray] | None:
+        orb, rep = orbits[i], reps[i]
+        for t, s in enumerate(gens[i]):
+            while done[i][t] < len(orb):
+                x = orb[done[i][t]]
+                done[i][t] += 1
+                h = rep[int(s[x])][1][s[rep[x][0]]]  # fixes 0..i
+                while h[j := int((h != ident).argmax())] != j:  # first moved point
+                    r = reps[j].get(int(h[j]))
+                    if r is None:
+                        return j, h
+                    h = r[1][h]
+        return None
+
+    for s in generators:
+        s = np.asarray([int(x) for x in s], dtype=np.int64)
         if not is_permutation(s, n):
             raise ValueError("generator is not a permutation of range(n)")
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for s in gens:
-                comp = tuple(s[e[i]] for i in range(n))
-                if comp not in seen:
-                    if len(seen) >= limits.group_elements:
-                        raise ResourceLimitError(
-                            "group closure exceeded the element budget group_elements",
-                            required=len(seen) + 1, cap=limits.group_elements,
-                        )
-                    seen.add(comp)
-                    nxt.append(comp)
-        frontier = nxt
-    return len(seen)
+        moved = np.flatnonzero(s != ident)  # s joins the levels up to its first moved point
+        for j in range(int(moved[0]) + 1 if moved.size else 0):
+            grow(j, s)
+    i = n - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        j, h = found
+        for level in range(i + 1, j + 1):
+            grow(level, h)
+        i = j
+    order = 1
+    for orb in orbits:
+        order *= len(orb)
+    return order

@@ -714,6 +714,33 @@ def test_reduce_records_piece_members():
     assert level0.size_before == 12 and level0.size_after == 2
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "g",
+    [
+        cfi_build(complete(4))[0],
+        disjoint_union(cycle(6), cycle(6)),
+        # the triangle's twin level comes first, then the hexagons' prime one
+        disjoint_union(disjoint_union(cycle(6), cycle(6)), cycle(3)),
+    ],
+    ids=["CFI(K4)", "2C6", "2C6+C3"],
+)
+def test_a_prime_level_keeps_the_seed_pairs_of_decompose(monkeypatch, g, k):
+    found = []
+
+    def spy(*args, **kwargs):
+        found.append(decompose(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(cws, "decompose", spy)
+    tree, _ = reduce_graph(g, k)
+    primes = [lv.pieces for lv in tree.levels if lv.kind == "prime"]
+    assert primes and primes == [records for records in found if records]
+    assert all(r.seed_pair is not None for records in primes for r in records)
+    if g.n == 40:  # CFI(K4)
+        assert [r.seed_pair for r in primes[0]] == [(0, 1)]
+
+
 def _shifted(g, by):
     return g.with_vertex_colors([c + by for c in g.vertex_colors])
 

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import math
+import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wlkit.canon import aut_generators_via_recursion, certify
 from wlkit.cfi import cfi_build
@@ -148,6 +153,14 @@ def _color_matches():
     }
 
 
+def _vf2_automorphisms(g: ColoredGraph) -> int:
+    """|Aut(g)| with vertex and edge colors kept, counted by VF2."""
+    nx = pytest.importorskip("networkx")
+    a = to_nx(g)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(a, a, **_color_matches())
+    return sum(1 for _ in matcher.isomorphisms_iter())
+
+
 def _nx_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
     """VF2 with vertex colors and edge colors matched."""
     nx = pytest.importorskip("networkx")
@@ -202,16 +215,32 @@ def test_vf2_agrees_with_canonical_certificates_on_klein_pairs(base):
 def test_search_generators_span_the_vf2_group_of_a_relabeled_cfi_k4(twisted):
     # a search that jumps on every equal leaf keeps few generators; they must
     # still generate every color-preserving automorphism
-    nx = pytest.importorskip("networkx")
     g, _ = random_relabel(cfi_build(complete(4), twisted=twisted)[0], seed=3)
-    a = to_nx(g)
-    matcher = nx.algorithms.isomorphism.GraphMatcher(a, a, **_color_matches())
-    vf2 = sum(1 for _ in matcher.isomorphisms_iter())
+    vf2 = _vf2_automorphisms(g)
     assert vf2 == 192
     assert aut_group_order(aut_generators_via_recursion(g, 2), g.n) == vf2
 
 
 # -- group order from generators ------------------------------------------------------
+
+
+def reference_group_order(generators, n: int) -> int:
+    """Order of the generated group by closure under composition, breadth
+    first: every element is listed, so only small groups fit."""
+    gens = [tuple(int(x) for x in s) for s in generators]
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for s in gens:
+                comp = tuple(s[e[i]] for i in range(n))
+                if comp not in seen:
+                    seen.add(comp)
+                    nxt.append(comp)
+        frontier = nxt
+    return len(seen)
 
 
 def test_group_order_closure():
@@ -223,7 +252,84 @@ def test_group_order_closure():
     assert aut_group_order([(1, 0, 2, 3), (1, 2, 3, 0)], 4) == 24
 
 
-def test_group_order_element_cap():
-    tight = dataclasses.replace(DEFAULT_LIMITS, group_elements=5)
-    with pytest.raises(ResourceLimitError):
-        aut_group_order([(1, 0, 2, 3), (1, 2, 3, 0)], 4, limits=tight)
+@st.composite
+def generator_sets(draw, max_n: int = 7):
+    n = draw(st.integers(0, max_n))
+    return n, draw(st.lists(st.permutations(range(n)), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+@example((0, []))
+@example((5, []))
+@example((5, [list(range(5))]))
+@example((6, [list(range(6)), [1, 0, 2, 3, 4, 5]]))
+def test_group_order_matches_the_breadth_first_reference(case):
+    n, gens = case
+    assert aut_group_order(gens, n) == reference_group_order(gens, n)
+
+
+def random_generators(seed: int) -> tuple[int, list[list[int]]]:
+    """One to three permutations of degree 20-40, each a map of blocks of
+    `size` consecutive points onto blocks (so the group keeps the blocks)
+    or a cycle on a few random points; one seed in three leads with a full
+    shuffle."""
+    rng = random.Random(seed)
+    size = rng.choice([2, 3, 4, 5])
+    n = size * rng.randint(-(-20 // size), 40 // size)
+    blocks = [range(i, i + size) for i in range(0, n, size)]
+    gens = [rng.sample(range(n), n)] if seed % 3 == 0 else []
+    for _ in range(rng.randint(1, 3) - len(gens)):
+        p = list(range(n))
+        if rng.random() < 0.5:
+            for block, image in zip(blocks, rng.sample(blocks, len(blocks))):
+                for x, y in zip(block, rng.sample(image, size)):
+                    p[x] = y
+        else:
+            pts = rng.sample(range(n), rng.randint(2, 6))
+            for x, y in zip(pts, pts[1:] + pts[:1]):
+                p[x] = y
+        gens.append(p)
+    return n, gens
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_group_order_agrees_with_sympy(seed):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    n, gens = random_generators(seed)
+    group = combinatorics.PermutationGroup([combinatorics.Permutation(p) for p in gens])
+    assert aut_group_order(gens, n) == group.order()
+
+
+def test_group_order_of_k60_from_search_generators_needs_no_deep_stack():
+    g = complete(60)
+    gens = aut_generators_via_recursion(g, 1)
+    # a stack only a little deeper than this frame: a recursion over the
+    # 59 levels of the chain would pass it
+    depth = len(inspect.stack(0))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        order = aut_group_order(gens, g.n)
+    finally:
+        sys.setrecursionlimit(old)
+    assert order == math.factorial(60)
+    assert aut_group_order(gens, g.n) == order  # the same value on every call
+
+
+@pytest.mark.parametrize("twisted", [(), ((0, 1),)], ids=["plain", "twisted"])
+@pytest.mark.parametrize(
+    "base, order",
+    [(complete(4), 192), (petersen(), 7680), (generalized_petersen(10, 2), 245_760)],
+    ids=["K4", "Petersen", "GP(10,2)"],
+)
+def test_search_generators_give_the_cfi_group_order(base, order, twisted):
+    # |Aut(CFI(B))| = 2^(m-n+1) |Aut(B)| for a connected cubic base B with m
+    # edges and n vertices; GP(10, 2) is past oracle_vertices, so VF2 counts it
+    if base.n <= DEFAULT_LIMITS.oracle_vertices:
+        aut_base = aut_order_oracle(base)
+    else:
+        aut_base = _vf2_automorphisms(base)
+    assert 2 ** (base.num_edges - base.n + 1) * aut_base == order
+    g = cfi_build(base, twisted=twisted)[0]
+    assert aut_group_order(aut_generators_via_recursion(g, 1), g.n) == order

@@ -26,7 +26,7 @@ from wlkit.families import (
 )
 from wlkit.graph import ColoredGraph, disjoint_union, min_separator_size, random_relabel
 from wlkit.limits import DEFAULT_LIMITS, Limits, limits_from_env
-from wlkit.oracle import aut_group_order, aut_order_oracle, iso_oracle
+from wlkit.oracle import aut_order_oracle, iso_oracle
 from wlkit.refine import (
     count_paths,
     invariant_bytes,
@@ -360,7 +360,6 @@ BUDGETS = {
     "iso_vertices": (4, lambda lim: iso_oracle(cycle(5), cycle(5), limits=lim)),
     "iso_nodes": (1, lambda lim: iso_oracle(cycle(6), cycle(6), limits=lim)),
     "separator_subsets": (1, lambda lim: min_separator_size(cycle(6), limits=lim)),
-    "group_elements": (2, lambda lim: aut_group_order([(1, 2, 3, 0)], 4, limits=lim)),
     "lift_tuples": (63, lambda lim: lift(cycle(4), refine_1(cycle(4)), 3, limits=lim)),
     "depth_sweep_vertices": (24, lambda lim: canon_module.depth_d_1dim(cycle(5), 1, limits=lim)),
     # crown_graph's classes of 3 need overlap normalization
