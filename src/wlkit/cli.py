@@ -205,7 +205,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = _read_graph(args.graph)
-    tree, cert = reduce_graph(g, args.k, limits=DEFAULT_LIMITS, escalate=args.escalate)
+    tree, cert = reduce_graph(g, args.k, limits=DEFAULT_LIMITS)
     if args.digest_only:
         print(cert.hexdigest)
         return 0
@@ -303,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-k", type=int, default=2)
     p.add_argument("--digest-only", action="store_true")
-    p.add_argument("--escalate", action="store_true",
-                   help="certify pieces one dimension higher")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("bench", help="time the round kernels")

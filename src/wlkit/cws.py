@@ -10,12 +10,13 @@ every same-colored pair inside it closes to exactly the whole set.
 Closures run on bit-sliced pair codes.  For each vertex v, bit b of every
 code p[v, w] is packed along w into one row of uint64 words (plane b), and a
 directed graph adds the planes of p[w, v]; a vertex set is a row of the same
-width.  The vertices on which u and r disagree are then the XOR of their
-planes, ORed over the planes.  One scan per level (`_Scan`) closes every
-classmate pair of a scanned class in one batch, caches each closure as its
-packed row (`bytes`) and decides primality from those rows.  Frozensets are
-built only for what leaves the module: `closure`, `cws_spectrum`,
-`CWSRecord.vertices` and `Level.pieces`.
+width.  The planes are scattered from the adjacent pairs, so no n x n code
+matrix is built; twin groups are found on them too.  The vertices on which
+u and r disagree are then the XOR of their planes, ORed over the planes.
+One scan per level (`_Scan`) closes every classmate pair of a scanned class
+in one batch, caches each closure as its packed row (`bytes`) and decides
+primality from those rows.  Frozensets are built only for what leaves the
+module: `closure`, `cws_spectrum`, `CWSRecord.vertices` and `Level.pieces`.
 
 `reduce_graph` repeats: refine, contract twin groups, contract overlap blocks
 (vertices whose pair closures give several distinct primes), then contract
@@ -45,7 +46,7 @@ import numpy as np
 from .canon import Certificate, certify
 from .errors import DecompositionError, ResourceLimitError, UnsupportedGraphError
 from .graph import ColoredGraph, serialize_wlg
-from .kernels import dense_rank_rows
+from .kernels import big_endian, dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
 from .refine import check_k, project, refine_k, similar_k
 
@@ -53,7 +54,6 @@ from .refine import check_k, project, refine_k, similar_k
 @dataclass(frozen=True)
 class CWSRecord:
     vertices: frozenset[int]
-    colors: tuple[tuple[int, int], ...]  # (vertex, class color), sorted
     prime: bool
     seed_pair: tuple[int, int] | None = None
 
@@ -149,21 +149,45 @@ _BYTE_BITS = np.unpackbits(
 _POPCOUNT = _BYTE_BITS.sum(axis=1)
 
 
-def _bit_planes(p: np.ndarray, directed: bool) -> np.ndarray:
-    """(n, planes, words) uint64 bit-sliced pair codes: plane b of vertex v
-    packs bit b of p[v, w] over w, and a directed graph adds the planes of
-    p[w, v]."""
-    n = p.shape[0]
-    words = max(1, -(-n // 64))
-    nbits = max(1, int(p.max(initial=0)).bit_length())
-    sides = (p, p.T) if directed else (p,)
-    out = np.empty((n, len(sides) * nbits, 8 * words), dtype=np.uint8)
-    bits = np.zeros((n, 64 * words), dtype=bool)
-    for i, side in enumerate(sides):
-        for b in range(nbits):
-            np.not_equal(side & (1 << b), 0, out=bits[:, :n])
-            out[:, i * nbits + b] = np.packbits(bits, axis=1, bitorder="little")
-    return out.view(np.uint64)
+def _plane_shape(g: ColoredGraph) -> tuple[int, int]:
+    """(planes, words) per vertex: a plane per bit of the largest pair code,
+    twice as many when directed, and a uint64 word per 64 vertices."""
+    nbits = max(1, (g.neighbor_codes().base - 1).bit_length())
+    return (1 + g.directed) * nbits, max(1, -(-g.n // 64))
+
+
+def _bit_planes(g: ColoredGraph) -> np.ndarray:
+    """(n, planes, words) uint64 bit-sliced pair codes p of g, scattered from
+    its adjacent pairs (`ColoredGraph.neighbor_codes`): bit w of plane b of
+    v is bit b of p[v, w], and a directed graph adds the planes of p[w, v]."""
+    nc = g.neighbor_codes()
+    out = np.zeros((g.n, *_plane_shape(g)), dtype=np.uint64)
+    _, nplanes, words = out.shape
+    nbits = nplanes // (1 + g.directed)
+    at = nc.src * (nplanes * words) + (nc.tgt >> 6)  # the pair's word in plane 0
+    bit = np.left_shift(np.uint64(1), (nc.tgt & 63).astype(np.uint64))
+    for plane in range(nplanes):
+        on = np.flatnonzero(((nc.inn if plane >= nbits else nc.out) >> plane % nbits) & 1)
+        # the pairs of a vertex come in increasing w, so one word's bits are a run
+        word = at[on] + plane * words
+        first = _run_starts(word)
+        out.reshape(-1)[word[first]] = np.bitwise_or.reduceat(bit[on], first)
+    return out
+
+
+def _check_planes(g: ColoredGraph, cols: np.ndarray, limits: Limits) -> None:
+    """Raise ResourceLimitError, naming memory_bytes, when a class has two or
+    more members, so closures or twin groups would build the bit planes, and
+    the planes and twice their size beside them would pass it: the twin rows
+    copy the planes and their rank adds a slab of at most 1 MB (traced at 2.9
+    times the planes on a 1000-vertex path with 21 planes)."""
+    nplanes, words = _plane_shape(g)
+    need = 3 * 8 * g.n * nplanes * words
+    if need > limits.memory_bytes and np.unique(cols, return_counts=True)[1].max() >= 2:
+        raise ResourceLimitError(
+            f"bit planes of {g.n} vertices need about {need} bytes, past memory_bytes",
+            required=need, cap=limits.memory_bytes,
+        )
 
 
 def _bits_of(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +298,7 @@ class _Scan:
 
     @cached_property
     def planes(self) -> np.ndarray:
-        return _bit_planes(self.g.pair_codes(), self.g.directed)
+        return _bit_planes(self.g)
 
     def closures(self, seeds) -> list[bytes]:
         return [row.tobytes() for row in _closures(self.planes, self.cls, seeds)]
@@ -375,43 +399,38 @@ def twin_classes(
     and their colored adjacency to every other vertex; adjacent twin groups
     come out as uniform cliques."""
     cls = _dense_classes(_as_colors(g, coloring))
-    p = g.pair_codes()
     # twins with codes (a, a) form an equivalence whose classes hold one
     # code each: if x, y are twins with a and y, z with b, then p[y, x] =
-    # p[z, x] gives a = b.  x and y are twins with a exactly when x's row
-    # [class | p[x, :] | p[:, x]] with its own cells set to a equals y's
-    # row with its own set to a.  Rows are ranked once for a = 0 and once
-    # per code a of an adjacent (a, a) pair within a class.
+    # p[z, x] gives a = b.  x and y are twins with a exactly when they share
+    # a class and x's planes with its own bits set to the bits of a equal
+    # y's planes with its own bits set so; equal planes are equal rows of
+    # codes.  Planes are ranked once for a = 0 and once per code a of an
+    # adjacent (a, a) pair within a class.
     nc = g.neighbor_codes()
     sym = (cls[nc.src] == cls[nc.tgt]) & (nc.out == nc.inn)
     passes = [(0, np.flatnonzero(np.bincount(cls)[cls] >= 2))]
+    if not passes[0][1].size:
+        return [], []
     passes += [(a, np.unique(nc.src[sym & (nc.out == a)])) for a in np.unique(nc.out[sym]).tolist()]
+    planes = _bit_planes(g)
+    _, nplanes, words = planes.shape
+    nbits = nplanes // (1 + g.directed)
     true_groups, false_groups = [], []
     for a, xs in passes:
-        ids = dense_rank_rows(_twin_rows(p, cls, xs, a, g.directed))
+        rows = planes[xs]  # p[x, x] = 0: every own bit is clear
+        if a:
+            on = ((a >> (np.arange(nplanes) % nbits)) & 1).astype(np.uint64)
+            bit = np.left_shift(np.uint64(1), (xs & 63).astype(np.uint64))
+            rows[np.arange(xs.size), :, xs >> 6] |= bit[:, None] * on
+        # ranked as 32-bit words: dense_rank_rows takes no uint64
+        same = dense_rank_rows(big_endian(rows.reshape(xs.size, -1).view(np.uint32)))
+        del rows  # before the next pass copies the planes again
+        ids = cls[xs] * xs.size + same
         order = np.argsort(ids, kind="stable")
         for grp in np.split(xs[order], _run_starts(ids[order])[1:]):
             if grp.size >= 2:
                 (true_groups if a else false_groups).append(grp.tolist())
     return sorted(true_groups), sorted(false_groups)
-
-
-def _twin_rows(
-    p: np.ndarray, cls: np.ndarray, vs: np.ndarray, code: int, directed: bool
-) -> np.ndarray:
-    """Rows [class | p[v, :] | p[:, v]] of the vertices vs, with p[v, v] set
-    to `code` in both halves.  The second half repeats the first in an
-    undirected graph and is left out."""
-    n = p.shape[0]
-    rows = np.empty((vs.shape[0], 1 + n * (1 + directed)), dtype=np.int64)
-    at = np.arange(vs.shape[0])
-    rows[:, 0] = cls[vs]
-    rows[:, 1 : n + 1] = p[vs]
-    rows[at, 1 + vs] = code
-    if directed:
-        rows[:, n + 1 :] = p.T[vs]
-        rows[at, n + 1 + vs] = code
-    return rows
 
 
 def _piece_digest(
@@ -534,12 +553,14 @@ def decompose(
     no prime closure is dropped; several distinct primes raise, since that
     is exactly the overlap situation normalization removes.  Normalization
     skips classes past `Limits.overlap_class_cap`, so there the error is a
-    `ResourceLimitError` naming that cap."""
+    `ResourceLimitError` naming that cap.  Bit planes that would pass
+    `limits.memory_bytes` raise first (`_check_planes`)."""
     if g.directed:
         raise UnsupportedGraphError("decomposition is defined for undirected graphs")
     cols = (
         _refined_classes(g, k, limits) if coloring is None else _as_colors(g, coloring)
     )
+    _check_planes(g, cols, limits)
     scan = _Scan(g, cols) if _scan is None else _scan
     covered = np.zeros(g.n, dtype=bool)
     records: list[CWSRecord] = []
@@ -571,14 +592,7 @@ def decompose(
                     f"prime of vertex {u} intersects an accepted piece"
                 )
             piece = frozenset(inside.tolist())
-            records.append(
-                CWSRecord(
-                    vertices=piece,
-                    colors=tuple(sorted((v, int(cols[v])) for v in piece)),
-                    prime=True,
-                    seed_pair=pair,
-                )
-            )
+            records.append(CWSRecord(vertices=piece, prime=True, seed_pair=pair))
             covered[inside] = True
     return records
 
@@ -612,11 +626,11 @@ def _overlap_blocks(
 
 
 def _reduce(
-    g: ColoredGraph, k: int, piece_k: int, kinds: tuple[str, ...], limits: Limits
+    g: ColoredGraph, k: int, kinds: tuple[str, ...], limits: Limits
 ) -> tuple[list[Level], ColoredGraph]:
     """Refine, then contract the pieces of the first of `kinds` that has any,
-    until none has; returns the levels and the terminal graph.  Pieces are
-    certified at `piece_k`."""
+    until none has; returns the levels and the terminal graph.  A level whose
+    bit planes would pass `limits.memory_bytes` raises first (`_check_planes`)."""
     if g.directed:
         raise UnsupportedGraphError("reduction is defined for undirected graphs")
     levels: list[Level] = []
@@ -625,6 +639,7 @@ def _reduce(
         if len(levels) > g.n + 1:
             raise DecompositionError("reduction failed to terminate")
         cols = _refined_classes(cur, k, limits)
+        _check_planes(cur, cols, limits)
         scan = _Scan(cur, cols)
         for kind in kinds:
             if kind == "twin":
@@ -640,15 +655,8 @@ def _reduce(
         else:
             return levels, cur
         if kind != "prime":
-            records = [
-                CWSRecord(
-                    vertices=p, colors=tuple(sorted((v, int(cols[v])) for v in p)), prime=False
-                )
-                for p in pieces
-            ]
-        digests = [
-            _piece_digest(cur, cols, p, piece_k, limits, twin=kind == "twin") for p in pieces
-        ]
+            records = [CWSRecord(vertices=p, prime=False) for p in pieces]
+        digests = [_piece_digest(cur, cols, p, k, limits, twin=kind == "twin") for p in pieces]
         nxt, mapping, profile_table = contract_batch(cur, cols, pieces, digests)
         levels.append(
             Level(
@@ -666,7 +674,7 @@ def normalize_cliques(
     limits: Limits = DEFAULT_LIMITS,
 ) -> ColoredGraph:
     """Contract twin groups (adjacent groups first) until none remain."""
-    return _reduce(g, k, k, ("twin",), limits)[1]
+    return _reduce(g, k, ("twin",), limits)[1]
 
 
 def normalize_overlaps(
@@ -676,7 +684,7 @@ def normalize_overlaps(
     limits: Limits = DEFAULT_LIMITS,
 ) -> ColoredGraph:
     """Contract overlap blocks until every scan vertex has at most one prime."""
-    return _reduce(g, k, k, ("overlap",), limits)[1]
+    return _reduce(g, k, ("overlap",), limits)[1]
 
 
 def reduce_graph(
@@ -684,14 +692,11 @@ def reduce_graph(
     k: int = 2,
     *,
     limits: Limits = DEFAULT_LIMITS,
-    escalate: bool = False,
 ) -> tuple[DecompositionTree, Certificate]:
-    """Full reduction loop; see the module docstring.  `escalate` certifies
-    pieces one dimension higher (slower, finer piece separation)."""
-    piece_k = k + 1 if escalate else k
-    levels, cur = _reduce(g, k, piece_k, ("twin", "overlap", "prime"), limits)
+    """Full reduction loop; see the module docstring."""
+    levels, cur = _reduce(g, k, ("twin", "overlap", "prime"), limits)
     tree = DecompositionTree(k=k, levels=levels, terminal=cur)
-    tree.terminal_certificate = certify(cur, piece_k, "canonical", limits=limits)
+    tree.terminal_certificate = certify(cur, k, "canonical", limits=limits)
     cert = Certificate(
         digest=tree.digest(), k=k, mode="reduce", n=g.n,
         trace=tuple((i, len(lv.pieces)) for i, lv in enumerate(levels)),

@@ -136,7 +136,7 @@ def big_endian(rows: np.ndarray) -> np.ndarray:
 
 
 def dense_rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Dense ids by lexicographic rank of int32 or int64 rows.
+    """Dense ids by lexicographic rank of int32, uint32 or int64 rows.
 
     Non-negative entries only; `rows` is never written.  Rows whose column
     bit lengths sum to at most 62 are packed into one int64 key each, which

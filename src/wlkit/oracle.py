@@ -25,17 +25,11 @@ def is_automorphism(g: ColoredGraph, sigma) -> bool:
 
 
 def is_isomorphism(g: ColoredGraph, h: ColoredGraph, mapping) -> bool:
-    mapping = [int(x) for x in mapping]
-    if g.n != h.n or g.directed != h.directed:
+    """Whether renaming each vertex v of g to mapping[v] gives h, vertex
+    colors, edges and edge colors alike: O(n + m), by `ColoredGraph.relabel`."""
+    if g.n != h.n or g.directed != h.directed or not is_permutation(mapping, g.n):
         return False
-    if not is_permutation(mapping, g.n):
-        return False
-    if any(h.vertex_colors[mapping[v]] != g.vertex_colors[v] for v in range(g.n)):
-        return False
-    pg = g.pair_codes()
-    ph = h.pair_codes()
-    m = np.asarray(mapping)
-    return bool(np.array_equal(ph[np.ix_(m, m)], pg))
+    return g.relabel(mapping) == h
 
 
 class _UnionFind:

@@ -34,7 +34,7 @@ from wlkit.families import (
     random_graph,
 )
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel, serialize_wlg
-from wlkit.limits import DEFAULT_LIMITS
+from wlkit.limits import DEFAULT_LIMITS, Limits
 from wlkit.oracle import aut_group_order, aut_order_oracle, is_automorphism, iso_oracle
 from wlkit.refine import refine_1, vertex_classes
 
@@ -461,6 +461,30 @@ def test_fast_holds_one_node_at_a_time():
     assert peak < 2**20
     _, peak = traced_peak(lambda: certify(ColoredGraph(120, []), 2, "fast"))
     assert peak < 1.5 * refine_module._estimate_bytes(120, 2)
+
+
+def test_a_canonical_k1_search_reads_no_pair_code_matrix(monkeypatch):
+    # k = 1 refinement reads the adjacent pairs and an equal leaf's
+    # automorphism is checked by relabeling
+    def refuse(g):
+        raise AssertionError("pair_codes called")
+
+    checked = []
+    is_aut = canon.is_automorphism
+    monkeypatch.setattr(ColoredGraph, "pair_codes", refuse)
+    monkeypatch.setattr(canon, "is_automorphism", lambda g, s: checked.append(s) or is_aut(g, s))
+    for g in (cycle(12), cfi_build(complete(4))[0], petersen()):
+        certify(g, 1, "canonical")
+    assert checked
+
+
+def test_a_canonical_k1_search_of_a_cycle_stays_within_a_small_budget():
+    # equal leaves of a cycle give automorphisms; checked on n x n int64 pair
+    # codes, they would hold 8 MB
+    lim = Limits(memory_bytes=2_000_000)
+    cert, peak = traced_peak(lambda: certify(cycle(1000), 1, "canonical", limits=lim))
+    assert cert.nodes > 1
+    assert peak < lim.memory_bytes
 
 
 # -- iterated-individualization invariant ----------------------------------------

@@ -24,19 +24,36 @@ from wlkit.cws import (
     reduce_graph,
     twin_classes,
 )
-from wlkit.errors import DecompositionError, UnsupportedGraphError
+from wlkit.errors import DecompositionError, ResourceLimitError, UnsupportedGraphError
 from wlkit.families import complete, cycle, path, petersen, random_graph
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
-from wlkit.limits import DEFAULT_LIMITS
+from wlkit.limits import DEFAULT_LIMITS, Limits
 from wlkit.oracle import _UnionFind, iso_oracle, orbits_oracle
-from wlkit.refine import refine_2, vertex_classes
+from wlkit.refine import refine_2, refine_k, vertex_classes
 
 
 def classes_of(g) -> np.ndarray:
     return vertex_classes(refine_2(g))
 
 
-# -- references: the per-pair worklist closure and pairwise twin test ----------
+# -- references: dense bit planes, the per-pair worklist closure and the pairwise
+# -- twin test ---------------------------------------------------------------------
+
+
+def reference_bit_planes(p: np.ndarray, directed: bool) -> np.ndarray:
+    """The planes from the n x n pair codes: plane b of vertex v packs bit b
+    of p[v, w] over w, and a directed graph adds the planes of p[w, v]."""
+    n = p.shape[0]
+    words = max(1, -(-n // 64))
+    nbits = max(1, int(p.max(initial=0)).bit_length())
+    sides = (p, p.T) if directed else (p,)
+    out = np.empty((n, len(sides) * nbits, 8 * words), dtype=np.uint8)
+    bits = np.zeros((n, 64 * words), dtype=bool)
+    for i, side in enumerate(sides):
+        for b in range(nbits):
+            np.not_equal(side & (1 << b), 0, out=bits[:, :n])
+            out[:, i * nbits + b] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view(np.uint64)
 
 
 def reference_closure(p: np.ndarray, cols, seed, directed: bool) -> frozenset[int]:
@@ -135,8 +152,13 @@ def reference_attachment_profiles(g, cols, pieces):
 def blown_up_graphs(draw):
     """Each vertex of a small colored graph becomes 1-3 copies that keep its
     adjacency; the copies of one vertex are joined by a drawn code pair
-    (possibly one-way or none), so twins of every kind are common."""
+    (possibly one-way or none), so twins of every kind are common.  Edge
+    colors 0 and 1 may be renamed to two colors of at least 2^32."""
     g, cols = draw(colored_graphs(max_n=4))
+    names = draw(
+        st.just([0, 1])
+        | st.lists(st.integers(2**32, 2**40), min_size=2, max_size=2, unique=True)
+    )
     sizes = draw(st.lists(st.integers(1, 3), min_size=g.n, max_size=g.n))
     first = np.concatenate([[0], np.cumsum(sizes)]).astype(int).tolist()
     edges = {}
@@ -155,7 +177,7 @@ def blown_up_graphs(draw):
                 if back and g.directed:
                     edges[(y, x)] = back - 1
     n = first[-1]
-    blown = ColoredGraph(n, [(x, y, c) for (x, y), c in edges.items()], g.directed)
+    blown = ColoredGraph(n, [(x, y, names[c]) for (x, y), c in edges.items()], g.directed)
     return blown, np.repeat(cols, sizes)
 
 
@@ -179,6 +201,18 @@ WIDE_CODES = 13
 
 def any_codes(max_n: int = 8):
     return colored_graphs(max_n) | colored_graphs(max_n, max_code=WIDE_CODES)
+
+
+@st.composite
+def wide_code_graphs(draw, max_n: int = 9):
+    """Small graphs of either orientation whose pair codes come from a drawn
+    palette of small codes and codes of 2^32 and more."""
+    n = draw(st.integers(0, max_n))
+    directed = draw(st.booleans())
+    palette = draw(st.lists(st.integers(1, 3) | st.integers(2**32, 2**40), min_size=1, max_size=3))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    codes = draw(st.lists(st.sampled_from([0] + palette), min_size=len(pairs), max_size=len(pairs)))
+    return ColoredGraph(n, [(u, v, c - 1) for (u, v), c in zip(pairs, codes) if c], directed)
 
 
 @st.composite
@@ -271,13 +305,21 @@ def test_closure_matches_the_worklist_reference(case):
 
 
 @PROPERTY
+@given(wide_code_graphs() | any_codes().map(lambda case: case[0]))
+def test_bit_planes_match_the_dense_reference(g):
+    got = cws._bit_planes(g)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, reference_bit_planes(g.pair_codes(), g.directed))
+
+
+@PROPERTY
 @given(any_codes(max_n=7))
 def test_batched_pair_closures_match_the_reference(case):
     g, cols = case
     pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
     p = g.pair_codes()
     want = [reference_closure(p, cols, pair, g.directed) for pair in pairs]
-    planes = cws._bit_planes(p, g.directed)
+    planes = cws._bit_planes(g)
     dense = cws._dense_classes(cols)
     saved = cws._BATCH_BYTES
     try:
@@ -699,9 +741,49 @@ def test_reduce_crown_uses_overlap_levels():
     assert tree.terminal.n == 1
 
 
-def test_reduce_escalated_matches_shape():
-    tree, cert = reduce_graph(disjoint_union(cycle(6), cycle(6)), escalate=True)
-    assert tree.depth == 2 and tree.terminal.n == 1
+def test_a_k1_reduction_reads_no_pair_code_matrix(monkeypatch):
+    # twin groups and closures read the planes, which come from the adjacent
+    # pairs; twin, overlap and prime levels all run below
+    def refuse(g):
+        raise AssertionError("pair_codes called")
+
+    monkeypatch.setattr(ColoredGraph, "pair_codes", refuse)
+    graphs = [
+        disjoint_union(cycle(6), cycle(6)), crown_graph(), complete(5),
+        cfi_build(complete(4))[0], path(9).with_vertex_colors([1, 0, 0, 0, 2, 0, 0, 0, 1]),
+    ]
+    kinds = set()
+    for g in graphs:
+        tree, _ = reduce_graph(g, 1)
+        kinds.update(lv.kind for lv in tree.levels)
+    assert kinds == {"twin", "overlap", "prime"}
+
+
+def test_a_k1_reduction_of_a_discrete_path_stays_within_a_small_budget():
+    # no class has two members, so nothing builds the planes; n x n int64
+    # pair codes would be 8 MB
+    g = path(1000).with_vertex_colors(range(1000))
+    lim = Limits(memory_bytes=2_000_000)
+    (tree, _), peak = traced_peak(lambda: reduce_graph(g, 1, limits=lim))
+    assert tree.depth == 0
+    assert peak < lim.memory_bytes
+
+
+def test_bit_planes_past_the_memory_budget_raise_before_they_are_built():
+    # codes of 21 bits take 21 planes of 16 words: 2.7 MB for 1000 vertices,
+    # while a k = 1 refinement of the path fits well within 2 MB
+    g = path(1000)
+    g = ColoredGraph(g.n, [(u, v, 2**20 - 1) for u, v, _ in g.edge_list()])
+    lim = Limits(memory_bytes=2_000_000)
+    refine_k(g, 1, limits=lim)
+    for run in (lambda: reduce_graph(g, 1, limits=lim), lambda: decompose(g, 1, limits=lim)):
+        with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
+            run()
+        assert err.value.cap == lim.memory_bytes
+        assert err.value.required >= 1000 * 21 * 16 * 8
+    # raised before anything of the planes' size is allocated
+    _, peak = traced_peak(lambda: pytest.raises(ResourceLimitError, reduce_graph, g, 1, limits=lim))
+    assert peak < 1000 * 21 * 16 * 8
 
 
 def test_reduce_records_piece_members():

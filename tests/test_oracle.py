@@ -6,9 +6,11 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import colored_graphs
 from wlkit.canon import aut_generators_via_recursion, certify
 from wlkit.cfi import cfi_build
 from wlkit.coherent import klein_scheme, psi_twist, scheme_graph
@@ -55,6 +57,68 @@ def test_is_isomorphism():
     assert is_isomorphism(g, h, [2, 0, 1])
     assert not is_isomorphism(g, h, [0, 1, 2])
     assert not is_isomorphism(g, cycle(3), [0, 1, 2])
+    # an empty mapping: the dense compare once indexed with a float array
+    assert is_isomorphism(ColoredGraph(0), ColoredGraph(0), [])
+
+
+def reference_is_isomorphism(g, h, mapping) -> bool:
+    """The mapping's permutation check, then the vertex colors and the n x n
+    pair codes of h, permuted by the mapping, against g's."""
+    if g.n != h.n or g.directed != h.directed:
+        return False
+    if sorted(mapping) != list(range(g.n)):
+        return False
+    if any(h.vertex_colors[mapping[v]] != g.vertex_colors[v] for v in range(g.n)):
+        return False
+    m = np.asarray(mapping, dtype=np.int64)
+    return bool(np.array_equal(h.pair_codes()[np.ix_(m, m)], g.pair_codes()))
+
+
+def _edited(g: ColoredGraph, edit: str, at: int) -> ColoredGraph | None:
+    """g with one vertex recolored, one edge recolored or one arc reversed,
+    or None when g has no such vertex, edge or free reverse slot."""
+    edges = g.edge_list()
+    if edit == "vertex color":
+        if not g.n:
+            return None
+        colors = list(g.vertex_colors)
+        colors[at % g.n] += 1
+        return g.with_vertex_colors(colors)
+    if not edges:
+        return None
+    u, v, c = edges[at % len(edges)]
+    rest = [e for e in edges if e[:2] != (u, v)]
+    if edit == "edge color":
+        return ColoredGraph(g.n, rest + [(u, v, c + 1)], g.directed, g.vertex_colors)
+    if not g.directed or g.has_edge(v, u):
+        return None
+    return ColoredGraph(g.n, rest + [(v, u, c)], True, g.vertex_colors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_graphs(max_n=7), st.data())
+def test_is_isomorphism_matches_the_dense_reference(case, data):
+    g, cols = case
+    g = g.with_vertex_colors(cols.tolist())
+    perm = data.draw(st.permutations(range(g.n)), label="perm")
+    h = g.relabel(perm)
+    assert is_isomorphism(g, h, perm) and reference_is_isomorphism(g, h, perm)
+    assert is_isomorphism(h, g, np.argsort(perm))
+    at = data.draw(st.integers(0, 50), label="at")
+    for edit in ("vertex color", "edge color", "reversed arc"):
+        edited = _edited(h, edit, at)
+        if edited is not None:
+            assert not is_isomorphism(g, edited, perm)
+            assert not reference_is_isomorphism(g, edited, perm)
+    if g.n >= 2:
+        # one image twice and one vertex of h left out
+        bad = list(perm)
+        bad[at % g.n] = perm[(at + 1) % g.n]
+        assert not is_isomorphism(g, h, bad)
+        assert not is_isomorphism(g, h, perm[:-1])
+        assert not is_isomorphism(g, h, list(perm) + [g.n])
+    other = data.draw(st.permutations(range(g.n)), label="other")
+    assert is_isomorphism(g, h, other) == reference_is_isomorphism(g, h, other)
 
 
 # -- automorphism group sizes ----------------------------------------------------
