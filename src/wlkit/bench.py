@@ -26,6 +26,8 @@ def run_bench(
     limits: Limits = DEFAULT_LIMITS,
 ) -> list[dict]:
     """One row per n: best-of-`repeats` wall time of a full refinement."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     rows: list[dict] = []
     for n in sizes:
         g = random_graph(n, 0.5, seed=seed + n)
@@ -44,10 +46,12 @@ def run_bench(
 
 def fit_exponent(rows: list[dict]) -> float:
     """Least-squares slope of log(seconds) against log(n)."""
+    if len(rows) < 2:
+        raise ValueError("need at least two sizes to fit an exponent")
+    if min(r["n"] for r in rows) < 1:
+        raise ValueError("sizes must be >= 1 to fit an exponent")
     xs = np.log([r["n"] for r in rows])
     ys = np.log([max(r["seconds"], 1e-9) for r in rows])
-    if xs.shape[0] < 2:
-        raise ValueError("need at least two sizes to fit an exponent")
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)
 

@@ -146,13 +146,13 @@ def _parse_twists(specs: list[str]) -> list[tuple[int, int]]:
 
 def _cmd_cfi(args) -> int:
     g = _read_graph(args.graph)
-    if args.depth > 1 and args.twist:
-        raise WlkitError("twists apply to a single replacement, not --depth > 1")
-    if args.depth > 1:
-        h, maps = iterate_lambda(g, args.depth)
-        m = maps[-1]
-    else:
+    if args.depth == 1:
         h, m = cfi_build(g, _parse_twists(args.twist))
+    elif args.twist:
+        raise WlkitError(f"twists apply to a single replacement, not --depth {args.depth}")
+    else:
+        h, maps = iterate_lambda(g, args.depth)  # refuses a depth below 1
+        m = maps[-1]
     _write_text(args.output, serialize_wlg(h))
     if args.map:
         _write_text(args.map, serialize_cfi_map(m))

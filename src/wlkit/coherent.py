@@ -218,22 +218,22 @@ def cellular_closure(
 
     The seed must hold integers or bools (UnsupportedGraphError otherwise,
     before anything of its size is allocated).  Raises ResourceLimitError
-    before the first round when a k = 2 round would need more than
-    `limits.memory_bytes` (`refine.check_round_budget`): the stop check
-    may build the n^2 (n + 1) rows, and the hashed rounds' 100 or so bytes
-    a pair fit the estimate's per-tuple allowance.
+    before the first round, and before a graph's seed is built, when a k = 2
+    round would need more than `limits.memory_bytes`
+    (`refine.check_round_budget`): the stop check may build the n^2 (n + 1)
+    rows, and the hashed rounds' 100 or so bytes a pair fit the estimate's
+    per-tuple allowance.
     """
-    if isinstance(seed, ColoredGraph):
-        seed = graph_seed(seed)
-    seed = np.asarray(seed)
-    if seed.dtype.kind not in "biu":
-        raise UnsupportedGraphError(f"seed must hold integers or bools, not {seed.dtype}")
-    seed = seed.astype(np.int64, copy=False)
-    if seed.ndim != 2 or seed.shape[0] != seed.shape[1]:
-        raise UnsupportedGraphError("seed must be a square matrix")
-    n = seed.shape[0]
+    graph = isinstance(seed, ColoredGraph)
+    if not graph:
+        seed = np.asarray(seed)
+        if seed.dtype.kind not in "biu":
+            raise UnsupportedGraphError(f"seed must hold integers or bools, not {seed.dtype}")
+        if seed.ndim != 2 or seed.shape[0] != seed.shape[1]:
+            raise UnsupportedGraphError("seed must be a square matrix")
+    n = seed.n if graph else seed.shape[0]
     if n == 0:
-        return CoherentConfig(n=0, s=0, rel=seed.copy())
+        return CoherentConfig(n=0, s=0, rel=np.zeros((0, 0), dtype=np.int64))
     # the closure's exact rounds are refine's k = 2 rounds, and what it
     # holds besides (the hashed rounds' O(n^2) arrays, O(n^2) ids after the
     # loop; the seed goes before the first round) stays below their
@@ -242,6 +242,8 @@ def cellular_closure(
     # check), 0.97 at n = 220 (int64 rows); a discrete closure builds no
     # exact round, so its peak stays far below the need
     check_round_budget(f"cellular closure at n={n}", limits, n, 2)
+    # a graph's pair codes and seed rows come only after the budget check
+    seed = (graph_seed(seed) if graph else seed).astype(np.int64, copy=False)
     # force the diagonal apart from the rest before refining
     start = seed * 2 + np.eye(n, dtype=np.int64)
     cur = dense_rank_rows(start.reshape(n * n, 1))

@@ -119,8 +119,7 @@ def _seed(g: ColoredGraph, s) -> frozenset[int]:
 def is_cws(g: ColoredGraph, coloring, s) -> bool:
     """Same-colored members of s must agree on their colored adjacency to
     every vertex outside s, i.e. s is its own closure."""
-    sset = _seed(g, s)
-    return closure(g, coloring, sset) == sset
+    return _Scan(g, _as_colors(g, coloring), DEFAULT_LIMITS).is_closed(_seed(g, s))
 
 
 def _dense_classes(cols: np.ndarray) -> np.ndarray:
@@ -146,7 +145,7 @@ _BATCH_BYTES = 1 << 22
 _BYTE_BITS = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
 ).astype(bool)
-_POPCOUNT = _BYTE_BITS.sum(axis=1)
+_POPCOUNT = _BYTE_BITS.sum(axis=1, dtype=np.uint8)
 
 
 def _plane_shape(g: ColoredGraph) -> tuple[int, int]:
@@ -175,21 +174,6 @@ def _bit_planes(g: ColoredGraph) -> np.ndarray:
     return out
 
 
-def _check_planes(g: ColoredGraph, cols: np.ndarray, limits: Limits) -> None:
-    """Raise ResourceLimitError, naming memory_bytes, when a class has two or
-    more members, so closures or twin groups would build the bit planes, and
-    the planes and twice their size beside them would pass it: the twin rows
-    copy the planes and their rank adds a slab of at most 1 MB (traced at 2.9
-    times the planes on a 1000-vertex path with 21 planes)."""
-    nplanes, words = _plane_shape(g)
-    need = 3 * 8 * g.n * nplanes * words
-    if need > limits.memory_bytes and np.unique(cols, return_counts=True)[1].max() >= 2:
-        raise ResourceLimitError(
-            f"bit planes of {g.n} vertices need about {need} bytes, past memory_bytes",
-            required=need, cap=limits.memory_bytes,
-        )
-
-
 def _bits_of(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, vertex) of every set bit of packed rows, in row-major order."""
     octets = rows.view(np.uint8).reshape(-1)
@@ -216,9 +200,10 @@ def _vertex_set(row: bytes) -> frozenset[int]:
     return frozenset(_members(row).tolist())
 
 
-def _closures(planes: np.ndarray, cls: np.ndarray, seeds: list) -> np.ndarray:
+def _closures(planes: np.ndarray, cls: np.ndarray, seeds: list, cap: int) -> np.ndarray:
     """Least CWS superset of every seed, one packed row each; `planes` comes
-    from `_bit_planes` and `cls` holds dense class ids.
+    from `_bit_planes` and `cls` holds dense class ids.  The batch state and
+    the gathered rows each stay within `cap` bytes, or one seed's.
 
     A vertex w outside S is forced in when some same-colored group of S
     disagrees on w: `p[grp, w]` (or `p[w, grp]` when directed) is not
@@ -239,8 +224,8 @@ def _closures(planes: np.ndarray, cls: np.ndarray, seeds: list) -> np.ndarray:
     planes = planes.reshape(n, nplanes * words)
     out = np.zeros((len(seeds), words), dtype=np.uint64)
     ncls = int(cls.max(initial=-1)) + 1
-    batch = max(1, _BATCH_BYTES // (32 * words + 4 * ncls))
-    gather = max(1, _BATCH_BYTES // (8 * (2 * nplanes * words + words + 8)))
+    batch = max(1, cap // (32 * words + 4 * ncls))
+    gather = max(1, cap // (8 * (2 * nplanes * words + words + 8)))
     for lo in range(0, len(seeds), batch):
         chunk = seeds[lo : lo + batch]
         inside = out[lo : lo + len(chunk)]
@@ -258,7 +243,7 @@ def _closures(planes: np.ndarray, cls: np.ndarray, seeds: list) -> np.ndarray:
             cuts = [0, active.size]
             if 64 * joined.size > gather:
                 # runs of seeds with about `gather` joining vertices each
-                counts = _POPCOUNT[joined.view(np.uint8)].sum(axis=1)
+                counts = _POPCOUNT[joined.view(np.uint8)].sum(axis=1, dtype=np.int64)
                 run = (np.cumsum(counts) - counts) // gather
                 cuts = _run_starts(run).tolist() + [active.size]
             for a, b in zip(cuts[:-1], cuts[1:]):
@@ -286,36 +271,58 @@ def _closures(planes: np.ndarray, cls: np.ndarray, seeds: list) -> np.ndarray:
     return out
 
 
-class _Scan:
-    """Memoized pair closures and primality checks for one (graph, coloring).
-    Closures are packed rows as `bytes`, so they hash and compare as keys."""
+# bytes a cached closure holds beside its row: dict slots, key, `bytes` header
+# and primality memo (traced at up to 184 bytes for n = 70-1050)
+_ENTRY_BYTES = 200
 
-    def __init__(self, g: ColoredGraph, cols):
+
+class _Scan:
+    """Bit planes, pair closures and primality of one (graph, coloring) within
+    `limits.memory_bytes`; closures are `bytes` rows, which hash as keys."""
+
+    def __init__(self, g: ColoredGraph, cols, limits: Limits):
         self.g = g
         self.cls = _dense_classes(np.asarray(cols))
+        self.limits = limits
         self.cl: dict[tuple[int, int], bytes] = {}
         self.prime: dict[bytes, bool] = {}
+        nplanes, self.words = _plane_shape(g)
+        self.plane_bytes = 8 * g.n * nplanes * self.words
+        # once a class has two members, closures or twin groups build the
+        # planes, and twin rows copy them beside a rank slab of at most 1 MB
+        # (2.9 times the planes traced on a 1000-vertex path with 21 planes)
+        if np.bincount(self.cls).max(initial=0) >= 2:
+            self._check(f"bit planes of {g.n} vertices", 3 * self.plane_bytes)
+
+    def _check(self, what: str, need: int) -> None:
+        if need > self.limits.memory_bytes:
+            raise ResourceLimitError(
+                f"{what} need about {need} bytes, past memory_bytes",
+                required=need, cap=self.limits.memory_bytes,
+            )
 
     @cached_property
     def planes(self) -> np.ndarray:
         return _bit_planes(self.g)
 
-    def closures(self, seeds) -> list[bytes]:
-        return [row.tobytes() for row in _closures(self.planes, self.cls, seeds)]
+    def closures(self, seeds, cap: int = _BATCH_BYTES) -> list[bytes]:
+        return [row.tobytes() for row in _closures(self.planes, self.cls, seeds, cap)]
+
+    def is_closed(self, sset: frozenset[int]) -> bool:
+        return _vertex_set(self.closures([sset])[0]) == sset
 
     def close_pairs(self, pairs) -> None:
-        """Close every uncached pair in one batch."""
+        """Close and cache every uncached pair in one batch, within budget."""
         # `set - dict.keys()` would walk the whole cache on every call
         keys = {(x, y) if x < y else (y, x) for x, y in pairs}
         todo = sorted(key for key in keys if key not in self.cl)
         if todo:
-            self.cl.update(zip(todo, self.closures(todo)))
-
-    def closure_pair(self, x: int, y: int) -> bytes:
-        key = (x, y) if x < y else (y, x)
-        if key not in self.cl:
-            self.close_pairs([key])
-        return self.cl[key]
+            cached = len(self.cl) + len(todo)
+            need = self.plane_bytes + cached * (8 * self.words + _ENTRY_BYTES)
+            self._check(f"bit planes and {cached} closures of {self.g.n} vertices", need)
+            # the batch state and the gathered rows fit in what is left
+            cap = min(_BATCH_BYTES, (self.limits.memory_bytes - need) // 2)
+            self.cl.update(zip(todo, self.closures(todo, cap)))
 
     def closures_of(self, x: int, ys) -> dict[bytes, tuple[int, int]]:
         """Distinct closures of x with each y, in order of first appearance,
@@ -324,7 +331,7 @@ class _Scan:
         self.close_pairs((x, y) for y in ys)
         out: dict[bytes, tuple[int, int]] = {}
         for y in ys:
-            out.setdefault(self.closure_pair(x, y), (x, y))
+            out.setdefault(self.cl[(x, y) if x < y else (y, x)], (x, y))
         return out
 
     def prime_closures_of(self, x: int, ys) -> dict[bytes, tuple[int, int]]:
@@ -366,16 +373,15 @@ def _classmate_pairs(members: np.ndarray, cls: np.ndarray) -> list[tuple[int, in
 def closure(g: ColoredGraph, coloring, seed) -> frozenset[int]:
     """Minimal CWS superset of `seed`: whenever a same-colored pair inside
     disagrees about a vertex, that vertex is forced in."""
-    cols = _as_colors(g, coloring)
-    return _vertex_set(_Scan(g, cols).closures([_seed(g, seed)])[0])
+    scan = _Scan(g, _as_colors(g, coloring), DEFAULT_LIMITS)
+    return _vertex_set(scan.closures([_seed(g, seed)])[0])
 
 
 def is_prime(g: ColoredGraph, coloring, s) -> bool:
     """True when s is a CWS set, contains at least one same-colored pair, and
     every same-colored pair inside closes to exactly s."""
-    cols = _as_colors(g, coloring)
     sset = _seed(g, s)
-    scan = _Scan(g, cols)
+    scan = _Scan(g, _as_colors(g, coloring), DEFAULT_LIMITS)
     row = scan.closures([sset])[0]
     return _vertex_set(row) == sset and scan.is_prime(row)
 
@@ -386,7 +392,7 @@ def cws_spectrum(g: ColoredGraph, coloring, v: int) -> list[frozenset[int]]:
     if not 0 <= v < g.n:
         raise ValueError("vertex out of range")
     mates = [w for w in range(g.n) if w != v and cols[w] == cols[v]]
-    out = [_vertex_set(row) for row in _Scan(g, cols).closures_of(v, mates)]
+    out = [_vertex_set(row) for row in _Scan(g, cols, DEFAULT_LIMITS).closures_of(v, mates)]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
@@ -398,7 +404,8 @@ def twin_classes(
     a symmetric code a = p[x, y] = p[y, x] (adjacent when a is non-zero)
     and their colored adjacency to every other vertex; adjacent twin groups
     come out as uniform cliques."""
-    cls = _dense_classes(_as_colors(g, coloring))
+    scan = _Scan(g, _as_colors(g, coloring), DEFAULT_LIMITS)
+    cls = scan.cls
     # twins with codes (a, a) form an equivalence whose classes hold one
     # code each: if x, y are twins with a and y, z with b, then p[y, x] =
     # p[z, x] gives a = b.  x and y are twins with a exactly when they share
@@ -412,7 +419,7 @@ def twin_classes(
     if not passes[0][1].size:
         return [], []
     passes += [(a, np.unique(nc.src[sym & (nc.out == a)])) for a in np.unique(nc.out[sym]).tolist()]
-    planes = _bit_planes(g)
+    planes = scan.planes
     _, nplanes, words = planes.shape
     nbits = nplanes // (1 + g.directed)
     true_groups, false_groups = [], []
@@ -532,8 +539,8 @@ def contract(
     cols = (
         _refined_classes(g, k, limits) if coloring is None else _as_colors(g, coloring)
     )
-    piece = frozenset(int(v) for v in s)
-    if not piece or not is_cws(g, cols, piece):
+    piece = _seed(g, s)
+    if not piece or not _Scan(g, cols, limits).is_closed(piece):
         raise UnsupportedGraphError("subset is not color-stable; refusing to contract")
     out, _, _ = contract_batch(g, cols, [piece], [_piece_digest(g, cols, piece, k, limits)])
     return out
@@ -553,15 +560,14 @@ def decompose(
     no prime closure is dropped; several distinct primes raise, since that
     is exactly the overlap situation normalization removes.  Normalization
     skips classes past `Limits.overlap_class_cap`, so there the error is a
-    `ResourceLimitError` naming that cap.  Bit planes that would pass
-    `limits.memory_bytes` raise first (`_check_planes`)."""
+    `ResourceLimitError` naming that cap.  Bit planes or cached closures
+    past `limits.memory_bytes` raise before they are built (`_Scan`)."""
     if g.directed:
         raise UnsupportedGraphError("decomposition is defined for undirected graphs")
     cols = (
         _refined_classes(g, k, limits) if coloring is None else _as_colors(g, coloring)
     )
-    _check_planes(g, cols, limits)
-    scan = _Scan(g, cols) if _scan is None else _scan
+    scan = _Scan(g, cols, limits) if _scan is None else _scan
     covered = np.zeros(g.n, dtype=bool)
     records: list[CWSRecord] = []
     for group in _class_members(cols):
@@ -597,15 +603,11 @@ def decompose(
     return records
 
 
-def _overlap_blocks(
-    g: ColoredGraph, cols: np.ndarray, limits: Limits, scan: _Scan | None = None
-) -> list[frozenset[int]]:
+def _overlap_blocks(scan: _Scan, limits: Limits) -> list[frozenset[int]]:
     """Vertices whose pair closures hit two or more distinct primes, each
     bundled with the intersection of those primes."""
-    if scan is None:
-        scan = _Scan(g, cols)
     blocks: dict[bytes, None] = {}  # in order of discovery
-    for members in _class_members(cols):
+    for members in _class_members(scan.cls):
         if len(members) < 3 or len(members) > limits.overlap_class_cap:
             continue
         members = members.tolist()
@@ -629,8 +631,7 @@ def _reduce(
     g: ColoredGraph, k: int, kinds: tuple[str, ...], limits: Limits
 ) -> tuple[list[Level], ColoredGraph]:
     """Refine, then contract the pieces of the first of `kinds` that has any,
-    until none has; returns the levels and the terminal graph.  A level whose
-    bit planes would pass `limits.memory_bytes` raises first (`_check_planes`)."""
+    until none has; returns the levels and the terminal graph."""
     if g.directed:
         raise UnsupportedGraphError("reduction is defined for undirected graphs")
     levels: list[Level] = []
@@ -639,14 +640,13 @@ def _reduce(
         if len(levels) > g.n + 1:
             raise DecompositionError("reduction failed to terminate")
         cols = _refined_classes(cur, k, limits)
-        _check_planes(cur, cols, limits)
-        scan = _Scan(cur, cols)
+        scan = _Scan(cur, cols, limits)
         for kind in kinds:
             if kind == "twin":
                 true_groups, false_groups = twin_classes(cur, cols)
                 pieces = [frozenset(grp) for grp in true_groups or false_groups]
             elif kind == "overlap":
-                pieces = _overlap_blocks(cur, cols, limits, scan=scan)
+                pieces = _overlap_blocks(scan, limits)
             else:
                 records = decompose(cur, k, coloring=cols, limits=limits, _scan=scan)
                 pieces = [r.vertices for r in records]
@@ -721,22 +721,19 @@ def mutually_stable_trivial(
     fam = [_seed(g, s) for s in subsets]
     if len(fam) < 2:
         return True
-    union: set[int] = set()
-    for s in fam:
-        if union & s:
-            return False
-        union |= s
-    for s in fam:
-        if not is_cws(g, cols, s):
-            return False
+    union = frozenset().union(*fam)
+    if len(union) < sum(map(len, fam)):  # not disjoint
+        return False
+    scan = _Scan(g, cols, limits)
+    if not all(scan.is_closed(s) for s in fam):
+        return False
     profs = [sorted(int(cols[v]) for v in s) for s in fam]
     if any(p != profs[0] for p in profs[1:]):
         return False
-    # classes renumbered over the whole graph, so negative ids still make
-    # vertex colors, and one map serves every piece
-    dense = _dense_classes(cols)
-    graphs = [g.induced(s)[0].with_vertex_colors(dense[sorted(s)]) for s in fam]
+    # the scan's classes are renumbered over the whole graph, so negative ids
+    # still make vertex colors, and one map serves every piece
+    graphs = [g.induced(s)[0].with_vertex_colors(scan.cls[sorted(s)]) for s in fam]
     for other in graphs[1:]:
         if not similar_k(graphs[0], other, k, limits=limits):
             return False
-    return is_cws(g, cols, union)
+    return scan.is_closed(union)

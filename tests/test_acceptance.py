@@ -47,6 +47,7 @@ from wlkit.graph import (
     min_separator_size,
     random_relabel,
 )
+from wlkit.limits import DEFAULT_LIMITS
 from wlkit.oracle import is_isomorphism, iso_oracle, orbits_oracle
 from wlkit.refine import project, refine_k, similar_k, vertex_classes
 
@@ -192,13 +193,14 @@ def test_criterion_06_structural_theorems_on_random_graphs():
                 # (c) equal pair colors force matching closures: same size,
                 # same class histogram, same primality verdict
                 pair_colors = project(tc, 2).colors.reshape(n, n)
-                scan = _Scan(g, vc)
+                scan = _Scan(g, vc, DEFAULT_LIMITS)
+                scan.close_pairs(itertools.combinations(range(n), 2))
                 buckets: dict[int, tuple] = {}
                 for x in range(n):
                     for y in range(n):
                         if x == y:
                             continue
-                        row = scan.closure_pair(x, y)
+                        row = scan.cl[min(x, y), max(x, y)]
                         s = _vertex_set(row)
                         hist = tuple(sorted(int(vc[v]) for v in s))
                         sig = (len(s), hist, scan.is_prime(row))

@@ -29,3 +29,11 @@ def test_format_rows_prints_a_header_and_one_line_per_size():
     lines = format_rows(rows).splitlines()
     assert lines[0] == "n\tk\trounds\tseconds"
     assert [ln.split("\t")[:2] for ln in lines[1:]] == [["6", "2"], ["8", "2"]]
+
+
+def test_bench_inputs_are_checked():
+    with pytest.raises(ValueError, match="repeats must be >= 1"):
+        run_bench(sizes=(6,), repeats=0)
+    rows = [{"n": n, "k": 2, "rounds": 1, "seconds": 1.0} for n in (0, 6)]
+    with pytest.raises(ValueError, match="sizes must be >= 1"):
+        fit_exponent(rows)

@@ -135,6 +135,15 @@ def test_cfi_pipeline(files, capsys, tmp_path):
                  "-o", str(out)]) == 2
 
 
+@pytest.mark.parametrize("depth", ["0", "-2"])
+def test_cfi_refuses_a_depth_below_1(files, capsys, tmp_path, depth):
+    _, write = files
+    out = tmp_path / "none.wlg"
+    assert main(["cfi", write("k4.wlg", complete(4)), "--depth", depth, "-o", str(out)]) == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cfi_depth(files, tmp_path):
     _, write = files
     out = tmp_path / "l2.wlg"
@@ -239,6 +248,8 @@ def test_error_paths(files, capsys, tmp_path):
         ["refine", "{g}", "-k", "0"],
         ["cfi", "{g}", "--twist", "a-b"],
         ["bench", "--sizes", "8,x"],
+        ["bench", "--repeats", "0"],  # would print inf seconds and a nan exponent
+        ["bench", "--sizes", "0,6", "--repeats", "1"],  # log(0) fails the fit
     ],
 )
 def test_library_value_errors_exit_2(files, capsys, argv):

@@ -619,6 +619,18 @@ def test_closure_peak_with_int64_rows_stays_within_its_required_bytes():
     assert peak <= _closure_required(seed) <= 2 * peak
 
 
+def test_a_graph_closure_checks_its_budget_before_the_seed():
+    # the seed of a 300-vertex graph builds n x n pair codes and n x n x 4
+    # rows, 3.6 MB, before a round would start
+    g = random_graph(300, 0.5, seed=3)
+    lim = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=1_000_000)
+    cellular_closure(cycle(4))  # first-call allocations are not the run's
+    with pytest.raises(ResourceLimitError, match="memory_bytes"):
+        cellular_closure(g, limits=lim)
+    _, peak = traced_peak(lambda: pytest.raises(ResourceLimitError, cellular_closure, g, limits=lim))
+    assert peak < lim.memory_bytes
+
+
 def test_closure_runs_at_exactly_its_required_bytes():
     seed = graph_seed(petersen())
     required = _closure_required(seed)

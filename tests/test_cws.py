@@ -321,16 +321,11 @@ def test_batched_pair_closures_match_the_reference(case):
     want = [reference_closure(p, cols, pair, g.directed) for pair in pairs]
     planes = cws._bit_planes(g)
     dense = cws._dense_classes(cols)
-    saved = cws._BATCH_BYTES
-    try:
-        # batches of one, two and about six seeds, whose steps gather a few
-        # vertices at a time, as well as one batch
-        for budget in (saved, 1, 100, 300):
-            cws._BATCH_BYTES = budget
-            rows = cws._closures(planes, dense, pairs)
-            assert [cws._vertex_set(row.tobytes()) for row in rows] == want
-    finally:
-        cws._BATCH_BYTES = saved
+    # batches of one, two and about six seeds, whose steps gather a few
+    # vertices at a time, as well as one batch
+    for cap in (cws._BATCH_BYTES, 1, 100, 300):
+        rows = cws._closures(planes, dense, pairs, cap)
+        assert [cws._vertex_set(row.tobytes()) for row in rows] == want
 
 
 def test_mirror_pair_closures_of_a_long_path(monkeypatch):
@@ -341,7 +336,7 @@ def test_mirror_pair_closures_of_a_long_path(monkeypatch):
     g = path(n)
     cols = np.minimum(np.arange(n), n - 1 - np.arange(n))
     pairs = [(i, n - 1 - i) for i in range(n // 2)]
-    scan = cws._Scan(g, cols)
+    scan = cws._Scan(g, cols, DEFAULT_LIMITS)
     steps = []
     bits_of = cws._bits_of
     monkeypatch.setattr(cws, "_bits_of", lambda rows: steps.append(len(rows)) or bits_of(rows))
@@ -363,7 +358,7 @@ def test_closing_a_full_overlap_class_stays_within_the_batch_budget(monkeypatch)
     assert len(members) == DEFAULT_LIMITS.overlap_class_cap
     for budget in (1 << 20, cws._BATCH_BYTES):
         monkeypatch.setattr(cws, "_BATCH_BYTES", budget)
-        scan = cws._Scan(g, cols)
+        scan = cws._Scan(g, cols, DEFAULT_LIMITS)
         scan.planes  # built before tracing
         _, peak = traced_peak(lambda: scan.close_pairs(combinations(members, 2)))
         assert len(scan.cl) == 64 * 63 // 2
@@ -381,7 +376,7 @@ def test_spectrum_matches_the_per_pair_closures(case):
         firsts: dict[frozenset[int], tuple[int, int]] = {}
         for w in mates:
             firsts.setdefault(closure(g, cols, {v, w}), (v, w))
-        got = cws._Scan(g, cols).closures_of(v, mates)
+        got = cws._Scan(g, cols, DEFAULT_LIMITS).closures_of(v, mates)
         assert [(cws._vertex_set(row), pair) for row, pair in got.items()] == list(
             firsts.items()
         )
@@ -637,10 +632,8 @@ def test_overlap_normalization_on_the_crown():
 
 def test_crown_overlap_blocks():
     crown = crown_graph()
-    from wlkit.cws import _overlap_blocks
-    from wlkit.limits import DEFAULT_LIMITS
-
-    blocks = _overlap_blocks(crown, np.asarray(crown.vertex_colors), DEFAULT_LIMITS)
+    scan = cws._Scan(crown, crown.vertex_colors, DEFAULT_LIMITS)
+    blocks = cws._overlap_blocks(scan, DEFAULT_LIMITS)
     assert sorted(sorted(b) for b in blocks) == [[0, 3], [1, 4], [2, 5]]
 
 
@@ -784,6 +777,87 @@ def test_bit_planes_past_the_memory_budget_raise_before_they_are_built():
     # raised before anything of the planes' size is allocated
     _, peak = traced_peak(lambda: pytest.raises(ResourceLimitError, reduce_graph, g, 1, limits=lim))
     assert peak < 1000 * 21 * 16 * 8
+
+
+def wide_path() -> ColoredGraph:
+    """path(1000) with 21-bit edge codes: its bit planes take 2.69 MB."""
+    g = path(1000)
+    return ColoredGraph(g.n, [(u, v, 2**20 - 1) for u, v, _ in g.edge_list()])
+
+
+_WIDE_PLANES = 1000 * 21 * 16 * 8
+_MIRROR = np.minimum(np.arange(1000), 999 - np.arange(1000))  # the path's classes
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g: closure(g, _MIRROR, {0, 999}),
+        lambda g: is_cws(g, _MIRROR, {0, 999}),
+        lambda g: is_prime(g, _MIRROR, {0, 999}),
+        lambda g: cws_spectrum(g, _MIRROR, 0),
+        lambda g: twin_classes(g, _MIRROR),
+    ],
+    ids=["closure", "is_cws", "is_prime", "cws_spectrum", "twin_classes"],
+)
+def test_entry_points_without_limits_read_the_default_memory_budget(monkeypatch, run):
+    g = wide_path()
+    lim = Limits(memory_bytes=2_000_000)
+    run(g.with_vertex_colors([0] * g.n))  # first-call allocations are not the run's
+    monkeypatch.setattr(cws, "DEFAULT_LIMITS", lim)
+    with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
+        run(g)
+    assert err.value.cap == lim.memory_bytes and err.value.required >= _WIDE_PLANES
+    _, peak = traced_peak(lambda: pytest.raises(ResourceLimitError, run, g))
+    assert peak < _WIDE_PLANES
+
+
+def test_contract_and_interchangeability_apply_their_own_memory_budget():
+    g = wide_path()
+    lim = Limits(memory_bytes=2_000_000)
+    for run in (
+        lambda: contract(g, range(1000), k=1, coloring=_MIRROR, limits=lim),
+        lambda: mutually_stable_trivial(g, _MIRROR, [{0}, {999}], 1, limits=lim),
+    ):
+        with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
+            run()
+        assert err.value.cap == lim.memory_bytes
+        _, peak = traced_peak(lambda: pytest.raises(ResourceLimitError, run))
+        assert peak < _WIDE_PLANES
+
+
+def test_interchangeability_builds_the_planes_once(monkeypatch):
+    g = disjoint_union(disjoint_union(cycle(6), cycle(6)), cycle(6))
+    fam = [frozenset(range(i, i + 6)) for i in (0, 6, 12)]
+    builds = []
+    bit_planes = cws._bit_planes
+    monkeypatch.setattr(cws, "_bit_planes", lambda h: builds.append(h) or bit_planes(h))
+    assert mutually_stable_trivial(g, classes_of(g), fam)
+    assert len(builds) == 1
+
+
+def _cycles(m: int) -> ColoredGraph:
+    g = cycle(7)
+    for _ in range(m - 1):
+        g = disjoint_union(g, cycle(7))
+    return g
+
+
+def test_cached_closures_past_the_memory_budget_raise():
+    # at k = 1 the disjoint 7-cycles form one class, and the scan closes
+    # each uncovered vertex with every classmate: thousands of cached pairs
+    reduce_graph(_cycles(2), 1)  # first-call allocations are not the run's
+    lim = Limits(memory_bytes=1_000_000)
+    g = _cycles(60)
+    with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
+        reduce_graph(g, 1, limits=lim)
+    assert "closures" in str(err.value) and err.value.cap == lim.memory_bytes
+    _, peak = traced_peak(lambda: pytest.raises(ResourceLimitError, reduce_graph, g, 1, limits=lim))
+    assert peak < err.value.required
+    # 40 copies fit in 2 MB, with the digest of the default budget
+    g = _cycles(40)
+    want = reduce_graph(g, 1)[1].digest
+    assert reduce_graph(g, 1, limits=Limits(memory_bytes=2_000_000))[1].digest == want
 
 
 def test_reduce_records_piece_members():
