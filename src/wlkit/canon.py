@@ -32,18 +32,35 @@ frame and no recursion limit applies: a deep search ends at its leaf or at
 `Limits.canon_nodes`.  A node that has yielded its last member is dropped,
 so fast holds O(1) frames.
 
-A search node is its parent's stable tuple coloring and the vertex it
-individualizes, `refine_k`'s `parent`; the root has none and refines the
-graph from its iso-type coloring.  The node's stable coloring refines its
-parent's, so the stable partition is the one refining from scratch under
-the individualized colors would give; only color ids differ.  For k >= 2
-a child's first round is read off its individualized vertex alone in
-O(n^k) and ranked once, from keys of the parent's coloring that order
-like the seeded one, and a tuple coloring that is already discrete runs no
-round (see `refine`); the ids are those of ranking the seeded coloring and
-full rounds.  Every node's stable coloring projects to vertex classes by its
-tuple minima (`refine.project`).  Ids are still fixed by the graph and the
-individualized sequence alone, so digests stay label-invariant.
+A search node is refined from its parent's coloring and the vertex it
+individualizes (`refine.refine_node`); the root has none and refines the
+graph from its iso-type coloring.  For k >= 2 a child's first round is
+read off its individualized vertex alone in O(n^k) and ranked once, from
+keys of the parent's coloring that order like the seeded one (see
+`refine`).  At k = 1 and k >= 3 a node then runs exact rounds to its
+stable coloring (`refine_k`), whose ids are those of ranking the seeded
+coloring and full rounds.
+
+At k = 2 a node runs hashed rounds to a fixed class count instead, with no
+exact stop check, so no node builds an n^3 round and a node's memory is
+O(n^2); its ids are hash ranks.  No check is needed, because the search
+asks only that a node's coloring be an isomorphism-invariant function of
+the graph and the individualized sequence that refines its parent's: a
+certificate is the best leaf's bytes, compared byte for byte, and every
+automorphism passes `is_automorphism` before the search uses it.  The
+salts of a hashed round depend on the color id alone, so a collision can
+only leave a class unsplit: a coarser node and a larger tree, never a
+wrong certificate.  Unless a hash collides, a node's partition and class
+counts are the exact ones (tests/test_canon.py compares them node by
+node).
+
+Every node's coloring projects to vertex classes by its tuple minima
+(`refine.project`).  Each round ranks the previous id first, so a node's
+ids refine its parent's in order and a singleton vertex stays one; the
+individualized vertex's tuples take keys no other vertex's share, so it
+becomes one.  Every branch therefore reaches a leaf within n levels.  Ids
+are fixed by the graph and the individualized sequence alone, so digests
+stay label-invariant.
 """
 from __future__ import annotations
 
@@ -57,7 +74,8 @@ from .errors import ResourceLimitError
 from .graph import ColoredGraph, serialize_wlg, serialize_wlg_relabeled
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import is_automorphism
-from .refine import check_k, invariant_bytes, project, refine_k, stable_vertex_names
+from .refine import check_k, invariant_bytes, project, refine_node, stable_vertex_names
+from .refine import refine_k  # noqa: F401  canon.refine_k stays a name profilers wrap
 
 
 @dataclass(frozen=True)
@@ -121,10 +139,10 @@ def _count_node(stats: SearchStats, limits: Limits, mode: str) -> None:
 
 
 def _refine_node(g, k, parent, limits):
-    """Stable coloring of a search node, `parent` = (its parent's stable
-    coloring, the vertex it individualizes), or None at the root; returns
-    it with its vertex classes."""
-    tc = refine_k(g, k, parent=parent, limits=limits)
+    """Coloring of a search node, `parent` = (its parent's coloring, the
+    vertex it individualizes), or None at the root; returns it with its
+    vertex classes."""
+    tc = refine_node(g, k, parent, limits)
     return tc, project(tc, 1)
 
 

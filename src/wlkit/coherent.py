@@ -248,7 +248,7 @@ def cellular_closure(
     start = seed * 2 + np.eye(n, dtype=np.int64)
     cur = dense_rank_rows(start.reshape(n * n, 1))
     del seed, start  # only the rounds' own arrays are live during them
-    cur = stable_rounds(hashed_rounds(cur, n), n, 2)[0].reshape(n, n)
+    cur = stable_rounds(hashed_rounds(cur, n)[0], n, 2)[0].reshape(n, n)
     # canonical ids: diagonal relations first, then the rest, old order kept
     on_diag = np.zeros(int(cur.max()) + 1, dtype=bool)
     on_diag[np.diag(cur)] = True

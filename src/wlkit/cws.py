@@ -203,7 +203,17 @@ def _vertex_set(row: bytes) -> frozenset[int]:
 def _closures(planes: np.ndarray, cls: np.ndarray, seeds: list, cap: int) -> np.ndarray:
     """Least CWS superset of every seed, one packed row each; `planes` comes
     from `_bit_planes` and `cls` holds dense class ids.  The batch state and
-    the gathered rows each stay within `cap` bytes, or one seed's.
+    the gathered rows each stay within `cap` bytes, or one seed's, beside
+    about 8 KB that any call holds.  A seed in a batch is counted at six
+    packed rows (the vertices that joined in the step before, those that
+    join now, the set before them, a temporary and the next step's
+    joiners), 4 bytes a class and 128 bytes of index arrays; a gathered
+    vertex at two rows of planes (its own, XORed with its representative's
+    copy), their OR and 192 bytes of set-bit, key and pair index arrays
+    (`_bits_of` and below).  The seeds passed in and the rows given back
+    are the caller's to count.  Traced: at most 0.88 of 2 * cap + 8 KB
+    at caps of 5 KB - 4 MB on 60 disjoint C7 and a 1000-vertex path with 21
+    planes; more only where one seed's joining vertices pass the cap.
 
     A vertex w outside S is forced in when some same-colored group of S
     disagrees on w: `p[grp, w]` (or `p[w, grp]` when directed) is not
@@ -224,8 +234,8 @@ def _closures(planes: np.ndarray, cls: np.ndarray, seeds: list, cap: int) -> np.
     planes = planes.reshape(n, nplanes * words)
     out = np.zeros((len(seeds), words), dtype=np.uint64)
     ncls = int(cls.max(initial=-1)) + 1
-    batch = max(1, cap // (32 * words + 4 * ncls))
-    gather = max(1, cap // (8 * (2 * nplanes * words + words + 8)))
+    batch = max(1, cap // (48 * words + 4 * ncls + 128))
+    gather = max(1, cap // (8 * (2 * nplanes * words + words) + 192))
     for lo in range(0, len(seeds), batch):
         chunk = seeds[lo : lo + batch]
         inside = out[lo : lo + len(chunk)]
@@ -397,14 +407,15 @@ def cws_spectrum(g: ColoredGraph, coloring, v: int) -> list[frozenset[int]]:
 
 
 def twin_classes(
-    g: ColoredGraph, coloring
+    g: ColoredGraph, coloring, *, _scan: _Scan | None = None
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Groups of mutual twins: (adjacent-pair groups, non-adjacent groups),
     each by smallest member, members ascending.  Twins share a class color,
     a symmetric code a = p[x, y] = p[y, x] (adjacent when a is non-zero)
     and their colored adjacency to every other vertex; adjacent twin groups
-    come out as uniform cliques."""
-    scan = _Scan(g, _as_colors(g, coloring), DEFAULT_LIMITS)
+    come out as uniform cliques.  A reduction level passes its own scan of
+    (g, coloring), so the level builds and budgets its planes once."""
+    scan = _Scan(g, _as_colors(g, coloring), DEFAULT_LIMITS) if _scan is None else _scan
     cls = scan.cls
     # twins with codes (a, a) form an equivalence whose classes hold one
     # code each: if x, y are twins with a and y, z with b, then p[y, x] =
@@ -643,7 +654,7 @@ def _reduce(
         scan = _Scan(cur, cols, limits)
         for kind in kinds:
             if kind == "twin":
-                true_groups, false_groups = twin_classes(cur, cols)
+                true_groups, false_groups = twin_classes(cur, cols, _scan=scan)
                 pieces = [frozenset(grp) for grp in true_groups or false_groups]
             elif kind == "overlap":
                 pieces = _overlap_blocks(scan, limits)

@@ -27,6 +27,16 @@ That pass splits as far as exact rounds would unless a hash collides, so
 the exact loop that follows normally runs its stop check alone; a collision
 costs exact rounds, never a wrong partition.
 
+A k = 2 canonical-search node (`refine_node`) runs the hashed pass alone:
+after the root's iso-type rank or a child's pivot round (below), hashed
+rounds to a fixed class count and no exact loop, so it holds O(n^2) and
+never the n^2 (n + 1) round.  Its ids are hash ranks, and its partition is
+the exact stable one unless a hash collides, in which case a class stays
+unsplit.  A search needs no more than an isomorphism-invariant refinement
+of the parent (`canon` says why).  `refine_k`, and so `similar_k`, the CWS
+reduction and every WL verdict, keep the exact partition, and every other
+k's search nodes run `refine_k`.
+
 An exact round's rows are dense-ranked lexicographically, previous color
 first, so a color id is the rank of its row among the round's rows, and a
 round that splits nothing gives back the previous ids.  A full k >= 2
@@ -78,7 +88,11 @@ class count.  When the ids are no more than that, the round split nothing
 and its ids are C's; that covers keys that are already all distinct.  The
 ids, round counts and class counts are those of ranking C and then its
 first round.  At k = 1 the key is tc(t) * 2 + [t = v], its dense rank is
-C, and the k = 1 rounds below go on from C.
+C, and the k = 1 rounds below go on from C.  `refine_node` ranks the same
+pivot rows on a hashed parent: while the parent's partition is the stable
+one, which it is unless a hash collided, the argument above holds as it
+is, and in any case the round is an isomorphism-invariant refinement of
+the seed keys.
 
 For k = 1 tuples are vertices and a round's row is ``[previous color |
 sorted codes of the (neighbor color, edge code out, edge code in) triples]``,
@@ -223,6 +237,27 @@ def _initial_rows(g: ColoredGraph, k: int, vc: np.ndarray) -> np.ndarray:
 _CALL_BYTES = 8192
 
 
+# Bytes a pair of a hashed k = 2 search node (`refine_node`) holds at its
+# peak: the root's five-column iso-type rows, the graph's pair codes and the
+# rank's copies of them, or a child's seed keys and pivot rows, then a
+# hashed round's three-column rows, salts, salt gathers, product and rank.
+# Fitted to tracemalloc peaks of every node of canonical and verified
+# searches, and of roots and first children, at n = 10-240 (random graphs,
+# directed or not, cycles, edgeless and complete graphs, CFI gadgets, and
+# edge codes past 2^40): peak/estimate 0.43-0.82, the highest at deep nodes
+# near n^2 classes and where those codes keep the iso-type rows from packing
+# into one key.  What the search holds beside the node (its frames'
+# colorings) is not counted.
+_HASHED_PAIR_BYTES = 128
+
+
+def _hashed_bytes(n: int) -> int:
+    """Working bytes of a hashed k = 2 search node: `_CALL_BYTES` and
+    _HASHED_PAIR_BYTES a pair.  At the default 2 GiB this admits n up to
+    4095."""
+    return _CALL_BYTES + _HASHED_PAIR_BYTES * n * n
+
+
 def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     """Working bytes of a round: `_CALL_BYTES` and a term that grows with
     the round; the peak/estimate ratios below were taken against the
@@ -271,7 +306,10 @@ def check_round_budget(
 ) -> None:
     """Raise ResourceLimitError, naming memory_bytes, when a round of `what`
     (`_estimate_bytes`) plus `held` bytes kept beside it would pass it."""
-    need = _estimate_bytes(n, k, width, pairs) + held
+    _check_bytes(what, _estimate_bytes(n, k, width, pairs) + held, limits)
+
+
+def _check_bytes(what: str, need: int, limits: Limits) -> None:
     if need > limits.memory_bytes:
         raise ResourceLimitError(
             f"{what} needs about {need} bytes, past memory_bytes",
@@ -422,21 +460,27 @@ _HASH_MAX_N = 8192
 def _salts(m: int) -> np.ndarray:
     """Salts (a_1, b_1, a_2, b_2) of color ids 0..m-1 as float64 rows: row j
     of id c is splitmix64(4c + j), mapped to 1..p-1 of its row's prime.  A
-    fixed function of the id alone, so each id keeps its salts whatever m."""
-    z = np.arange(4 * m, dtype=np.uint64).reshape(m, 4).T + np.uint64(1)
+    fixed function of the id alone, so each id keeps its salts whatever m.
+    Built in place but for one temporary: 64 bytes an id at the peak, which
+    a node near n^2 classes reaches, not the 96 of building out of place."""
+    z = np.arange(1, 4 * m + 1, dtype=np.uint64).reshape(m, 4).T
     z *= np.uint64(0x9E3779B97F4A7C15)  # uint64 arrays wrap, as splitmix64 does
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    p = np.repeat(np.asarray(_PRIMES, dtype=np.uint64), 2)[:, None]
-    return (z % (p - np.uint64(1)) + np.uint64(1)).astype(np.float64)
+    z %= np.repeat(np.asarray(_PRIMES, dtype=np.uint64) - np.uint64(1), 2)[:, None]
+    out = z.astype(np.float64)
+    out += 1
+    return out
 
 
-def hashed_rounds(colors: np.ndarray, n: int) -> np.ndarray:
+def hashed_rounds(colors: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     """Refine `colors`, dense ids of all n^2 pairs, by hashed 2-dim rounds
-    until the class count stops growing (or reaches n^2); returns the ids.
+    until the class count stops growing (or reaches n^2); returns the ids
+    and the class count before the first round and after each splitting
+    round, as `stable_rounds` does.
 
     A round ranks (previous id, h_1, h_2), h_i = (a_i[C] @ b_i[C]) mod p_i:
     a bilinear hash of the multiset over z of (C(x, z), C(z, y)), that is of
@@ -451,10 +495,12 @@ def hashed_rounds(colors: np.ndarray, n: int) -> np.ndarray:
     Each round is a function of each class's exact rows, so it never splits
     a stable coloring, and whatever stable partition refines its input
     refines its output: exact rounds from here end at the same stable
-    partition as from `colors`.  The rounds hold about 100 bytes a pair."""
-    if n >= _HASH_MAX_N:
-        return colors
+    partition as from `colors`.  The rounds hold at most _HASHED_PAIR_BYTES
+    a pair (`_hashed_bytes`)."""
     ncolors = int(colors.max()) + 1
+    class_counts = [ncolors]
+    if n >= _HASH_MAX_N:
+        return colors, class_counts
     while ncolors < colors.shape[0]:
         grid = colors.reshape(n, n)
         salts = _salts(ncolors)
@@ -466,9 +512,10 @@ def hashed_rounds(colors: np.ndarray, n: int) -> np.ndarray:
         ids = dense_rank_rows(rows)
         count = int(ids.max()) + 1
         if count == ncolors:  # column 0 is the previous id: the same ids
-            return colors
+            break
         colors, ncolors = ids, count
-    return colors
+        class_counts.append(ncolors)
+    return colors, class_counts
 
 
 def refine_k(
@@ -534,6 +581,47 @@ def refine_k(
         colors, class_counts = stable_rounds(colors, n, k, nc)
     return TupleColoring(
         k=k, n=n, colors=colors, num_colors=class_counts[-1],
+        rounds=len(class_counts) - 1, class_counts=class_counts,
+    )
+
+
+def refine_node(
+    g: ColoredGraph,
+    k: int,
+    parent: tuple[TupleColoring, int] | None = None,
+    limits: Limits = DEFAULT_LIMITS,
+) -> TupleColoring:
+    """The coloring of a canonical-search node: `parent` = (the parent
+    node's coloring, the vertex this node individualizes), None at the root.
+
+    At k = 2 the root dense-ranks the iso types and a child ranks its pivot
+    round (`_pivot_round`); then hashed rounds (`hashed_rounds`) run to a
+    fixed class count, with no exact stop check, so no node builds an n^3
+    round.  The result is an isomorphism-invariant refinement of the
+    parent's coloring, which is all a search node needs; it is the exact
+    stable partition unless a hash collides, and a collision only leaves a
+    class unsplit.  Ids are hash ranks, and the budget is the hashed
+    rounds' (`_hashed_bytes`).  From _HASH_MAX_N vertices up, past the
+    default budget, no hashed round runs and a node keeps its first
+    round's classes: a larger search, still a correct one.  Every other k
+    runs `refine_k`."""
+    if k != 2:
+        return refine_k(g, k, parent=parent, limits=limits)
+    n = g.n
+    _check_bytes(f"hashed search node at n={n}, k=2", _hashed_bytes(n), limits)
+    if parent is None:
+        colors, class_counts = hashed_rounds(
+            dense_rank_rows(_initial_rows(g, 2, _vertex_color_array(g, None))), n
+        )
+    else:
+        tc, v = parent
+        colors, seeded = _pivot_round(tc.colors, n, 2, v)
+        class_counts = [seeded]
+        if int(colors.max()) + 1 > seeded:  # the first round split
+            colors, later = hashed_rounds(colors, n)
+            class_counts += later
+    return TupleColoring(
+        k=2, n=n, colors=colors, num_colors=class_counts[-1],
         rounds=len(class_counts) - 1, class_counts=class_counts,
     )
 

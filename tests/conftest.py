@@ -1,5 +1,5 @@
-"""Shared fixtures, partition helpers, a small-graph strategy and a traced
-memory peak.
+"""Shared fixtures, partition helpers, a small-graph strategy, a traced
+memory peak and degenerate hash salts.
 
 Color ids produced by dense ranking are arbitrary; two equal partitions of
 the same index set can carry different ids.  Tests therefore compare
@@ -52,6 +52,12 @@ def traced_peak(fn):
         if not was_tracing:
             tracemalloc.stop()
     return out, peak - base
+
+
+def two_valued_salts(m):
+    """Hash salts that collide almost everywhere, to patch over
+    `refine._salts`: every even id gets 1, every odd id 2."""
+    return np.ones((4, 1)) + np.arange(m) % 2
 
 
 def crown_graph() -> ColoredGraph:

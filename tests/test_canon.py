@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import wlkit.canon as canon
 import wlkit.refine as refine_module
-from conftest import colored_graphs, graph_pairs, traced_peak
+from conftest import colored_graphs, graph_pairs, same_partition, traced_peak, two_valued_salts
 from wlkit.canon import (
     _canonical_search,
     aut_generators_via_recursion,
@@ -28,6 +28,7 @@ from wlkit.families import (
     complete,
     complete_bipartite,
     cycle,
+    generalized_petersen,
     hypercube,
     path,
     petersen,
@@ -36,7 +37,7 @@ from wlkit.families import (
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel, serialize_wlg
 from wlkit.limits import DEFAULT_LIMITS, Limits
 from wlkit.oracle import aut_group_order, aut_order_oracle, is_automorphism, iso_oracle
-from wlkit.refine import refine_1, vertex_classes
+from wlkit.refine import project, refine_1, refine_k, vertex_classes
 
 
 # -- individualization --------------------------------------------------------
@@ -248,17 +249,30 @@ def test_generators_respect_vertex_colors():
 # -- pruning with found automorphisms -------------------------------------------
 
 
+def exact_node(g, k, parent, limits):
+    """A search node refined to its exact stable coloring, as before k = 2
+    nodes ran hashed rounds."""
+    tc = refine_k(g, k, parent=parent, limits=limits)
+    return tc, project(tc, 1)
+
+
 @pytest.mark.parametrize(
     "base", [complete_bipartite(3, 3), petersen()], ids=["K33", "Petersen"],
 )
 def test_search_size_is_stable_under_relabeling(base):
     # a search that prunes with every automorphism it finds visits about the
-    # same tree whatever the labels
+    # same tree whatever the labels.  Hashed nodes number classes their own
+    # way, so a relabeling may branch on another tied class than the exact
+    # search does, but the tree stays within the sizes the exact search
+    # takes over the same relabelings
     g, _ = cfi_build(base)
-    certs = [certify(random_relabel(g, seed=s)[0], 2, "canonical") for s in range(8)]
-    assert len({c.digest for c in certs}) == 1
-    nodes = [c.nodes for c in certs]
-    assert max(nodes) / min(nodes) <= 1.5
+    graphs = [random_relabel(g, seed=s)[0] for s in range(16)]
+    hashed = [certify(h, 2, "canonical") for h in graphs]
+    with mock.patch.object(canon, "_refine_node", exact_node):
+        exact = [certify(h, 2, "canonical") for h in graphs]
+    assert len({c.digest for c in hashed}) == len({c.digest for c in exact}) == 1
+    lo, hi = min(c.nodes for c in exact), max(c.nodes for c in exact)
+    assert all(lo <= c.nodes <= hi for c in hashed)
 
 
 @pytest.mark.parametrize(
@@ -407,6 +421,99 @@ def test_orbit_pruning_is_exact_on_random_colored_graphs(case, k):
         check_orbit_pruning(g.with_vertex_colors(cols.tolist()), k)
 
 
+# -- hashed k = 2 search nodes -------------------------------------------------------
+
+
+def check_hashed_nodes(g):
+    """Run the canonical k = 2 search of g and check every node's hashed
+    coloring against refine_k's exact one from the same parent: the same
+    partition and class counts.  Returns the number of nodes checked."""
+    checked = []
+    refine_node = canon._refine_node
+
+    def node_spy(g, k, parent, limits):
+        tc, pv = refine_node(g, k, parent, limits)
+        exact = refine_k(g, k, parent=parent, limits=limits)
+        assert same_partition(tc.colors, exact.colors)
+        assert tc.class_counts == exact.class_counts
+        checked.append(tc.num_colors)
+        return tc, pv
+
+    with mock.patch.object(canon, "_refine_node", node_spy):
+        _canonical_search(g, 2, DEFAULT_LIMITS)
+    return len(checked)
+
+
+@settings(max_examples=120, deadline=None)
+@given(colored_graphs(max_n=8))
+def test_hashed_nodes_split_like_exact_rounds_on_random_colored_graphs(case):
+    g, cols = case
+    if g.n:
+        assert check_hashed_nodes(g.with_vertex_colors(cols.tolist())) >= 1
+
+
+@pytest.mark.parametrize("base", [complete(4), complete_bipartite(3, 3)], ids=["K4", "K33"])
+@pytest.mark.parametrize("seed", range(4))
+def test_hashed_nodes_split_like_exact_rounds_on_cfi_gadgets(base, seed):
+    for twisted in ((), (min(base.edges),)):
+        g = random_relabel(cfi_build(base, twisted=twisted)[0], seed=seed)[0]
+        assert check_hashed_nodes(g) >= 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_pairs())
+def test_two_valued_salts_keep_canonical_digests_exact(pair):
+    # hashes that collide almost everywhere leave nodes coarser, never a
+    # digest wrong: a leaf is compared byte for byte and every automorphism
+    # is checked before the search uses it
+    g, h = pair
+    with mock.patch.object(refine_module, "_salts", two_valued_salts):
+        same = certify(g, 2, "canonical").digest == certify(h, 2, "canonical").digest
+    assert same == (iso_oracle(g, h) is not None)
+
+
+def test_two_valued_salts_grow_the_search_and_keep_it_label_invariant():
+    grew = False
+    for base in (complete(4), complete_bipartite(3, 3), generalized_petersen(5, 1)):
+        digests = []
+        for twisted in ((), (min(base.edges),)):
+            g = cfi_build(base, twisted=twisted)[0]
+            for seed in range(2):
+                h = random_relabel(g, seed=seed)[0]
+                real = certify(h, 2, "canonical")
+                with mock.patch.object(refine_module, "_salts", two_valued_salts):
+                    coarse = certify(h, 2, "canonical")
+                assert coarse.nodes >= real.nodes
+                grew |= coarse.nodes > real.nodes
+                digests.append(coarse.digest)
+        # equal within a parity, unequal across the two
+        assert digests[0] == digests[1] != digests[2] == digests[3]
+    assert grew
+
+
+def test_a_k2_search_is_budgeted_by_its_hashed_nodes():
+    # a hashed node holds O(n^2) where an exact round holds n^2 (n + 1)
+    # cells, so a k = 2 search fits a budget that refine_k refuses; below
+    # the node's estimate it raises before the root is refined
+    g = cfi_build(petersen())[0]
+    need = refine_module._hashed_bytes(g.n)
+    lim = Limits(memory_bytes=need)
+    with pytest.raises(ResourceLimitError, match="memory_bytes"):
+        refine_k(g, 2, limits=lim)
+    cert, peak = traced_peak(lambda: certify(g, 2, "fast", limits=lim))
+    assert cert.digest == certify(g, 2, "fast").digest
+    assert peak < need
+
+    def refused():
+        with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
+            certify(g, 2, "canonical", limits=Limits(memory_bytes=need - 1))
+        return err.value
+
+    err, peak = traced_peak(refused)
+    assert (err.required, err.cap) == (need, need - 1)
+    assert peak < need // 10
+
+
 # -- fast and verified against the former greedy descent -------------------------
 
 
@@ -553,8 +660,10 @@ def test_depth_d_guards_its_budget():
 # SHA-256 of the certificates (digest, trace, orbit flag) and reduction digests
 # of `_pinned_graphs`.  Pruning and seeded refinement change no color id, so
 # no digest may move when they change; the choice of target class moves every
-# digest whose search branches.  Search sizes are in PINNED_NODES.
-PINNED_SHA256 = "06ec3c60645d759548f6da37a687f4851c808ef016e0dadce2450128e47346f3"
+# digest whose search branches, and so do the ids of k = 2 search nodes,
+# which are hash ranks (`refine.refine_node`).  Search sizes are in
+# PINNED_NODES.
+PINNED_SHA256 = "310f02bebdd4e4d6d3665842afc8203d3575c03e4a46d43572c225aabf453869"
 
 # Certificate.nodes of each graph of `_pinned_graphs`, in its order, as
 # {k: (fast, verified, canonical)}.  The canonical counts are those of a search

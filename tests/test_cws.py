@@ -812,6 +812,20 @@ def test_entry_points_without_limits_read_the_default_memory_budget(monkeypatch,
     assert peak < _WIDE_PLANES
 
 
+def test_a_reduction_level_builds_and_budgets_its_planes_once(monkeypatch):
+    # the twin pass reads the level's scan, so a default budget too small
+    # for the planes does not stop a reduction run under a larger one, and
+    # a level with no twin groups builds its planes once, not twice
+    g = wide_path()
+    builds = []
+    bit_planes = cws._bit_planes
+    monkeypatch.setattr(cws, "_bit_planes", lambda h: builds.append(h.n) or bit_planes(h))
+    monkeypatch.setattr(cws, "DEFAULT_LIMITS", Limits(memory_bytes=2_000_000))
+    tree, _ = reduce_graph(g, 1, limits=Limits(memory_bytes=10**9))
+    assert [lv.kind for lv in tree.levels] == ["prime"]
+    assert builds.count(g.n) == 1
+
+
 def test_contract_and_interchangeability_apply_their_own_memory_budget():
     g = wide_path()
     lim = Limits(memory_bytes=2_000_000)
@@ -841,6 +855,21 @@ def _cycles(m: int) -> ColoredGraph:
     for _ in range(m - 1):
         g = disjoint_union(g, cycle(7))
     return g
+
+
+def test_pair_closures_stay_within_their_batch_cap():
+    # the batch state and the gathered rows each stay within the cap, with
+    # a step's set-bit, key and XOR arrays counted, beside the 8 KB a call
+    # holds; the rows given back are the caller's
+    g = _cycles(60)
+    cls = np.zeros(g.n, dtype=np.int64)  # one class at k = 1
+    seeds = [(0, y) for y in range(1, g.n)]
+    planes = cws._bit_planes(g)
+    want = cws._closures(planes, cls, seeds, cws._BATCH_BYTES)
+    for cap in (30_000, 100_000):
+        rows, peak = traced_peak(lambda: cws._closures(planes, cls, seeds, cap))
+        assert np.array_equal(rows, want)
+        assert peak - rows.nbytes <= 2 * cap + 8192
 
 
 def test_cached_closures_past_the_memory_budget_raise():

@@ -649,13 +649,13 @@ def test_a_discrete_projection_equals_sort_and_rank(k):
     # the leaves of a canonical search
     leaves = []
 
-    def refine_spy(*args, **kwargs):
-        tc = refine_k(*args, **kwargs)
+    def node_spy(*args, **kwargs):
+        tc = refine_module.refine_node(*args, **kwargs)
         if tc.num_colors == tc.n**tc.k:
             leaves.append(tc)
         return tc
 
-    with mock.patch.object(canon_module, "refine_k", refine_spy):
+    with mock.patch.object(canon_module, "refine_node", node_spy):
         canon_module.certify(petersen(), k, "canonical")
     assert leaves
     for tc in leaves:
