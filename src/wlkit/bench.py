@@ -1,9 +1,10 @@
 """Timing harness for the refinement kernels.
 
 Runs full refinements on seeded random graphs over a range of sizes and fits
-the growth exponent of a log-log regression.  A round of the dense k-dim
-refinement touches n^(k+1) cells, so the fitted exponent on uniformly random
-inputs should land near k + 1.
+the growth exponent of a log-log regression.  An exact round of k-dim
+refinement touches n^(k+1) cells, so for k >= 3 the fit on uniformly random
+inputs lands near k + 1.  At k = 2 two hashed rounds (n^2 rows ranked, n x n
+products) make a random graph discrete, and the fit lands near 2.
 """
 from __future__ import annotations
 

@@ -30,7 +30,8 @@ A node is a generator that yields its children's arguments, and one loop
 over the suspended nodes drives the search, so depth adds no Python stack
 frame and no recursion limit applies: a deep search ends at its leaf or at
 `Limits.canon_nodes`.  A node that has yielded its last member is dropped,
-so fast holds O(1) frames.
+so fast holds O(1) frames.  A node's budget also counts what the live
+frames keep: colorings, vertex classes and canonical path invariants.
 
 A search node is refined from its parent's coloring and the vertex it
 individualizes (`refine.refine_node`); the root has none and refines the
@@ -41,9 +42,10 @@ keys of the parent's coloring that order like the seeded one (see
 stable coloring (`refine_k`), whose ids are those of ranking the seeded
 coloring and full rounds.
 
-At k = 2 a node runs hashed rounds to a fixed class count instead, with no
-exact stop check, so no node builds an n^3 round and a node's memory is
-O(n^2); its ids are hash ranks.  No check is needed, because the search
+At k = 2 a node runs `refine.refine_rounds` without its exact loop:
+hashed rounds to a fixed class count and no exact stop check, so no node
+builds an n^3 round and a node's memory is O(n^2); its ids are hash
+ranks.  No check is needed, because the search
 asks only that a node's coloring be an isomorphism-invariant function of
 the graph and the individualized sequence that refines its parent's: a
 certificate is the best leaf's bytes, compared byte for byte, and every
@@ -138,11 +140,11 @@ def _count_node(stats: SearchStats, limits: Limits, mode: str) -> None:
         )
 
 
-def _refine_node(g, k, parent, limits):
+def _refine_node(g, k, parent, limits, held=0):
     """Coloring of a search node, `parent` = (its parent's coloring, the
-    vertex it individualizes), or None at the root; returns it with its
-    vertex classes."""
-    tc = refine_node(g, k, parent, limits)
+    vertex it individualizes) or None, beside `held` bytes of live frames;
+    returns it with its vertex classes."""
+    tc = refine_node(g, k, parent, limits, held)
     return tc, project(tc, 1)
 
 
@@ -187,26 +189,31 @@ def _jump_depth(sigma: np.ndarray, prefix: tuple[int, ...], bpath: tuple[int, ..
     return None
 
 
-def _search(g, k, limits, stats, mode, parent=None) -> dict:
+def _search(g, k, limits, stats, mode, parent=None, held=0) -> dict:
     """Search the tree below the node `parent` (see `_refine_node`) in
-    `mode`; returns its best leaf as a dict (`bytes`, `trace`, and `below`,
-    the leaf digests of verified's fast searches, among others)."""
+    `mode`, beside `held` bytes of an enclosing search's frames; returns its
+    best leaf as a dict (`bytes`, `trace`, and `below`, the leaf digests of
+    verified's fast searches, among others)."""
     n = g.n
     best: dict = {
         "inv": None, "bytes": None, "path": None, "order": None, "trace": None, "below": set(),
     }
 
-    def node(parent, prefix, inv_path, trace, fixing, known):
+    def node(parent, prefix, inv_path, trace, fixing, known, held):
         """A generator: yields each child's arguments, with whether it is the
         last member, and returns the depth a jump unwinds to, or None.
         `fixing` holds the generators that fix `prefix` pointwise among the
-        first `known` found; each later one is tested once, below."""
+        first `known` found; each later one is tested once, below.  `held`
+        is what the live frames above keep."""
         _count_node(stats, limits, mode)
-        tc, pv = _refine_node(g, k, parent, limits)
+        tc, pv = _refine_node(g, k, parent, limits, held)
+        parent = None  # a frame keeps its own coloring, not its parent's
+        kept = tc.colors.nbytes + pv.colors.nbytes  # while the frame is live
         path2 = None  # a search with one leaf compares nothing with it
         if mode == "canonical":
             vhist = np.bincount(pv.colors, minlength=pv.num_colors).astype(np.int64)
             path2 = inv_path + (invariant_bytes(tc) + b"#" + vhist.tobytes(),)
+            held += len(path2[-1])  # for as long as a descendant's path holds it
             if best["bytes"] is not None and path2 > best["inv"][: len(path2)]:
                 return None  # every leaf below is larger than the incumbent
         if pv.num_colors == n:
@@ -232,8 +239,8 @@ def _search(g, k, limits, stats, mode, parent=None) -> dict:
         trace += ((cid, len(members)),)
         if mode == "verified":
             best["below"].update(
-                hashlib.sha256(_search(g, k, limits, stats, "fast", (tc, w))["bytes"]).digest()
-                for w in members[1:]
+                hashlib.sha256(_search(g, k, limits, stats, "fast", (tc, w), held + kept)["bytes"])
+                .digest() for w in members[1:]
             )
         if mode != "canonical":
             members = members[:1]  # fast is the canonical search's first branch
@@ -247,16 +254,18 @@ def _search(g, k, limits, stats, mode, parent=None) -> dict:
             if v in reach:
                 stats.orbit_skips += 1
                 continue
+            last = v == members[-1]  # the loop then drops this frame
             yield (
                 (tc, v), prefix + (v,), path2, trace, [s for s in fixing if s[v] == v], known,
-            ), v == members[-1]
+                held if last else held + kept,
+            ), last
             _grow(reach, [v], fixing)
 
     # One loop drives the nodes, so search depth adds no Python stack frame.
     # A frame is dropped when it yields its last member: resumed, it would
     # only return None.  A jump to depth d drops every frame deeper than d;
     # the frame at d, or the nearest one above it, then resumes.
-    stack = [(0, node(parent, (), (), (), [], 0))]
+    stack = [(0, node(parent, (), (), (), [], 0, held))]
     jump = None
     while stack:
         depth, frame = stack[-1]

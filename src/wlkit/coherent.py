@@ -5,10 +5,9 @@ checks the three axioms: the diagonal is a union of relations, the
 transpose of every relation is a relation, and the number of z with
 (x, z) in R_i, (z, y) in R_j depends only on the relation of (x, y).  The
 third is the k = 2 stop check that ends the closure's round loop, so a
-closure needs no separate pass for it.  The closure splits its classes with
-hashed rounds (`refine.hashed_rounds`) and then runs refine's exact loop
-from their result: that loop's stop check is normally its one exact round,
-and it goes on with exact rounds only where a hash collision hid a split.
+closure needs no separate pass for it.  The closure runs refine's k = 2
+pass (`refine.refine_rounds`): hashed rounds, then the exact loop, whose
+stop check is normally its one exact round.
 
 The Klein scheme of a cubic graph puts a 4-point fibre on every vertex,
 carrying that fibre's identity relation and three pairings (points as 2-bit
@@ -30,7 +29,7 @@ from .graph import ColoredGraph
 from .kernels import code_dtype, dense_rank_rows, differing_rows, round_rows
 from .limits import DEFAULT_LIMITS, Limits
 from .records import RecordFormat, Records, Tag, repeats
-from .refine import check_round_budget, hashed_rounds, stable_rounds
+from .refine import check_round_budget, refine_rounds
 
 
 @dataclass
@@ -183,9 +182,10 @@ def cellular_closure(
     Let P* be the exact stable partition of the seed with the diagonal
     forced apart: where refine's 2-dim round loop (`stable_rounds`) ends,
     a round replacing each cell's color with (its color, the multiset over
-    z of the color pair (c(x, z), c(z, y))).  The closure runs hashed
-    rounds first (`refine.hashed_rounds`), then that exact loop from their
-    result.  The result is P*, whatever collides:
+    z of the color pair (c(x, z), c(z, y))).  The closure runs refine's
+    k = 2 pass (`refine.refine_rounds`): hashed rounds, then that exact
+    loop.  The result is P*, whatever collides (and from any start, so
+    `refine_k(·, 2)`'s partition is exact too):
     * A hashed round is a function of each cell's exact row.  P* is stable,
       so if P* refines a coloring C, it refines C's exact round and hence
       C's hashed round.  P* refines the seed, so by induction it refines
@@ -248,7 +248,7 @@ def cellular_closure(
     start = seed * 2 + np.eye(n, dtype=np.int64)
     cur = dense_rank_rows(start.reshape(n * n, 1))
     del seed, start  # only the rounds' own arrays are live during them
-    cur = stable_rounds(hashed_rounds(cur, n)[0], n, 2)[0].reshape(n, n)
+    cur = refine_rounds(cur, n, 2)[0].reshape(n, n)
     # canonical ids: diagonal relations first, then the rest, old order kept
     on_diag = np.zeros(int(cur.max()) + 1, dtype=bool)
     on_diag[np.diag(cur)] = True

@@ -284,6 +284,9 @@ def _closures(planes: np.ndarray, cls: np.ndarray, seeds: list, cap: int) -> np.
 # bytes a cached closure holds beside its row: dict slots, key, `bytes` header
 # and primality memo (traced at up to 184 bytes for n = 70-1050)
 _ENTRY_BYTES = 200
+# bytes a key of a `close_pairs` batch holds while the batch runs: its
+# 2-tuple and the key set's slots as the set grows (traced at up to 181)
+_KEY_BYTES = 192
 
 
 class _Scan:
@@ -322,13 +325,16 @@ class _Scan:
         return _vertex_set(self.closures([sset])[0]) == sset
 
     def close_pairs(self, pairs) -> None:
-        """Close and cache every uncached pair in one batch, within budget."""
+        """Close and cache every uncached pair in one batch, within budget,
+        counting the batch's keys, `todo` slots and rows while it runs."""
         # `set - dict.keys()` would walk the whole cache on every call
         keys = {(x, y) if x < y else (y, x) for x, y in pairs}
         todo = sorted(key for key in keys if key not in self.cl)
         if todo:
             cached = len(self.cl) + len(todo)
             need = self.plane_bytes + cached * (8 * self.words + _ENTRY_BYTES)
+            # result rows beside their bytes copies, and two list slots each
+            need += len(keys) * _KEY_BYTES + len(todo) * (8 * self.words + 16)
             self._check(f"bit planes and {cached} closures of {self.g.n} vertices", need)
             # the batch state and the gathered rows fit in what is left
             cap = min(_BATCH_BYTES, (self.limits.memory_bytes - need) // 2)

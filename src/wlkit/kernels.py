@@ -21,21 +21,20 @@ sort, compare and rank move.
 
 A round splits nothing exactly when every tuple's row equals the row of the
 first tuple of its class, the one exact check `differing_rows`.  `refine`
-runs it first and on a split ranks only the rows it flags, with the first
-rows of the classes that split (`refine._split_ids`); `coherent.validate`
-runs it as axiom 3 on the k = 2 round of the relation ids.
+runs it first and ranks the round's rows only on a split, which at k = 2
+comes only after a hash collision; `coherent.validate` runs it as axiom 3
+on the k = 2 round of the relation ids.
 
 `dense_rank_rows` ranks rows whose column bit lengths sum to at most 62 (a
 k = 2 search node's first round, built from its seed keys; initial
 colorings, and a k = 1 search node's seed keys; narrow k = 1 rows) as one
 packed int64 key per row through `argsort`; every other row is sorted as
 big-endian bytes of its own width.  Both give the same ids.  The round
-loop owns the rows it builds, so once its stop check fails it moves
-the rows to rank to the front, swaps them to big-endian in place
-(`big_endian`) and the rank sorts them where they lie: a round holds its
-n^k * (n + 1) cells once, plus one slab of at most _AGREE_CELLS gathered
-cells and a few n^k-long id arrays.  Any other input is copied first; the
-rank never writes its argument.
+loop owns the rows it builds, so once its stop check fails it swaps them
+to big-endian in place (`big_endian`) and the rank sorts them where they
+lie: a round holds its n^k * (n + 1) cells once, plus one slab of at most
+_AGREE_CELLS gathered cells and a few n^k-long id arrays.  Any other input
+is copied first; the rank never writes its argument.
 """
 from __future__ import annotations
 
@@ -45,8 +44,8 @@ import numpy as np
 _PACK_LIMIT = 2**62
 # codes below this are built, sorted and ranked as int32
 _INT32_LIMIT = 2**31
-# differing_rows, refine's compaction and dense_rank_rows' compare of
-# sorted neighbours gather this many cells at a time
+# differing_rows and dense_rank_rows' compare of sorted neighbours gather
+# this many cells at a time
 _AGREE_CELLS = 1 << 18
 
 

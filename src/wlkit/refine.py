@@ -19,23 +19,17 @@ enumerate tuples with `itertools.product`, which yields them in rank
 order.  No index array is built, and nothing a round allocates outlives
 the round, for any k.
 
-Every k runs one round loop (`stable_rounds`).  The coherent closure runs
-it after a hashed pass (`hashed_rounds`, k = 2 only): each hashed round
-ranks (previous color, two bilinear hashes of the exact row), read with one
-float64 matrix product per prime, until the class count stops growing.
-That pass splits as far as exact rounds would unless a hash collides, so
-the exact loop that follows normally runs its stop check alone; a collision
-costs exact rounds, never a wrong partition.
-
-A k = 2 canonical-search node (`refine_node`) runs the hashed pass alone:
-after the root's iso-type rank or a child's pivot round (below), hashed
-rounds to a fixed class count and no exact loop, so it holds O(n^2) and
-never the n^2 (n + 1) round.  Its ids are hash ranks, and its partition is
-the exact stable one unless a hash collides, in which case a class stays
-unsplit.  A search needs no more than an isomorphism-invariant refinement
-of the parent (`canon` says why).  `refine_k`, and so `similar_k`, the CWS
-reduction and every WL verdict, keep the exact partition, and every other
-k's search nodes run `refine_k`.
+Every k runs one exact round loop (`stable_rounds`).  At k = 2 every
+caller reaches it through one pass (`refine_rounds`): a start (the iso
+types, the coherent closure's seed, or a search child's pivot round,
+below), then hashed rounds (`hashed_rounds`) until the class count stops
+growing.  They split as far as exact rounds would unless a hash collides,
+so the exact loop normally runs its stop check alone; a collision costs
+exact rounds, never a wrong partition (`coherent.cellular_closure` gives
+the proof).  So k = 2 ids are hash ranks.  A k = 2 canonical-search node
+(`refine_node`) skips the exact loop, so it never builds the n^2 (n + 1)
+round, and a collision only leaves one of its classes unsplit (`canon`
+says why that suffices).
 
 An exact round's rows are dense-ranked lexicographically, previous color
 first, so a color id is the rank of its row among the round's rows, and a
@@ -44,15 +38,11 @@ round first compares each tuple's exact row with the row of the first
 tuple of its class (`kernels.differing_rows`, which `coherent.validate`
 runs as axiom 3); when all agree the loop stops without ranking, so the
 round that confirms stability costs a compare, not a sort of its n + 1
-wide rows.  Otherwise only the rows that differ from their class's first
-row, and the first row of each class that splits, are ranked
-(`_split_ids`; Berkholz, Bonsma and Grohe, and McKay and Piperno, likewise
-refine only the cells that change).  Column 0 is the class, so a class's
-rows rank in one block, and every other row takes its first row's id.  A
-k >= 2 coloring with n^k classes cannot split, so the loop stops there
-without building a round.  A k = 1 round is narrow, so it is ranked at once
-and the loop stops when the class count does not grow.  A k >= 2 child's
-first round (below) is ranked once, before the loop.
+wide rows.  Otherwise all its rows are ranked, in place.  A k >= 2
+coloring with n^k classes cannot split, so the loop stops there without
+building a round.  A k = 1 round is narrow, so it is ranked at once and
+the loop stops when the class count does not grow.  A k >= 2 child's first
+round (below) is ranked once, before the loop.
 
 A search node's child is given by its parent: `parent=(tc, v)`
 individualizes vertex v on top of the parent's stable coloring tc, and the
@@ -88,11 +78,11 @@ class count.  When the ids are no more than that, the round split nothing
 and its ids are C's; that covers keys that are already all distinct.  The
 ids, round counts and class counts are those of ranking C and then its
 first round.  At k = 1 the key is tc(t) * 2 + [t = v], its dense rank is
-C, and the k = 1 rounds below go on from C.  `refine_node` ranks the same
-pivot rows on a hashed parent: while the parent's partition is the stable
-one, which it is unless a hash collided, the argument above holds as it
-is, and in any case the round is an isomorphism-invariant refinement of
-the seed keys.
+C, and the k = 1 rounds below go on from C.  A k = 2 search node's parent
+is a hashed one (`refine_node`): while its partition is the stable one,
+which it is unless a hash collided, the argument above holds as it is, and
+in any case the round is an isomorphism-invariant refinement of the seed
+keys.
 
 For k = 1 tuples are vertices and a round's row is ``[previous color |
 sorted codes of the (neighbor color, edge code out, edge code in) triples]``,
@@ -247,7 +237,7 @@ _CALL_BYTES = 8192
 # edge codes past 2^40): peak/estimate 0.43-0.82, the highest at deep nodes
 # near n^2 classes and where those codes keep the iso-type rows from packing
 # into one key.  What the search holds beside the node (its frames'
-# colorings) is not counted.
+# colorings) comes on top (`refine_node`'s `held`).
 _HASHED_PAIR_BYTES = 128
 
 
@@ -274,22 +264,23 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     compare's float32 copy for the row flags: itemsize + 1 bytes a cell
     either way) and for the rank's neighbour compare; and up to 96 bytes a
     tuple of id, order and index arrays: the previous ids, each class's
-    first tuple, the row flags, the index of the ranked rows, the rank's
-    order, run starts and ids, and the new ids.  Beside the rows and the
-    slab these were traced at no more than 56 bytes a tuple, at k = 2,
-    n = 40-160, where nearly every row is ranked.  Where base^k can reach
-    _PACK_LIMIT, `round_rows`' overflow-safe branch adds its n^(k+1)
-    stacked k-vectors (8k bytes a cell, ranked in place) and the rank's 32
-    bytes a cell.  Fitted to tracemalloc peaks of random graphs:
-    peak/estimate 0.87-0.92 at k = 2, n = 40-160 (int32 rows), 0.96-0.98
-    at n = 220 and 400 (a round ranks int64 rows), 0.49 at n = 240, whose
-    rows stay int32 below the int64 the estimate allows; 0.85-0.86 at
-    k = 3, n = 20-40; 0.74-0.82 for the branch with _PACK_LIMIT patched to
-    1 (k = 2-4); 0.97 at k = 2, n = 10 and 0.80 at n = 20, where numpy's
-    ufunc buffers, which `substitution_codes` sizes to the n^k grid, fall
-    within the per-tuple allowance.  At the default 2 GiB this admits k = 2
-    up to n = 640, k = 3 up to n = 118 (the branch can run from n = 119) and
-    k = 4 up to n = 30."""
+    first tuple and its gather, the row flags, the rank's order, run starts
+    and ids, and the new ids.  The k = 2 hashed rounds ahead of the loop
+    hold less than that allowance.  Where base^k can reach _PACK_LIMIT,
+    `round_rows`' overflow-safe branch adds its n^(k+1) stacked k-vectors
+    (8k bytes a cell, ranked in place) and the rank's 32 bytes a cell.
+    Fitted to tracemalloc peaks: peak/estimate 0.86-0.92 at k = 2,
+    n = 40-160, for a graph with one twin pair, whose stop check builds
+    int32 rows, and for splitting rounds under salts patched to collide;
+    0.97 at n = 220 (int64 rows); 0.85-0.86 at k = 3, n = 20-40 (random
+    graphs, every row of a splitting round ranked); 0.74-0.82 for the
+    branch with _PACK_LIMIT patched to 1 (k = 2-4); 0.62-0.77 at k = 2,
+    n = 10-20, where numpy's ufunc buffers, which `substitution_codes`
+    sizes to the n^k grid, fall within the per-tuple allowance.  A k = 2
+    coloring that the hashed rounds make discrete builds no round, so for
+    it the estimate over-reserves (peak/estimate 0.04-0.18 on random
+    graphs, n = 40-220).  At the default 2 GiB this admits k = 2 up to n = 640, k = 3 up to
+    n = 118 (the branch can run from n = 119) and k = 4 up to n = 30."""
     if k == 1:
         return _CALL_BYTES + 8 * (n * (3 * width + 8) + 16 * pairs)
     nk = n**k
@@ -384,43 +375,6 @@ def _pivot_round(start: np.ndarray, n: int, k: int, v: int) -> tuple[np.ndarray,
     return ids, 1 + int(np.count_nonzero(key_of[1:] != key_of[:-1]))
 
 
-def _split_ids(rows: np.ndarray, colors: np.ndarray, ncolors: int) -> np.ndarray | None:
-    """The ids `dense_rank_rows(rows)` gives a full k >= 2 round's rows, or
-    None when every row equals the row of its class's first tuple.  Only
-    the rows that differ from it, and the first row of each class that
-    splits, are moved to the front of `rows` (which the caller gives up)
-    and ranked; every other row takes its first row's id."""
-    m = colors.shape[0]
-    first = np.full(ncolors, m, dtype=np.int64)
-    np.minimum.at(first, colors, np.arange(m, dtype=np.int64))
-    keep = differing_rows(rows, first[colors])
-    if keep is None:
-        return None
-    dirty = np.zeros(ncolors, dtype=bool)
-    dirty[colors[keep]] = True
-    keep[first[dirty]] = True
-    idx = np.flatnonzero(keep)
-    del keep
-    kept = idx.shape[0]
-    step = max(1, kernels._AGREE_CELLS // rows.shape[1])
-    for lo in range(0, kept, step):  # in place: no source lies below its slot
-        rows[lo : min(lo + step, kept)] = rows[idx[lo : lo + step]]
-    ranks = dense_rank_rows(big_endian(rows[:kept]))
-    # column 0 is the class, so the kept rows rank in class blocks; a class
-    # that splits nothing holds one id, above the distinct rows below it
-    cls = colors[idx]
-    block = np.empty(int(ranks.max()) + 1, dtype=np.int64)
-    block[ranks] = cls
-    below = np.cumsum(~dirty) - ~dirty  # the clean classes below each class
-    ranks += below[cls]
-    per_class = np.searchsorted(block, np.arange(ncolors)) + below
-    del block, cls, below
-    per_class[dirty] = ranks[np.searchsorted(idx, first[dirty])]
-    ids = per_class[colors]
-    ids[idx] = ranks
-    return ids
-
-
 def stable_rounds(
     colors: np.ndarray,
     n: int,
@@ -440,9 +394,13 @@ def stable_rounds(
         elif ncolors == colors.shape[0]:
             return colors, class_counts
         else:
-            ids = _split_ids(round_rows(colors, n, k, ncolors), colors, ncolors)
-            if ids is None:
+            rows = round_rows(colors, n, k, ncolors)
+            first = np.full(ncolors, colors.shape[0], dtype=np.int64)
+            np.minimum.at(first, colors, np.arange(colors.shape[0], dtype=np.int64))
+            if differing_rows(rows, first[colors]) is None:
                 return colors, class_counts
+            ids = dense_rank_rows(big_endian(rows))
+            del rows, first  # before the next round builds its own
         count = int(ids.max()) + 1
         if count == ncolors:  # column 0 is the previous color: the same ids
             return colors, class_counts
@@ -478,9 +436,8 @@ def _salts(m: int) -> np.ndarray:
 
 def hashed_rounds(colors: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     """Refine `colors`, dense ids of all n^2 pairs, by hashed 2-dim rounds
-    until the class count stops growing (or reaches n^2); returns the ids
-    and the class count before the first round and after each splitting
-    round, as `stable_rounds` does.
+    until the class count stops growing (or reaches n^2); returns what
+    `stable_rounds` does.
 
     A round ranks (previous id, h_1, h_2), h_i = (a_i[C] @ b_i[C]) mod p_i:
     a bilinear hash of the multiset over z of (C(x, z), C(z, y)), that is of
@@ -518,6 +475,54 @@ def hashed_rounds(colors: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
     return colors, class_counts
 
 
+def refine_rounds(
+    colors: np.ndarray,
+    n: int,
+    k: int,
+    v: int | None = None,
+    nc: NeighborCodes | None = None,
+    *,
+    exact: bool = True,
+) -> tuple[np.ndarray, list[int]]:
+    """Refine from a start to stability; returns the colors and the class
+    count before the first round and after each splitting round.  The
+    start is `colors` (dense ids of all n^k tuples), or, given v, the first
+    round (`_pivot_round`) of the k >= 2 child that individualizes v on top
+    of the stable `colors`, which ends the pass when it splits nothing.  At
+    k = 2 hashed rounds follow; then the exact loop runs unless `exact` is
+    False (a k = 1 round reads the neighbor codes `nc`)."""
+    if v is None:
+        class_counts = [int(colors.max()) + 1]
+    else:
+        colors, seeded = _pivot_round(colors, n, k, v)
+        class_counts = [seeded, int(colors.max()) + 1]
+        if class_counts[1] == seeded:  # the first round split nothing
+            return colors, class_counts[:1]
+    if k == 2:
+        colors, later = hashed_rounds(colors, n)
+        class_counts += later[1:]
+    if exact:
+        colors, later = stable_rounds(colors, n, k, nc)
+        class_counts += later[1:]
+    return colors, class_counts
+
+
+def _coloring(k: int, n: int, colors: np.ndarray, class_counts: list[int]) -> TupleColoring:
+    return TupleColoring(
+        k=k, n=n, colors=colors, num_colors=class_counts[-1],
+        rounds=len(class_counts) - 1, class_counts=class_counts,
+    )
+
+
+def _check_refinement(g: ColoredGraph, k: int, limits: Limits, held: int = 0):
+    """Check a k-dim refinement of g, with `held` bytes beside it, against
+    `limits`; returns the neighbor codes a k = 1 round reads, or None."""
+    nc = g.neighbor_codes() if k == 1 else None
+    k1_rows = () if nc is None else (1 + nc.delta, nc.src.shape[0])  # width, pairs
+    check_round_budget(f"refinement at n={g.n}, k={k}", limits, g.n, k, *k1_rows, held=held)
+    return nc
+
+
 def refine_k(
     g: ColoredGraph,
     k: int,
@@ -535,11 +540,13 @@ def refine_k(
     vertex v on top of it, giving v a color above the rest of its class.
     The stable partition is the one refining from scratch under those
     vertex colors would give; only the color ids differ, and fewer rounds
-    are needed."""
+    are needed.  k = 2 ids are hash ranks (`refine_rounds`); at every other
+    k an id is the lexicographic rank of the tuple's row in the last
+    splitting round."""
     check_k(k)
     n = g.n
     if parent is None:
-        vc = _vertex_color_array(g, vertex_colors)
+        vc, v = _vertex_color_array(g, vertex_colors), None
     elif vertex_colors is not None:
         raise ValueError("pass vertex_colors or parent, not both")
     else:
@@ -553,36 +560,22 @@ def refine_k(
             int(start.min()) >= 0 and int(start.max()) < n**k
         ):
             raise ValueError(f"parent must hold integer ids from 0 to {n}^{k} - 1")
-    nc = g.neighbor_codes() if k == 1 else None
-    k1_rows = () if nc is None else (1 + nc.delta, nc.src.shape[0])  # width, pairs
-    check_round_budget(f"refinement at n={n}, k={k}", limits, n, k, *k1_rows)
+    nc = _check_refinement(g, k, limits)
     if n == 0:
-        return TupleColoring(
-            k=k, n=0, colors=np.empty(0, dtype=np.int64), num_colors=0,
-            rounds=0, class_counts=[0],
-        )
+        return _coloring(k, 0, np.empty(0, dtype=np.int64), [0])
     if nc is not None and n * nc.base**2 >= _SENTINEL:
         raise UnsupportedGraphError(
             "the 1-dim round packs each neighbor code into int64 and needs "
             f"n * (largest pair code + 1)^2 < 2^62; here n={n}, largest pair code "
             f"{nc.base - 1}"
         )
-    if parent is not None and k >= 2:
-        colors, seeded = _pivot_round(start, n, k, v)
-        class_counts = [seeded]
-        if int(colors.max()) + 1 > seeded:  # the first round split
-            colors, later = stable_rounds(colors, n, k)
-            class_counts += later
+    if parent is None:
+        colors = dense_rank_rows(_initial_rows(g, k, vc))
+    elif k == 1:  # the seed keys rank like the seeded coloring
+        colors, v = dense_rank_rows(_seed_keys(start, n, 1, v)[:, None]), None
     else:
-        if parent is None:
-            colors = dense_rank_rows(_initial_rows(g, k, vc))
-        else:  # the seed keys rank like the seeded coloring
-            colors = dense_rank_rows(_seed_keys(start, n, 1, v)[:, None])
-        colors, class_counts = stable_rounds(colors, n, k, nc)
-    return TupleColoring(
-        k=k, n=n, colors=colors, num_colors=class_counts[-1],
-        rounds=len(class_counts) - 1, class_counts=class_counts,
-    )
+        colors = start
+    return _coloring(k, n, *refine_rounds(colors, n, k, v, nc))
 
 
 def refine_node(
@@ -590,40 +583,28 @@ def refine_node(
     k: int,
     parent: tuple[TupleColoring, int] | None = None,
     limits: Limits = DEFAULT_LIMITS,
+    held: int = 0,
 ) -> TupleColoring:
     """The coloring of a canonical-search node: `parent` = (the parent
-    node's coloring, the vertex this node individualizes), None at the root.
+    node's coloring, the vertex this node individualizes), None at the root;
+    the budget counts `held`, what the search keeps beside the node.
 
-    At k = 2 the root dense-ranks the iso types and a child ranks its pivot
-    round (`_pivot_round`); then hashed rounds (`hashed_rounds`) run to a
-    fixed class count, with no exact stop check, so no node builds an n^3
-    round.  The result is an isomorphism-invariant refinement of the
-    parent's coloring, which is all a search node needs; it is the exact
-    stable partition unless a hash collides, and a collision only leaves a
-    class unsplit.  Ids are hash ranks, and the budget is the hashed
-    rounds' (`_hashed_bytes`).  From _HASH_MAX_N vertices up, past the
-    default budget, no hashed round runs and a node keeps its first
-    round's classes: a larger search, still a correct one.  Every other k
-    runs `refine_k`."""
-    if k != 2:
-        return refine_k(g, k, parent=parent, limits=limits)
+    At k = 2 the node runs `refine_rounds` without the exact loop, within
+    the hashed rounds' budget (`_hashed_bytes`): an isomorphism-invariant
+    refinement of the parent, all a search node needs, whose partition is
+    the exact one unless a hash collides, and whose ids are hash ranks.
+    From _HASH_MAX_N vertices up, past the default budget, a node keeps its
+    first round's classes.  Every other k runs `refine_k`."""
     n = g.n
-    _check_bytes(f"hashed search node at n={n}, k=2", _hashed_bytes(n), limits)
+    if k != 2:
+        _check_refinement(g, k, limits, held)
+        return refine_k(g, k, parent=parent, limits=limits)
+    _check_bytes(f"hashed search node at n={n}, k=2", _hashed_bytes(n) + held, limits)
     if parent is None:
-        colors, class_counts = hashed_rounds(
-            dense_rank_rows(_initial_rows(g, 2, _vertex_color_array(g, None))), n
-        )
+        colors, v = dense_rank_rows(_initial_rows(g, 2, _vertex_color_array(g, None))), None
     else:
-        tc, v = parent
-        colors, seeded = _pivot_round(tc.colors, n, 2, v)
-        class_counts = [seeded]
-        if int(colors.max()) + 1 > seeded:  # the first round split
-            colors, later = hashed_rounds(colors, n)
-            class_counts += later
-    return TupleColoring(
-        k=2, n=n, colors=colors, num_colors=class_counts[-1],
-        rounds=len(class_counts) - 1, class_counts=class_counts,
-    )
+        colors, v = parent[0].colors, parent[1]
+    return _coloring(2, n, *refine_rounds(colors, n, 2, v, exact=False))
 
 
 def refine_1(g: ColoredGraph, **kwargs) -> TupleColoring:

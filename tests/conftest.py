@@ -1,5 +1,5 @@
 """Shared fixtures, partition helpers, a small-graph strategy, a traced
-memory peak and degenerate hash salts.
+memory peak, degenerate hash salts and a graph with one twin pair.
 
 Color ids produced by dense ranking are arbitrary; two equal partitions of
 the same index set can carry different ids.  Tests therefore compare
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from wlkit.families import complete
+from wlkit.families import complete, random_graph
 from wlkit.cfi import cfi_build
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
 
@@ -58,6 +58,20 @@ def two_valued_salts(m):
     """Hash salts that collide almost everywhere, to patch over
     `refine._salts`: every even id gets 1, every odd id 2."""
     return np.ones((4, 1)) + np.arange(m) % 2
+
+
+def constant_salts(m):
+    """Hash salts under which no hashed round splits, to patch over
+    `refine._salts`: every split is left to the exact rounds."""
+    return np.ones((4, m))
+
+
+def twin_pair_graph(n: int) -> ColoredGraph:
+    """A random graph on n - 1 vertices with a twin of vertex 0 added: its
+    stable pair coloring is one swap short of discrete, so the exact stop
+    check after the hashed rounds builds the n^3 round."""
+    g = random_graph(n - 1, 0.5, seed=3)
+    return ColoredGraph(n, list(g.edges) + [(v, n - 1) for v in g.neighbors(0)])
 
 
 def crown_graph() -> ColoredGraph:

@@ -286,8 +286,10 @@ def test_criterion_11_scaling_smoke():
     t0 = time.time()
     rows = run_bench(sizes=(40, 80, 160), k=2, repeats=5)
     exponent = fit_exponent(rows)
-    assert 2.2 <= exponent <= 4.2
-    _report(11, f"runtime exponent {exponent:.2f} within [2.2, 4.2]", t0)
+    # hashed k = 2 rounds: n^2 rows ranked and n x n products, near 2
+    # (bench.py); the upper bound leaves room for a loaded host's BLAS threads
+    assert 1.5 <= exponent <= 4.2
+    _report(11, f"runtime exponent {exponent:.2f} within [1.5, 4.2]", t0)
 
 
 # -- the paper's separation table, its cheap cells ----------------------------------

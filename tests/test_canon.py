@@ -249,9 +249,9 @@ def test_generators_respect_vertex_colors():
 # -- pruning with found automorphisms -------------------------------------------
 
 
-def exact_node(g, k, parent, limits):
+def exact_node(g, k, parent, limits, held=0):
     """A search node refined to its exact stable coloring, as before k = 2
-    nodes ran hashed rounds."""
+    nodes ran hashed rounds (under refine_k's own budget)."""
     tc = refine_k(g, k, parent=parent, limits=limits)
     return tc, project(tc, 1)
 
@@ -322,8 +322,8 @@ def logged_search(g, k):
     prefixes = {}  # id of a node's coloring: (the coloring, the node's prefix)
     refine_node, is_aut, jump_depth = canon._refine_node, canon.is_automorphism, canon._jump_depth
 
-    def node_spy(g, k, parent, limits):
-        tc, pv = refine_node(g, k, parent, limits)
+    def node_spy(g, k, parent, limits, held):
+        tc, pv = refine_node(g, k, parent, limits, held)
         # a node's prefix is its parent's and the vertex it individualizes
         prefix = () if parent is None else prefixes[id(parent[0])][1] + (int(parent[1]),)
         prefixes[id(tc)] = (tc, prefix)
@@ -431,8 +431,8 @@ def check_hashed_nodes(g):
     checked = []
     refine_node = canon._refine_node
 
-    def node_spy(g, k, parent, limits):
-        tc, pv = refine_node(g, k, parent, limits)
+    def node_spy(g, k, parent, limits, held):
+        tc, pv = refine_node(g, k, parent, limits, held)
         exact = refine_k(g, k, parent=parent, limits=limits)
         assert same_partition(tc.colors, exact.colors)
         assert tc.class_counts == exact.class_counts
@@ -512,6 +512,31 @@ def test_a_k2_search_is_budgeted_by_its_hashed_nodes():
     err, peak = traced_peak(refused)
     assert (err.required, err.cap) == (need, need - 1)
     assert peak < need // 10
+
+
+@pytest.mark.parametrize(
+    "base, n", [(petersen, 100), (lambda: generalized_petersen(8, 3), 160)],
+    ids=["Petersen", "GP(8,3)"],
+)
+def test_a_k2_search_counts_its_frames_colorings(base, n):
+    # each live frame keeps an n^2 coloring beside the node being refined,
+    # and canonical frames keep their invariants too: a search under one
+    # node's budget either finishes within it or raises before passing it
+    g = cfi_build(base())[0]
+    lim = Limits(memory_bytes=refine_module._hashed_bytes(n))
+    for mode in ("fast", "verified", "canonical"):
+
+        def run():
+            try:
+                return certify(g, 2, mode, limits=lim)
+            except ResourceLimitError as err:
+                assert "memory_bytes" in str(err) and err.required > err.cap
+                return err
+
+        out, peak = traced_peak(run)
+        assert peak <= lim.memory_bytes, mode
+        if mode == "fast":  # its frames are dropped as it descends
+            assert out.digest == certify(g, 2, mode).digest
 
 
 # -- fast and verified against the former greedy descent -------------------------
@@ -661,9 +686,10 @@ def test_depth_d_guards_its_budget():
 # of `_pinned_graphs`.  Pruning and seeded refinement change no color id, so
 # no digest may move when they change; the choice of target class moves every
 # digest whose search branches, and so do the ids of k = 2 search nodes,
-# which are hash ranks (`refine.refine_node`).  Search sizes are in
-# PINNED_NODES.
-PINNED_SHA256 = "310f02bebdd4e4d6d3665842afc8203d3575c03e4a46d43572c225aabf453869"
+# which are hash ranks (`refine.refine_node`).  k = 2 reduction digests
+# move with `refine_k`'s k = 2 ids, hash ranks too (`refine.refine_rounds`),
+# where no certificate does.  Search sizes are in PINNED_NODES.
+PINNED_SHA256 = "c12fcb34afde8698807da640231fd90ba24b7637e04b0a9f73f1762d683291b2"
 
 # Certificate.nodes of each graph of `_pinned_graphs`, in its order, as
 # {k: (fast, verified, canonical)}.  The canonical counts are those of a search

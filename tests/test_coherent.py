@@ -9,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 import wlkit.coherent as coherent
 import wlkit.refine as refine_module
-from conftest import colored_graphs, same_partition, traced_peak, two_valued_salts
+from test_refine import reference_refine
+from conftest import (
+    colored_graphs,
+    constant_salts,
+    same_partition,
+    traced_peak,
+    twin_pair_graph,
+    two_valued_salts,
+)
 from wlkit import kernels
 from wlkit.canon import certify
 from wlkit.coherent import (
@@ -258,14 +266,31 @@ def test_validate_of_the_empty_configuration():
         lambda: complete_bipartite(3, 3),
         lambda: random_graph(9, 0.4, seed=4),
         lambda: random_graph(9, 0.6, seed=5),
+        pytest.param(None, id="random"),
     ],
 )
 def test_closure_matches_the_two_dim_pair_partition(make):
+    if make is None:
+        return closure_matches_the_pair_partition_of_random_graphs()
     g = make()
     c = cellular_closure(g)
     assert validate(c).ok
     tc = refine_2(g)
     assert same_partition(c.rel.reshape(-1), tc.colors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs(max_n=7, max_code=3))
+def closure_matches_the_pair_partition_of_random_graphs(case):
+    # directed or not, with edge and vertex colors: the closure keeps the
+    # vertex colors on the diagonal alone, refine_k in every iso type, and
+    # the two still end at one partition
+    g, cols = case
+    if g.n == 0:
+        return
+    c = cellular_closure(g.with_vertex_colors(cols.tolist()))
+    assert validate(c).ok
+    assert same_partition(c.rel, refine_2(g, vertex_colors=cols).colors)
 
 
 def reference_closure(seed: np.ndarray) -> np.ndarray:
@@ -308,10 +333,6 @@ CLOSURE_SEEDS = st.one_of(
     klein_variants().map(lambda c: c.rel),
     colored_graph_seeds(),
 )
-
-
-def constant_salts(m):
-    return np.ones((4, m))
 
 
 def assert_same_closure(got: np.ndarray, want: np.ndarray) -> None:
@@ -385,6 +406,33 @@ def test_two_valued_salts_leave_more_exact_rounds(make):
     assert same_partition(got.rel, want.rel)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: path(7), bowtie, lambda: random_graph(8, 0.5, seed=2)],
+)
+def test_an_exact_split_finishes_what_colliding_hashes_leave(make):
+    # hashes that collide almost everywhere leave classes unsplit, and an
+    # exact splitting round, the only rank of full n + 1 wide k = 2 rows,
+    # finishes them: refine_k and the closure still end at the exact
+    # stable partitions of their references
+    g = make()
+    full = []
+    real_rank = refine_module.dense_rank_rows
+
+    def rank_spy(rows):
+        full.append(rows.shape == (g.n**2, g.n + 1))
+        return real_rank(rows)
+
+    with mock.patch.object(refine_module, "_salts", two_valued_salts), \
+            mock.patch.object(refine_module, "dense_rank_rows", rank_spy):
+        tc = refine_2(g)
+        assert any(full)
+        full.clear()
+        c = cellular_closure(g)
+        assert any(full)
+    assert same_partition(tc.colors, reference_refine(g, 2)[0])
+    assert_same_closure(c.rel, reference_closure(graph_seed(g)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(CLOSURE_SEEDS)
 def test_past_the_hash_bound_the_exact_loop_runs_alone(seed):
@@ -444,15 +492,15 @@ def test_a_closure_makes_one_exact_n3_pass():
     # built through coherent's own global, does not follow it
     checks, validated = [], []
     real_rows = refine_module.round_rows
-    real_split = refine_module._split_ids
+    real_differ = refine_module.differing_rows
     real_validate_rows = coherent.round_rows
 
     def rows_spy(colors, n, k, ncolors):
         checks.append([ncolors])
         return real_rows(colors, n, k, ncolors)
 
-    def split_spy(*args):
-        out = real_split(*args)
+    def differ_spy(*args):
+        out = real_differ(*args)
         checks[-1].append(out is None)  # every row agrees with its class's first
         return out
 
@@ -462,7 +510,7 @@ def test_a_closure_makes_one_exact_n3_pass():
 
     c = klein_scheme(complete_bipartite(3, 3))
     with mock.patch.object(refine_module, "round_rows", rows_spy), \
-            mock.patch.object(refine_module, "_split_ids", split_spy), \
+            mock.patch.object(refine_module, "differing_rows", differ_spy), \
             mock.patch.object(coherent, "round_rows", validate_rows_spy):
         # already coherent: one round's rows, which split nothing
         fixed = cellular_closure(c.rel)
@@ -582,8 +630,7 @@ def twin_pair_seed(n: int) -> np.ndarray:
     """The seed of a random graph on n - 1 vertices with a twin of vertex 0
     added: its closure is one swap short of discrete, so its stop check
     builds the n^3 round."""
-    g = random_graph(n - 1, 0.5, seed=3)
-    return graph_seed(ColoredGraph(n, list(g.edges) + [(v, n - 1) for v in g.neighbors(0)]))
+    return graph_seed(twin_pair_graph(n))
 
 
 def test_discrete_closure_peak_stays_within_its_required_bytes():
@@ -607,9 +654,7 @@ def test_closure_peak_with_int64_rows_stays_within_its_required_bytes():
     # classes, past 46340, so its stop check builds int64 rows: the widest
     # rows a closure can hold, which its required bytes are sized for
     n = 220
-    g = random_graph(n - 1, 0.5, seed=3)
-    twin = ColoredGraph(n, list(g.edges) + [(v, n - 1) for v in g.neighbors(0)])
-    seed = graph_seed(twin)
+    seed = twin_pair_seed(n)
     c, peak = traced_peak(lambda: cellular_closure(seed))
     assert c.s == n * n - 438 and c.s**2 >= 2**31
     assert peak <= _closure_required(seed) <= 2 * peak

@@ -889,6 +889,25 @@ def test_cached_closures_past_the_memory_budget_raise():
     assert reduce_graph(g, 1, limits=Limits(memory_bytes=2_000_000))[1].digest == want
 
 
+@pytest.mark.parametrize("m, budget", [(150, 4_000_000), (100, 6_500_000)])
+def test_a_closure_batch_counts_its_keys_and_rows(m, budget):
+    # a batch's key set, its todo list and its result rows beside their
+    # bytes copies live only while it runs; counted with the cache, they
+    # keep the traced peak within the budget up to the check that raises
+    reduce_graph(_cycles(2), 1)  # first-call allocations are not the run's
+    g = _cycles(m)
+    lim = Limits(memory_bytes=budget)
+
+    def run():
+        with pytest.raises(ResourceLimitError, match="closures") as err:
+            reduce_graph(g, 1, limits=lim)
+        return err.value
+
+    err, peak = traced_peak(run)
+    assert err.cap == budget < err.required
+    assert peak <= budget
+
+
 def test_reduce_records_piece_members():
     tree, _ = reduce_graph(disjoint_union(cycle(6), cycle(6)))
     level0 = tree.levels[0]
