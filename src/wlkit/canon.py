@@ -45,16 +45,15 @@ coloring and full rounds.
 At k = 2 a node runs `refine.refine_rounds` without its exact loop:
 hashed rounds to a fixed class count and no exact stop check, so no node
 builds an n^3 round and a node's memory is O(n^2); its ids are hash
-ranks.  No check is needed, because the search
-asks only that a node's coloring be an isomorphism-invariant function of
-the graph and the individualized sequence that refines its parent's: a
-certificate is the best leaf's bytes, compared byte for byte, and every
-automorphism passes `is_automorphism` before the search uses it.  The
-salts of a hashed round depend on the color id alone, so a collision can
-only leave a class unsplit: a coarser node and a larger tree, never a
-wrong certificate.  Unless a hash collides, a node's partition and class
-counts are the exact ones (tests/test_canon.py compares them node by
-node).
+ranks.  No check is needed: the search asks only that a node's coloring
+be an isomorphism-invariant function of the graph and the individualized
+sequence that refines its parent's, since a certificate is the best
+leaf's bytes, compared byte for byte, and every automorphism passes
+`is_automorphism` before the search uses it.  A hashed round's salts
+depend on the color id alone, so a collision can only leave a class
+unsplit: a coarser node and a larger tree, never a wrong certificate.
+Unless a hash collides, a node's partition and class counts are the
+exact ones (tests/test_canon.py compares them node by node).
 
 Every node's coloring projects to vertex classes by its tuple minima
 (`refine.project`).  Each round ranks the previous id first, so a node's
@@ -204,7 +203,7 @@ def _search(g, k, limits, stats, mode, parent=None, held=0) -> dict:
         last member, and returns the depth a jump unwinds to, or None.
         `fixing` holds the generators that fix `prefix` pointwise among the
         first `known` found; each later one is tested once, below.  `held`
-        is what the live frames above keep."""
+        is what the live frames above keep, beside the node's estimate."""
         _count_node(stats, limits, mode)
         tc, pv = _refine_node(g, k, parent, limits, held)
         parent = None  # a frame keeps its own coloring, not its parent's
@@ -282,6 +281,7 @@ def _search(g, k, limits, stats, mode, parent=None, held=0) -> dict:
         if last:
             stack.pop()
         stack.append((depth + 1, node(*child)))
+        child = None  # the child's frame alone holds its parent's coloring
     return best
 
 

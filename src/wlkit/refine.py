@@ -228,16 +228,16 @@ _CALL_BYTES = 8192
 
 
 # Bytes a pair of a hashed k = 2 search node (`refine_node`) holds at its
-# peak: the root's five-column iso-type rows, the graph's pair codes and the
-# rank's copies of them, or a child's seed keys and pivot rows, then a
-# hashed round's three-column rows, salts, salt gathers, product and rank.
-# Fitted to tracemalloc peaks of every node of canonical and verified
-# searches, and of roots and first children, at n = 10-240 (random graphs,
-# directed or not, cycles, edgeless and complete graphs, CFI gadgets, and
-# edge codes past 2^40): peak/estimate 0.43-0.82, the highest at deep nodes
-# near n^2 classes and where those codes keep the iso-type rows from packing
-# into one key.  What the search holds beside the node (its frames'
-# colorings) comes on top (`refine_node`'s `held`).
+# peak: a child's input, its parent's coloring (8 bytes a pair); the root's
+# five-column iso-type rows, the graph's pair codes and the rank's copies
+# of them, or a child's seed keys and pivot rows; then a hashed round's
+# three-column rows, salts, salt gathers, product and rank.  Fitted to
+# tracemalloc peaks of every node of canonical and verified searches, and
+# of roots and first children, at n = 10-240 (random graphs, directed or
+# not, cycles, edgeless and complete graphs, CFI gadgets, edge codes past
+# 2^40): peak/estimate 0.43-0.82 before the input is added, highest at deep
+# nodes near n^2 classes and where those codes keep the iso-type rows from
+# packing into one key.  The search's live frames come on top (`held`).
 _HASHED_PAIR_BYTES = 128
 
 
@@ -279,8 +279,9 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     sizes to the n^k grid, fall within the per-tuple allowance.  A k = 2
     coloring that the hashed rounds make discrete builds no round, so for
     it the estimate over-reserves (peak/estimate 0.04-0.18 on random
-    graphs, n = 40-220).  At the default 2 GiB this admits k = 2 up to n = 640, k = 3 up to
-    n = 118 (the branch can run from n = 119) and k = 4 up to n = 30."""
+    graphs, n = 40-220).  At the default 2 GiB this admits k = 2 up to
+    n = 640, k = 3 up to n = 118 (the branch can run from n = 119) and
+    k = 4 up to n = 30."""
     if k == 1:
         return _CALL_BYTES + 8 * (n * (3 * width + 8) + 16 * pairs)
     nk = n**k

@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import timeit
 
 import numpy as np
 import pytest
 
-from conftest import crown_graph, same_partition
+from conftest import crown_graph, same_partition, twin_pair_graph
 from wlkit.canon import certify
 from wlkit.cfi import cfi_build
 from wlkit.coherent import (
@@ -28,7 +29,7 @@ from wlkit.coherent import (
     validate,
 )
 from wlkit.cws import _Scan, _vertex_set, closure, reduce_graph
-from wlkit.bench import fit_exponent, run_bench
+from wlkit.bench import fit_exponent
 from wlkit.families import (
     bowtie,
     complete,
@@ -284,12 +285,19 @@ def test_criterion_10_strongly_regular_pair():
 
 def test_criterion_11_scaling_smoke():
     t0 = time.time()
-    rows = run_bench(sizes=(40, 80, 160), k=2, repeats=5)
+    # a random graph goes discrete in hashed rounds and never shows the
+    # exact round; one twin pair leaves the stable coloring one swap short
+    # of discrete, so the stop check builds the n^3 round.  Sizes stay below
+    # n = 216, where its codes widen to int64; best of 15 rides out a shared
+    # host's stalls (best of 5 read 2.29-3.30 over 30 processes)
+    graphs = {n: twin_pair_graph(n) for n in (100, 150, 200)}
+    rows = [
+        {"n": n, "seconds": min(timeit.repeat(lambda: refine_k(g, 2), number=1, repeat=15))}
+        for n, g in graphs.items()
+    ]
     exponent = fit_exponent(rows)
-    # hashed k = 2 rounds: n^2 rows ranked and n x n products, near 2
-    # (bench.py); the upper bound leaves room for a loaded host's BLAS threads
-    assert 1.5 <= exponent <= 4.2
-    _report(11, f"runtime exponent {exponent:.2f} within [1.5, 4.2]", t0)
+    assert 2.2 <= exponent <= 4.2
+    _report(11, f"runtime exponent {exponent:.2f} within [2.2, 4.2]", t0)
 
 
 # -- the paper's separation table, its cheap cells ----------------------------------

@@ -266,12 +266,9 @@ def test_validate_of_the_empty_configuration():
         lambda: complete_bipartite(3, 3),
         lambda: random_graph(9, 0.4, seed=4),
         lambda: random_graph(9, 0.6, seed=5),
-        pytest.param(None, id="random"),
     ],
 )
 def test_closure_matches_the_two_dim_pair_partition(make):
-    if make is None:
-        return closure_matches_the_pair_partition_of_random_graphs()
     g = make()
     c = cellular_closure(g)
     assert validate(c).ok
@@ -281,7 +278,7 @@ def test_closure_matches_the_two_dim_pair_partition(make):
 
 @settings(max_examples=300, deadline=None)
 @given(colored_graphs(max_n=7, max_code=3))
-def closure_matches_the_pair_partition_of_random_graphs(case):
+def test_closure_matches_the_two_dim_pair_partition_of_random_colored_graphs(case):
     # directed or not, with edge and vertex colors: the closure keeps the
     # vertex colors on the diagonal alone, refine_k in every iso type, and
     # the two still end at one partition
