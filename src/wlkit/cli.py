@@ -262,7 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbits", help="vertex orbits (oracle) or classes (refine)")
     p.add_argument("graph")
-    p.add_argument("--method", choices=("oracle", "refine"), default="oracle")
+    p.add_argument(
+        "--method", choices=("oracle", "refine"), default="oracle",
+        help="oracle: exact orbits by exhaustive search (small graphs); refine: the "
+        "vertex classes of stable k-dim refinement, which can be coarser than the orbits",
+    )
     p.add_argument("-k", type=int, default=2)
     p.set_defaults(func=_cmd_orbits)
 

@@ -6,8 +6,8 @@ transpose of every relation is a relation, and the number of z with
 (x, z) in R_i, (z, y) in R_j depends only on the relation of (x, y).  The
 third is the k = 2 stop check that ends the closure's round loop, so a
 closure needs no separate pass for it.  The closure runs refine's k = 2
-pass (`refine.refine_rounds`): hashed rounds, then the exact loop, whose
-stop check is normally its one exact round.
+pass (`refine.refine_rounds`): hashed rounds, then the exact stop check
+(`refine.stop_check`), normally its one exact pass.
 
 The Klein scheme of a cubic graph puts a 4-point fibre on every vertex,
 carrying that fibre's identity relation and three pairings (points as 2-bit
@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import CoherenceError, ParseError, UnsupportedGraphError
 from .graph import ColoredGraph
-from .kernels import code_dtype, dense_rank_rows, differing_rows, round_rows
+from .kernels import code_dtype, dense_rank_rows, pair_code_rows, pair_tables
 from .limits import DEFAULT_LIMITS, Limits
 from .records import RecordFormat, Records, Tag, repeats
-from .refine import check_round_budget, refine_rounds
+from .refine import check_round_budget, refine_rounds, stop_check
 
 
 @dataclass
@@ -126,35 +126,33 @@ def validate(c: CoherentConfig) -> ValidationReport:
     axiom-3 witness is the first cell whose multiset of pairs over z differs
     from its relation's exemplar, followed by that exemplar.
 
-    Axiom 3 is refine's k = 2 stop check on the relation ids: each cell's
-    round row (its id, then its sorted codes rel[x, z] * s + rel[z, y] over
-    z; `kernels.round_rows`) against its exemplar's (`kernels.differing_rows`).
-    The round and the exemplar rows kept beside it must fit
+    Axiom 3 is refine's k = 2 stop check on the relation ids
+    (`refine.stop_check`): each cell's sorted codes rel[x, z] * s + rel[z, y]
+    over z against those of the cell before it in its relation, in blocks,
+    which gives, for each relation that fails, its first cell that differs
+    from its exemplar; the witness is the first of those.  The check and the
+    exemplar rows kept after it (`code_rows`, s x n codes) must fit
     `DEFAULT_LIMITS.memory_bytes`, read at the call (ResourceLimitError):
-    under 2 GiB, 640 points at most, 632 for a Klein scheme."""
+    under 2 GiB, up to 1536 points for a Klein scheme and 639 for a
+    discrete configuration, whose exemplar rows are n^3 codes."""
     report, first = _check_cells(c)
     if first is None:
         return report
     n, s = c.n, c.s
-    # the exemplar rows are taken before the round, so that the round's
-    # space, freed above them, is reused by later rounds (peak RSS)
     dtype = code_dtype(max(2, s), 2)
-    held = s * (n + 1) * np.dtype(dtype).itemsize
+    held = s * n * np.dtype(dtype).itemsize
     check_round_budget(f"validation at n={n}", DEFAULT_LIMITS, n, 2, held=held)
-    kept = np.empty((s, n + 1), dtype=dtype)
     flat = c.rel.ravel()
-    rows = round_rows(flat, n, 2, s)
-    differs = differing_rows(rows, first[flat])
-    if differs is not None:
-        x, y = divmod(int(np.argmax(differs)), n)
+    split = stop_check(flat, n, s)
+    if split is not None:
+        x, y = divmod(int(split.min()), n)
         rid = int(flat[x * n + y])
         witness = (rid, x, y) + divmod(int(first[rid]), n)
         return ValidationReport(ok=False, axiom=3, witness=witness)
-    np.take(rows, first, axis=0, out=kept, mode="clip")  # "raise" would buffer
     # sorted rows are equal exactly when the multisets of codes are
-    return ValidationReport(
-        ok=True, transpose_map=report.transpose_map, code_rows=kept[:, 1:],
-    )
+    code_rows = np.empty((s, n), dtype=dtype)
+    pair_code_rows(pair_tables(flat, n, max(2, s)), first, code_rows)
+    return ValidationReport(ok=True, transpose_map=report.transpose_map, code_rows=code_rows)
 
 
 def graph_seed(g: ColoredGraph) -> np.ndarray:
@@ -180,29 +178,30 @@ def cellular_closure(
     """Coarsest coherent configuration refining the seed partition.
 
     Let P* be the exact stable partition of the seed with the diagonal
-    forced apart: where refine's 2-dim round loop (`stable_rounds`) ends,
-    a round replacing each cell's color with (its color, the multiset over
-    z of the color pair (c(x, z), c(z, y))).  The closure runs refine's
-    k = 2 pass (`refine.refine_rounds`): hashed rounds, then that exact
-    loop.  The result is P*, whatever collides (and from any start, so
-    `refine_k(·, 2)`'s partition is exact too):
+    forced apart: where exact 2-dim rounds end, each replacing each cell's
+    color with (its color, the multiset over z of the color pair (c(x, z),
+    c(z, y))).  The closure runs refine's k = 2 pass
+    (`refine.refine_rounds`): hashed rounds, then the exact stop check,
+    and on a split an exact round and hashed rounds again.  The result is
+    P*, whatever collides (and from any start, so `refine_k(·, 2)`'s
+    partition is exact too):
     * A hashed round is a function of each cell's exact row.  P* is stable,
       so if P* refines a coloring C, it refines C's exact round and hence
       C's hashed round.  P* refines the seed, so by induction it refines
-      every hashed iterate, and then every exact one.
-    * Every round ranks the previous id first, so the exact loop ends at a
-      stable partition Q that refines the seed.  P* is the coarsest such
-      partition, so Q refines P*; P* refines Q by the induction above.  So
-      the result is P*.
+      every hashed and every exact iterate.
+    * Every round ranks the previous id first, so the pass ends, where the
+      stop check finds no split, at a stable partition Q that refines the
+      seed.  P* is the coarsest such partition, so Q refines P*; P*
+      refines Q by the induction above.  So the result is P*.
     * A collision can only cost an extra exact round.
 
-    The exact loop's last pass, the stop check, compares each cell's row
-    with the row of its class's first cell, which is `validate`'s axiom 3
-    on the result (renumbering ids changes neither side).  Unless a
-    collision hid a split, it is the closure's one exact n^3 pass, over
-    int32 rows (int64 once the class count reaches 46341); a discrete
-    result needs none.  The result is then checked against axioms 0-2,
-    which are O(n^2).
+    The pass's last step, the stop check, compares each cell's row
+    with the row before it in its class, which is `validate`'s axiom 3 on
+    the result (renumbering ids changes neither side).  Unless a collision
+    hid a split, it is the closure's one exact n^3 pass, over int32 codes
+    (int64 once the class count reaches 46341) in cache-sized blocks; a
+    discrete result needs none.  The result is then checked against axioms
+    0-2, which are O(n^2).
 
     Ids are the dense ranks of the last splitting round, renumbered
     diagonal relations first, each part in its order.  That round is
@@ -213,16 +212,16 @@ def cellular_closure(
     diagonal relations hold the lowest ids closes to itself, id for id.
     Each hashed product sums n terms below 2^40, exact in float64 in any
     order for n < 8192 (`refine._HASH_MAX_N`), so the ids do not depend on
-    the BLAS or its threads; past that the exact loop runs alone, and the
-    default budget stops the closure at 640 points.
+    the BLAS or its threads; past that the exact loop runs alone.  The
+    default budget stops the closure at 4095 points.
 
     The seed must hold integers or bools (UnsupportedGraphError otherwise,
     before anything of its size is allocated).  Raises ResourceLimitError
     before the first round, and before a graph's seed is built, when a k = 2
     round would need more than `limits.memory_bytes`
-    (`refine.check_round_budget`): the stop check may build the n^2 (n + 1)
-    rows, and the hashed rounds' 100 or so bytes a pair fit the estimate's
-    per-tuple allowance.
+    (`refine.check_round_budget`: 128 bytes a pair, where the hashed rounds
+    peak; the stop check's blocks fit beside its own arrays), and before an
+    exact split builds its rows past it.
     """
     graph = isinstance(seed, ColoredGraph)
     if not graph:
@@ -234,13 +233,12 @@ def cellular_closure(
     n = seed.n if graph else seed.shape[0]
     if n == 0:
         return CoherentConfig(n=0, s=0, rel=np.zeros((0, 0), dtype=np.int64))
-    # the closure's exact rounds are refine's k = 2 rounds, and what it
-    # holds besides (the hashed rounds' O(n^2) arrays, O(n^2) ids after the
-    # loop; the seed goes before the first round) stays below their
-    # per-tuple allowance.  Checked against tracemalloc peaks: peak/need
-    # 0.90-0.92 at n = 100-160 with one twin pair (int32 rows at the stop
-    # check), 0.97 at n = 220 (int64 rows); a discrete closure builds no
-    # exact round, so its peak stays far below the need
+    # the closure's rounds are refine's k = 2 rounds, and what it holds
+    # besides (O(n^2) ids after the loop; the seed goes before the first
+    # round) stays below their per-pair allowance.  Checked against
+    # tracemalloc peaks: peak/need 0.92-0.93 at n = 100-220 with one twin
+    # pair, 0.85-0.86 for random graphs, 0.46-0.89 for Klein schemes of
+    # 40-480 points, merged or not
     check_round_budget(f"cellular closure at n={n}", limits, n, 2)
     # a graph's pair codes and seed rows come only after the budget check
     seed = (graph_seed(seed) if graph else seed).astype(np.int64, copy=False)
@@ -248,7 +246,7 @@ def cellular_closure(
     start = seed * 2 + np.eye(n, dtype=np.int64)
     cur = dense_rank_rows(start.reshape(n * n, 1))
     del seed, start  # only the rounds' own arrays are live during them
-    cur = refine_rounds(cur, n, 2)[0].reshape(n, n)
+    cur = refine_rounds(cur, n, 2, limits=limits)[0].reshape(n, n)
     # canonical ids: diagonal relations first, then the rest, old order kept
     on_diag = np.zeros(int(cur.max()) + 1, dtype=bool)
     on_diag[np.diag(cur)] = True

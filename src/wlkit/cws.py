@@ -43,6 +43,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import kernels
 from .canon import Certificate, certify
 from .errors import DecompositionError, ResourceLimitError, UnsupportedGraphError
 from .graph import ColoredGraph, serialize_wlg
@@ -287,6 +288,15 @@ _ENTRY_BYTES = 200
 # bytes a key of a `close_pairs` batch holds while the batch runs: its
 # 2-tuple and the key set's slots as the set grows (traced at up to 181)
 _KEY_BYTES = 192
+# bytes `twin_classes` holds a vertex and an adjacent pair beside the planes,
+# their copy and the rank's compare slab: the rank's order, run starts and
+# ids, the pass's vertex and id arrays, the masks over the adjacent pairs,
+# and 8192 bytes of call objects.  Traced at up to 88 a vertex on sparse
+# graphs and 40 an adjacent pair on dense ones (n = 60-2100: disjoint
+# 7-cycles, paths, K_60, random, edge-colored and directed graphs),
+# peak/need 0.59-0.94
+_TWIN_VERTEX_BYTES = 96
+_TWIN_PAIR_BYTES = 48
 
 
 class _Scan:
@@ -302,10 +312,14 @@ class _Scan:
         nplanes, self.words = _plane_shape(g)
         self.plane_bytes = 8 * g.n * nplanes * self.words
         # once a class has two members, closures or twin groups build the
-        # planes, and twin rows copy them beside a rank slab of at most 1 MB
-        # (2.9 times the planes traced on a 1000-vertex path with 21 planes)
+        # planes, and a twin pass copies them and ranks the copy, comparing
+        # sorted neighbours one slab of at most _AGREE_CELLS 32-bit words
+        # (with its bool compare) at a time
         if np.bincount(self.cls).max(initial=0) >= 2:
-            self._check(f"bit planes of {g.n} vertices", 3 * self.plane_bytes)
+            slab = min(self.plane_bytes, 4 * kernels._AGREE_CELLS)
+            need = 2 * self.plane_bytes + slab + slab // 4 + 8192
+            need += _TWIN_VERTEX_BYTES * g.n + _TWIN_PAIR_BYTES * g.neighbor_codes().src.shape[0]
+            self._check(f"bit planes and twin ranks of {g.n} vertices", need)
 
     def _check(self, what: str, need: int) -> None:
         if need > self.limits.memory_bytes:
@@ -451,9 +465,13 @@ def twin_classes(
         del rows  # before the next pass copies the planes again
         ids = cls[xs] * xs.size + same
         order = np.argsort(ids, kind="stable")
-        for grp in np.split(xs[order], _run_starts(ids[order])[1:]):
-            if grp.size >= 2:
-                (true_groups if a else false_groups).append(grp.tolist())
+        xs, ids = xs[order], ids[order]
+        # only groups of two or more become lists: no view per lone vertex
+        starts = _run_starts(ids)
+        ends = np.append(starts[1:], ids.size)
+        pair = ends - starts >= 2
+        for lo, hi in zip(starts[pair].tolist(), ends[pair].tolist()):
+            (true_groups if a else false_groups).append(xs[lo:hi].tolist())
     return sorted(true_groups), sorted(false_groups)
 
 

@@ -20,10 +20,15 @@ otherwise (`code_dtype`); the narrower rows halve the bytes that a round's
 sort, compare and rank move.
 
 A round splits nothing exactly when every tuple's row equals the row of the
-first tuple of its class, the one exact check `differing_rows`.  `refine`
-runs it first and ranks the round's rows only on a split, which at k = 2
-comes only after a hash collision; `coherent.validate` runs it as axiom 3
-on the k = 2 round of the relation ids.
+first tuple of its class.  At k >= 3 `refine` checks that on the full round
+(`differing_rows`) and ranks the round's rows only on a split.  At k = 2
+the check is `unstable_pairs`, which `refine` runs after its hashed rounds
+and `coherent.validate` runs as axiom 3 on the relation ids: the pairs are
+ordered by class and each row is built (`pair_code_rows`, from the two
+`pair_tables`) and compared with the row before it in its class, one block
+of at most _PAIR_CELLS codes at a time, so the n^2 (n + 1) round is never
+held.  A split, which at k = 2 comes only after a hash collision, builds
+the rows of the classes that split and no others.
 
 `dense_rank_rows` ranks rows whose column bit lengths sum to at most 62 (a
 k = 2 search node's first round, built from its seed keys; initial
@@ -32,9 +37,9 @@ packed int64 key per row through `argsort`; every other row is sorted as
 big-endian bytes of its own width.  Both give the same ids.  The round
 loop owns the rows it builds, so once its stop check fails it swaps them
 to big-endian in place (`big_endian`) and the rank sorts them where they
-lie: a round holds its n^k * (n + 1) cells once, plus one slab of at most
-_AGREE_CELLS gathered cells and a few n^k-long id arrays.  Any other input
-is copied first; the rank never writes its argument.
+lie: a k >= 3 round holds its n^k * (n + 1) cells once, plus one slab of
+at most _AGREE_CELLS gathered cells and a few n^k-long id arrays.  Any
+other input is copied first; the rank never writes its argument.
 """
 from __future__ import annotations
 
@@ -47,6 +52,10 @@ _INT32_LIMIT = 2**31
 # differing_rows and dense_rank_rows' compare of sorted neighbours gather
 # this many cells at a time
 _AGREE_CELLS = 1 << 18
+# the k = 2 stop check builds, sorts and compares this many codes at a time:
+# on Klein schemes of 80-240 points a check ran fastest from 2^16 to 2^17
+# codes, 10-15% slower at _AGREE_CELLS and 25-75% slower at 2^13
+_PAIR_CELLS = 1 << 16
 
 
 def backend_name() -> str:
@@ -103,6 +112,87 @@ def differing_rows(rows: np.ndarray, first: np.ndarray) -> np.ndarray | None:
             np.greater(differ.astype(np.float32) @ ones, 0, out=flags[lo : lo + step])
         del differ  # one slab at a time
     return flags if split else None
+
+
+def pair_tables(colors: np.ndarray, n: int, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, n) pair grid C of `colors` times `base`, and C's transpose,
+    both C-contiguous and of dtype `code_dtype(base, 2)`: row x of the first
+    plus row y of the second are pair (x, y)'s codes C(x, z) * base +
+    C(z, y) over z, the substitution codes of its k = 2 round row.  `base`
+    is a class count, at most n^2, so the codes fit in int64 below _PACK_LIMIT
+    for every n up to 46340, and k = 2 has no table branch."""
+    if base * base >= _PACK_LIMIT:
+        raise ValueError("k = 2 codes need base^2 below 2^62")
+    grid = colors.astype(code_dtype(base, 2)).reshape(n, n)
+    cols = np.ascontiguousarray(grid.T)
+    grid *= base
+    return grid, cols
+
+
+def pair_code_rows(
+    tables: tuple[np.ndarray, np.ndarray], pairs: np.ndarray, out: np.ndarray,
+    cells: int = _PAIR_CELLS,
+) -> None:
+    """Write the sorted codes of each pair x * n + y of `pairs` (`tables` from
+    `pair_tables`) to the rows of `out`, `cells` codes at a time: two
+    contiguous row gathers, an add and a sort along the row."""
+    scaled, cols = tables
+    n = cols.shape[0]
+    step = max(1, cells // max(1, n))
+    for lo in range(0, pairs.shape[0], step):
+        x, y = np.divmod(pairs[lo : lo + step], n)
+        block = out[lo : lo + step]
+        np.take(scaled, x, axis=0, out=block, mode="clip")  # "raise" would buffer
+        block += cols[y]
+        block.sort(axis=1)
+
+
+def unstable_pairs(
+    colors: np.ndarray, n: int, ncolors: int, cells: int = _PAIR_CELLS
+) -> np.ndarray | None:
+    """The exact k = 2 stop check of the pair coloring `colors` (dense ids
+    below `ncolors`): for each class whose round rows are not all equal, the
+    first pair in row-major order whose row differs from that of the class's
+    first pair, in increasing class id; None when every class agrees.
+
+    The pairs are stably sorted by class, classes of one pair left out (a
+    lone pair agrees with itself).  Blocks of about `cells` codes, at least
+    one row, are built (`pair_code_rows`) and each row is compared with the
+    row before it in its class, one row carried across blocks.  Rows equal
+    along that chain all equal the class's first row, so the check is exact,
+    and a class's first break is its first pair that differs from the first
+    pair.  Column 0, the previous id, is equal within a class and is not
+    built.  Holds the two tables, a few index arrays of the pairs, and one
+    block."""
+    size = np.bincount(colors, minlength=ncolors)
+    pairs = np.flatnonzero(size[colors] > 1)
+    del size
+    if not pairs.size:
+        return None
+    pairs = pairs[np.argsort(colors[pairs], kind="stable")]
+    cls = colors[pairs]
+    tables = pair_tables(colors, n, max(2, ncolors))
+    step = min(max(1, cells // n), pairs.shape[0])
+    rows = np.empty((step + 1, n), dtype=tables[0].dtype)
+    breaks = []
+    for lo in range(0, pairs.shape[0], step):
+        hi = min(lo + step, pairs.shape[0])
+        block = rows[: hi - lo + 1]
+        pair_code_rows(tables, pairs[lo:hi], block[1:], cells)
+        differ = np.any(block[1:] != block[:-1], axis=1)
+        # row 0 is the last row of the block before, or nothing
+        differ[0] &= lo > 0 and cls[lo] == cls[lo - 1]
+        differ[1:] &= cls[lo + 1 : hi] == cls[lo : hi - 1]
+        if differ.any():
+            breaks.append(lo + np.flatnonzero(differ))
+        rows[0] = block[-1]
+    if not breaks:
+        return None
+    at = np.concatenate(breaks)
+    # `at` increases, so its classes do too: keep each class's first break
+    first = np.ones(at.shape[0], dtype=bool)
+    np.not_equal(cls[at[1:]], cls[at[:-1]], out=first[1:])
+    return pairs[at[first]]
 
 
 def _key_bits(rows: np.ndarray) -> list[int] | None:

@@ -19,29 +19,33 @@ enumerate tuples with `itertools.product`, which yields them in rank
 order.  No index array is built, and nothing a round allocates outlives
 the round, for any k.
 
-Every k runs one exact round loop (`stable_rounds`).  At k = 2 every
-caller reaches it through one pass (`refine_rounds`): a start (the iso
+k = 1 and k >= 3 run one exact round loop (`stable_rounds`).  At k = 2
+every caller runs one pass (`refine_rounds`) instead: a start (the iso
 types, the coherent closure's seed, or a search child's pivot round,
 below), then hashed rounds (`hashed_rounds`) until the class count stops
-growing.  They split as far as exact rounds would unless a hash collides,
-so the exact loop normally runs its stop check alone; a collision costs
-exact rounds, never a wrong partition (`coherent.cellular_closure` gives
-the proof).  So k = 2 ids are hash ranks.  A k = 2 canonical-search node
-(`refine_node`) skips the exact loop, so it never builds the n^2 (n + 1)
-round, and a collision only leaves one of its classes unsplit (`canon`
+growing, then one exact stop check (`stop_check`).  The hashed rounds
+split as far as exact rounds would unless a hash collides, so the stop
+check normally finds nothing to split; a collision costs an exact round,
+which hands back to the hashed rounds, never a wrong partition
+(`coherent.cellular_closure` gives the proof).  So k = 2 ids are hash
+ranks.  A k = 2 canonical-search node (`refine_node`) skips the stop
+check, and a collision only leaves one of its classes unsplit (`canon`
 says why that suffices).
 
 An exact round's rows are dense-ranked lexicographically, previous color
 first, so a color id is the rank of its row among the round's rows, and a
-round that splits nothing gives back the previous ids.  A full k >= 2
-round first compares each tuple's exact row with the row of the first
-tuple of its class (`kernels.differing_rows`, which `coherent.validate`
-runs as axiom 3); when all agree the loop stops without ranking, so the
-round that confirms stability costs a compare, not a sort of its n + 1
-wide rows.  Otherwise all its rows are ranked, in place.  A k >= 2
-coloring with n^k classes cannot split, so the loop stops there without
-building a round.  A k = 1 round is narrow, so it is ranked at once and
-the loop stops when the class count does not grow.  A k >= 2 child's first
+round that splits nothing gives back the previous ids.  Each round first
+checks whether it splits anything, and when it does not the loop stops
+without ranking.  At k = 2 the check (`kernels.unstable_pairs`, which
+`coherent.validate` runs as axiom 3) compares each pair's row with the row
+before it in its class, in cache-sized blocks, so it never holds the
+n^2 (n + 1) round; on a split only the rows of the classes it names are
+built and ranked (`_exact_round`).  A full k >= 3 round builds every
+tuple's row and compares it with the row of the first tuple of its class
+(`kernels.differing_rows`); on a split all its rows are ranked, in place.
+A k >= 2 coloring with n^k classes cannot split, so the loop stops there
+without a check.  A k = 1 round is narrow, so it is ranked at once and the
+loop stops when the class count does not grow.  A k >= 2 child's first
 round (below) is ranked once, before the loop.
 
 A search node's child is given by its parent: `parent=(tc, v)`
@@ -111,8 +115,11 @@ from .kernels import (
     code_dtype,
     dense_rank_rows,
     differing_rows,
+    pair_code_rows,
+    pair_tables,
     round_rows,
     substitution_view,
+    unstable_pairs,
 )
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -242,9 +249,9 @@ _HASHED_PAIR_BYTES = 128
 
 
 def _hashed_bytes(n: int) -> int:
-    """Working bytes of a hashed k = 2 search node: `_CALL_BYTES` and
-    _HASHED_PAIR_BYTES a pair.  At the default 2 GiB this admits n up to
-    4095."""
+    """Working bytes of a hashed k = 2 search node, and of any k = 2 round
+    (`_estimate_bytes`): `_CALL_BYTES` and _HASHED_PAIR_BYTES a pair.  At
+    the default 2 GiB this admits n up to 4095."""
     return _CALL_BYTES + _HASHED_PAIR_BYTES * n * n
 
 
@@ -257,7 +264,18 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     Checked against tracemalloc peaks of paths, cycles, a star, K_100 and
     random graphs, directed or not (peak/estimate 0.4-0.7).
 
-    A k >= 2 round holds its n^k * (n + 1) cells once, at the itemsize of
+    A k = 2 round needs what a hashed search node does (`_hashed_bytes`):
+    the hashed rounds peak there, and the exact stop check holds at most
+    _STOP_PAIR_BYTES a pair beside a block sized to fit the rest
+    (`_stop_cells`).  A split builds its rows only after checking them
+    against memory_bytes (`_exact_round`).  Fitted to tracemalloc peaks of
+    `refine_k(·, 2)`: peak/estimate 0.96-0.99 at n = 40-400 for a graph
+    with one twin pair, whose hashed rounds run one round at nearly n^2
+    classes, 0.77-0.88 at n = 10-20; 0.59-0.74 for random graphs, which
+    the hashed rounds make discrete; 0.63-0.90 for a graph beside a
+    relabeled copy, whose stop check builds every pair's row.
+
+    A k >= 3 round holds its n^k * (n + 1) cells once, at the itemsize of
     the widest codes n^k colors can take (`code_dtype`), since the rank
     sorts them where they lie; one slab of at most _AGREE_CELLS cells, for
     the stop check (gathered cells and their bool compare, then that
@@ -265,25 +283,18 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     either way) and for the rank's neighbour compare; and up to 96 bytes a
     tuple of id, order and index arrays: the previous ids, each class's
     first tuple and its gather, the row flags, the rank's order, run starts
-    and ids, and the new ids.  The k = 2 hashed rounds ahead of the loop
-    hold less than that allowance.  Where base^k can reach _PACK_LIMIT,
+    and ids, and the new ids.  Where base^k can reach _PACK_LIMIT,
     `round_rows`' overflow-safe branch adds its n^(k+1) stacked k-vectors
     (8k bytes a cell, ranked in place) and the rank's 32 bytes a cell.
-    Fitted to tracemalloc peaks: peak/estimate 0.86-0.92 at k = 2,
-    n = 40-160, for a graph with one twin pair, whose stop check builds
-    int32 rows, and for splitting rounds under salts patched to collide;
-    0.97 at n = 220 (int64 rows); 0.85-0.86 at k = 3, n = 20-40 (random
-    graphs, every row of a splitting round ranked); 0.74-0.82 for the
-    branch with _PACK_LIMIT patched to 1 (k = 2-4); 0.62-0.77 at k = 2,
-    n = 10-20, where numpy's ufunc buffers, which `substitution_codes`
-    sizes to the n^k grid, fall within the per-tuple allowance.  A k = 2
-    coloring that the hashed rounds make discrete builds no round, so for
-    it the estimate over-reserves (peak/estimate 0.04-0.18 on random
-    graphs, n = 40-220).  At the default 2 GiB this admits k = 2 up to
-    n = 640, k = 3 up to n = 118 (the branch can run from n = 119) and
-    k = 4 up to n = 30."""
+    Fitted to tracemalloc peaks: peak/estimate 0.85-0.86 at k = 3,
+    n = 20-40 (random graphs, every row of a splitting round ranked);
+    0.74-0.82 for the branch with _PACK_LIMIT patched to 1 (k = 3-4).  At
+    the default 2 GiB this admits k = 2 up to n = 4095, k = 3 up to n = 118
+    (the branch can run from n = 119) and k = 4 up to n = 30."""
     if k == 1:
         return _CALL_BYTES + 8 * (n * (3 * width + 8) + 16 * pairs)
+    if k == 2:
+        return _hashed_bytes(n)
     nk = n**k
     cells = nk * (n + 1)
     size = np.dtype(code_dtype(nk, k)).itemsize
@@ -291,6 +302,26 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     if nk**k >= kernels._PACK_LIMIT:
         need += nk * n * (8 * k + 32)
     return need
+
+
+# Bytes a pair of the k = 2 stop check (`kernels.unstable_pairs`) holds
+# beside its block: the caller's ids, the pairs of classes of two or more,
+# their class order and classes, and the two code tables.  Traced at 21-30
+# beside the block (n = 10-440: Klein schemes and colorings of 2, 7 and
+# n^2 / 2 classes, int32 and int64 codes), so a block of _STOP_PAIR_BYTES
+# less than the estimate's allowance keeps the check's peak within the
+# estimate (peak/estimate 0.27-0.84 from n = 40 up).
+_STOP_PAIR_BYTES = 48
+
+
+def _stop_cells(n: int) -> int:
+    """Codes in a block of the k = 2 stop check: kernels._PAIR_CELLS, or
+    fewer when the block (the codes, their column gather and their compare:
+    2 * itemsize + 1 bytes a code) would not fit in what the round's
+    estimate (`_hashed_bytes`) leaves beside _STOP_PAIR_BYTES a pair.  That
+    is at least one row for every n."""
+    cell = 2 * np.dtype(code_dtype(n * n, 2)).itemsize + 1
+    return min(kernels._PAIR_CELLS, (_HASHED_PAIR_BYTES - _STOP_PAIR_BYTES) * n * n // cell)
 
 
 def check_round_budget(
@@ -386,7 +417,8 @@ def stable_rounds(
     nothing; returns the stable colors and the class count before the first
     round and after each splitting round.  A k = 1 round needs the graph's
     neighbor codes `nc`; a k >= 2 round is a full one.  A k >= 2 coloring
-    with n^k classes is stable without a round."""
+    with n^k classes is stable without a round.  `refine_rounds` runs it at
+    k = 1 and k >= 3; at k = 2 it is the full-round reference."""
     ncolors = int(colors.max()) + 1
     class_counts = [ncolors]
     while True:
@@ -407,6 +439,44 @@ def stable_rounds(
             return colors, class_counts
         colors, ncolors = ids, count
         class_counts.append(ncolors)
+
+
+def stop_check(colors: np.ndarray, n: int, ncolors: int) -> np.ndarray | None:
+    """The exact k = 2 stop check (`kernels.unstable_pairs`) in blocks of
+    `_stop_cells(n)` codes: for each class of `colors` that an exact round
+    would split, its first pair whose row differs from its first pair's,
+    or None when the round splits nothing."""
+    return unstable_pairs(colors, n, ncolors, _stop_cells(n))
+
+
+def _exact_round(colors: np.ndarray, n: int, ncolors: int, limits: Limits) -> np.ndarray | None:
+    """The ids of an exact k = 2 round of `colors`, or None when it splits
+    nothing.  The stop check (`stop_check`) names the classes that split;
+    only their members' rows ``[previous id | sorted codes]`` are built,
+    within `limits`, and ranked.  The ids are the dense rank of (previous
+    id, that rank, or 0 outside those classes): the ids of ranking every
+    pair's row, since the rows of a class that does not split are all
+    equal."""
+    split = stop_check(colors, n, ncolors)
+    if split is None:
+        return None
+    failing = np.zeros(ncolors, dtype=bool)
+    failing[colors[split]] = True
+    members = np.flatnonzero(failing[colors])
+    del split, failing
+    dtype = code_dtype(max(2, ncolors), 2)
+    # the rows, the rank's neighbour slab and bool compare, and 40 bytes a
+    # member of index and id arrays; the n^2-long arrays fit the estimate
+    size, cells = np.dtype(dtype).itemsize, members.shape[0] * (n + 1)
+    need = _estimate_bytes(n, 2) + cells * size + min(cells, kernels._AGREE_CELLS) * (size + 1)
+    _check_bytes(f"exact split of {members.shape[0]} pairs at n={n}", need + 40 * members.shape[0], limits)
+    rows = np.empty((members.shape[0], n + 1), dtype=dtype)
+    rows[:, 0] = colors[members]
+    pair_code_rows(pair_tables(colors, n, max(2, ncolors)), members, rows[:, 1:])
+    sub = np.zeros(colors.shape[0], dtype=np.int64)
+    sub[members] = dense_rank_rows(big_endian(rows))
+    del rows, members
+    return dense_rank_rows(np.column_stack((colors, sub)))
 
 
 # the two primes of the hashed rounds, below 2^20
@@ -484,14 +554,19 @@ def refine_rounds(
     nc: NeighborCodes | None = None,
     *,
     exact: bool = True,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[np.ndarray, list[int]]:
     """Refine from a start to stability; returns the colors and the class
     count before the first round and after each splitting round.  The
     start is `colors` (dense ids of all n^k tuples), or, given v, the first
     round (`_pivot_round`) of the k >= 2 child that individualizes v on top
-    of the stable `colors`, which ends the pass when it splits nothing.  At
-    k = 2 hashed rounds follow; then the exact loop runs unless `exact` is
-    False (a k = 1 round reads the neighbor codes `nc`)."""
+    of the stable `colors`, which ends the pass when it splits nothing.
+    Unless `exact` is False, k = 1 and k >= 3 then run the exact loop
+    (`stable_rounds`; a k = 1 round reads the neighbor codes `nc`).  At
+    k = 2 hashed rounds follow, then, unless `exact` is False, the exact
+    stop check; when it finds a split (a hash collided), an exact round
+    (`_exact_round`, within `limits`) makes it and the hashed rounds go
+    on."""
     if v is None:
         class_counts = [int(colors.max()) + 1]
     else:
@@ -499,9 +574,16 @@ def refine_rounds(
         class_counts = [seeded, int(colors.max()) + 1]
         if class_counts[1] == seeded:  # the first round split nothing
             return colors, class_counts[:1]
-    if k == 2:
+    while k == 2:
         colors, later = hashed_rounds(colors, n)
         class_counts += later[1:]
+        ids = None
+        if exact and class_counts[-1] < colors.shape[0]:
+            ids = _exact_round(colors, n, class_counts[-1], limits)
+        if ids is None:
+            return colors, class_counts
+        colors = ids
+        class_counts.append(int(ids.max()) + 1)
     if exact:
         colors, later = stable_rounds(colors, n, k, nc)
         class_counts += later[1:]
@@ -576,7 +658,7 @@ def refine_k(
         colors, v = dense_rank_rows(_seed_keys(start, n, 1, v)[:, None]), None
     else:
         colors = start
-    return _coloring(k, n, *refine_rounds(colors, n, k, v, nc))
+    return _coloring(k, n, *refine_rounds(colors, n, k, v, nc, limits=limits))
 
 
 def refine_node(

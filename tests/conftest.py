@@ -1,5 +1,6 @@
 """Shared fixtures, partition helpers, a small-graph strategy, a traced
-memory peak, degenerate hash salts and a graph with one twin pair.
+memory peak, degenerate hash salts, a graph with one twin pair and a
+doubled graph.
 
 Color ids produced by dense ranking are arbitrary; two equal partitions of
 the same index set can carry different ids.  Tests therefore compare
@@ -68,10 +69,19 @@ def constant_salts(m):
 
 def twin_pair_graph(n: int) -> ColoredGraph:
     """A random graph on n - 1 vertices with a twin of vertex 0 added: its
-    stable pair coloring is one swap short of discrete, so the exact stop
-    check after the hashed rounds builds the n^3 round."""
+    stable pair coloring is one swap short of discrete, so the k = 2 hashed
+    rounds run one round past a discrete graph's, at nearly n^2 classes,
+    where their arrays peak."""
     g = random_graph(n - 1, 0.5, seed=3)
     return ColoredGraph(n, list(g.edges) + [(v, n - 1) for v in g.neighbors(0)])
+
+
+def doubled_graph(n: int) -> ColoredGraph:
+    """A random graph on n / 2 vertices beside a relabeled copy: every class
+    of its stable pair coloring holds two or more pairs, so the exact k = 2
+    stop check builds the row of every pair, n^3 codes."""
+    half = random_graph(n // 2, 0.5, seed=3)
+    return disjoint_union(half, random_relabel(half, 2)[0])
 
 
 def crown_graph() -> ColoredGraph:

@@ -16,7 +16,7 @@ import timeit
 import numpy as np
 import pytest
 
-from conftest import crown_graph, same_partition, twin_pair_graph
+from conftest import crown_graph, doubled_graph, same_partition
 from wlkit.canon import certify
 from wlkit.cfi import cfi_build
 from wlkit.coherent import (
@@ -286,11 +286,12 @@ def test_criterion_10_strongly_regular_pair():
 def test_criterion_11_scaling_smoke():
     t0 = time.time()
     # a random graph goes discrete in hashed rounds and never shows the
-    # exact round; one twin pair leaves the stable coloring one swap short
-    # of discrete, so the stop check builds the n^3 round.  Sizes stay below
-    # n = 216, where its codes widen to int64; best of 15 rides out a shared
-    # host's stalls (best of 5 read 2.29-3.30 over 30 processes)
-    graphs = {n: twin_pair_graph(n) for n in (100, 150, 200)}
+    # exact round.  A random graph beside a relabeled copy has two pairs in
+    # every stable class, so the stop check builds all n^2 rows, n^3 codes;
+    # at n = 120-260 its codes stay int32.  Best of 15 rides out a shared
+    # host's stalls (the fit read 2.9-3.1 over six processes, OpenBLAS at
+    # one thread or its default two)
+    graphs = {n: doubled_graph(n) for n in (120, 180, 260)}
     rows = [
         {"n": n, "seconds": min(timeit.repeat(lambda: refine_k(g, 2), number=1, repeat=15))}
         for n, g in graphs.items()

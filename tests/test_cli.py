@@ -93,6 +93,12 @@ def test_iso_verdicts(files, capsys):
     assert main(["iso", shr, rook, "--method", "similar", "-k", "3"]) == 1
 
 
+def test_orbits_help_says_refine_prints_classes(capsys):
+    with pytest.raises(SystemExit):
+        main(["orbits", "--help"])
+    assert "can be coarser than the orbits" in " ".join(capsys.readouterr().out.split())
+
+
 def test_orbits(files, capsys):
     _, write = files
     p4 = write("p4.wlg", parse_wlg("p wlg 4 3 0\ne 0 1\ne 1 2\ne 2 3\n"))

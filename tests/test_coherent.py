@@ -211,11 +211,11 @@ def closed_graphs(draw):
 @PROPERTY
 @given(st.one_of(relation_matrices(), klein_variants(), closed_graphs()))
 def test_validate_matches_the_cell_by_cell_reference(c):
-    # also in slabs of one and of three n + 1 wide round rows, so slab edges
+    # also in stop-check blocks of one and of three rows, so block edges
     # are crossed; codes are int32 here, and int64 when the limit is forced
     # down
-    for cells in (kernels._AGREE_CELLS, c.n + 1, 3 * (c.n + 1)):
-        with mock.patch.object(kernels, "_AGREE_CELLS", cells):
+    for cells in (kernels._PAIR_CELLS, c.n, 3 * c.n):
+        with mock.patch.object(kernels, "_PAIR_CELLS", cells):
             assert_matches_reference(c)
             with mock.patch.object(kernels, "_INT32_LIMIT", 1):
                 assert_matches_reference(c, np.int64)
@@ -345,15 +345,15 @@ def relabeled(rel: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 def exact_rounds(seed) -> list[int]:
-    """The class count of each exact round a closure of `seed` builds."""
+    """The class count of each exact stop check a closure of `seed` runs."""
     counts = []
-    real_rows = refine_module.round_rows
+    real_check = refine_module.stop_check
 
-    def rows_spy(colors, n, k, ncolors):
+    def check_spy(colors, n, ncolors):
         counts.append(ncolors)
-        return real_rows(colors, n, k, ncolors)
+        return real_check(colors, n, ncolors)
 
-    with mock.patch.object(refine_module, "round_rows", rows_spy):
+    with mock.patch.object(refine_module, "stop_check", check_spy):
         cellular_closure(seed)
     return counts
 
@@ -408,15 +408,15 @@ def test_two_valued_salts_leave_more_exact_rounds(make):
 )
 def test_an_exact_split_finishes_what_colliding_hashes_leave(make):
     # hashes that collide almost everywhere leave classes unsplit, and an
-    # exact splitting round, the only rank of full n + 1 wide k = 2 rows,
-    # finishes them: refine_k and the closure still end at the exact
-    # stable partitions of their references
+    # exact splitting round, the only rank of n + 1 wide k = 2 rows (those
+    # of the classes that split), finishes them: refine_k and the closure
+    # still end at the exact stable partitions of their references
     g = make()
     full = []
     real_rank = refine_module.dense_rank_rows
 
     def rank_spy(rows):
-        full.append(rows.shape == (g.n**2, g.n + 1))
+        full.append(rows.shape[1] == g.n + 1 and rows.shape[0] <= g.n**2)
         return real_rank(rows)
 
     with mock.patch.object(refine_module, "_salts", two_valued_salts), \
@@ -485,31 +485,24 @@ def test_merged_klein_closures_make_one_exact_round(m):
 
 def test_a_closure_makes_one_exact_n3_pass():
     # the stop check of the round loop is the closure's only n^3 pass: the
-    # hashed rounds split as far as exact ones would, and validate's round,
-    # built through coherent's own global, does not follow it
+    # hashed rounds split as far as exact ones would, and validate's check,
+    # called through coherent's own global, does not follow it
     checks, validated = [], []
-    real_rows = refine_module.round_rows
-    real_differ = refine_module.differing_rows
-    real_validate_rows = coherent.round_rows
+    real_check = refine_module.stop_check
 
-    def rows_spy(colors, n, k, ncolors):
-        checks.append([ncolors])
-        return real_rows(colors, n, k, ncolors)
-
-    def differ_spy(*args):
-        out = real_differ(*args)
-        checks[-1].append(out is None)  # every row agrees with its class's first
+    def check_spy(colors, n, ncolors):
+        out = real_check(colors, n, ncolors)
+        checks.append([ncolors, out is None])  # every row agrees with its class's first
         return out
 
-    def validate_rows_spy(*args):
-        validated.append(args[1:])
-        return real_validate_rows(*args)
+    def validate_spy(colors, n, ncolors):
+        validated.append((n, ncolors))
+        return real_check(colors, n, ncolors)
 
     c = klein_scheme(complete_bipartite(3, 3))
-    with mock.patch.object(refine_module, "round_rows", rows_spy), \
-            mock.patch.object(refine_module, "differing_rows", differ_spy), \
-            mock.patch.object(coherent, "round_rows", validate_rows_spy):
-        # already coherent: one round's rows, which split nothing
+    with mock.patch.object(refine_module, "stop_check", check_spy), \
+            mock.patch.object(coherent, "stop_check", validate_spy):
+        # already coherent: one check, which splits nothing
         fixed = cellular_closure(c.rel)
         assert np.array_equal(fixed.rel, c.rel)
         assert (checks, validated) == ([[c.s, True]], [])
@@ -517,8 +510,8 @@ def test_a_closure_makes_one_exact_n3_pass():
         # merged: hashed splitting rounds, then one exact check
         merged = cellular_closure(merge_relations(c, klein_merge_groups(c)))
         assert (checks, validated) == ([[merged.s, True]], [])
-        # a direct call still checks axiom 3, on one k = 2 round
-        assert validate(merged).ok and validated == [(merged.n, 2, merged.s)]
+        # a direct call still checks axiom 3, with one k = 2 stop check
+        assert validate(merged).ok and validated == [(merged.n, merged.s)]
 
 
 def test_closure_accepts_raw_seed_matrices():
@@ -584,8 +577,9 @@ def _validate_required(c: CoherentConfig) -> int:
 
 
 def test_validate_refuses_a_round_past_memory_bytes():
-    # validate holds one k = 2 round of n^2 (n + 1) cells and gathers the
-    # s x n code rows beside it; it reads DEFAULT_LIMITS at the call
+    # validate runs the k = 2 stop check, within a round's estimate, and
+    # keeps the s x n code rows after it; it reads DEFAULT_LIMITS at the
+    # call
     c = klein_scheme(petersen())
     required = _validate_required(c)
     assert required > refine_module._estimate_bytes(c.n, 2)
@@ -605,8 +599,9 @@ def test_validate_refuses_a_round_past_memory_bytes():
 
 
 def test_validate_peak_stays_within_its_required_bytes():
-    # a discrete configuration returns n^3 code cells, as many as its round
-    # holds; a Klein scheme returns few
+    # a discrete configuration returns n^3 code cells and its stop check has
+    # nothing to compare; a Klein scheme returns few, and its check compares
+    # every pair's row
     for c in (
         CoherentConfig(n=100, s=100**2, rel=np.arange(100**2).reshape(100, 100)),
         klein_scheme(petersen()),
@@ -625,21 +620,20 @@ def _closure_required(seed) -> int:
 
 def twin_pair_seed(n: int) -> np.ndarray:
     """The seed of a random graph on n - 1 vertices with a twin of vertex 0
-    added: its closure is one swap short of discrete, so its stop check
-    builds the n^3 round."""
+    added: its closure is one swap short of discrete, so its hashed rounds
+    run one round at nearly n^2 classes, where a closure peaks."""
     return graph_seed(twin_pair_graph(n))
 
 
 def test_discrete_closure_peak_stays_within_its_required_bytes():
-    # a discrete closure ends in its hashed rounds and builds no n^3 round,
-    # so its peak is well below the round the estimate reserves; a twin
-    # pair's closure builds that round at its stop check, and there the
-    # required bytes are at most twice the peak
+    # a discrete closure ends in its hashed rounds and needs no stop check;
+    # a twin pair's runs one hashed round more.  Either way the required
+    # bytes are at most twice the peak
     for n in (100, 160):
         seed = graph_seed(random_graph(n, 0.5, seed=3))
         c, peak = traced_peak(lambda: cellular_closure(seed))
         assert c.s == n * n
-        assert peak <= _closure_required(seed), n
+        assert peak <= _closure_required(seed) <= 2 * peak, n
         seed = twin_pair_seed(n)
         c, peak = traced_peak(lambda: cellular_closure(seed))
         assert c.s < n * n
@@ -648,8 +642,9 @@ def test_discrete_closure_peak_stays_within_its_required_bytes():
 
 def test_closure_peak_with_int64_rows_stays_within_its_required_bytes():
     # a random graph with one pair of twin vertices closes to 220^2 - 438
-    # classes, past 46340, so its stop check builds int64 rows: the widest
-    # rows a closure can hold, which its required bytes are sized for
+    # classes, past 46340, so its stop check builds int64 code tables and
+    # blocks: the widest a closure can hold, which its required bytes are
+    # sized for
     n = 220
     seed = twin_pair_seed(n)
     c, peak = traced_peak(lambda: cellular_closure(seed))

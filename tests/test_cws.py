@@ -908,6 +908,34 @@ def test_a_closure_batch_counts_its_keys_and_rows(m, budget):
     assert peak <= budget
 
 
+def test_twin_ranks_are_budgeted_with_the_planes():
+    # at k = 1 the disjoint 7-cycles form one class, so a level's twin pass
+    # copies the planes and ranks the copy.  The scan charges that copy, the
+    # rank's compare slab and its per-vertex and per-pair arrays, so 150
+    # copies under 500 KB raise before the budget is passed (the pass alone
+    # traced 0.54 MB beside 0.13 MB held when only 3 planes were charged),
+    # and the pass's own peak stays within what the scan charges
+    reduce_graph(_cycles(2), 1)  # first-call allocations are not the run's
+    g = _cycles(150)
+    lim = Limits(memory_bytes=500_000)
+
+    def run():
+        with pytest.raises(ResourceLimitError, match="twin ranks") as err:
+            reduce_graph(g, 1, limits=lim)
+        return err.value
+
+    err, peak = traced_peak(run)
+    assert err.cap == 500_000 < err.required and peak <= 500_000
+    for h in (g, path(1000), random_graph(400, 0.05, seed=2)):
+        cols = np.zeros(h.n, dtype=np.int64)
+        h.neighbor_codes()  # the graph's own cache is not the pass's
+        with pytest.raises(ResourceLimitError) as err:
+            cws._Scan(h, cols, Limits(memory_bytes=1))
+        scan = cws._Scan(h, cols, DEFAULT_LIMITS)
+        _, peak = traced_peak(lambda: twin_classes(h, cols, _scan=scan))
+        assert peak <= err.value.required, h.n
+
+
 def test_reduce_records_piece_members():
     tree, _ = reduce_graph(disjoint_union(cycle(6), cycle(6)))
     level0 = tree.levels[0]

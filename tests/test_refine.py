@@ -15,11 +15,14 @@ from conftest import (
     colored_graphs,
     constant_salts,
     crown_graph,
+    doubled_graph,
     same_partition,
     traced_peak,
     twin_pair_graph,
+    two_valued_salts,
 )
 from wlkit import kernels
+from wlkit.coherent import cellular_closure
 from wlkit.cws import reduce_graph
 from wlkit.errors import ResourceLimitError, UnsupportedGraphError
 from wlkit.families import (
@@ -547,15 +550,16 @@ def test_an_individualized_child_takes_its_first_round_from_the_vertex(cfi_k4):
     root = refine_2(g)
     v = int(np.flatnonzero(vertex_classes(root) == 0)[0])
     calls = []
+    real_check = refine_module.stop_check
 
-    def rows_spy(colors, *args):
-        calls.append(int(colors.max()) + 1)
-        return kernels.round_rows(colors, *args)
+    def check_spy(colors, n, ncolors):
+        calls.append(ncolors)
+        return real_check(colors, n, ncolors)
 
-    with mock.patch.object(refine_module, "round_rows", rows_spy):
+    with mock.patch.object(refine_module, "stop_check", check_spy):
         child = refine_2(g, parent=(root, v))
     # round 1 came from v alone and every later one was hashed: only the
-    # exact stop check built full rows, from the classes the last round left
+    # exact stop check built rows, of the classes the last round left
     assert child.rounds >= 2
     assert calls == child.class_counts[-1:]
     colors, rounds, counts = reference_refine(
@@ -753,6 +757,88 @@ def test_round_rows_are_int32_exactly_below_the_limit(k, n, below):
         assert np.array_equal(wide, want)
 
 
+# -- the k = 2 stop check against the full round -------------------------------
+
+
+def reference_unstable_pairs(colors, n, ncolors):
+    """The stop check through the full round: `differing_rows` of
+    `round_rows`, then the first flagged pair of each class by class id."""
+    first = np.full(ncolors, n * n, dtype=np.int64)
+    np.minimum.at(first, colors, np.arange(n * n, dtype=np.int64))
+    flags = kernels.differing_rows(kernels.round_rows(colors, n, 2, ncolors), first[colors])
+    if flags is None:
+        return None
+    at = np.flatnonzero(flags)
+    return at[np.unique(colors[at], return_index=True)[1]]
+
+
+@st.composite
+def pair_colorings(draw):
+    """(colors, n): dense pair colorings of 1-7 points.  Random colorings
+    with 1, 2, 3 or n^2 values; stable closures of random colored graphs,
+    directed or not, one cell changed or not; and the iso types of directed
+    colored graphs, with or without one hashed round."""
+    kind = draw(st.sampled_from(("random", "closure", "directed")))
+    if kind == "random":
+        n = draw(st.integers(1, 7))
+        m = draw(st.sampled_from((1, 2, 3, n * n)))
+        colors = np.asarray(draw(st.lists(st.integers(0, m - 1), min_size=n * n, max_size=n * n)))
+    elif kind == "closure":
+        g, cols = draw(colored_graphs(max_n=7, min_n=1))
+        colors = cellular_closure(g.with_vertex_colors(cols.tolist())).rel.ravel()
+        n = g.n
+        if draw(st.booleans()):
+            colors = colors.copy()
+            colors[draw(st.integers(0, n * n - 1))] = colors[draw(st.integers(0, n * n - 1))]
+    else:
+        g, cols = draw(colored_graphs(max_n=7, min_n=1, directed=True))
+        colors = kernels.dense_rank_rows(refine_module._initial_rows(g, 2, cols))
+        n = g.n
+        if draw(st.booleans()):
+            colors = refine_module.hashed_rounds(colors, n)[0]
+    return np.unique(colors, return_inverse=True)[1].reshape(-1), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_colorings())
+def test_the_stop_check_matches_the_full_round(case):
+    # the same classes, and the same first differing pair in each, from
+    # blocks of one row, of three rows and one code past them, and of the
+    # default size; on int32 codes and on int64 ones.  A split ranks only
+    # the rows of the classes that split, and its ids are those of ranking
+    # every row of the full round
+    colors, n = case
+    ncolors = int(colors.max()) + 1
+    want = reference_unstable_pairs(colors, n, ncolors)
+    for wide in (False, True):
+        with mock.patch.object(kernels, "_INT32_LIMIT", 1 if wide else kernels._INT32_LIMIT):
+            for cells in (1, n, 3 * n + 1, kernels._PAIR_CELLS):
+                got = kernels.unstable_pairs(colors, n, ncolors, cells)
+                assert (got is None) == (want is None), cells
+                assert got is None or np.array_equal(got, want), cells
+    ids = refine_module._exact_round(colors, n, ncolors, DEFAULT_LIMITS)
+    if want is None:
+        assert ids is None
+    else:
+        full = kernels.dense_rank_rows(kernels.round_rows(colors, n, 2, ncolors))
+        assert np.array_equal(ids, full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_graphs(max_n=7))
+def test_two_valued_salts_give_the_partition_of_full_exact_rounds(case):
+    # hashes that collide almost everywhere leave the exact rounds most
+    # splits to make, each ranking only the classes its stop check names,
+    # then the hashed rounds go on: the partition is that of full rounds
+    g, cols = case
+    if g.n == 0:
+        return
+    with mock.patch.object(refine_module, "_salts", two_valued_salts):
+        tc = refine_k(g, 2, vertex_colors=cols)
+    assert same_partition(tc.colors, reference_refine(g, 2, cols)[0])
+    assert same_partition(tc.colors, refine_k(g, 2, vertex_colors=cols).colors)
+
+
 def _traced_refinement(g, k, **kwargs):
     """refine_k(g, k, **kwargs), the bytes it still holds after returning
     and its traced peak, both above what was allocated when it started."""
@@ -770,14 +856,16 @@ def _traced_refinement(g, k, **kwargs):
 def test_refinement_keeps_nothing_after_it_returns():
     # no round's arrays, and no index arrays, outlive the call, and a
     # round's peak stays within the estimate the memory budget is checked
-    # against.  Random graphs go discrete in the k = 2 hashed rounds and
-    # build no n^3 round, so for them the estimate over-reserves (ROADMAP
-    # item 2(b)).  A twin pair's stop check builds that round, and there,
-    # as at k = 3's largest size, the estimate is at most twice the peak.
-    # At n = 220 the twin pair leaves 220^2 - 438 classes, past 46340, so
-    # the stop check builds int64 rows
-    cases = [(random_graph(n, 0.5, seed=1), 2, False) for n in (10, 20, 40, 80, 160)]
+    # against.  At k = 2 the hashed rounds peak and the stop check's blocks
+    # fit beside its arrays, so the estimate is at most twice the peak
+    # whether the hashed rounds make a random graph discrete, run one round
+    # more at nearly n^2 classes on a twin pair, or leave the stop check
+    # every pair's row of a doubled graph; k = 3 is as tight at its largest
+    # size.  At n = 220 the twin pair leaves 220^2 - 438 classes, past
+    # 46340, so the stop check's codes are int64
+    cases = [(random_graph(n, 0.5, seed=1), 2, True) for n in (10, 20, 40, 80, 160)]
     cases += [(random_graph(20, 0.5, seed=1), 3, False), (random_graph(30, 0.5, seed=1), 3, True)]
+    cases += [(doubled_graph(160), 2, True)]
     cases += [(twin_pair_graph(n), 2, True) for n in (100, 160, 220)]
     for g, k, tight in cases:
         tc, held, peak = _traced_refinement(g, k)
@@ -803,31 +891,62 @@ def test_a_seeded_child_keeps_nothing_after_it_returns():
 
 
 def test_a_400_vertex_two_dim_refinement_fits_the_default_budget():
-    # the k = 2 stop check holds its n^2 (n + 1) cells once, so 400
-    # vertices fit in the default 2 GiB; a budget of three row-sized copies
-    # asked 2.57 GB.  A discrete random graph builds no such round, so the
-    # estimate over-reserves for it (ROADMAP item 2(b)); a twin pair builds
-    # it, with int64 rows
+    # a k = 2 round needs 128 bytes a pair, where its hashed rounds peak;
+    # the stop check never holds the n^2 (n + 1) round, so 400 vertices take
+    # 20 MB where they took 531 MB.  A discrete random graph, a twin pair
+    # (int64 codes) and a doubled graph, whose stop check builds every
+    # pair's row, each peak within the estimate and above half of it
     n = 400
     estimate = refine_module._estimate_bytes(n, 2)
-    assert estimate <= Limits().memory_bytes == 2 * 1024**3
-    tc, _, peak = _traced_refinement(random_graph(n, 0.5, seed=1), 2, limits=Limits())
-    assert tc.num_colors == n * n
-    assert peak <= estimate
-    tc, _, peak = _traced_refinement(twin_pair_graph(n), 2, limits=Limits())
-    assert tc.num_colors == n * n - 2 * (n - 2) - 2
-    assert peak <= estimate <= 2 * peak
+    assert estimate <= 21 * 10**6
+    for g, classes in (
+        (random_graph(n, 0.5, seed=1), n * n),
+        (twin_pair_graph(n), n * n - 2 * (n - 2) - 2),
+        (doubled_graph(n), n * n // 2),
+    ):
+        tc, _, peak = _traced_refinement(g, 2, limits=Limits())
+        assert tc.num_colors == classes
+        assert peak <= estimate <= 2 * peak
+
+
+def test_an_exact_split_builds_its_rows_within_memory_bytes():
+    # under constant salts no hashed round splits, so exact rounds make
+    # every split, each building and ranking the rows of the classes its
+    # stop check names, checked against memory_bytes before they are built:
+    # from the round's estimate up, each budget either runs within itself or
+    # raises before it is passed, naming what the split needs
+    g = random_graph(60, 0.3, seed=1)
+    want = refine_k(g, 2)
+
+    def run(budget):
+        try:
+            return refine_k(g, 2, limits=Limits(memory_bytes=budget))
+        except ResourceLimitError as err:
+            return err
+
+    budget, refusals = refine_module._estimate_bytes(g.n, 2), 0
+    with mock.patch.object(refine_module, "_salts", constant_salts):
+        while True:
+            out, peak = traced_peak(lambda: run(budget))
+            assert peak <= budget
+            if not isinstance(out, ResourceLimitError):
+                break
+            assert "exact split" in str(out) and out.required > budget
+            budget, refusals = out.required, refusals + 1
+    assert refusals >= 1 and same_partition(out.colors, want.colors)
 
 
 def test_overflow_safe_rows_stay_within_the_estimate():
     # where base^k reaches _PACK_LIMIT, round_rows ranks n^(k+1) stacked
     # k-vectors; the estimate counts them wherever the branch can run, and
-    # the branch gives the packed codes' ids.  At k = 2 only a twin pair's
-    # stop check builds rows; a discrete random graph builds none, and the
-    # estimate over-reserves for it (ROADMAP item 2(b))
+    # the branch gives the packed codes' ids.  k = 2 never builds round_rows
+    # (its codes fit below _PACK_LIMIT up to n = 46340), and refuses a
+    # limit that they pass
+    with mock.patch.object(kernels, "_PACK_LIMIT", 1), \
+            pytest.raises(ValueError, match="base\\^2"):
+        refine_k(twin_pair_graph(20), 2)
     for g, k, tight in (
-        (random_graph(80, 0.5, seed=1), 2, False),
-        (twin_pair_graph(80), 2, True),
+        (random_graph(20, 0.5, seed=1), 3, True),
         (random_graph(30, 0.5, seed=1), 3, True),
     ):
         n = g.n
@@ -929,12 +1048,13 @@ def test_sparse_one_dim_rounds_match_the_dense_reference(case, v, seeded):
 
 
 @settings(max_examples=60, deadline=None)
-@given(colored_graphs(max_n=6), st.sampled_from((2, 3)), st.integers(0, 5))
-def test_table_rounds_match_packed_rounds(case, k, v):
+@given(colored_graphs(max_n=6), st.integers(0, 5))
+def test_table_rounds_match_packed_rounds(case, v):
+    # k = 3: only k >= 3 builds round_rows (k = 2 codes always pack)
     g, cols = case
     if g.n == 0:
         return
-    v %= g.n
+    k, v = 3, v % g.n
     rounds, widths = [], []
 
     def rows_spy(*args):
@@ -948,17 +1068,14 @@ def test_table_rounds_match_packed_rounds(case, k, v):
     # a pack limit of 1 fits no code, so every round ranks substitution
     # vectors, k columns wide (only round_rows' table branch calls the
     # kernels module's own dense_rank_rows)
-    # constant salts leave every k = 2 split to the exact rounds, whose ids
-    # are lexicographic
     real_rank = kernels.dense_rank_rows
-    with mock.patch.object(refine_module, "_salts", constant_salts):
-        packed = refine_k(g, k, vertex_colors=cols)
-        packed_child = refine_k(g, k, parent=(packed, v))
-        with mock.patch.object(kernels, "_PACK_LIMIT", 1), \
-                mock.patch.object(refine_module, "round_rows", rows_spy), \
-                mock.patch.object(kernels, "dense_rank_rows", rank_spy):
-            table = refine_k(g, k, vertex_colors=cols)
-            table_child = refine_k(g, k, parent=(table, v))
+    packed = refine_k(g, k, vertex_colors=cols)
+    packed_child = refine_k(g, k, parent=(packed, v))
+    with mock.patch.object(kernels, "_PACK_LIMIT", 1), \
+            mock.patch.object(refine_module, "round_rows", rows_spy), \
+            mock.patch.object(kernels, "dense_rank_rows", rank_spy):
+        table = refine_k(g, k, vertex_colors=cols)
+        table_child = refine_k(g, k, parent=(table, v))
     # every round that runs ranks k-wide vectors; a coloring discrete from
     # the start is stable without a round
     assert widths == [k] * len(rounds)
