@@ -35,17 +35,17 @@ frames keep: colorings, vertex classes and canonical path invariants.
 
 A search node is refined from its parent's coloring and the vertex it
 individualizes (`refine.refine_node`); the root has none and refines the
-graph from its iso-type coloring.  For k >= 2 a child's first round is
-read off its individualized vertex alone in O(n^k) and ranked once, from
-keys of the parent's coloring that order like the seeded one (see
-`refine`).  At k = 1 and k >= 3 a node then runs exact rounds to its
-stable coloring (`refine_k`), whose ids are those of ranking the seeded
-coloring and full rounds.
+graph from its iso-type coloring.  A node runs refine's one refinement path,
+as `refine_k` does: one budget check, one start and one round loop
+(`refine.refine_rounds`).  For k >= 2 a child's first round is read off
+its individualized vertex alone in O(n^k) and ranked once, from keys of
+the parent's coloring that order like the seeded one (see `refine`).  At
+k = 1 and k >= 3 a node then runs exact rounds to its stable coloring,
+whose ids are those of ranking the seeded coloring and full rounds.
 
-At k = 2 a node runs `refine.refine_rounds` without its exact loop:
-hashed rounds to a fixed class count and no exact stop check, so no node
-builds an n^3 round and a node's memory is O(n^2); its ids are hash
-ranks.  No check is needed: the search asks only that a node's coloring
+At k = 2 a node's round loop skips its exact rounds: hashed rounds to a
+fixed class count and no exact stop check, so no node builds an n^3
+round and a node's memory is O(n^2); its ids are hash ranks.  No check is needed: the search asks only that a node's coloring
 be an isomorphism-invariant function of the graph and the individualized
 sequence that refines its parent's, since a certificate is the best
 leaf's bytes, compared byte for byte, and every automorphism passes

@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernels, refine
 from .errors import CoherenceError, ParseError, UnsupportedGraphError
 from .graph import ColoredGraph
 from .kernels import code_dtype, dense_rank_rows, pair_code_rows, pair_tables
@@ -52,17 +53,41 @@ class ValidationReport:
     axiom: int | None = None
     witness: tuple | None = None
     transpose_map: list[int] | None = None
-    # row r: the sorted codes i * s + j over z of the relation pairs
-    # (i, j) of ((x, z), (z, y)), at the first cell (x, y) of relation r
-    code_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # an ok report keeps a copy of the relation ids and each relation's
+    # exemplar, its first cell in row-major order, for `code_rows`
+    _source: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def code_rows(self) -> np.ndarray | None:
+        """Row r: the sorted codes i * s + j over z of the relation pairs
+        (i, j) of ((x, z), (z, y)), at the exemplar (x, y) of relation r;
+        built on first access (None unless ok).  They and the code tables
+        they are gathered from must fit `DEFAULT_LIMITS.memory_bytes`, read
+        at the access (ResourceLimitError): s x n codes, which under 2 GiB
+        admits a Klein scheme up to 1600 points and a discrete configuration
+        up to 644, whose rows are n^3 codes."""
+        if self._source is None:
+            return None
+        rel, first = self._source
+        n, s = rel.shape[0], first.shape[0]
+        dtype = code_dtype(max(2, s), 2)
+        size = np.dtype(dtype).itemsize
+        # the rows, the two code tables, and a block's column gather and the
+        # x and y of its pairs (`kernels.pair_code_rows`)
+        step = min(s, max(1, kernels._PAIR_CELLS // n))
+        need = refine._CALL_BYTES + (s + 2 * n) * n * size + step * (n * size + 16)
+        refine._check_bytes(f"intersection rows of {s} relations at n={n}", need, DEFAULT_LIMITS)
+        rows = np.empty((s, n), dtype=dtype)
+        pair_code_rows(pair_tables(rel.ravel(), n, max(2, s)), first, rows)
+        return rows
 
     @cached_property
     def intersection(self) -> dict[int, dict[tuple[int, int], int]] | None:
         """relation id -> {(i, j): count of z with (x,z) in i, (z,y) in j};
         built from `code_rows` on first access (None unless ok)."""
-        if self.code_rows is None:
-            return None
         rows = self.code_rows
+        if rows is None:
+            return None
         s, n = rows.shape
         run = np.ones((s, n), dtype=bool)
         run[:, 1:] = rows[:, 1:] != rows[:, :-1]
@@ -130,18 +155,18 @@ def validate(c: CoherentConfig) -> ValidationReport:
     (`refine.stop_check`): each cell's sorted codes rel[x, z] * s + rel[z, y]
     over z against those of the cell before it in its relation, in blocks,
     which gives, for each relation that fails, its first cell that differs
-    from its exemplar; the witness is the first of those.  The check and the
-    exemplar rows kept after it (`code_rows`, s x n codes) must fit
-    `DEFAULT_LIMITS.memory_bytes`, read at the call (ResourceLimitError):
-    under 2 GiB, up to 1536 points for a Klein scheme and 639 for a
-    discrete configuration, whose exemplar rows are n^3 codes."""
+    from its exemplar; the witness is the first of those.  The check must
+    fit `DEFAULT_LIMITS.memory_bytes`, read at the call
+    (ResourceLimitError): under 2 GiB, up to 4095 points.  An ok report
+    keeps a copy of the relation ids and the exemplars, and builds the
+    exemplars' rows (`code_rows`, s x n codes) only when `intersection` is
+    first read, so a caller that asks only whether the axioms hold never
+    holds them."""
     report, first = _check_cells(c)
     if first is None:
         return report
     n, s = c.n, c.s
-    dtype = code_dtype(max(2, s), 2)
-    held = s * n * np.dtype(dtype).itemsize
-    check_round_budget(f"validation at n={n}", DEFAULT_LIMITS, n, 2, held=held)
+    check_round_budget(f"validation at n={n}", DEFAULT_LIMITS, n, 2)
     flat = c.rel.ravel()
     split = stop_check(flat, n, s)
     if split is not None:
@@ -149,10 +174,7 @@ def validate(c: CoherentConfig) -> ValidationReport:
         rid = int(flat[x * n + y])
         witness = (rid, x, y) + divmod(int(first[rid]), n)
         return ValidationReport(ok=False, axiom=3, witness=witness)
-    # sorted rows are equal exactly when the multisets of codes are
-    code_rows = np.empty((s, n), dtype=dtype)
-    pair_code_rows(pair_tables(flat, n, max(2, s)), first, code_rows)
-    return ValidationReport(ok=True, transpose_map=report.transpose_map, code_rows=code_rows)
+    return ValidationReport(ok=True, transpose_map=report.transpose_map, _source=(c.rel.copy(), first))
 
 
 def graph_seed(g: ColoredGraph) -> np.ndarray:

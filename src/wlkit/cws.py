@@ -49,7 +49,7 @@ from .errors import DecompositionError, ResourceLimitError, UnsupportedGraphErro
 from .graph import ColoredGraph, serialize_wlg
 from .kernels import big_endian, dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
-from .refine import check_k, project, refine_k, similar_k
+from .refine import _check_bytes, check_k, project, refine_k, similar_k
 
 
 @dataclass(frozen=True)
@@ -319,14 +319,7 @@ class _Scan:
             slab = min(self.plane_bytes, 4 * kernels._AGREE_CELLS)
             need = 2 * self.plane_bytes + slab + slab // 4 + 8192
             need += _TWIN_VERTEX_BYTES * g.n + _TWIN_PAIR_BYTES * g.neighbor_codes().src.shape[0]
-            self._check(f"bit planes and twin ranks of {g.n} vertices", need)
-
-    def _check(self, what: str, need: int) -> None:
-        if need > self.limits.memory_bytes:
-            raise ResourceLimitError(
-                f"{what} need about {need} bytes, past memory_bytes",
-                required=need, cap=self.limits.memory_bytes,
-            )
+            _check_bytes(f"bit planes and twin ranks of {g.n} vertices", need, limits)
 
     @cached_property
     def planes(self) -> np.ndarray:
@@ -349,7 +342,7 @@ class _Scan:
             need = self.plane_bytes + cached * (8 * self.words + _ENTRY_BYTES)
             # result rows beside their bytes copies, and two list slots each
             need += len(keys) * _KEY_BYTES + len(todo) * (8 * self.words + 16)
-            self._check(f"bit planes and {cached} closures of {self.g.n} vertices", need)
+            _check_bytes(f"bit planes and {cached} closures of {self.g.n} vertices", need, self.limits)
             # the batch state and the gathered rows fit in what is left
             cap = min(_BATCH_BYTES, (self.limits.memory_bytes - need) // 2)
             self.cl.update(zip(todo, self.closures(todo, cap)))

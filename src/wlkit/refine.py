@@ -19,34 +19,43 @@ enumerate tuples with `itertools.product`, which yields them in rank
 order.  No index array is built, and nothing a round allocates outlives
 the round, for any k.
 
-k = 1 and k >= 3 run one exact round loop (`stable_rounds`).  At k = 2
-every caller runs one pass (`refine_rounds`) instead: a start (the iso
-types, the coherent closure's seed, or a search child's pivot round,
-below), then hashed rounds (`hashed_rounds`) until the class count stops
-growing, then one exact stop check (`stop_check`).  The hashed rounds
-split as far as exact rounds would unless a hash collides, so the stop
-check normally finds nothing to split; a collision costs an exact round,
-which hands back to the hashed rounds, never a wrong partition
-(`coherent.cellular_closure` gives the proof).  So k = 2 ids are hash
-ranks.  A k = 2 canonical-search node (`refine_node`) skips the stop
-check, and a collision only leaves one of its classes unsplit (`canon`
-says why that suffices).
+Every refinement runs one path (`_refine`): one budget check, one start
+(`_start`: the iso types at a root, or a search child's parent, below) and
+one round loop (`refine_rounds`), which `coherent.cellular_closure` runs
+too, from its own seed.  `refine_k` and every canonical-search node
+(`refine_node`) call it.  The loop first runs growth rounds (`_grow`),
+ranking rows led by the previous id until the class count stops growing
+or every tuple has its own class: exact k = 1 rounds (below), or hashed
+k = 2 rounds (`_hashed_rows`).  Then, unless the caller skips them, exact
+rounds run until one splits nothing.  k = 1 rounds are exact already, and
+a coloring with n^k classes cannot split, so neither takes an exact
+round; in particular a discrete k = 1 coloring takes no confirming rank.
+
+The hashed rounds split as far as exact rounds would unless a hash
+collides, so at k = 2 the exact round normally finds nothing to split; a
+collision costs an exact round, which hands back to the hashed rounds,
+never a wrong partition (`coherent.cellular_closure` gives the proof).  So
+k = 2 ids are hash ranks.  A k = 2 search node skips the exact rounds, and
+a collision only leaves one of its classes unsplit (`canon` says why that
+suffices).
 
 An exact round's rows are dense-ranked lexicographically, previous color
 first, so a color id is the rank of its row among the round's rows, and a
-round that splits nothing gives back the previous ids.  Each round first
-checks whether it splits anything, and when it does not the loop stops
-without ranking.  At k = 2 the check (`kernels.unstable_pairs`, which
+round that splits nothing gives back the previous ids.  Each exact round
+first checks whether it splits anything, and when it does not the loop
+stops without ranking.  The two exact rounds differ by k.  At k = 2
+(`_exact_round`) the check (`stop_check`, `kernels.unstable_pairs`, which
 `coherent.validate` runs as axiom 3) compares each pair's row with the row
 before it in its class, in cache-sized blocks, so it never holds the
 n^2 (n + 1) round; on a split only the rows of the classes it names are
-built and ranked (`_exact_round`).  A full k >= 3 round builds every
-tuple's row and compares it with the row of the first tuple of its class
-(`kernels.differing_rows`); on a split all its rows are ranked, in place.
-A k >= 2 coloring with n^k classes cannot split, so the loop stops there
-without a check.  A k = 1 round is narrow, so it is ranked at once and the
-loop stops when the class count does not grow.  A k >= 2 child's first
-round (below) is ranked once, before the loop.
+built and ranked.  A k >= 3 round (`_full_round`) builds every tuple's
+row, compares it with the row of the first tuple of its class
+(`kernels.differing_rows`) and on a split ranks all its rows, in place.
+A check that did not hold the rows would have to build them again on
+every split, and the build is a k >= 3 round's largest cost after the
+rank: `refine_k(CFI(K4), 3)` takes 112 ms, of which 41 ms build rows,
+10 ms check them and 56 ms rank (best of five, one BLAS thread, Xeon).  A
+k >= 2 child's first round (below) is ranked once, before the loop.
 
 A search node's child is given by its parent: `parent=(tc, v)`
 individualizes vertex v on top of the parent's stable coloring tc, and the
@@ -100,6 +109,7 @@ substitution rows.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -407,40 +417,6 @@ def _pivot_round(start: np.ndarray, n: int, k: int, v: int) -> tuple[np.ndarray,
     return ids, 1 + int(np.count_nonzero(key_of[1:] != key_of[:-1]))
 
 
-def stable_rounds(
-    colors: np.ndarray,
-    n: int,
-    k: int,
-    nc: NeighborCodes | None = None,
-) -> tuple[np.ndarray, list[int]]:
-    """Refine `colors`, dense ids of all n^k tuples, until a round splits
-    nothing; returns the stable colors and the class count before the first
-    round and after each splitting round.  A k = 1 round needs the graph's
-    neighbor codes `nc`; a k >= 2 round is a full one.  A k >= 2 coloring
-    with n^k classes is stable without a round.  `refine_rounds` runs it at
-    k = 1 and k >= 3; at k = 2 it is the full-round reference."""
-    ncolors = int(colors.max()) + 1
-    class_counts = [ncolors]
-    while True:
-        if k == 1:
-            ids = dense_rank_rows(_round_rows_k1(nc, colors))
-        elif ncolors == colors.shape[0]:
-            return colors, class_counts
-        else:
-            rows = round_rows(colors, n, k, ncolors)
-            first = np.full(ncolors, colors.shape[0], dtype=np.int64)
-            np.minimum.at(first, colors, np.arange(colors.shape[0], dtype=np.int64))
-            if differing_rows(rows, first[colors]) is None:
-                return colors, class_counts
-            ids = dense_rank_rows(big_endian(rows))
-            del rows, first  # before the next round builds its own
-        count = int(ids.max()) + 1
-        if count == ncolors:  # column 0 is the previous color: the same ids
-            return colors, class_counts
-        colors, ncolors = ids, count
-        class_counts.append(ncolors)
-
-
 def stop_check(colors: np.ndarray, n: int, ncolors: int) -> np.ndarray | None:
     """The exact k = 2 stop check (`kernels.unstable_pairs`) in blocks of
     `_stop_cells(n)` codes: for each class of `colors` that an exact round
@@ -479,6 +455,19 @@ def _exact_round(colors: np.ndarray, n: int, ncolors: int, limits: Limits) -> np
     return dense_rank_rows(np.column_stack((colors, sub)))
 
 
+def _full_round(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray | None:
+    """The ids of a full k >= 2 round of `colors`, or None when it splits
+    nothing: every tuple's row (`round_rows`) is compared with the row of
+    the first tuple of its class (`differing_rows`), and on a split all
+    the rows are ranked, in place.  `refine_rounds` runs it at k >= 3."""
+    rows = round_rows(colors, n, k, ncolors)
+    first = np.full(ncolors, colors.shape[0], dtype=np.int64)
+    np.minimum.at(first, colors, np.arange(colors.shape[0], dtype=np.int64))
+    if differing_rows(rows, first[colors]) is None:
+        return None
+    return dense_rank_rows(big_endian(rows))
+
+
 # the two primes of the hashed rounds, below 2^20
 _PRIMES = (1048573, 1048571)
 # a hashed round's product sums n products below 2^40, exact in float64
@@ -505,45 +494,47 @@ def _salts(m: int) -> np.ndarray:
     return out
 
 
-def hashed_rounds(colors: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
-    """Refine `colors`, dense ids of all n^2 pairs, by hashed 2-dim rounds
-    until the class count stops growing (or reaches n^2); returns what
-    `stable_rounds` does.
+def _hashed_rows(colors: np.ndarray, n: int) -> np.ndarray:
+    """The rows (previous id, h_1, h_2) of a hashed 2-dim round of
+    `colors`, dense ids of all n^2 pairs, for n < _HASH_MAX_N.
 
-    A round ranks (previous id, h_1, h_2), h_i = (a_i[C] @ b_i[C]) mod p_i:
-    a bilinear hash of the multiset over z of (C(x, z), C(z, y)), that is of
-    the pair's exact round row, read with one float64 product per prime.
-    The salts depend on the color id alone (`_salts`), so the ids are
-    relabeling-equivariant whatever collides; a collision only leaves a
-    class unsplit.  Every entry is below p < 2^20, so each sum is below
-    n * 2^40 < 2^53 for n < _HASH_MAX_N: the product is exact in any
-    summation order, and the ids are the same on every BLAS and thread
-    count.  From _HASH_MAX_N up the colors come back as they are.
+    h_i = (a_i[C] @ b_i[C]) mod p_i is a bilinear hash of the multiset over
+    z of (C(x, z), C(z, y)), that is of the pair's exact round row, read
+    with one float64 product per prime.  The salts depend on the color id
+    alone (`_salts`), so the ids are relabeling-equivariant whatever
+    collides; a collision only leaves a class unsplit.  Every entry is
+    below p < 2^20, so each sum is below n * 2^40 < 2^53: the product is
+    exact in any summation order, and the ids are the same on every BLAS
+    and thread count.
 
     Each round is a function of each class's exact rows, so it never splits
     a stable coloring, and whatever stable partition refines its input
     refines its output: exact rounds from here end at the same stable
     partition as from `colors`.  The rounds hold at most _HASHED_PAIR_BYTES
     a pair (`_hashed_bytes`)."""
-    ncolors = int(colors.max()) + 1
-    class_counts = [ncolors]
-    if n >= _HASH_MAX_N:
-        return colors, class_counts
-    while ncolors < colors.shape[0]:
-        grid = colors.reshape(n, n)
-        salts = _salts(ncolors)
-        rows = np.empty((n * n, 3), dtype=np.int64)
-        rows[:, 0] = colors
-        for i, p in enumerate(_PRIMES):
-            rows[:, 1 + i] = (salts[2 * i][grid] @ salts[2 * i + 1][grid]).reshape(-1)
-            rows[:, 1 + i] %= p  # as integers: several times faster than fmod
-        ids = dense_rank_rows(rows)
+    grid = colors.reshape(n, n)
+    salts = _salts(int(colors.max()) + 1)
+    rows = np.empty((n * n, 3), dtype=np.int64)
+    rows[:, 0] = colors
+    for i, p in enumerate(_PRIMES):
+        rows[:, 1 + i] = (salts[2 * i][grid] @ salts[2 * i + 1][grid]).reshape(-1)
+        rows[:, 1 + i] %= p  # as integers: several times faster than fmod
+    return rows
+
+
+def _grow(colors: np.ndarray, rows_of, class_counts: list[int]) -> np.ndarray:
+    """Rank `rows_of(colors)`, rows led by the previous id, round after
+    round until the class count stops growing or every tuple has its own
+    class; appends each splitting round's class count to `class_counts`
+    (whose last entry is that of `colors`) and returns the last ids."""
+    while class_counts[-1] < colors.shape[0]:
+        ids = dense_rank_rows(rows_of(colors))
         count = int(ids.max()) + 1
-        if count == ncolors:  # column 0 is the previous id: the same ids
+        if count == class_counts[-1]:  # column 0 is the previous id: the same ids
             break
-        colors, ncolors = ids, count
-        class_counts.append(ncolors)
-    return colors, class_counts
+        colors = ids
+        class_counts.append(count)
+    return colors
 
 
 def refine_rounds(
@@ -556,17 +547,21 @@ def refine_rounds(
     exact: bool = True,
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[np.ndarray, list[int]]:
-    """Refine from a start to stability; returns the colors and the class
-    count before the first round and after each splitting round.  The
-    start is `colors` (dense ids of all n^k tuples), or, given v, the first
-    round (`_pivot_round`) of the k >= 2 child that individualizes v on top
-    of the stable `colors`, which ends the pass when it splits nothing.
-    Unless `exact` is False, k = 1 and k >= 3 then run the exact loop
-    (`stable_rounds`; a k = 1 round reads the neighbor codes `nc`).  At
-    k = 2 hashed rounds follow, then, unless `exact` is False, the exact
-    stop check; when it finds a split (a hash collided), an exact round
-    (`_exact_round`, within `limits`) makes it and the hashed rounds go
-    on."""
+    """The round loop of every refinement: refine from a start to stability;
+    returns the colors and the class count before the first round and
+    after each splitting round.  The start is `colors` (dense ids of all
+    n^k tuples), or, given v, the first round (`_pivot_round`) of the
+    k >= 2 child that individualizes v on top of the stable `colors`, which
+    ends the pass when it splits nothing.
+
+    Growth rounds (`_grow`) come first: exact k = 1 rounds, which read the
+    neighbor codes `nc`, or hashed k = 2 rounds (`_hashed_rows`; none from
+    _HASH_MAX_N vertices up).  Then, unless `exact` is False, exact rounds
+    run until one splits nothing: at k = 2 the stop check and, on a split
+    (a hash collided), the failing classes' round (`_exact_round`, within
+    `limits`), after which the hashed rounds go on; at k >= 3 full rounds
+    (`_full_round`).  k = 1 rounds are exact already, and a coloring with
+    n^k classes cannot split, so neither takes an exact round."""
     if v is None:
         class_counts = [int(colors.max()) + 1]
     else:
@@ -574,20 +569,24 @@ def refine_rounds(
         class_counts = [seeded, int(colors.max()) + 1]
         if class_counts[1] == seeded:  # the first round split nothing
             return colors, class_counts[:1]
-    while k == 2:
-        colors, later = hashed_rounds(colors, n)
-        class_counts += later[1:]
-        ids = None
-        if exact and class_counts[-1] < colors.shape[0]:
+    rows_of = None
+    if k == 1:
+        rows_of = functools.partial(_round_rows_k1, nc)
+    elif k == 2 and n < _HASH_MAX_N:
+        rows_of = functools.partial(_hashed_rows, n=n)
+    while True:
+        if rows_of is not None:
+            colors = _grow(colors, rows_of, class_counts)
+        if not exact or k == 1 or class_counts[-1] == colors.shape[0]:
+            return colors, class_counts
+        if k == 2:
             ids = _exact_round(colors, n, class_counts[-1], limits)
+        else:
+            ids = _full_round(colors, n, k, class_counts[-1])
         if ids is None:
             return colors, class_counts
         colors = ids
         class_counts.append(int(ids.max()) + 1)
-    if exact:
-        colors, later = stable_rounds(colors, n, k, nc)
-        class_counts += later[1:]
-    return colors, class_counts
 
 
 def _coloring(k: int, n: int, colors: np.ndarray, class_counts: list[int]) -> TupleColoring:
@@ -599,11 +598,56 @@ def _coloring(k: int, n: int, colors: np.ndarray, class_counts: list[int]) -> Tu
 
 def _check_refinement(g: ColoredGraph, k: int, limits: Limits, held: int = 0):
     """Check a k-dim refinement of g, with `held` bytes beside it, against
-    `limits`; returns the neighbor codes a k = 1 round reads, or None."""
+    `limits`, and that a k = 1 round's codes pack into int64; returns the
+    neighbor codes a k = 1 round reads, or None."""
+    n = g.n
     nc = g.neighbor_codes() if k == 1 else None
     k1_rows = () if nc is None else (1 + nc.delta, nc.src.shape[0])  # width, pairs
-    check_round_budget(f"refinement at n={g.n}, k={k}", limits, g.n, k, *k1_rows, held=held)
+    check_round_budget(f"refinement at n={n}, k={k}", limits, n, k, *k1_rows, held=held)
+    if nc is not None and n * nc.base**2 >= _SENTINEL:
+        raise UnsupportedGraphError(
+            "the 1-dim round packs each neighbor code into int64 and needs "
+            f"n * (largest pair code + 1)^2 < 2^62; here n={n}, largest pair code "
+            f"{nc.base - 1}"
+        )
     return nc
+
+
+def _start(
+    g: ColoredGraph, k: int, vc: np.ndarray | None, parent: tuple[TupleColoring, int] | None
+) -> tuple[np.ndarray, int | None]:
+    """The start of a refinement and its pivot, for `refine_rounds`: at a
+    root the rank of the iso types under vertex colors `vc` (the graph's
+    own when None); for the child `parent` = (tc, v), the rank of the seed
+    keys at k = 1, which is the seeded coloring, and at k >= 2 tc's colors
+    with pivot v, whose first round the loop reads off v."""
+    if parent is None:
+        vc = _vertex_color_array(g, None) if vc is None else vc
+        return dense_rank_rows(_initial_rows(g, k, vc)), None
+    tc, v = parent
+    start = np.asarray(tc.colors)
+    if k == 1:  # the seed keys rank like the seeded coloring
+        return dense_rank_rows(_seed_keys(start, g.n, 1, v)[:, None]), None
+    return start, v
+
+
+def _refine(
+    g: ColoredGraph,
+    k: int,
+    vc: np.ndarray | None,
+    parent: tuple[TupleColoring, int] | None,
+    limits: Limits,
+    held: int = 0,
+    exact: bool = True,
+) -> TupleColoring:
+    """The one refinement path: one budget check, one start (`_start`)
+    and one round loop (`refine_rounds`)."""
+    nc = _check_refinement(g, k, limits, held)
+    n = g.n
+    if n == 0:
+        return _coloring(k, 0, np.empty(0, dtype=np.int64), [0])
+    colors, v = _start(g, k, vc, parent)
+    return _coloring(k, n, *refine_rounds(colors, n, k, v, nc, exact=exact, limits=limits))
 
 
 def refine_k(
@@ -628,8 +672,9 @@ def refine_k(
     splitting round."""
     check_k(k)
     n = g.n
+    vc = None
     if parent is None:
-        vc, v = _vertex_color_array(g, vertex_colors), None
+        vc = _vertex_color_array(g, vertex_colors)
     elif vertex_colors is not None:
         raise ValueError("pass vertex_colors or parent, not both")
     else:
@@ -643,22 +688,7 @@ def refine_k(
             int(start.min()) >= 0 and int(start.max()) < n**k
         ):
             raise ValueError(f"parent must hold integer ids from 0 to {n}^{k} - 1")
-    nc = _check_refinement(g, k, limits)
-    if n == 0:
-        return _coloring(k, 0, np.empty(0, dtype=np.int64), [0])
-    if nc is not None and n * nc.base**2 >= _SENTINEL:
-        raise UnsupportedGraphError(
-            "the 1-dim round packs each neighbor code into int64 and needs "
-            f"n * (largest pair code + 1)^2 < 2^62; here n={n}, largest pair code "
-            f"{nc.base - 1}"
-        )
-    if parent is None:
-        colors = dense_rank_rows(_initial_rows(g, k, vc))
-    elif k == 1:  # the seed keys rank like the seeded coloring
-        colors, v = dense_rank_rows(_seed_keys(start, n, 1, v)[:, None]), None
-    else:
-        colors = start
-    return _coloring(k, n, *refine_rounds(colors, n, k, v, nc, limits=limits))
+    return _refine(g, k, vc, parent, limits)
 
 
 def refine_node(
@@ -670,24 +700,18 @@ def refine_node(
 ) -> TupleColoring:
     """The coloring of a canonical-search node: `parent` = (the parent
     node's coloring, the vertex this node individualizes), None at the root;
-    the budget counts `held`, what the search keeps beside the node.
+    the budget counts `held`, what the search keeps beside the node.  The
+    search hands in its own colorings, so `parent` is not checked again.
 
-    At k = 2 the node runs `refine_rounds` without the exact loop, within
-    the hashed rounds' budget (`_hashed_bytes`): an isomorphism-invariant
-    refinement of the parent, all a search node needs, whose partition is
-    the exact one unless a hash collides, and whose ids are hash ranks.
-    From _HASH_MAX_N vertices up, past the default budget, a node keeps its
-    first round's classes.  Every other k runs `refine_k`."""
-    n = g.n
-    if k != 2:
-        _check_refinement(g, k, limits, held)
-        return refine_k(g, k, parent=parent, limits=limits)
-    _check_bytes(f"hashed search node at n={n}, k=2", _hashed_bytes(n) + held, limits)
-    if parent is None:
-        colors, v = dense_rank_rows(_initial_rows(g, 2, _vertex_color_array(g, None))), None
-    else:
-        colors, v = parent[0].colors, parent[1]
-    return _coloring(2, n, *refine_rounds(colors, n, 2, v, exact=False))
+    The node runs the refinement path `refine_k` runs, at every k.  At k = 2 its
+    round loop skips the exact rounds, so the node stays within the hashed
+    rounds' budget (`_hashed_bytes`): an isomorphism-invariant refinement
+    of the parent, all a search node needs, whose partition is the exact
+    one unless a hash collides, and whose ids are hash ranks.  From
+    _HASH_MAX_N vertices up, past the default budget, a k = 2 node keeps
+    its first round's classes.  At every other k its coloring is the one
+    `refine_k(g, k, parent=parent)` gives."""
+    return _refine(g, k, None, parent, limits, held, exact=k != 2)
 
 
 def refine_1(g: ColoredGraph, **kwargs) -> TupleColoring:

@@ -1,6 +1,6 @@
 """Shared fixtures, partition helpers, a small-graph strategy, a traced
-memory peak, degenerate hash salts, a graph with one twin pair and a
-doubled graph.
+memory peak, degenerate hash salts, the full-round and hashed-round
+references, a graph with one twin pair and a doubled graph.
 
 Color ids produced by dense ranking are arbitrary; two equal partitions of
 the same index set can carry different ids.  Tests therefore compare
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from wlkit import refine
 from wlkit.families import complete, random_graph
 from wlkit.cfi import cfi_build
 from wlkit.graph import ColoredGraph, disjoint_union, random_relabel
@@ -65,6 +66,31 @@ def constant_salts(m):
     """Hash salts under which no hashed round splits, to patch over
     `refine._salts`: every split is left to the exact rounds."""
     return np.ones((4, m))
+
+
+def full_rounds(colors, n: int, k: int):
+    """The k >= 2 full-round loop (`refine._full_round`: round rows, the
+    check against each class's first row, a rank) until a round splits
+    nothing; returns the stable colors and the class count before the
+    first round and after each splitting round.  A coloring with n^k
+    classes is stable without a round."""
+    counts = [int(colors.max()) + 1]
+    while counts[-1] < colors.shape[0]:
+        ids = refine._full_round(colors, n, k, counts[-1])
+        if ids is None:
+            break
+        colors = ids
+        counts.append(int(ids.max()) + 1)
+    return colors, counts
+
+
+def hashed_rounds(colors, n: int):
+    """Hashed k = 2 rounds (`refine._hashed_rows`) of `colors`, dense ids
+    of all n^2 pairs, until the class count stops growing (`refine._grow`);
+    returns what `full_rounds` does."""
+    counts = [int(colors.max()) + 1]
+    colors = refine._grow(colors, lambda c: refine._hashed_rows(c, n), counts)
+    return colors, counts
 
 
 def twin_pair_graph(n: int) -> ColoredGraph:

@@ -13,6 +13,8 @@ from test_refine import reference_refine
 from conftest import (
     colored_graphs,
     constant_salts,
+    full_rounds,
+    hashed_rounds,
     same_partition,
     traced_peak,
     twin_pair_graph,
@@ -456,7 +458,7 @@ def coherent_configs(draw):
 @given(coherent_configs())
 def test_a_hashed_round_never_splits_a_coherent_configuration(c):
     flat = c.rel.ravel()
-    assert np.array_equal(refine_module.hashed_rounds(flat, c.n)[0], flat)
+    assert np.array_equal(hashed_rounds(flat, c.n)[0], flat)
 
 
 @pytest.mark.parametrize("m", [5, 10, 20])  # Petersen, Y10, Y20: 40-160 points
@@ -477,9 +479,9 @@ def test_merged_klein_closures_make_one_exact_round(m):
         return ids
 
     with mock.patch.object(refine_module, "dense_rank_rows", rank_spy):
-        refine_module.hashed_rounds(cur, n)
+        hashed_rounds(cur, n)
     assert counts[-1] == counts[-2]  # the last round split nothing
-    assert counts[:-1] == refine_module.stable_rounds(cur, n, 2)[1]
+    assert counts[:-1] == full_rounds(cur, n, 2)[1]
     assert counts[-1] == c.s
 
 
@@ -578,11 +580,10 @@ def _validate_required(c: CoherentConfig) -> int:
 
 def test_validate_refuses_a_round_past_memory_bytes():
     # validate runs the k = 2 stop check, within a round's estimate, and
-    # keeps the s x n code rows after it; it reads DEFAULT_LIMITS at the
-    # call
+    # builds no code rows; it reads DEFAULT_LIMITS at the call
     c = klein_scheme(petersen())
     required = _validate_required(c)
-    assert required > refine_module._estimate_bytes(c.n, 2)
+    assert required == refine_module._estimate_bytes(c.n, 2)
     below = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=required - 1)
     with mock.patch.object(coherent, "DEFAULT_LIMITS", below), \
             pytest.raises(ResourceLimitError, match="memory_bytes") as err:
@@ -598,10 +599,56 @@ def test_validate_refuses_a_round_past_memory_bytes():
         assert validate(broken).axiom == 1
 
 
+def test_intersection_rows_are_built_on_first_read_within_memory_bytes():
+    # the s x n code rows come with the first read of `intersection` (or
+    # `code_rows`), checked then against DEFAULT_LIMITS: a discrete
+    # configuration's stop check fits a cap that its n^3 code rows pass,
+    # so the report says the axioms hold and the read is refused
+    n = 100
+    c = CoherentConfig(n=n, s=n * n, rel=np.arange(n * n).reshape(n, n))
+    rows = n**3 * np.dtype(np.int32).itemsize
+    cap = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=rows)
+    with mock.patch.object(coherent, "DEFAULT_LIMITS", cap):
+        rep = validate(c)
+        assert rep.ok
+        with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
+            rep.intersection
+    assert err.value.required > rows and err.value.cap == rows
+    assert rep.code_rows.shape == (n * n, n)
+    # the report keeps its own copy of the ids: a later change to the
+    # configuration does not reach its intersection numbers
+    c = klein_scheme(petersen())
+    rep = validate(c)
+    want = validate(c.copy()).intersection
+    c.rel[0, 1] = c.rel[0, 2]
+    assert rep.intersection == want
+
+
+def test_validate_never_holds_the_code_rows_unless_read():
+    # Klein Y30, 240 points: its s x n code rows (3.8 MB) pass the traced
+    # peak of a validate whose intersection numbers are never read
+    c = klein_scheme(generalized_petersen(30, 1))
+    rep, peak = traced_peak(lambda: validate(c))
+    assert rep.ok
+    assert peak < c.s * c.n * np.dtype(np.int32).itemsize
+    rows, peak = traced_peak(lambda: rep.code_rows)
+    assert rows.dtype == np.int32 and peak >= rows.nbytes
+
+
+def _code_rows_required(rep) -> int:
+    """The bytes a report says its code rows need."""
+    tight = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=1)
+    with mock.patch.object(coherent, "DEFAULT_LIMITS", tight), \
+            pytest.raises(ResourceLimitError) as err:
+        rep.code_rows
+    return err.value.required
+
+
 def test_validate_peak_stays_within_its_required_bytes():
-    # a discrete configuration returns n^3 code cells and its stop check has
-    # nothing to compare; a Klein scheme returns few, and its check compares
-    # every pair's row
+    # a discrete configuration has n^3 code cells and its stop check has
+    # nothing to compare; a Klein scheme has few, and its check compares
+    # every pair's row.  The code rows, built when first read, peak within
+    # their own required bytes
     for c in (
         CoherentConfig(n=100, s=100**2, rel=np.arange(100**2).reshape(100, 100)),
         klein_scheme(petersen()),
@@ -609,6 +656,8 @@ def test_validate_peak_stays_within_its_required_bytes():
         rep, peak = traced_peak(lambda: validate(c))
         assert rep.ok
         assert peak <= _validate_required(c) <= 2 * peak, c.n
+        rows, peak = traced_peak(lambda: rep.code_rows)
+        assert peak <= _code_rows_required(validate(c)) <= 2 * peak, c.n
 
 
 def _closure_required(seed) -> int:

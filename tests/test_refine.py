@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import tracemalloc
@@ -10,12 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wlkit.canon as canon_module
+import wlkit.coherent as coherent_module
 import wlkit.refine as refine_module
 from conftest import (
     colored_graphs,
     constant_salts,
     crown_graph,
     doubled_graph,
+    full_rounds,
+    hashed_rounds,
     same_partition,
     traced_peak,
     twin_pair_graph,
@@ -569,6 +573,46 @@ def test_an_individualized_child_takes_its_first_round_from_the_vertex(cfi_k4):
     assert (child.rounds, child.class_counts) == (rounds, counts)
 
 
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_every_refinement_runs_one_budget_check_and_one_round_loop(k):
+    # refine_k from scratch and from a parent, a search node at the root
+    # and at a child, and the coherent closure each check the budget once
+    # and enter the one round loop once; a search node never calls refine_k
+    g = petersen()
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    root = refine_k(g, k)
+    node = refine_module.refine_node(g, k)
+    runs = {
+        "refine_k": lambda: refine_k(g, k),
+        "refine_k child": lambda: refine_k(g, k, parent=(root, 0)),
+        "node": lambda: refine_module.refine_node(g, k),
+        "node child": lambda: refine_module.refine_node(g, k, (node, 0)),
+        "closure": lambda: cellular_closure(g),
+    }
+    patches = [
+        mock.patch.object(module, name, spy(name, getattr(module, name)))
+        for module in (refine_module, coherent_module)
+        for name in ("check_round_budget", "refine_rounds")
+    ]
+    patches.append(mock.patch.object(refine_module, "refine_k", spy("refine_k", refine_k)))
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        for what, run in runs.items():
+            calls.clear()
+            out = run()
+            assert sorted(calls) == ["check_round_budget", "refine_rounds"], what
+            if what.endswith("child"):
+                assert out.num_colors > root.num_colors, what
+
+
 def two_rank_refine(g, k, vc, start, v):
     """A k >= 2 child that individualizes v by way of its seeded coloring C,
     `start` met with the child's vertex colors `vc`: rank C's rows, then,
@@ -583,7 +627,7 @@ def two_rank_refine(g, k, vc, start, v):
     ids = kernels.dense_rank_rows(refine_module._pivot_rows(colors, n, k, ncolors, v))
     if int(ids.max()) + 1 == ncolors:
         return colors, 0, [ncolors], "no split"
-    colors, counts = refine_module.stable_rounds(ids, n, k)
+    colors, counts = full_rounds(ids, n, k)
     return colors, len(counts), [ncolors] + counts, "split"
 
 
@@ -795,7 +839,7 @@ def pair_colorings(draw):
         colors = kernels.dense_rank_rows(refine_module._initial_rows(g, 2, cols))
         n = g.n
         if draw(st.booleans()):
-            colors = refine_module.hashed_rounds(colors, n)[0]
+            colors = hashed_rounds(colors, n)[0]
     return np.unique(colors, return_inverse=True)[1].reshape(-1), n
 
 
@@ -1042,6 +1086,33 @@ def test_sparse_one_dim_rounds_match_the_dense_reference(case, v, seeded):
     assert np.array_equal(tc.colors, colors)
     assert tc.rounds == len(decoded)
     assert tc.class_counts == counts
+
+
+def test_a_discrete_one_dim_coloring_takes_no_confirming_rank():
+    # a k = 1 coloring with n classes cannot split, so no round ranks it:
+    # distinct vertex colors rank only the initial rows, and a child that
+    # one round makes discrete ranks its seed keys and that round alone.
+    # The ids and class counts are the reference's, which ranks a last
+    # round to see it split nothing
+    g = path(5)
+    ranked = []
+
+    def spy(rows):
+        ranked.append(rows.shape[0])
+        return kernels.dense_rank_rows(rows)
+
+    cols = np.asarray([4, 2, 0, 1, 3], dtype=np.int64)
+    root = refine_1(g)
+    with mock.patch.object(refine_module, "dense_rank_rows", spy):
+        tc = refine_1(g, vertex_colors=cols)
+        assert len(ranked) == 1
+        ranked.clear()
+        child = refine_1(g, parent=(root, 0))
+        assert len(ranked) == 2
+    colors, counts, _ = reference_refine_k1(g, cols)
+    assert np.array_equal(tc.colors, colors) and tc.class_counts == counts == [5]
+    colors, counts, _ = reference_refine_k1(g, individualized(np.zeros(5, dtype=np.int64), 0), root.colors)
+    assert np.array_equal(child.colors, colors) and child.class_counts == counts == [4, 5]
 
 
 # -- overflow-safe round kernel ----------------------------------------------------
