@@ -71,7 +71,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .graph import ColoredGraph, serialize_wlg, serialize_wlg_relabeled
 from .limits import DEFAULT_LIMITS, Limits
 from .oracle import is_automorphism
@@ -130,15 +129,6 @@ def _target_class(vc: np.ndarray) -> tuple[int, list[int]]:
     return cid, np.flatnonzero(vc == cid).tolist()
 
 
-def _count_node(stats: SearchStats, limits: Limits, mode: str) -> None:
-    stats.nodes += 1
-    if stats.nodes > limits.canon_nodes:
-        raise ResourceLimitError(
-            f"{mode} search exceeded the node budget canon_nodes",
-            required=stats.nodes, cap=limits.canon_nodes,
-        )
-
-
 def _refine_node(g, k, parent, limits, held=0):
     """Coloring of a search node, `parent` = (its parent's coloring, the
     vertex it individualizes) or None, beside `held` bytes of live frames;
@@ -193,7 +183,7 @@ def _search(g, k, limits, stats, mode, parent=None, held=0) -> dict:
     `mode`, beside `held` bytes of an enclosing search's frames; returns its
     best leaf as a dict (`bytes`, `trace`, and `below`, the leaf digests of
     verified's fast searches, among others)."""
-    n = g.n
+    n, what = g.n, f"{mode} search"
     best: dict = {
         "inv": None, "bytes": None, "path": None, "order": None, "trace": None, "below": set(),
     }
@@ -204,7 +194,8 @@ def _search(g, k, limits, stats, mode, parent=None, held=0) -> dict:
         `fixing` holds the generators that fix `prefix` pointwise among the
         first `known` found; each later one is tested once, below.  `held`
         is what the live frames above keep, beside the node's estimate."""
-        _count_node(stats, limits, mode)
+        stats.nodes += 1
+        limits.check("canon_nodes", stats.nodes, what)
         tc, pv = _refine_node(g, k, parent, limits, held)
         parent = None  # a frame keeps its own coloring, not its parent's
         kept = tc.colors.nbytes + pv.colors.nbytes  # while the frame is live
@@ -351,12 +342,7 @@ def depth_d_1dim(
             digest=hashlib.sha256(b"empty").digest(), k=1, mode=f"depth{d}", n=0,
         )
     runs = n**d
-    if runs * n > limits.depth_sweep_vertices:
-        raise ResourceLimitError(
-            f"depth-{d} sweep of {runs} refinements on {n} vertices exceeds "
-            "depth_sweep_vertices",
-            required=runs * n, cap=limits.depth_sweep_vertices,
-        )
+    limits.check("depth_sweep_vertices", runs * n, f"depth-{d} sweep of {runs} refinements on {n} vertices")
     base = list(g.vertex_colors)
     fresh0 = g.max_vertex_color() + 1
     profiles = []

@@ -45,11 +45,11 @@ import numpy as np
 
 from . import kernels
 from .canon import Certificate, certify
-from .errors import DecompositionError, ResourceLimitError, UnsupportedGraphError
+from .errors import DecompositionError, UnsupportedGraphError
 from .graph import ColoredGraph, serialize_wlg
 from .kernels import big_endian, dense_rank_rows
 from .limits import DEFAULT_LIMITS, Limits
-from .refine import _check_bytes, check_k, project, refine_k, similar_k
+from .refine import check_k, project, refine_k, similar_k
 
 
 @dataclass(frozen=True)
@@ -319,7 +319,7 @@ class _Scan:
             slab = min(self.plane_bytes, 4 * kernels._AGREE_CELLS)
             need = 2 * self.plane_bytes + slab + slab // 4 + 8192
             need += _TWIN_VERTEX_BYTES * g.n + _TWIN_PAIR_BYTES * g.neighbor_codes().src.shape[0]
-            _check_bytes(f"bit planes and twin ranks of {g.n} vertices", need, limits)
+            limits.check("memory_bytes", need, f"bit planes and twin ranks of {g.n} vertices")
 
     @cached_property
     def planes(self) -> np.ndarray:
@@ -342,7 +342,7 @@ class _Scan:
             need = self.plane_bytes + cached * (8 * self.words + _ENTRY_BYTES)
             # result rows beside their bytes copies, and two list slots each
             need += len(keys) * _KEY_BYTES + len(todo) * (8 * self.words + 16)
-            _check_bytes(f"bit planes and {cached} closures of {self.g.n} vertices", need, self.limits)
+            self.limits.check("memory_bytes", need, f"bit planes and {cached} closures of {self.g.n} vertices")
             # the batch state and the gathered rows fit in what is left
             cap = min(_BATCH_BYTES, (self.limits.memory_bytes - need) // 2)
             self.cl.update(zip(todo, self.closures(todo, cap)))
@@ -608,12 +608,11 @@ def decompose(
             if not primes:
                 break
             if len(primes) > 1:
-                if group.size > limits.overlap_class_cap:
-                    raise ResourceLimitError(
-                        f"vertex {u} closes to {len(primes)} distinct primes in a class "
-                        "that overlap normalization skips past overlap_class_cap",
-                        required=int(group.size), cap=limits.overlap_class_cap,
-                    )
+                limits.check(
+                    "overlap_class_cap", int(group.size),
+                    f"overlap normalization of the class of vertex {u}, which closes to "
+                    f"{len(primes)} distinct primes,",
+                )
                 sizes = sorted(_members(row).size for row in primes)
                 raise DecompositionError(
                     f"vertex {u} closes to {len(primes)} distinct primes "

@@ -21,14 +21,14 @@ class UnsupportedGraphError(WlkitError):
 
 
 class ResourceLimitError(WlkitError):
-    """A configured cap (memory, search nodes, input size) would be exceeded."""
+    """`what` would pass the `Limits` field `budget`: it needs about
+    `required` against that field's `cap`.  Raised by `Limits.check`."""
 
-    def __init__(self, message: str, required: int | None = None, cap: int | None = None):
+    def __init__(self, what: str, budget: str, required: int, cap: int):
+        self.budget = budget
         self.required = required
         self.cap = cap
-        if required is not None and cap is not None:
-            message = f"{message} (required ~{required}, cap {cap})"
-        super().__init__(message)
+        super().__init__(f"{what} passes {budget} (required ~{required}, cap {cap})")
 
 
 class CoherenceError(WlkitError):

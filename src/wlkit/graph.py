@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParseError, ResourceLimitError, UnsupportedGraphError
+from .errors import ParseError, UnsupportedGraphError
 from .limits import DEFAULT_LIMITS, Limits
 from .records import RecordFormat, Records, Tag, repeats
 
@@ -456,12 +456,7 @@ def min_separator_size(
     for size in range(0, bound + 1):
         for subset in combinations(verts, size):
             examined += 1
-            if examined > limits.separator_subsets:
-                raise ResourceLimitError(
-                    "separator search examined more subsets than separator_subsets",
-                    required=examined,
-                    cap=limits.separator_subsets,
-                )
+            limits.check("separator_subsets", examined, "separator search")
             removed = set(subset)
             seen = set(removed)
             ok = True

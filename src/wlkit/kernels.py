@@ -21,7 +21,7 @@ sort, compare and rank move.
 
 A round splits nothing exactly when every tuple's row equals the row of the
 first tuple of its class.  At k >= 3 `refine` checks that on the full round
-(`differing_rows`) and ranks the round's rows only on a split.  At k = 2
+(`any_row_differs`) and ranks the round's rows only on a split.  At k = 2
 the check is `unstable_pairs`, which `refine` runs after its hashed rounds
 and `coherent.validate` runs as axiom 3 on the relation ids: the pairs are
 ordered by class and each row is built (`pair_code_rows`, from the two
@@ -49,7 +49,7 @@ import numpy as np
 _PACK_LIMIT = 2**62
 # codes below this are built, sorted and ranked as int32
 _INT32_LIMIT = 2**31
-# differing_rows and dense_rank_rows' compare of sorted neighbours gather
+# any_row_differs and dense_rank_rows' compare of sorted neighbours gather
 # this many cells at a time
 _AGREE_CELLS = 1 << 18
 # the k = 2 stop check builds, sorts and compares this many codes at a time:
@@ -94,24 +94,15 @@ def substitution_codes(grid: np.ndarray, base: int, out: np.ndarray) -> None:
             out += view
 
 
-def differing_rows(rows: np.ndarray, first: np.ndarray) -> np.ndarray | None:
-    """Flags of the rows i that differ from row ``first[i]``, the first row
-    of their class, or None when none does.  One _AGREE_CELLS slab at a
-    time, flagging from the first slab that differs; a float32
-    matrix-vector product counts a row's differing cells several times
-    faster than any(axis=1) on rows this short."""
+def any_row_differs(rows: np.ndarray, first: np.ndarray) -> bool:
+    """Whether some row i differs from row ``first[i]``, the first row of
+    its class.  One _AGREE_CELLS slab at a time, stopping at the first slab
+    that differs."""
     m, w = rows.shape
     step = max(1, _AGREE_CELLS // w)
-    ones = np.ones(w, dtype=np.float32)
-    flags = np.zeros(m, dtype=bool)
-    split = False
-    for lo in range(0, m, step):
-        differ = rows[lo : lo + step] != rows[first[lo : lo + step]]
-        split = split or bool(differ.any())
-        if split:
-            np.greater(differ.astype(np.float32) @ ones, 0, out=flags[lo : lo + step])
-        del differ  # one slab at a time
-    return flags if split else None
+    return any(
+        (rows[lo : lo + step] != rows[first[lo : lo + step]]).any() for lo in range(0, m, step)
+    )
 
 
 def pair_tables(colors: np.ndarray, n: int, base: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Resource caps with environment-variable overrides.
+"""Resource caps with environment-variable overrides, and the one gate
+(`Limits.check`) that raises when a computation would pass one.
 
 Every cap can be overridden by an environment variable named WLKIT_<FIELD>
 (upper-cased), e.g. WLKIT_MEMORY_BYTES=8000000000.
@@ -7,6 +8,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
+
+from .errors import ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,13 @@ class Limits:
     lift_tuples: int = 200_000
     # vertex refinements of a depth_d_1dim sweep: n^d runs times n vertices
     depth_sweep_vertices: int = 4_000_000
+
+    def check(self, budget: str, required: int, what: str) -> None:
+        """Raise ResourceLimitError naming the field `budget` when `what`
+        needs `required` units of it, more than its cap."""
+        cap = getattr(self, budget)
+        if required > cap:
+            raise ResourceLimitError(what, budget=budget, required=required, cap=cap)
 
 
 def limits_from_env(base: Limits | None = None) -> Limits:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .graph import ColoredGraph, disjoint_union, is_permutation
 from .limits import DEFAULT_LIMITS, Limits
 from .refine import refine_k
@@ -58,12 +57,7 @@ class _UnionFind:
 def _aut_backtrack(g: ColoredGraph, limits: Limits):
     """Enumerate all automorphisms; returns (count, union-find of orbits)."""
     n = g.n
-    if n > limits.oracle_vertices:
-        raise ResourceLimitError(
-            f"automorphism oracle is capped at {limits.oracle_vertices} vertices "
-            "(oracle_vertices)",
-            required=n, cap=limits.oracle_vertices,
-        )
+    limits.check("oracle_vertices", n, "automorphism oracle's vertex count")
     p = g.pair_codes()
     vc = g.vertex_colors
     uf = _UnionFind(n)
@@ -73,11 +67,7 @@ def _aut_backtrack(g: ColoredGraph, limits: Limits):
 
     def rec(v: int) -> None:
         state["nodes"] += 1
-        if state["nodes"] > limits.oracle_nodes:
-            raise ResourceLimitError(
-                "automorphism oracle exceeded the node budget oracle_nodes",
-                required=state["nodes"], cap=limits.oracle_nodes,
-            )
+        limits.check("oracle_nodes", state["nodes"], "automorphism oracle search")
         if v == n:
             state["count"] += 1
             for u in range(n):
@@ -138,11 +128,7 @@ def iso_oracle(
     n = g.n
     if n == 0:
         return []
-    if n > limits.iso_vertices:
-        raise ResourceLimitError(
-            f"isomorphism oracle is capped at {limits.iso_vertices} vertices (iso_vertices)",
-            required=n, cap=limits.iso_vertices,
-        )
+    limits.check("iso_vertices", n, "isomorphism oracle's vertex count")
     if g.num_edges != h.num_edges:
         return None
     if sorted(g.vertex_colors) != sorted(h.vertex_colors):
@@ -155,11 +141,7 @@ def iso_oracle(
 
     def rec(colors: np.ndarray) -> list[int] | None:
         state["nodes"] += 1
-        if state["nodes"] > limits.iso_nodes:
-            raise ResourceLimitError(
-                "isomorphism oracle exceeded the node budget iso_nodes",
-                required=state["nodes"], cap=limits.iso_nodes,
-            )
+        limits.check("iso_nodes", state["nodes"], "isomorphism oracle search")
         tc = refine_k(u, 1, vertex_colors=colors, limits=limits)
         cc = tc.colors
         split_class = None

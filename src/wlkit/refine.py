@@ -50,7 +50,7 @@ before it in its class, in cache-sized blocks, so it never holds the
 n^2 (n + 1) round; on a split only the rows of the classes it names are
 built and ranked.  A k >= 3 round (`_full_round`) builds every tuple's
 row, compares it with the row of the first tuple of its class
-(`kernels.differing_rows`) and on a split ranks all its rows, in place.
+(`kernels.any_row_differs`) and on a split ranks all its rows, in place.
 A check that did not hold the rows would have to build them again on
 every split, and the build is a k >= 3 round's largest cost after the
 rank: `refine_k(CFI(K4), 3)` takes 112 ms, of which 41 ms build rows,
@@ -118,13 +118,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import ResourceLimitError, UnsupportedGraphError
+from .errors import UnsupportedGraphError
 from .graph import ColoredGraph, NeighborCodes, disjoint_union
 from .kernels import (
+    any_row_differs,
     big_endian,
     code_dtype,
     dense_rank_rows,
-    differing_rows,
     pair_code_rows,
     pair_tables,
     round_rows,
@@ -339,15 +339,7 @@ def check_round_budget(
 ) -> None:
     """Raise ResourceLimitError, naming memory_bytes, when a round of `what`
     (`_estimate_bytes`) plus `held` bytes kept beside it would pass it."""
-    _check_bytes(what, _estimate_bytes(n, k, width, pairs) + held, limits)
-
-
-def _check_bytes(what: str, need: int, limits: Limits) -> None:
-    if need > limits.memory_bytes:
-        raise ResourceLimitError(
-            f"{what} needs about {need} bytes, past memory_bytes",
-            required=need, cap=limits.memory_bytes,
-        )
+    limits.check("memory_bytes", _estimate_bytes(n, k, width, pairs) + held, what)
 
 
 def _round_rows_k1(nc: NeighborCodes, colors: np.ndarray) -> np.ndarray:
@@ -445,7 +437,7 @@ def _exact_round(colors: np.ndarray, n: int, ncolors: int, limits: Limits) -> np
     # member of index and id arrays; the n^2-long arrays fit the estimate
     size, cells = np.dtype(dtype).itemsize, members.shape[0] * (n + 1)
     need = _estimate_bytes(n, 2) + cells * size + min(cells, kernels._AGREE_CELLS) * (size + 1)
-    _check_bytes(f"exact split of {members.shape[0]} pairs at n={n}", need + 40 * members.shape[0], limits)
+    limits.check("memory_bytes", need + 40 * members.shape[0], f"exact split of {members.shape[0]} pairs at n={n}")
     rows = np.empty((members.shape[0], n + 1), dtype=dtype)
     rows[:, 0] = colors[members]
     pair_code_rows(pair_tables(colors, n, max(2, ncolors)), members, rows[:, 1:])
@@ -458,12 +450,12 @@ def _exact_round(colors: np.ndarray, n: int, ncolors: int, limits: Limits) -> np
 def _full_round(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray | None:
     """The ids of a full k >= 2 round of `colors`, or None when it splits
     nothing: every tuple's row (`round_rows`) is compared with the row of
-    the first tuple of its class (`differing_rows`), and on a split all
+    the first tuple of its class (`any_row_differs`), and on a split all
     the rows are ranked, in place.  `refine_rounds` runs it at k >= 3."""
     rows = round_rows(colors, n, k, ncolors)
     first = np.full(ncolors, colors.shape[0], dtype=np.int64)
     np.minimum.at(first, colors, np.arange(colors.shape[0], dtype=np.int64))
-    if differing_rows(rows, first[colors]) is None:
+    if not any_row_differs(rows, first[colors]):
         return None
     return dense_rank_rows(big_endian(rows))
 
@@ -798,12 +790,7 @@ def lift(
 
     lifted = LiftedColoring(t=t, n=n)
     if tuples is None:
-        if n**t > limits.lift_tuples:
-            raise ResourceLimitError(
-                f"enumerating all {n}^{t} tuples exceeds lift_tuples; "
-                "pass explicit tuples",
-                required=n**t, cap=limits.lift_tuples,
-            )
+        limits.check("lift_tuples", n**t, f"enumerating all {n}^{t} tuples (pass explicit ones)")
         tuples = itertools.product(range(n), repeat=t)
     for tup in tuples:
         tup = tuple(tup)

@@ -549,7 +549,8 @@ def reference_fast_leaf(g, k, parent, limits, stats, trace=None, on_siblings=Non
     every other member at every level (below the first lies the descent)."""
     n = g.n
     while True:
-        canon._count_node(stats, limits, "fast")
+        stats.nodes += 1
+        limits.check("canon_nodes", stats.nodes, "fast search")
         tc, pv = canon._refine_node(g, k, parent, limits)
         if pv.num_colors == n:
             return serialize_in_order(g, np.argsort(pv.colors))

@@ -556,6 +556,7 @@ def test_closure_refuses_a_round_past_memory_bytes():
     with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
         cellular_closure(petersen(), limits=tight)
     assert err.value.cap == 12_000 and err.value.required > 12_000
+    assert err.value.budget == "memory_bytes"
     small = cellular_closure(cycle(4), limits=tight)
     assert small.s == cellular_closure(cycle(4)).s
 
@@ -589,6 +590,7 @@ def test_validate_refuses_a_round_past_memory_bytes():
             pytest.raises(ResourceLimitError, match="memory_bytes") as err:
         validate(c)
     assert (err.value.required, err.value.cap) == (required, required - 1)
+    assert err.value.budget == "memory_bytes"
     at = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=required)
     with mock.patch.object(coherent, "DEFAULT_LIMITS", at):
         assert validate(c).ok
@@ -614,6 +616,7 @@ def test_intersection_rows_are_built_on_first_read_within_memory_bytes():
         with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
             rep.intersection
     assert err.value.required > rows and err.value.cap == rows
+    assert err.value.budget == "memory_bytes"
     assert rep.code_rows.shape == (n * n, n)
     # the report keeps its own copy of the ids: a later change to the
     # configuration does not reach its intersection numbers
@@ -622,6 +625,28 @@ def test_intersection_rows_are_built_on_first_read_within_memory_bytes():
     want = validate(c.copy()).intersection
     c.rel[0, 1] = c.rel[0, 2]
     assert rep.intersection == want
+
+
+def test_intersection_numbers_are_checked_against_memory_bytes_before_they_are_built():
+    # a discrete configuration's intersection numbers are n^3 dict entries,
+    # some 250 bytes each: 250 MB at 100 points against 4.4 MB of code rows.
+    # A cap that the rows fit refuses the entries before any is built
+    n = 100
+    c = CoherentConfig(n=n, s=n * n, rel=np.arange(n * n).reshape(n, n))
+    rep = validate(c)
+    cap = 2 * _code_rows_required(rep)
+
+    def refused():
+        with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
+            rep.intersection
+        return err.value
+
+    tight = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=cap)
+    with mock.patch.object(coherent, "DEFAULT_LIMITS", tight):
+        err, peak = traced_peak(refused)
+        assert rep.code_rows.shape == (n * n, n)  # the rows fit the cap
+    assert err.budget == "memory_bytes" and err.cap == cap < err.required
+    assert err.required >= n**3 * 200 and peak < cap
 
 
 def test_validate_never_holds_the_code_rows_unless_read():
@@ -707,8 +732,9 @@ def test_a_graph_closure_checks_its_budget_before_the_seed():
     g = random_graph(300, 0.5, seed=3)
     lim = dataclasses.replace(DEFAULT_LIMITS, memory_bytes=1_000_000)
     cellular_closure(cycle(4))  # first-call allocations are not the run's
-    with pytest.raises(ResourceLimitError, match="memory_bytes"):
+    with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
         cellular_closure(g, limits=lim)
+    assert err.value.budget == "memory_bytes"
     _, peak = traced_peak(lambda: pytest.raises(ResourceLimitError, cellular_closure, g, limits=lim))
     assert peak < lim.memory_bytes
 
@@ -722,6 +748,7 @@ def test_closure_runs_at_exactly_its_required_bytes():
     with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
         cellular_closure(seed, limits=below)
     assert (err.value.required, err.value.cap) == (required, required - 1)
+    assert err.value.budget == "memory_bytes"
 
 
 def test_small_rounds_stay_within_their_required_bytes():

@@ -881,6 +881,7 @@ def test_cached_closures_past_the_memory_budget_raise():
     with pytest.raises(ResourceLimitError, match="memory_bytes") as err:
         reduce_graph(g, 1, limits=lim)
     assert "closures" in str(err.value) and err.value.cap == lim.memory_bytes
+    assert err.value.budget == "memory_bytes"
     _, peak = traced_peak(lambda: pytest.raises(ResourceLimitError, reduce_graph, g, 1, limits=lim))
     assert peak < err.value.required
     # 40 copies fit in 2 MB, with the digest of the default budget
@@ -904,7 +905,7 @@ def test_a_closure_batch_counts_its_keys_and_rows(m, budget):
         return err.value
 
     err, peak = traced_peak(run)
-    assert err.cap == budget < err.required
+    assert err.cap == budget < err.required and err.budget == "memory_bytes"
     assert peak <= budget
 
 
@@ -926,6 +927,7 @@ def test_twin_ranks_are_budgeted_with_the_planes():
 
     err, peak = traced_peak(run)
     assert err.cap == 500_000 < err.required and peak <= 500_000
+    assert err.budget == "memory_bytes"
     for h in (g, path(1000), random_graph(400, 0.05, seed=2)):
         cols = np.zeros(h.n, dtype=np.int64)
         h.neighbor_codes()  # the graph's own cache is not the pass's

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
 import itertools
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wlkit
 import wlkit.canon as canon_module
 import wlkit.coherent as coherent_module
 import wlkit.refine as refine_module
@@ -392,7 +395,21 @@ def test_a_budget_error_names_its_limits_field(name):
     run(DEFAULT_LIMITS)  # within the default caps
     with pytest.raises(ResourceLimitError, match=rf"\b{name}\b") as err:
         run(dataclasses.replace(DEFAULT_LIMITS, **{name: cap}))
+    assert err.value.budget == name
     assert err.value.cap == cap and err.value.required > cap
+
+
+def test_only_the_limits_gate_makes_a_budget_error():
+    # every budget decision goes through Limits.check, so every
+    # ResourceLimitError names the field that tripped in one message shape
+    makers = set()
+    for path in sorted(Path(wlkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "ResourceLimitError":
+                    makers.add(path.name)
+    assert makers == {"limits.py"}
 
 
 def test_stable_names_memory_grows_linearly():
@@ -805,12 +822,14 @@ def test_round_rows_are_int32_exactly_below_the_limit(k, n, below):
 
 
 def reference_unstable_pairs(colors, n, ncolors):
-    """The stop check through the full round: `differing_rows` of
-    `round_rows`, then the first flagged pair of each class by class id."""
+    """The stop check through the full round: the pairs whose `round_rows`
+    row differs from the row of the first pair of their class, then the
+    first such pair of each class by class id."""
     first = np.full(ncolors, n * n, dtype=np.int64)
     np.minimum.at(first, colors, np.arange(n * n, dtype=np.int64))
-    flags = kernels.differing_rows(kernels.round_rows(colors, n, 2, ncolors), first[colors])
-    if flags is None:
+    rows = kernels.round_rows(colors, n, 2, ncolors)
+    flags = np.any(rows != rows[first[colors]], axis=1)
+    if not flags.any():
         return None
     at = np.flatnonzero(flags)
     return at[np.unique(colors[at], return_index=True)[1]]
@@ -976,6 +995,7 @@ def test_an_exact_split_builds_its_rows_within_memory_bytes():
             if not isinstance(out, ResourceLimitError):
                 break
             assert "exact split" in str(out) and out.required > budget
+            assert out.budget == "memory_bytes"
             budget, refusals = out.required, refusals + 1
     assert refusals >= 1 and same_partition(out.colors, want.colors)
 
