@@ -39,21 +39,24 @@ graph from its iso-type coloring.  A node runs refine's one refinement path,
 as `refine_k` does: one budget check, one start and one round loop
 (`refine.refine_rounds`).  For k >= 2 a child's first round is read off
 its individualized vertex alone in O(n^k) and ranked once, from keys of
-the parent's coloring that order like the seeded one (see `refine`).  At
-k = 1 and k >= 3 a node then runs exact rounds to its stable coloring,
-whose ids are those of ranking the seeded coloring and full rounds.
+the parent's coloring that order like the seeded one (see `refine`).  The
+growth loop follows.  At k = 1 and k >= 3 (k >= 4 takes the k >= 3 step)
+its rounds are exact, so a node ends at its stable coloring, whose ids are
+those of ranking the seeded coloring and full rounds.
 
-At k = 2 a node's round loop skips its exact rounds: hashed rounds to a
-fixed class count and no exact stop check, so no node builds an n^3
-round and a node's memory is O(n^2); its ids are hash ranks.  No check is needed: the search asks only that a node's coloring
-be an isomorphism-invariant function of the graph and the individualized
-sequence that refines its parent's, since a certificate is the best
-leaf's bytes, compared byte for byte, and every automorphism passes
-`is_automorphism` before the search uses it.  A hashed round's salts
-depend on the color id alone, so a collision can only leave a class
-unsplit: a coarser node and a larger tree, never a wrong certificate.
-Unless a hash collides, a node's partition and class counts are the
-exact ones (tests/test_canon.py compares them node by node).
+At k = 2 the growth rounds are hashed, and a node skips the exact round
+that `refine_k` runs after them: hashed rounds to a fixed class count and
+no exact stop check, so no node builds an n^3 round and a node's memory
+is O(n^2); its ids are hash ranks.  No check is needed: the search asks
+only that a node's coloring be an isomorphism-invariant function of the
+graph and the individualized sequence that refines its parent's, since a
+certificate is the best leaf's bytes, compared byte for byte, and every
+automorphism passes `is_automorphism` before the search uses it.  A
+hashed round's salts depend on the color id alone, so a collision can
+only leave a class unsplit: a coarser node and a larger tree, never a
+wrong certificate.  Unless a hash collides, a node's partition and class
+counts are the exact ones (tests/test_canon.py compares them node by
+node).
 
 Every node's coloring projects to vertex classes by its tuple minima
 (`refine.project`).  Each round ranks the previous id first, so a node's

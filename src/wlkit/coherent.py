@@ -5,9 +5,10 @@ checks the three axioms: the diagonal is a union of relations, the
 transpose of every relation is a relation, and the number of z with
 (x, z) in R_i, (z, y) in R_j depends only on the relation of (x, y).  The
 third is the k = 2 stop check that ends the closure's round loop, so a
-closure needs no separate pass for it.  The closure runs refine's k = 2
-pass (`refine.refine_rounds`): hashed rounds, then the exact stop check
-(`refine.stop_check`), normally its one exact pass.
+closure needs no separate pass for it.  The closure runs refine's round
+loop at k = 2 (`refine.refine_rounds`): the growth loop of hashed rounds,
+then the one exact round's stop check (`refine.stop_check`), normally its
+one exact pass.
 
 The Klein scheme of a cubic graph puts a 4-point fibre on every vertex,
 carrying that fibre's identity relation and three pairings (points as 2-bit
@@ -51,9 +52,13 @@ class CoherentConfig:
 # key tuple and four Python ints, and its slots in the numpy and list
 # temporaries) and a relation (its inner dict).  Traced peak over estimate
 # (with the rows): 0.17-0.93 on discrete configurations of 2-100 points,
-# trivial ones of 2-400 and Klein schemes of 16-240 (Python 3.11)
+# trivial ones of 2-400 and Klein schemes of 16-240 (Python 3.11), with
+# temporaries as long as all the runs; filled a block of _FILL_CELLS at a
+# time, a discrete configuration of 60 points peaks at 156 bytes a run
 _RUN_BYTES = 272
 _RELATION_BYTES = 256
+# code cells whose runs `intersection` turns into entries at a time
+_FILL_CELLS = 1 << 12
 
 
 @dataclass
@@ -106,15 +111,20 @@ class ValidationReport:
         runs = int(np.count_nonzero(run))
         need = refine._CALL_BYTES + rows.nbytes + run.nbytes + runs * _RUN_BYTES + s * _RELATION_BYTES
         DEFAULT_LIMITS.check("memory_bytes", need, f"intersection numbers of {runs} runs at n={n}")
-        starts = np.flatnonzero(run)
-        counts = np.diff(np.append(starts, s * n))
-        codes = rows.ravel()[starts]
         out: dict[int, dict[tuple[int, int], int]] = {rid: {} for rid in range(s)}
-        for rid, i, j, cnt in zip(
-            (starts // n).tolist(), (codes // s).tolist(), (codes % s).tolist(),
-            counts.tolist(),
-        ):
-            out[rid][(i, j)] = cnt
+        # a block of rows at a time, so the lists that feed the dict stay
+        # small beside it (every row starts a run)
+        step = max(1, _FILL_CELLS // n)
+        for lo in range(0, s, step):
+            block = rows[lo : lo + step].ravel()
+            starts = np.flatnonzero(run[lo : lo + step])
+            counts = np.diff(np.append(starts, block.shape[0]))
+            codes = block[starts]
+            for rid, i, j, cnt in zip(
+                (lo + starts // n).tolist(), (codes // s).tolist(), (codes % s).tolist(),
+                counts.tolist(),
+            ):
+                out[rid][(i, j)] = cnt
         return out
 
 
@@ -247,10 +257,11 @@ def cellular_closure(
     collides, but no longer the lexicographic order of exact rows.  A
     hashed round cannot split a stable coloring, so a coherent input whose
     diagonal relations hold the lowest ids closes to itself, id for id.
-    Each hashed product sums n terms below 2^40, exact in float64 in any
-    order for n < 8192 (`refine._HASH_MAX_N`), so the ids do not depend on
-    the BLAS or its threads; past that the exact loop runs alone.  The
-    default budget stops the closure at 4095 points.
+    Each hashed product sums terms below 2^40, fewer than 8192 at a time
+    and reduced mod p between chunks (`refine._product_mod`), so it is
+    exact in float64 in any order at every n, and the ids do not depend on
+    the BLAS or its threads.  The default budget stops the closure at 4095
+    points.
 
     The seed must hold integers or bools (UnsupportedGraphError otherwise,
     before anything of its size is allocated).  Raises ResourceLimitError

@@ -392,24 +392,28 @@ def join(g: ColoredGraph, h: ColoredGraph) -> ColoredGraph:
     return ColoredGraph(u.n, edges, False, u.vertex_colors)
 
 
-def connected_components(g: ColoredGraph) -> list[list[int]]:
-    """Components (orientation-insensitive), each sorted, ordered by minimum."""
-    seen = [False] * g.n
-    comps = []
+def _components(g: ColoredGraph, seen: set[int]):
+    """Each component (orientation-insensitive) of the vertices not in
+    `seen`, in order of its least vertex, as the list of vertices a DFS from
+    there visits; adds them to `seen`."""
     for s in range(g.n):
-        if seen[s]:
+        if s in seen:
             continue
         stack, comp = [s], []
-        seen[s] = True
+        seen.add(s)
         while stack:
             v = stack.pop()
             comp.append(v)
             for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+        yield comp
+
+
+def connected_components(g: ColoredGraph) -> list[list[int]]:
+    """Components (orientation-insensitive), each sorted, ordered by minimum."""
+    return [sorted(comp) for comp in _components(g, set())]
 
 
 def is_connected(g: ColoredGraph) -> bool:
@@ -457,25 +461,7 @@ def min_separator_size(
         for subset in combinations(verts, size):
             examined += 1
             limits.check("separator_subsets", examined, "separator search")
-            removed = set(subset)
-            seen = set(removed)
-            ok = True
-            for s in verts:
-                if s in seen:
-                    continue
-                stack, count = [s], 0
-                seen.add(s)
-                while stack:
-                    x = stack.pop()
-                    count += 1
-                    for y in g.neighbors(x):
-                        if y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-                if count >= half:
-                    ok = False
-                    break
-            if ok:
+            if all(len(comp) < half for comp in _components(g, set(subset))):
                 return size
     return None
 

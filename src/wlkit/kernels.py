@@ -20,15 +20,19 @@ otherwise (`code_dtype`); the narrower rows halve the bytes that a round's
 sort, compare and rank move.
 
 A round splits nothing exactly when every tuple's row equals the row of the
-first tuple of its class.  At k >= 3 `refine` checks that on the full round
-(`any_row_differs`) and ranks the round's rows only on a split.  At k = 2
-the check is `unstable_pairs`, which `refine` runs after its hashed rounds
-and `coherent.validate` runs as axiom 3 on the relation ids: the pairs are
-ordered by class and each row is built (`pair_code_rows`, from the two
-`pair_tables`) and compared with the row before it in its class, one block
-of at most _PAIR_CELLS codes at a time, so the n^2 (n + 1) round is never
-held.  A split, which at k = 2 comes only after a hash collision, builds
-the rows of the classes that split and no others.
+first tuple of its class.  At k >= 3 `refine`'s one growth loop steps by a
+full round, which checks that (`any_row_differs`) and ranks the round's
+rows only on a split.  k >= 4 takes the same step; where base^k reaches
+_PACK_LIMIT, which k = 4 does from 46341 classes, `round_rows` ranks the
+substitution vectors instead of packing them (its overflow branch).  At
+k = 2 the check is `unstable_pairs`, the one exact round, which `refine`
+runs after its hashed growth rounds and `coherent.validate` runs as axiom 3
+on the relation ids: the pairs are ordered by class and each row is built
+(`pair_code_rows`, from the two `pair_tables`) and compared with the row
+before it in its class, one block of at most _PAIR_CELLS codes at a time,
+so the n^2 (n + 1) round is never held.  A split, which at k = 2 comes only
+after a hash collision, builds the rows of the classes that split and no
+others.
 
 `dense_rank_rows` ranks rows whose column bit lengths sum to at most 62 (a
 k = 2 search node's first round, built from its seed keys; initial

@@ -23,39 +23,44 @@ Every refinement runs one path (`_refine`): one budget check, one start
 (`_start`: the iso types at a root, or a search child's parent, below) and
 one round loop (`refine_rounds`), which `coherent.cellular_closure` runs
 too, from its own seed.  `refine_k` and every canonical-search node
-(`refine_node`) call it.  The loop first runs growth rounds (`_grow`),
-ranking rows led by the previous id until the class count stops growing
-or every tuple has its own class: exact k = 1 rounds (below), or hashed
-k = 2 rounds (`_hashed_rows`).  Then, unless the caller skips them, exact
-rounds run until one splits nothing.  k = 1 rounds are exact already, and
-a coloring with n^k classes cannot split, so neither takes an exact
-round; in particular a discrete k = 1 coloring takes no confirming rank.
+(`refine_node`) call it.  At every k the loop is one growth loop (`_grow`):
+a step maps the colors and their class count to the next round's ids,
+ranked previous id first, and runs until it returns None, the class count
+stops growing, or every tuple has its own class.  The step is the rank of
+the sparse k = 1 rows (below), the rank of the hashed k = 2 rows
+(`_hashed_rows`), or a full k >= 3 round (`_full_round`), which returns
+None when it splits nothing; k >= 4 takes the k >= 3 step, through
+`round_rows`' overflow branch once its codes pass int64.  k = 1 and k >= 3
+rounds are exact, so their loop ends stable, and a discrete k = 1 coloring
+takes no confirming rank.  At k = 2, unless the caller skips it, the one
+exact round (`_exact_round`) follows, and on a split the growth loop goes
+on.
 
 The hashed rounds split as far as exact rounds would unless a hash
-collides, so at k = 2 the exact round normally finds nothing to split; a
-collision costs an exact round, which hands back to the hashed rounds,
-never a wrong partition (`coherent.cellular_closure` gives the proof).  So
-k = 2 ids are hash ranks.  A k = 2 search node skips the exact rounds, and
-a collision only leaves one of its classes unsplit (`canon` says why that
-suffices).
+collides, so the exact round normally finds nothing to split; a collision
+costs an exact round, never a wrong partition (`coherent.cellular_closure`
+gives the proof).  So k = 2 ids are hash ranks.  A k = 2 search node skips
+the exact round, and a collision only leaves one of its classes unsplit
+(`canon` says why that suffices).
 
 An exact round's rows are dense-ranked lexicographically, previous color
 first, so a color id is the rank of its row among the round's rows, and a
 round that splits nothing gives back the previous ids.  Each exact round
 first checks whether it splits anything, and when it does not the loop
-stops without ranking.  The two exact rounds differ by k.  At k = 2
-(`_exact_round`) the check (`stop_check`, `kernels.unstable_pairs`, which
-`coherent.validate` runs as axiom 3) compares each pair's row with the row
-before it in its class, in cache-sized blocks, so it never holds the
-n^2 (n + 1) round; on a split only the rows of the classes it names are
-built and ranked.  A k >= 3 round (`_full_round`) builds every tuple's
-row, compares it with the row of the first tuple of its class
-(`kernels.any_row_differs`) and on a split ranks all its rows, in place.
-A check that did not hold the rows would have to build them again on
-every split, and the build is a k >= 3 round's largest cost after the
-rank: `refine_k(CFI(K4), 3)` takes 112 ms, of which 41 ms build rows,
-10 ms check them and 56 ms rank (best of five, one BLAS thread, Xeon).  A
-k >= 2 child's first round (below) is ranked once, before the loop.
+stops without ranking.  At k = 2 the check (`stop_check`,
+`kernels.unstable_pairs`, which `coherent.validate` runs as axiom 3)
+compares each pair's row with the row before it in its class, in
+cache-sized blocks, so it never holds the n^2 (n + 1) round; on a split
+only the rows of the classes it names are built and ranked.  A k >= 3
+round builds every tuple's row, compares it with the row of the first
+tuple of its class (`kernels.any_row_differs`) and on a split ranks all
+its rows, in place.  It stays a full round for two measured reasons
+(prototypes that gave the same ids; best of five, one BLAS thread,
+Xeon).  A check in blocks, as at k = 2, must build the rows again on every
+split: it took `refine_k(CFI(K4), 3)` from 74 to 102 ms and
+`refine_k(CFI(K3,3), 3)` from 310 to 442 ms.  Ranking every round without
+the check took CFI(K4) from 74 to 95 ms.  A k >= 2 child's first round
+(below) is ranked once, before the loop.
 
 A search node's child is given by its parent: `parent=(tc, v)`
 individualizes vertex v on top of the parent's stable coloring tc, and the
@@ -109,7 +114,6 @@ substitution rows.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -451,7 +455,7 @@ def _full_round(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray 
     """The ids of a full k >= 2 round of `colors`, or None when it splits
     nothing: every tuple's row (`round_rows`) is compared with the row of
     the first tuple of its class (`any_row_differs`), and on a split all
-    the rows are ranked, in place.  `refine_rounds` runs it at k >= 3."""
+    the rows are ranked, in place.  The growth step at k >= 3."""
     rows = round_rows(colors, n, k, ncolors)
     first = np.full(ncolors, colors.shape[0], dtype=np.int64)
     np.minimum.at(first, colors, np.arange(colors.shape[0], dtype=np.int64))
@@ -462,8 +466,8 @@ def _full_round(colors: np.ndarray, n: int, k: int, ncolors: int) -> np.ndarray 
 
 # the two primes of the hashed rounds, below 2^20
 _PRIMES = (1048573, 1048571)
-# a hashed round's product sums n products below 2^40, exact in float64
-# while n * 2^40 < 2^53
+# a hashed product sums terms below 2^40, exact in float64 while fewer than
+# _HASH_MAX_N of them are summed, since _HASH_MAX_N * 2^40 = 2^53
 _HASH_MAX_N = 8192
 
 
@@ -486,18 +490,32 @@ def _salts(m: int) -> np.ndarray:
     return out
 
 
+def _product_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b for float64 entries in 1..p-1, exact modulo p: the inner sum is
+    taken _HASH_MAX_N - 1 terms at a time, reduced mod p between chunks, so
+    every partial sum stays below 2^53.  Below _HASH_MAX_N columns that is
+    one product, unreduced."""
+    step = _HASH_MAX_N - 1
+    out = a[:, :step] @ b[:step]
+    for z in range(step, a.shape[1], step):
+        out %= p
+        out += a[:, z : z + step] @ b[z : z + step]
+    return out
+
+
 def _hashed_rows(colors: np.ndarray, n: int) -> np.ndarray:
     """The rows (previous id, h_1, h_2) of a hashed 2-dim round of
-    `colors`, dense ids of all n^2 pairs, for n < _HASH_MAX_N.
+    `colors`, dense ids of all n^2 pairs.
 
     h_i = (a_i[C] @ b_i[C]) mod p_i is a bilinear hash of the multiset over
     z of (C(x, z), C(z, y)), that is of the pair's exact round row, read
-    with one float64 product per prime.  The salts depend on the color id
-    alone (`_salts`), so the ids are relabeling-equivariant whatever
-    collides; a collision only leaves a class unsplit.  Every entry is
-    below p < 2^20, so each sum is below n * 2^40 < 2^53: the product is
-    exact in any summation order, and the ids are the same on every BLAS
-    and thread count.
+    with one float64 product per prime (`_product_mod`, in chunks from
+    _HASH_MAX_N vertices up).  The salts depend on the color id alone
+    (`_salts`), so the ids are relabeling-equivariant whatever collides; a
+    collision only leaves a class unsplit.  Every entry is below p < 2^20,
+    so each partial sum is below 2^53: the product is exact in any
+    summation order, and the ids are the same on every BLAS and thread
+    count.
 
     Each round is a function of each class's exact rows, so it never splits
     a stable coloring, and whatever stable partition refines its input
@@ -509,20 +527,24 @@ def _hashed_rows(colors: np.ndarray, n: int) -> np.ndarray:
     rows = np.empty((n * n, 3), dtype=np.int64)
     rows[:, 0] = colors
     for i, p in enumerate(_PRIMES):
-        rows[:, 1 + i] = (salts[2 * i][grid] @ salts[2 * i + 1][grid]).reshape(-1)
+        rows[:, 1 + i] = _product_mod(salts[2 * i][grid], salts[2 * i + 1][grid], p).reshape(-1)
         rows[:, 1 + i] %= p  # as integers: several times faster than fmod
     return rows
 
 
-def _grow(colors: np.ndarray, rows_of, class_counts: list[int]) -> np.ndarray:
-    """Rank `rows_of(colors)`, rows led by the previous id, round after
-    round until the class count stops growing or every tuple has its own
-    class; appends each splitting round's class count to `class_counts`
-    (whose last entry is that of `colors`) and returns the last ids."""
+def _grow(colors: np.ndarray, step, class_counts: list[int]) -> np.ndarray:
+    """The growth loop of every k: run `step(colors, class count)`, the
+    next round's ids with the previous id ranked first, round after round
+    until it returns None, the class count stops growing or every tuple
+    has its own class; appends each splitting round's class count to
+    `class_counts` (whose last entry is that of `colors`) and returns the
+    last ids."""
     while class_counts[-1] < colors.shape[0]:
-        ids = dense_rank_rows(rows_of(colors))
+        ids = step(colors, class_counts[-1])
+        if ids is None:
+            break
         count = int(ids.max()) + 1
-        if count == class_counts[-1]:  # column 0 is the previous id: the same ids
+        if count == class_counts[-1]:  # the previous id ranks first: the same ids
             break
         colors = ids
         class_counts.append(count)
@@ -546,14 +568,14 @@ def refine_rounds(
     k >= 2 child that individualizes v on top of the stable `colors`, which
     ends the pass when it splits nothing.
 
-    Growth rounds (`_grow`) come first: exact k = 1 rounds, which read the
-    neighbor codes `nc`, or hashed k = 2 rounds (`_hashed_rows`; none from
-    _HASH_MAX_N vertices up).  Then, unless `exact` is False, exact rounds
-    run until one splits nothing: at k = 2 the stop check and, on a split
-    (a hash collided), the failing classes' round (`_exact_round`, within
-    `limits`), after which the hashed rounds go on; at k >= 3 full rounds
-    (`_full_round`).  k = 1 rounds are exact already, and a coloring with
-    n^k classes cannot split, so neither takes an exact round."""
+    The growth loop (`_grow`) steps by the rank of the k = 1 rows, which
+    read the neighbor codes `nc`, by the rank of the hashed k = 2 rows
+    (`_hashed_rows`), or by a full k >= 3 round (`_full_round`).  k = 1 and
+    k >= 3 rounds are exact, so they end stable.  At k = 2, unless `exact`
+    is False, the stop check follows and, on a split (a hash collided),
+    the failing classes' round (`_exact_round`, within `limits`), after
+    which the growth loop goes on; a coloring with n^2 classes cannot
+    split and takes no check."""
     if v is None:
         class_counts = [int(colors.max()) + 1]
     else:
@@ -561,20 +583,17 @@ def refine_rounds(
         class_counts = [seeded, int(colors.max()) + 1]
         if class_counts[1] == seeded:  # the first round split nothing
             return colors, class_counts[:1]
-    rows_of = None
     if k == 1:
-        rows_of = functools.partial(_round_rows_k1, nc)
-    elif k == 2 and n < _HASH_MAX_N:
-        rows_of = functools.partial(_hashed_rows, n=n)
+        step = lambda colors, count: dense_rank_rows(_round_rows_k1(nc, colors))
+    elif k == 2:
+        step = lambda colors, count: dense_rank_rows(_hashed_rows(colors, n))
+    else:
+        step = lambda colors, count: _full_round(colors, n, k, count)
     while True:
-        if rows_of is not None:
-            colors = _grow(colors, rows_of, class_counts)
-        if not exact or k == 1 or class_counts[-1] == colors.shape[0]:
+        colors = _grow(colors, step, class_counts)
+        if not exact or k != 2 or class_counts[-1] == colors.shape[0]:
             return colors, class_counts
-        if k == 2:
-            ids = _exact_round(colors, n, class_counts[-1], limits)
-        else:
-            ids = _full_round(colors, n, k, class_counts[-1])
+        ids = _exact_round(colors, n, class_counts[-1], limits)
         if ids is None:
             return colors, class_counts
         colors = ids
@@ -695,15 +714,14 @@ def refine_node(
     the budget counts `held`, what the search keeps beside the node.  The
     search hands in its own colorings, so `parent` is not checked again.
 
-    The node runs the refinement path `refine_k` runs, at every k.  At k = 2 its
-    round loop skips the exact rounds, so the node stays within the hashed
-    rounds' budget (`_hashed_bytes`): an isomorphism-invariant refinement
-    of the parent, all a search node needs, whose partition is the exact
-    one unless a hash collides, and whose ids are hash ranks.  From
-    _HASH_MAX_N vertices up, past the default budget, a k = 2 node keeps
-    its first round's classes.  At every other k its coloring is the one
+    The node runs the refinement path `refine_k` runs, at every k, but its
+    round loop skips the exact k = 2 round, so a k = 2 node stays within
+    the hashed rounds' budget (`_hashed_bytes`): an isomorphism-invariant
+    refinement of the parent, all a search node needs, whose partition is
+    the exact one unless a hash collides, and whose ids are hash ranks.  At
+    every other k the growth loop ends stable, and the coloring is the one
     `refine_k(g, k, parent=parent)` gives."""
-    return _refine(g, k, None, parent, limits, held, exact=k != 2)
+    return _refine(g, k, None, parent, limits, held, exact=False)
 
 
 def refine_1(g: ColoredGraph, **kwargs) -> TupleColoring:

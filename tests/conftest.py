@@ -89,7 +89,8 @@ def hashed_rounds(colors, n: int):
     of all n^2 pairs, until the class count stops growing (`refine._grow`);
     returns what `full_rounds` does."""
     counts = [int(colors.max()) + 1]
-    colors = refine._grow(colors, lambda c: refine._hashed_rows(c, n), counts)
+    step = lambda c, m: refine.dense_rank_rows(refine._hashed_rows(c, n))
+    colors = refine._grow(colors, step, counts)
     return colors, counts
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -433,11 +434,17 @@ def test_an_exact_split_finishes_what_colliding_hashes_leave(make):
 
 
 @settings(max_examples=60, deadline=None)
-@given(CLOSURE_SEEDS)
-def test_past_the_hash_bound_the_exact_loop_runs_alone(seed):
-    with mock.patch.object(refine_module, "_HASH_MAX_N", 1):
-        got = cellular_closure(seed).rel
-    assert got.tobytes() == reference_closure(seed).tobytes()
+@given(CLOSURE_SEEDS, st.integers(2, 9))
+def test_past_the_hash_bound_the_products_run_in_chunks(seed, bound):
+    # from _HASH_MAX_N vertices up each hashed product sums _HASH_MAX_N - 1
+    # columns at a time, reduced mod p between chunks; with the bound
+    # patched small the rows and the closure are the one-product ones
+    n = seed.shape[0]
+    cur = kernels.dense_rank_rows((seed * 2 + np.eye(n, dtype=np.int64)).reshape(-1, 1))
+    rows, want = refine_module._hashed_rows(cur, n), cellular_closure(seed).rel
+    with mock.patch.object(refine_module, "_HASH_MAX_N", bound):
+        assert np.array_equal(refine_module._hashed_rows(cur, n), rows)
+        assert cellular_closure(seed).rel.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -647,6 +654,25 @@ def test_intersection_numbers_are_checked_against_memory_bytes_before_they_are_b
         assert rep.code_rows.shape == (n * n, n)  # the rows fit the cap
     assert err.budget == "memory_bytes" and err.cap == cap < err.required
     assert err.required >= n**3 * 200 and peak < cap
+
+
+def test_intersection_numbers_fill_their_dict_a_block_at_a_time():
+    # the lists that feed the dict are built a block of rows at a time, so
+    # the read peaks little above what it keeps: a discrete 60-point
+    # configuration keeps 216000 entries, about 154 bytes each, and peaked
+    # at 237 bytes an entry when the lists were as long as the entries
+    n = 60
+    rep = validate(CoherentConfig(n=n, s=n * n, rel=np.arange(n * n).reshape(n, n)))
+    rep.code_rows
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        numbers = rep.intersection
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, numbers.values())) == n**3
+    assert peak - base <= 1.2 * (kept - base)
 
 
 def test_validate_never_holds_the_code_rows_unless_read():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import colored_graphs
-from wlkit.errors import ParseError, UnsupportedGraphError
+from wlkit.errors import ParseError, ResourceLimitError, UnsupportedGraphError
 from wlkit.families import (
     bowtie,
     complete,
@@ -30,6 +32,7 @@ from wlkit.graph import (
     serialize_wlg,
     serialize_wlg_relabeled,
 )
+from wlkit.limits import Limits
 from wlkit.oracle import aut_group_order, is_isomorphism, iso_oracle
 
 
@@ -234,6 +237,37 @@ def test_separator_rejects_directed_and_disconnected():
         min_separator_size(ColoredGraph(2, [(0, 1, 0)], directed=True))
     with pytest.raises(UnsupportedGraphError):
         min_separator_size(disjoint_union(cycle(3), cycle(3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored_graphs(max_n=7, min_n=1, directed=False))
+def test_components_and_separators_match_a_networkx_reference(case):
+    # the components, their order and the separator search's subset count
+    # (its separator_subsets budget) against networkx on each subset
+    nx = pytest.importorskip("networkx")
+    g = case[0]
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from((u, v) for u, v, _ in g.edge_list())
+    want = sorted(sorted(c) for c in nx.connected_components(ref))
+    assert connected_components(g) == want
+    assert is_connected(g) == (len(want) == 1)
+    if len(want) > 1:
+        return
+    examined = 0
+    for size in range(g.n + 1):
+        found = False
+        for subset in itertools.combinations(range(g.n), size):
+            examined += 1
+            rest = ref.subgraph(set(range(g.n)) - set(subset))
+            if all(len(c) < g.n / 2 for c in nx.connected_components(rest)):
+                found = True
+                break
+        if found:
+            break
+    assert min_separator_size(g, limits=Limits(separator_subsets=examined)) == size
+    with pytest.raises(ResourceLimitError):
+        min_separator_size(g, limits=Limits(separator_subsets=examined - 1))
 
 
 # -- relabeling --------------------------------------------------------------

@@ -206,6 +206,27 @@ def test_a_child_of_a_singleton_vertex_keeps_its_parents_partition(k):
         tc = child
 
 
+@settings(max_examples=150, deadline=None)
+@given(colored_graphs(min_n=1), st.sampled_from((1, 2, 3)), st.data())
+def test_a_search_node_is_refine_k_from_the_same_parent(case, k, data):
+    # a node's round loop skips only the exact k = 2 round: at k = 1 and
+    # k = 3 its growth loop ends stable and the node is refine_k's coloring
+    # byte for byte, down a chain of children; at k = 2 it is refine_k's
+    # partition (its ids are hash ranks, and no hash collides here)
+    g, cols = case
+    g = g.with_vertex_colors(cols.tolist())
+    seq = data.draw(st.lists(st.sampled_from(range(g.n)), min_size=2, max_size=3))
+    node, want = refine_module.refine_node(g, k), refine_k(g, k)
+    for v in [None] + seq:
+        if v is not None:
+            node, want = refine_module.refine_node(g, k, (node, v)), refine_k(g, k, parent=(want, v))
+        if k == 2:
+            assert same_partition(node.colors, want.colors)
+        else:
+            assert node.colors.tobytes() == want.colors.tobytes()
+            assert (node.rounds, node.class_counts) == (want.rounds, want.class_counts)
+
+
 def test_seeding_saves_rounds_on_a_cycle():
     g = cycle(12)
     root = refine_2(g)
@@ -970,6 +991,19 @@ def test_a_400_vertex_two_dim_refinement_fits_the_default_budget():
         tc, _, peak = _traced_refinement(g, 2, limits=Limits())
         assert tc.num_colors == classes
         assert peak <= estimate <= 2 * peak
+
+
+@pytest.mark.parametrize("bound", [2, 9, 41])
+def test_chunked_hashed_products_stay_within_the_estimate(bound):
+    # from _HASH_MAX_N vertices up each hashed product is summed in chunks;
+    # with the bound patched small, a k = 2 refinement that runs one round at
+    # nearly n^2 classes keeps its ids and peaks within the same estimate
+    g = twin_pair_graph(100)
+    want = refine_k(g, 2)
+    with mock.patch.object(refine_module, "_HASH_MAX_N", bound):
+        tc, _, peak = _traced_refinement(g, 2)
+    assert np.array_equal(tc.colors, want.colors) and tc.class_counts == want.class_counts
+    assert peak <= refine_module._hashed_bytes(g.n)
 
 
 def test_an_exact_split_builds_its_rows_within_memory_bytes():
