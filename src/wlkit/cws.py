@@ -13,10 +13,11 @@ directed graph adds the planes of p[w, v]; a vertex set is a row of the same
 width.  The planes are scattered from the adjacent pairs, so no n x n code
 matrix is built; twin groups are found on them too.  The vertices on which
 u and r disagree are then the XOR of their planes, ORed over the planes.
-One scan per level (`_Scan`) closes every classmate pair of a scanned class
-in one batch, caches each closure as its packed row (`bytes`) and decides
-primality from those rows.  Frozensets are built only for what leaves the
-module: `closure`, `cws_spectrum`, `CWSRecord.vertices` and `Level.pieces`.
+One scan per level (`_Scan`) closes the classmate pairs of every scanned
+class of the level in one batch, caches each closure as its packed row
+(`bytes`) and decides primality from those rows.  Frozensets are built
+only for what leaves the module: `closure`, `cws_spectrum`,
+`CWSRecord.vertices` and `Level.pieces`.
 
 `reduce_graph` repeats: refine, contract twin groups, contract overlap blocks
 (vertices whose pair closures give several distinct primes), then contract
@@ -632,26 +633,34 @@ def decompose(
 
 def _overlap_blocks(scan: _Scan, limits: Limits) -> list[frozenset[int]]:
     """Vertices whose pair closures hit two or more distinct primes, each
-    bundled with the intersection of those primes."""
-    blocks: dict[bytes, None] = {}  # in order of discovery
-    for members in _class_members(scan.cls):
-        if len(members) < 3 or len(members) > limits.overlap_class_cap:
-            continue
-        members = members.tolist()
-        scan.close_pairs(combinations(members, 2))
+    bundled with the intersection of those primes.  One batch closes every
+    classmate pair of every scanned class, so the primality tests read the
+    closures of those pairs from the cache."""
+    classes = [
+        grp.tolist() for grp in _class_members(scan.cls)
+        if 3 <= grp.size <= limits.overlap_class_cap
+    ]
+    scan.close_pairs(pair for members in classes for pair in combinations(members, 2))
+    blocks: dict[bytes, np.ndarray] = {}  # members of each block, in order of discovery
+    for members in classes:
         for x in members:
-            primes = list(scan.prime_closures_of(x, (y for y in members if y != x)))
+            # distinct closures of x with its classmates, in order of first appearance
+            rows = dict.fromkeys(scan.cl[(x, y) if x < y else (y, x)] for y in members if y != x)
+            primes = [row for row in rows if scan.is_prime(row)]
             if len(primes) >= 2:
                 block = np.bitwise_and.reduce(
                     np.frombuffer(b"".join(primes), np.uint8).reshape(len(primes), -1)
                 ).tobytes()
-                if _members(block).size >= 2:
-                    blocks.setdefault(block)
-    rows = [np.frombuffer(block, np.uint8) for block in blocks]
-    for i, a in enumerate(rows):
-        if any((a & b).any() for b in rows[i + 1 :]):
+                if block not in blocks:
+                    inside = _members(block)
+                    if inside.size >= 2:
+                        blocks[block] = inside
+    covered = np.zeros(scan.g.n, dtype=bool)
+    for inside in blocks.values():
+        if covered[inside].any():
             raise DecompositionError("overlap blocks intersect each other")
-    return [_vertex_set(block) for block in blocks]
+        covered[inside] = True
+    return [frozenset(inside.tolist()) for inside in blocks.values()]
 
 
 def _reduce(

@@ -230,13 +230,18 @@ class ColoredGraph:
         )
 
     def induced(self, subset) -> tuple["ColoredGraph", list[int]]:
-        """Subgraph on ``subset``; returns (graph, sorted original indices)."""
+        """Subgraph on ``subset``; returns (graph, sorted original indices).
+        Walks the subset's neighbour lists, not every edge of the graph."""
         keep = sorted(set(subset))
         pos = {v: i for i, v in enumerate(keep)}
+        nbrs = self._neighbor_lists()
+        # `edges` keys an edge (u, v) with u < v and an arc by (tail, head),
+        # so each is found once, from u or from its tail
         edges = [
             (pos[u], pos[v], c)
-            for (u, v), c in self.edges.items()
-            if u in pos and v in pos
+            for u in keep
+            for v in nbrs[u]
+            if v in pos and (c := self.edges.get((u, v))) is not None
         ]
         colors = [self.vertex_colors[v] for v in keep]
         return ColoredGraph(len(keep), edges, self.directed, colors), keep

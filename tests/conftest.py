@@ -1,6 +1,7 @@
 """Shared fixtures, partition helpers, a small-graph strategy, a traced
-memory peak, degenerate hash salts, the full-round and hashed-round
-references, a graph with one twin pair and a doubled graph.
+memory peak, a count of the library lines a call runs, degenerate hash
+salts, the full-round and hashed-round references, a graph with one twin
+pair, a doubled graph and disjoint crowns.
 
 Color ids produced by dense ranking are arbitrary; two equal partitions of
 the same index set can carry different ids.  Tests therefore compare
@@ -8,12 +9,15 @@ partitions through a first-occurrence renumbering instead of raw ids.
 """
 from __future__ import annotations
 
+import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import wlkit
 from wlkit import refine
 from wlkit.families import complete, random_graph
 from wlkit.cfi import cfi_build
@@ -54,6 +58,29 @@ def traced_peak(fn):
         if not was_tracing:
             tracemalloc.stop()
     return out, peak - base
+
+
+def lines_run(fn):
+    """`fn()` and the number of lines of wlkit's own source that it runs: a
+    timing-free measure of a call's Python-level work."""
+    root = os.path.dirname(wlkit.__file__)
+    count = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return count_lines
+
+    def enter(frame, event, arg):
+        return count_lines if frame.f_code.co_filename.startswith(root) else None
+
+    was = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        out = fn()
+    finally:
+        sys.settrace(was)
+    return out, count
 
 
 def two_valued_salts(m):
@@ -115,6 +142,15 @@ def crown_graph() -> ColoredGraph:
     """Two color classes {0,1,2} and {3,4,5}, edges i-(3+j) for i != j."""
     edges = [(i, 3 + j, 0) for i in range(3) for j in range(3) if i != j]
     return ColoredGraph(6, edges, vertex_colors=[1, 1, 1, 2, 2, 2])
+
+
+def crowns(m: int) -> ColoredGraph:
+    """m disjoint crowns, copy c colored 2c and 2c + 1: 6m vertices, and 3m
+    overlap blocks {i, 3 + i} of two vertices each."""
+    edges = [
+        (6 * c + i, 6 * c + 3 + j, 0) for c in range(m) for i in range(3) for j in range(3) if i != j
+    ]
+    return ColoredGraph(6 * m, edges, vertex_colors=np.repeat(np.arange(2 * m), 3))
 
 
 @st.composite

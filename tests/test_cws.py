@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wlkit.cws as cws
-from conftest import colored_graphs, crown_graph, graph_pairs, traced_peak
+from conftest import colored_graphs, crown_graph, crowns, graph_pairs, lines_run, traced_peak
 from wlkit.cfi import cfi_build
 from wlkit.cws import (
     closure,
@@ -89,6 +89,28 @@ def reference_is_prime(g, cols, sset: frozenset[int]) -> bool:
     return bool(pairs) and all(
         reference_closure(p, cols, pair, g.directed) == sset for pair in pairs
     )
+
+
+def reference_overlap_blocks(g, cols, cap: int) -> list[frozenset[int]]:
+    """For each member x of each class of 3 to `cap` vertices, by ascending
+    color: the intersection of x's distinct prime pair closures when there
+    are two or more, kept once when it holds two vertices or more.  Raises
+    when two of the blocks intersect."""
+    p = g.pair_codes()
+    blocks: list[frozenset[int]] = []
+    for c in sorted(set(cols.tolist())):
+        members = [v for v in range(g.n) if cols[v] == c]
+        if not 3 <= len(members) <= cap:
+            continue
+        for x in members:
+            closures = [reference_closure(p, cols, (x, y), g.directed) for y in members if y != x]
+            primes = [s for s in dict.fromkeys(closures) if reference_is_prime(g, cols, s)]
+            block = frozenset.intersection(*primes) if len(primes) >= 2 else frozenset()
+            if len(block) >= 2 and block not in blocks:
+                blocks.append(block)
+    if any(a & b for a, b in combinations(blocks, 2)):
+        raise DecompositionError("overlap blocks intersect each other")
+    return blocks
 
 
 def reference_twin_classes(g, cols):
@@ -637,6 +659,69 @@ def test_crown_overlap_blocks():
     assert sorted(sorted(b) for b in blocks) == [[0, 3], [1, 4], [2, 5]]
 
 
+@PROPERTY
+@given(any_codes(max_n=7))
+def test_overlap_blocks_match_the_pairwise_reference(case):
+    g, cols = case
+    scan = cws._Scan(g, cols, DEFAULT_LIMITS)
+    try:
+        want = reference_overlap_blocks(g, cols, DEFAULT_LIMITS.overlap_class_cap)
+    except DecompositionError:
+        with pytest.raises(DecompositionError, match="intersect"):
+            cws._overlap_blocks(scan, DEFAULT_LIMITS)
+    else:
+        assert cws._overlap_blocks(scan, DEFAULT_LIMITS) == want
+
+
+def test_intersecting_overlap_blocks_raise():
+    # under this (unstable) coloring, blocks {0, 3} and {3, 4} share vertex 3
+    g = ColoredGraph(7, [(0, 2), (0, 5), (2, 6), (3, 4), (3, 5), (3, 6), (5, 6)])
+    cols = np.array([0, 0, 1, 1, 0, 1, 0])
+    with pytest.raises(DecompositionError, match="intersect"):
+        reference_overlap_blocks(g, cols, DEFAULT_LIMITS.overlap_class_cap)
+    with pytest.raises(DecompositionError, match="intersect"):
+        cws._overlap_blocks(cws._Scan(g, cols, DEFAULT_LIMITS), DEFAULT_LIMITS)
+
+
+@pytest.mark.parametrize("twisted, seeds, digest", [
+    ((), 396, "5a940ad540eb89adb216418a1dcd5c806325f36aa144e3ba3931061e7fac8375"),
+    (((0, 1),), 1624, "1ea1fa1da757a1e35a0e8f8dd6412014171712a8411e7b15dbafc173eb7123f5"),
+])
+def test_an_overlap_scan_closes_every_classmate_pair_in_one_batch(monkeypatch, twisted, seeds, digest):
+    # CFI(K4) and CFI(K4) beside a twisted copy: the scan closes the pairs of
+    # every scanned class at once, and primality and decompose read the
+    # cache, so the whole reduction runs one closure batch, with the digests
+    # that closing class by class gave (in 4-9 and 13-14 batches)
+    g, _ = cfi_build(complete(4))
+    if twisted:
+        g = disjoint_union(g, cfi_build(complete(4), twisted=twisted)[0])
+    batches = []
+    closures = cws._closures
+    monkeypatch.setattr(
+        cws, "_closures", lambda planes, cls, s, cap: batches.append(len(s)) or closures(planes, cls, s, cap)
+    )
+    tree, cert = reduce_graph(g, 2)
+    assert batches == [seeds]
+    assert cert.digest.hex() == digest
+    assert [(lv.kind, len(lv.pieces)) for lv in tree.levels] == [("prime", 1 + bool(twisted))]
+
+
+def test_overlap_blocks_of_many_crowns_run_in_linear_time():
+    # 3m blocks of m crowns: one closure batch, one primality test per
+    # distinct closure and one pass over the blocks that checks them for
+    # overlap, so the lines run grow with m; checking every pair of blocks
+    # and closing per class grew 2.6-3.0x a doubling (142485, 374935,
+    # 1115435 lines)
+    runs = []
+    for m in (100, 200, 400):
+        g = crowns(m)
+        scan = cws._Scan(g, g.vertex_colors, DEFAULT_LIMITS)
+        blocks, lines = lines_run(lambda: cws._overlap_blocks(scan, DEFAULT_LIMITS))
+        assert blocks == [frozenset((6 * c + i, 6 * c + 3 + i)) for c in range(m) for i in range(3)]
+        runs.append(lines)
+    assert runs[1] <= 2.1 * runs[0] and runs[2] <= 2.1 * runs[1], runs
+
+
 # -- full reduction -----------------------------------------------------------------------
 
 
@@ -907,6 +992,28 @@ def test_a_closure_batch_counts_its_keys_and_rows(m, budget):
     err, peak = traced_peak(run)
     assert err.cap == budget < err.required and err.budget == "memory_bytes"
     assert peak <= budget
+
+
+def test_an_overlap_scan_budgets_the_pairs_of_every_scanned_class_at_once(monkeypatch):
+    # 100 crowns hold 200 scanned classes of 3.  At the least budget the
+    # scan's planes take, the three pairs of a class close on their own, but
+    # the keys and rows of all 600 pairs at once do not: the one batch raises
+    # before it builds a closure, or the planes
+    g = crowns(100)
+    with pytest.raises(ResourceLimitError) as err:
+        cws._Scan(g, g.vertex_colors, Limits(memory_bytes=1))
+    lim = Limits(memory_bytes=err.value.required)
+    for members in cws._class_members(np.asarray(g.vertex_colors))[:3]:
+        one = cws._Scan(g, g.vertex_colors, lim)
+        one.close_pairs(combinations(members.tolist(), 2))
+        assert len(one.cl) == 3
+    batches = []
+    monkeypatch.setattr(cws, "_closures", lambda *args: batches.append(args))
+    scan = cws._Scan(g, g.vertex_colors, lim)
+    with pytest.raises(ResourceLimitError, match="600 closures") as err:
+        cws._overlap_blocks(scan, lim)
+    assert err.value.budget == "memory_bytes" and err.value.cap == lim.memory_bytes
+    assert batches == [] and scan.cl == {} and "planes" not in vars(scan)
 
 
 def test_twin_ranks_are_budgeted_with_the_planes():

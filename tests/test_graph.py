@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import colored_graphs
+from conftest import colored_graphs, crowns, lines_run
 from wlkit.errors import ParseError, ResourceLimitError, UnsupportedGraphError
 from wlkit.families import (
     bowtie,
@@ -88,6 +88,34 @@ def test_relabel_and_induced():
     sub, verts = cycle(6).induced([0, 1, 2])
     assert verts == [0, 1, 2]
     assert sub.n == 3 and sub.num_edges == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored_graphs(), st.data())
+def test_induced_keeps_every_edge_and_arc_within_the_subset(case, data):
+    # the reference keeps each edge of the whole graph with both ends in the
+    # subset; a directed graph keeps both arcs of a pair
+    g, _ = case
+    subset = data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
+    sub, keep = g.induced(subset)
+    pos = {v: i for i, v in enumerate(keep)}
+    want = {(pos[u], pos[v]): c for (u, v), c in g.edges.items() if u in pos and v in pos}
+    assert keep == sorted(subset) and sub.directed == g.directed
+    assert sub.edges == want
+    assert sub.vertex_colors == tuple(g.vertex_colors[v] for v in keep)
+
+
+def test_induced_subgraphs_of_many_pieces_run_in_linear_time():
+    # the induced subgraph of each of m crowns walks the crown's neighbour
+    # lists: the lines run grow with m, where a walk over every edge per
+    # call grew about 4x a doubling (192500, 745000, 2930000 lines)
+    runs = []
+    for m in (100, 200, 400):
+        g = crowns(m)
+        subs, lines = lines_run(lambda: [g.induced(range(6 * c, 6 * c + 6))[0] for c in range(m)])
+        assert subs[0] == crowns(1) and all(sub.num_edges == 6 for sub in subs)
+        runs.append(lines)
+    assert runs[1] <= 2.1 * runs[0] and runs[2] <= 2.1 * runs[1], runs
 
 
 def test_rejects_bad_input():
