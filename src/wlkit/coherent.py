@@ -8,7 +8,8 @@ third is the k = 2 stop check that ends the closure's round loop, so a
 closure needs no separate pass for it.  The closure runs refine's round
 loop at k = 2 (`refine.refine_rounds`): the growth loop of hashed rounds,
 then the one exact round's stop check (`refine.stop_check`), normally its
-one exact pass.
+one exact pass.  That pass builds the rows of one relation of each
+transpose pair (`kernels.unstable_pairs`), about half of the n^3 codes.
 
 The Klein scheme of a cubic graph puts a 4-point fibre on every vertex,
 carrying that fibre's identity relation and three pairings (points as 2-bit
@@ -180,7 +181,10 @@ def validate(c: CoherentConfig) -> ValidationReport:
     (`refine.stop_check`): each cell's sorted codes rel[x, z] * s + rel[z, y]
     over z against those of the cell before it in its relation, in blocks,
     which gives, for each relation that fails, its first cell that differs
-    from its exemplar; the witness is the first of those.  The check must
+    from its exemplar; the witness is the first of those.  Axiom 2 holds
+    by then, so the check builds the cells of one relation of each
+    transpose pair, about n^3 / 2 codes, and then those of the transposes
+    of the relations that fail.  The check must
     fit `DEFAULT_LIMITS.memory_bytes`, read at the call
     (ResourceLimitError): under 2 GiB, up to 4095 points.  An ok report
     keeps a copy of the relation ids and the exemplars, and builds the
@@ -245,7 +249,8 @@ def cellular_closure(
     The pass's last step, the stop check, compares each cell's row
     with the row before it in its class, which is `validate`'s axiom 3 on
     the result (renumbering ids changes neither side).  Unless a collision
-    hid a split, it is the closure's one exact n^3 pass, over int32 codes
+    hid a split, it is the closure's one exact pass, over the rows of one
+    relation of each transpose pair (about n^3 / 2 codes), int32 codes
     (int64 once the class count reaches 46341) in cache-sized blocks; a
     discrete result needs none.  The result is then checked against axioms
     0-2, which are O(n^2).

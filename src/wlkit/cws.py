@@ -383,15 +383,19 @@ class _Scan:
 
 
 def _classmate_pairs(members: np.ndarray, cls: np.ndarray) -> list[tuple[int, int]]:
-    """Every pair x < y of the increasing `members` within one class, sorted."""
-    xs, ys = [], []
-    for grp in _class_members(cls):
-        i, j = np.triu_indices(grp.size, 1)
-        xs.append(members[grp[i]])
-        ys.append(members[grp[j]])
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    order = np.lexsort((y, x))
-    return list(zip(x[order].tolist(), y[order].tolist()))
+    """Every pair x < y of the increasing `members` within one class, sorted.
+    One stable argsort by class puts each class's members in one run, in
+    increasing order, and each member is paired with the rest of its run."""
+    order = np.argsort(cls, kind="stable")
+    srt = cls[order]
+    ends = np.flatnonzero(np.append(srt[1:] != srt[:-1], True)) + 1
+    # how many members of its run follow each position
+    later = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(order.shape[0]) - 1
+    i = np.repeat(np.arange(order.shape[0]), later)
+    j = np.arange(i.shape[0]) - np.repeat(np.cumsum(later) - later, later) + i + 1
+    x, y = members[order[i]], members[order[j]]
+    keep = np.lexsort((y, x))
+    return list(zip(x[keep].tolist(), y[keep].tolist()))
 
 
 def closure(g: ColoredGraph, coloring, seed) -> frozenset[int]:

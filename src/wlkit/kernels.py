@@ -30,9 +30,17 @@ runs after its hashed growth rounds and `coherent.validate` runs as axiom 3
 on the relation ids: the pairs are ordered by class and each row is built
 (`pair_code_rows`, from the two `pair_tables`) and compared with the row
 before it in its class, one block of at most _PAIR_CELLS codes at a time,
-so the n^2 (n + 1) round is never held.  A split, which at k = 2 comes only
-after a hash collision, builds the rows of the classes that split and no
-others.
+so the n^2 (n + 1) round is never held.  Of each transpose pair of classes
+only one is built.  With τ(K) the class of the transpose of K's first
+pair, when every pair of K transposes into τ(K) (one O(n^2) compare,
+before any row), row (y, x) is row (x, y) with each code (a, b) replaced
+by (τ(b), τ(a)), so τ(K)'s rows agree exactly when K's do, and only the
+classes K <= τ(K) are built; the partners of the classes that fail are
+then checked alone, for their own first breaks.  Stable colorings are
+transpose-closed, so a closed Klein scheme builds 13,120 of its 25,600
+rows at 160 points; a coloring that is not builds every class.  A split,
+which at k = 2 comes only after a hash collision, builds the rows of the
+classes that split and no others.
 
 `dense_rank_rows` ranks rows whose column bit lengths sum to at most 62 (a
 k = 2 search node's first round, built from its seed keys; initial
@@ -150,23 +158,100 @@ def unstable_pairs(
     first pair in row-major order whose row differs from that of the class's
     first pair, in increasing class id; None when every class agrees.
 
-    The pairs are stably sorted by class, classes of one pair left out (a
-    lone pair agrees with itself).  Blocks of about `cells` codes, at least
-    one row, are built (`pair_code_rows`) and each row is compared with the
-    row before it in its class, one row carried across blocks.  Rows equal
-    along that chain all equal the class's first row, so the check is exact,
-    and a class's first break is its first pair that differs from the first
-    pair.  Column 0, the previous id, is equal within a class and is not
-    built.  Holds the two tables, a few index arrays of the pairs, and one
-    block."""
-    size = np.bincount(colors, minlength=ncolors)
-    pairs = np.flatnonzero(size[colors] > 1)
-    del size
+    The pairs are sorted by class, each class's in row-major order, and
+    classes of one pair are left out (a lone pair agrees with itself).
+    Blocks of about `cells` codes, at least one row, are built
+    (`pair_code_rows`) and each row is compared with the row before it in
+    its class, one row carried across blocks.  Rows equal along that chain
+    all equal the class's first row, so the check is exact, and a class's
+    first break is its first pair that differs from the first pair.
+    Column 0, the previous id, is equal within a class and is not built.
+
+    Of each transpose pair of classes only one is checked.  Let τ(K) be the
+    class of the transpose of K's first pair.  When C(y, x) = τ(C(x, y))
+    for every pair (`_skipped_classes` compares each pair's transpose class
+    with the one before it in its class, before any row is built), τ is an
+    involution and transposing maps K one to one onto τ(K).  Row (y, x) is
+    then row (x, y) with each code (a, b) replaced by (τ(b), τ(a)), a
+    one-to-one map of codes, so τ(K)'s rows are all equal exactly when K's
+    are, and only the classes K <= τ(K) are built: 13,120 of the 25,600
+    rows of the 160-point Klein scheme.  Otherwise every class is, as the
+    same loop over all pairs.  A failing class K then names τ(K), the
+    class of its break's transpose, which fails too; the skipped ones are
+    checked by the same loop over their pairs alone, for their own first
+    breaks.  Holds the two tables, a few index arrays of the pairs, one
+    per-class flag, and one block."""
+    pairs = _class_sorted(colors, np.bincount(colors, minlength=ncolors) > 1)
     if not pairs.size:
         return None
-    pairs = pairs[np.argsort(colors[pairs], kind="stable")]
-    cls = colors[pairs]
+    # the compare holds about 40 bytes a pair and a block 9 a code, so
+    # slabs of cells // 8 pairs stay near a block's size
+    skipped = _skipped_classes(colors, pairs, n, ncolors, max(1, cells // 8))
+    pairs = pairs[~skipped[colors[pairs]]]
     tables = pair_tables(colors, n, max(2, ncolors))
+    breaks = _first_breaks(tables, colors, pairs, cells)
+    del pairs
+    if not breaks.size:
+        return None
+    partners = np.zeros(ncolors, dtype=bool)
+    partners[colors[_transposed(breaks, n)]] = True
+    partners &= skipped
+    if partners.any():
+        more = _first_breaks(tables, colors, _class_sorted(colors, partners), cells)
+        breaks = np.concatenate((breaks, more))
+        breaks = breaks[np.argsort(colors[breaks])]
+    return breaks
+
+
+def _class_sorted(colors: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """The pairs of the classes flagged in `flags`, sorted by class and each
+    class's pairs in row-major order, so its first pair comes first.  One
+    in-place sort of the keys class * n^2 + pair, below n^4 < 2^63 for
+    every n up to 46340, several times faster than a stable argsort."""
+    pairs = np.flatnonzero(flags[colors])
+    keys = colors[pairs].astype(np.int64, copy=False)
+    keys *= colors.shape[0]
+    keys += pairs
+    del pairs
+    keys.sort()
+    np.remainder(keys, colors.shape[0], out=keys)
+    return keys
+
+
+def _transposed(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The pair y * n + x of each pair x * n + y."""
+    x, y = np.divmod(pairs, n)
+    y *= n
+    y += x
+    return y
+
+
+def _skipped_classes(
+    colors: np.ndarray, pairs: np.ndarray, n: int, ncolors: int, step: int
+) -> np.ndarray:
+    """Per class, whether `unstable_pairs` leaves it out.  When each pair of
+    the class-sorted `pairs` transposes into the class that the pair before
+    it in its class transposes into, so every pair of K into τ(K), those
+    are the classes K with τ(K) < K; else there are none.  `step` pairs at
+    a time, one pair carried."""
+    skipped = np.zeros(ncolors, dtype=bool)
+    for lo in range(0, pairs.shape[0], step):
+        at = pairs[max(0, lo - 1) : lo + step]
+        cls, tcls = colors[at], colors[_transposed(at, n)]
+        if np.any((cls[1:] == cls[:-1]) & (tcls[1:] != tcls[:-1])):
+            return np.zeros(ncolors, dtype=bool)
+        skipped[cls[tcls < cls]] = True
+    return skipped
+
+
+def _first_breaks(
+    tables: tuple[np.ndarray, np.ndarray], colors: np.ndarray, pairs: np.ndarray, cells: int
+) -> np.ndarray:
+    """For each class of the class-sorted `pairs` (`_class_sorted`) whose
+    rows are not all equal, its first pair whose row differs from the row
+    before it, in increasing class id: the block loop of `unstable_pairs`."""
+    n = tables[1].shape[0]
+    cls = colors[pairs]
     step = min(max(1, cells // n), pairs.shape[0])
     rows = np.empty((step + 1, n), dtype=tables[0].dtype)
     breaks = []
@@ -182,7 +267,7 @@ def unstable_pairs(
             breaks.append(lo + np.flatnonzero(differ))
         rows[0] = block[-1]
     if not breaks:
-        return None
+        return pairs[:0]
     at = np.concatenate(breaks)
     # `at` increases, so its classes do too: keep each class's first break
     first = np.ones(at.shape[0], dtype=bool)

@@ -50,8 +50,9 @@ first checks whether it splits anything, and when it does not the loop
 stops without ranking.  At k = 2 the check (`stop_check`,
 `kernels.unstable_pairs`, which `coherent.validate` runs as axiom 3)
 compares each pair's row with the row before it in its class, in
-cache-sized blocks, so it never holds the n^2 (n + 1) round; on a split
-only the rows of the classes it names are built and ranked.  A k >= 3
+cache-sized blocks, so it never holds the n^2 (n + 1) round, and of a
+transpose-closed coloring builds one class of each transpose pair; on a
+split only the rows of the classes it names are built and ranked.  A k >= 3
 round builds every tuple's row, compares it with the row of the first
 tuple of its class (`kernels.any_row_differs`) and on a split ranks all
 its rows, in place.  It stays a full round for two measured reasons
@@ -319,12 +320,12 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
 
 
 # Bytes a pair of the k = 2 stop check (`kernels.unstable_pairs`) holds
-# beside its block: the caller's ids, the pairs of classes of two or more,
-# their class order and classes, and the two code tables.  Traced at 21-30
-# beside the block (n = 10-440: Klein schemes and colorings of 2, 7 and
-# n^2 / 2 classes, int32 and int64 codes), so a block of _STOP_PAIR_BYTES
-# less than the estimate's allowance keeps the check's peak within the
-# estimate (peak/estimate 0.27-0.84 from n = 40 up).
+# beside its block: the caller's ids, the pairs of classes of two or more
+# that it builds and their classes, a flag a class, and the two code
+# tables.  Traced at 21-30 beside the block (n = 10-440: Klein schemes and
+# colorings of 2, 7 and n^2 / 2 classes, int32 and int64 codes), so a block
+# of _STOP_PAIR_BYTES less than the estimate's allowance keeps the check's
+# peak within the estimate (peak/estimate 0.27-0.84 from n = 40 up).
 _STOP_PAIR_BYTES = 48
 
 

@@ -287,10 +287,11 @@ def test_criterion_11_scaling_smoke():
     t0 = time.time()
     # a random graph goes discrete in hashed rounds and never shows the
     # exact round.  A random graph beside a relabeled copy has two pairs in
-    # every stable class, so the stop check builds all n^2 rows, n^3 codes;
-    # at n = 120-260 its codes stay int32.  Best of 15 rides out a shared
-    # host's stalls (the fit read 2.9-3.1 over six processes, OpenBLAS at
-    # one thread or its default two)
+    # every stable class, so the stop check builds the rows of one class of
+    # each transpose pair, n^3 / 2 codes; at n = 120-260 its codes stay
+    # int32.  Best of 15 rides out a shared host's stalls (the fit read
+    # 2.6-3.0 over 15 fits in one process, OpenBLAS at its default two
+    # threads)
     graphs = {n: doubled_graph(n) for n in (120, 180, 260)}
     rows = [
         {"n": n, "seconds": min(timeit.repeat(lambda: refine_k(g, 2), number=1, repeat=15))}

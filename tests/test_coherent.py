@@ -184,16 +184,23 @@ def relation_matrices(draw):
 
 @st.composite
 def klein_variants(draw):
-    """Klein schemes, psi-twisted or not, with one cell changed, or their
-    role-merged seeds (not coherent)."""
+    """Klein schemes, psi-twisted or not, with one cell changed, with an
+    off-diagonal cell moved into the relation of another and its transpose
+    into that relation's transpose (transpose-compatible, so the stop check
+    builds one relation of each transpose pair, then the partners of those
+    that fail), or their role-merged seeds (not coherent)."""
     g = draw(st.sampled_from([complete(4), complete_bipartite(3, 3)]))
     c = klein_scheme(g)
     for fibre in draw(st.lists(st.integers(0, g.n - 1), max_size=2)):
         c = psi_twist(c, fibre)
-    kind = draw(st.sampled_from(["scheme", "cell", "merged"]))
+    kind = draw(st.sampled_from(["scheme", "cell", "transposed", "merged"]))
     if kind == "cell":
         x, y = draw(st.integers(0, c.n - 1)), draw(st.integers(0, c.n - 1))
         c.rel[x, y] = draw(st.integers(0, c.s - 1))
+    elif kind == "transposed":
+        off = [(x, y) for x in range(c.n) for y in range(c.n) if x != y]
+        (x, y), (u, v) = draw(st.sampled_from(off)), draw(st.sampled_from(off))
+        c.rel[x, y], c.rel[y, x] = c.rel[u, v], c.rel[v, u]
     elif kind == "merged":
         seed = merge_relations(c, klein_merge_groups(c))
         c = CoherentConfig(n=c.n, s=int(seed.max()) + 1, rel=seed)

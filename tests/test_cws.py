@@ -706,6 +706,21 @@ def test_an_overlap_scan_closes_every_classmate_pair_in_one_batch(monkeypatch, t
     assert [(lv.kind, len(lv.pieces)) for lv in tree.levels] == [("prime", 1 + bool(twisted))]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 4)), min_size=2, max_size=30,
+                unique_by=lambda t: t[0]))
+def test_classmate_pairs_are_every_same_class_pair_in_order(members):
+    # increasing members with arbitrary class ids: the pairs of one stable
+    # argsort are the sorted same-class pairs of itertools.combinations
+    members.sort()
+    verts = np.asarray([v for v, _ in members], dtype=np.int64)
+    cls = np.asarray([c for _, c in members], dtype=np.int64)
+    want = sorted((x, y) for (x, a), (y, b) in combinations(members, 2) if a == b)
+    got = cws._classmate_pairs(verts, cls)
+    assert got == want
+    assert all(type(v) is int for pair in got for v in pair)
+
+
 def test_overlap_blocks_of_many_crowns_run_in_linear_time():
     # 3m blocks of m crowns: one closure batch, one primality test per
     # distinct closure and one pass over the blocks that checks them for

@@ -29,12 +29,13 @@ from conftest import (
     two_valued_salts,
 )
 from wlkit import kernels
-from wlkit.coherent import cellular_closure
+from wlkit.coherent import cellular_closure, klein_merge_groups, klein_scheme, merge_relations
 from wlkit.cws import reduce_graph
 from wlkit.errors import ResourceLimitError, UnsupportedGraphError
 from wlkit.families import (
     complete,
     cycle,
+    generalized_petersen,
     path,
     petersen,
     random_graph,
@@ -860,9 +861,12 @@ def reference_unstable_pairs(colors, n, ncolors):
 def pair_colorings(draw):
     """(colors, n): dense pair colorings of 1-7 points.  Random colorings
     with 1, 2, 3 or n^2 values; stable closures of random colored graphs,
-    directed or not, one cell changed or not; and the iso types of directed
-    colored graphs, with or without one hashed round."""
-    kind = draw(st.sampled_from(("random", "closure", "directed")))
+    directed or not, one cell changed or not; the same closures with one
+    pair p moved into the class of a pair q and p's transpose into that of
+    q's, so the colors stay transpose-compatible and the check skips one
+    class of each transpose pair; and the iso types of directed colored
+    graphs, with or without one hashed round."""
+    kind = draw(st.sampled_from(("random", "closure", "transposed", "directed")))
     if kind == "random":
         n = draw(st.integers(1, 7))
         m = draw(st.sampled_from((1, 2, 3, n * n)))
@@ -874,6 +878,14 @@ def pair_colorings(draw):
         if draw(st.booleans()):
             colors = colors.copy()
             colors[draw(st.integers(0, n * n - 1))] = colors[draw(st.integers(0, n * n - 1))]
+    elif kind == "transposed":
+        g, cols = draw(colored_graphs(max_n=7, min_n=2))
+        rel = cellular_closure(g.with_vertex_colors(cols.tolist())).rel.copy()
+        n = g.n
+        x, y = draw(st.sampled_from([(x, y) for x in range(n) for y in range(n) if x != y]))
+        u, v = divmod(draw(st.integers(0, n * n - 1)), n)
+        rel[x, y], rel[y, x] = rel[u, v], rel[v, u]
+        colors = rel.ravel()
     else:
         g, cols = draw(colored_graphs(max_n=7, min_n=1, directed=True))
         colors = kernels.dense_rank_rows(refine_module._initial_rows(g, 2, cols))
@@ -906,6 +918,50 @@ def test_the_stop_check_matches_the_full_round(case):
     else:
         full = kernels.dense_rank_rows(kernels.round_rows(colors, n, 2, ncolors))
         assert np.array_equal(ids, full)
+
+
+def _rows_built(colors, n, ncolors):
+    """The stop check's result and the number of rows it builds."""
+    built = []
+    real = kernels.pair_code_rows
+
+    def spy(tables, pairs, out, cells=kernels._PAIR_CELLS):
+        built.append(pairs.shape[0])
+        return real(tables, pairs, out, cells)
+
+    with mock.patch.object(kernels, "pair_code_rows", spy):
+        out = kernels.unstable_pairs(colors, n, ncolors)
+    return out, sum(built)
+
+
+@pytest.mark.parametrize("base, rows", [
+    (complete(4), 160), (petersen(), 880), (generalized_petersen(20, 1), 13_120),
+])
+def test_the_stop_check_builds_one_class_of_each_transpose_pair(base, rows):
+    # a Klein closure is transpose-compatible, so of its n^2 pairs the
+    # check builds the rows of its symmetric classes and of one class of
+    # each transpose pair: 160 of 256 on K4, 880 of 1600 on Petersen and
+    # 13,120 of 25,600 on the prism Y20
+    c = klein_scheme(base)
+    closed = cellular_closure(merge_relations(c, klein_merge_groups(c)))
+    for rel, s in ((c.rel, c.s), (closed.rel, closed.s)):
+        out, built = _rows_built(rel.ravel(), rel.shape[0], s)
+        assert out is None and built == rows
+
+
+def test_a_coloring_that_is_not_transpose_compatible_checks_every_class():
+    # one cell moved into a class whose other pairs transpose elsewhere:
+    # every class of two or more pairs is built, and the breaks are those
+    # of the full round
+    c = klein_scheme(complete(4))
+    rel = c.rel.copy()
+    assert rel[0, 5] != rel[0, 6] and rel[6, 0] != rel[5, 0]
+    rel[0, 5] = rel[0, 6]
+    colors = np.unique(rel, return_inverse=True)[1].reshape(-1)
+    ncolors = int(colors.max()) + 1
+    out, built = _rows_built(colors, c.n, ncolors)
+    assert built == int(np.count_nonzero(np.bincount(colors)[colors] > 1))
+    assert np.array_equal(out, reference_unstable_pairs(colors, c.n, ncolors))
 
 
 @settings(max_examples=100, deadline=None)
