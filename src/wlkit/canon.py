@@ -220,7 +220,7 @@ def _search(g, k, limits, stats, mode, parent=None, held=0) -> dict:
                 sigma = np.empty(n, dtype=np.int64)
                 sigma[np.asarray(best["order"])] = np.asarray(order)
                 if not np.array_equal(sigma, np.arange(n)) and is_automorphism(g, sigma):
-                    tup = tuple(int(x) for x in sigma)
+                    tup = tuple(sigma.tolist())
                     if tup not in stats.generators:
                         stats.generators.append(tup)
                     depth = _jump_depth(sigma, prefix, best["path"])

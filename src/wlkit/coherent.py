@@ -186,7 +186,7 @@ def validate(c: CoherentConfig) -> ValidationReport:
     transpose pair, about n^3 / 2 codes, and then those of the transposes
     of the relations that fail.  The check must
     fit `DEFAULT_LIMITS.memory_bytes`, read at the call
-    (ResourceLimitError): under 2 GiB, up to 4095 points.  An ok report
+    (ResourceLimitError): under 2 GiB, up to 4230 points.  An ok report
     keeps a copy of the relation ids and the exemplars, and builds the
     exemplars' rows (`code_rows`, s x n codes) only when `intersection` is
     first read, so a caller that asks only whether the axioms hold never
@@ -265,14 +265,14 @@ def cellular_closure(
     Each hashed product sums terms below 2^40, fewer than 8192 at a time
     and reduced mod p between chunks (`refine._product_mod`), so it is
     exact in float64 in any order at every n, and the ids do not depend on
-    the BLAS or its threads.  The default budget stops the closure at 4095
+    the BLAS or its threads.  The default budget stops the closure at 4230
     points.
 
     The seed must hold integers or bools (UnsupportedGraphError otherwise,
     before anything of its size is allocated).  Raises ResourceLimitError
     before the first round, and before a graph's seed is built, when a k = 2
     round would need more than `limits.memory_bytes`
-    (`refine.check_round_budget`: 128 bytes a pair, where the hashed rounds
+    (`refine.check_round_budget`: 120 bytes a pair, where the hashed rounds
     peak; the stop check's blocks fit beside its own arrays), and before an
     exact split builds its rows past it.
     """

@@ -27,9 +27,9 @@ too, from its own seed.  `refine_k` and every canonical-search node
 a step maps the colors and their class count to the next round's ids,
 ranked previous id first, and runs until it returns None, the class count
 stops growing, or every tuple has its own class.  The step is the rank of
-the sparse k = 1 rows (below), the rank of the hashed k = 2 rows
-(`_hashed_rows`), or a full k >= 3 round (`_full_round`), which returns
-None when it splits nothing; k >= 4 takes the k >= 3 step, through
+the sparse k = 1 rows (below), a hashed k = 2 round (`_hashed_step`), or a
+full k >= 3 round (`_full_round`); the last two check before they rank and
+return None when they split nothing.  k >= 4 takes the k >= 3 step, through
 `round_rows`' overflow branch once its codes pass int64.  k = 1 and k >= 3
 rounds are exact, so their loop ends stable, and a discrete k = 1 coloring
 takes no confirming rank.  At k = 2, unless the caller skips it, the one
@@ -41,7 +41,12 @@ collides, so the exact round normally finds nothing to split; a collision
 costs an exact round, never a wrong partition (`coherent.cellular_closure`
 gives the proof).  So k = 2 ids are hash ranks.  A k = 2 search node skips
 the exact round, and a collision only leaves one of its classes unsplit
-(`canon` says why that suffices).
+(`canon` says why that suffices).  A hashed round hashes each pair's row
+to two values below 2^20, with salts fixed by the color id (`_salts`,
+read from a table built at import for the first 2^14 ids), and ranks the
+rows (previous id, h_1, h_2) only when some class holds two of those
+values (`_hashed_step`), so the round that ends a growth loop, which
+splits nothing, costs no rank.
 
 An exact round's rows are dense-ranked lexicographically, previous color
 first, so a color id is the rank of its row among the round's rows, and a
@@ -253,20 +258,24 @@ _CALL_BYTES = 8192
 # peak: a child's input, its parent's coloring (8 bytes a pair); the root's
 # five-column iso-type rows, the graph's pair codes and the rank's copies
 # of them, or a child's seed keys and pivot rows; then a hashed round's
-# three-column rows, salts, salt gathers, product and rank.  Fitted to
-# tracemalloc peaks of every node of canonical and verified searches, and
-# of roots and first children, at n = 10-240 (random graphs, directed or
-# not, cycles, edgeless and complete graphs, CFI gadgets, edge codes past
-# 2^40): peak/estimate 0.43-0.82 before the input is added, highest at deep
-# nodes near n^2 classes and where those codes keep the iso-type rows from
-# packing into one key.  The search's live frames come on top (`held`).
-_HASHED_PAIR_BYTES = 128
+# three-column rows, salt gathers, product, packed hashes and rank.  The
+# salts themselves (64 bytes an id while built) count only for class
+# counts past the import-time table (`_SALT_IDS`), which a round below it
+# reads in place.  128 bytes a pair, fitted when every round built them,
+# put a refinement whose ids fit the table below half its estimate.
+# Fitted to tracemalloc peaks of every node of canonical and verified
+# searches at n = 10-240 (random graphs, directed or not, with edge codes
+# past 2^40, cycles, edgeless and complete graphs, CFI gadgets):
+# peak/estimate 0.45-0.71 before the input is added (0.43-0.72 at 128
+# bytes when every round built its salts), highest at deep nodes near n^2
+# classes past the table.  The search's live frames come on top (`held`).
+_HASHED_PAIR_BYTES = 120
 
 
 def _hashed_bytes(n: int) -> int:
     """Working bytes of a hashed k = 2 search node, and of any k = 2 round
     (`_estimate_bytes`): `_CALL_BYTES` and _HASHED_PAIR_BYTES a pair.  At
-    the default 2 GiB this admits n up to 4095."""
+    the default 2 GiB this admits n up to 4230."""
     return _CALL_BYTES + _HASHED_PAIR_BYTES * n * n
 
 
@@ -284,11 +293,12 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     _STOP_PAIR_BYTES a pair beside a block sized to fit the rest
     (`_stop_cells`).  A split builds its rows only after checking them
     against memory_bytes (`_exact_round`).  Fitted to tracemalloc peaks of
-    `refine_k(·, 2)`: peak/estimate 0.96-0.99 at n = 40-400 for a graph
+    `refine_k(·, 2)` at n = 10-400: peak/estimate 0.53-0.80 for a graph
     with one twin pair, whose hashed rounds run one round at nearly n^2
-    classes, 0.77-0.88 at n = 10-20; 0.59-0.74 for random graphs, which
-    the hashed rounds make discrete; 0.63-0.90 for a graph beside a
-    relabeled copy, whose stop check builds every pair's row.
+    classes (0.80 once those pass the salt table, from n = 160);
+    0.53-0.68 for random graphs, which the hashed rounds make discrete;
+    0.54-0.84 for a graph beside a relabeled copy, whose stop check builds
+    every pair's row.
 
     A k >= 3 round holds its n^k * (n + 1) cells once, at the itemsize of
     the widest codes n^k colors can take (`code_dtype`), since the rank
@@ -304,7 +314,7 @@ def _estimate_bytes(n: int, k: int, width: int = 0, pairs: int = 0) -> int:
     Fitted to tracemalloc peaks: peak/estimate 0.85-0.86 at k = 3,
     n = 20-40 (random graphs, every row of a splitting round ranked);
     0.74-0.82 for the branch with _PACK_LIMIT patched to 1 (k = 3-4).  At
-    the default 2 GiB this admits k = 2 up to n = 4095, k = 3 up to n = 118
+    the default 2 GiB this admits k = 2 up to n = 4230, k = 3 up to n = 118
     (the branch can run from n = 119) and k = 4 up to n = 30."""
     if k == 1:
         return _CALL_BYTES + 8 * (n * (3 * width + 8) + 16 * pairs)
@@ -472,7 +482,14 @@ _PRIMES = (1048573, 1048571)
 _HASH_MAX_N = 8192
 
 
-def _salts(m: int) -> np.ndarray:
+# Salts of the ids below _SALT_IDS are built once, at import, in one
+# (4, _SALT_IDS) float64 table of 512 KB (`_SALT_TABLE`), so a round reads
+# them instead of hashing every id again; built at import, not on first use,
+# so no call pays for it.  Ids past the table are salted as they come.
+_SALT_IDS = 2**14
+
+
+def _splitmix_salts(m: int) -> np.ndarray:
     """Salts (a_1, b_1, a_2, b_2) of color ids 0..m-1 as float64 rows: row j
     of id c is splitmix64(4c + j), mapped to 1..p-1 of its row's prime.  A
     fixed function of the id alone, so each id keeps its salts whatever m.
@@ -489,6 +506,20 @@ def _salts(m: int) -> np.ndarray:
     out = z.astype(np.float64)
     out += 1
     return out
+
+
+_SALT_TABLE = _splitmix_salts(_SALT_IDS)
+_SALT_TABLE.flags.writeable = False
+
+
+def _salts(m: int) -> np.ndarray:
+    """The salts of color ids 0..m-1 (`_splitmix_salts`): a read-only view
+    of the first m columns of `_SALT_TABLE` while m is at most _SALT_IDS,
+    which allocates nothing, and built afresh past it.  Either way the same
+    function of the id, so every hash and id is the same whatever the cap."""
+    if m <= _SALT_IDS:
+        return _SALT_TABLE[:, :m]
+    return _splitmix_salts(m)
 
 
 def _product_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -511,12 +542,13 @@ def _hashed_rows(colors: np.ndarray, n: int) -> np.ndarray:
     h_i = (a_i[C] @ b_i[C]) mod p_i is a bilinear hash of the multiset over
     z of (C(x, z), C(z, y)), that is of the pair's exact round row, read
     with one float64 product per prime (`_product_mod`, in chunks from
-    _HASH_MAX_N vertices up).  The salts depend on the color id alone
-    (`_salts`), so the ids are relabeling-equivariant whatever collides; a
-    collision only leaves a class unsplit.  Every entry is below p < 2^20,
-    so each partial sum is below 2^53: the product is exact in any
-    summation order, and the ids are the same on every BLAS and thread
-    count.
+    _HASH_MAX_N vertices up).  The salts depend on the color id alone and
+    always come through `_salts`, a view of the import-time table below
+    _SALT_IDS classes, so the ids are relabeling-equivariant whatever
+    collides; a collision only leaves a class unsplit.  Every entry is
+    below p < 2^20, so each partial sum is below 2^53: the product is exact
+    in any summation order, and the ids are the same on every BLAS and
+    thread count.
 
     Each round is a function of each class's exact rows, so it never splits
     a stable coloring, and whatever stable partition refines its input
@@ -531,6 +563,25 @@ def _hashed_rows(colors: np.ndarray, n: int) -> np.ndarray:
         rows[:, 1 + i] = _product_mod(salts[2 * i][grid], salts[2 * i + 1][grid], p).reshape(-1)
         rows[:, 1 + i] %= p  # as integers: several times faster than fmod
     return rows
+
+
+def _hashed_step(colors: np.ndarray, n: int, ncolors: int) -> np.ndarray | None:
+    """The k = 2 growth step: the rank of the hashed rows (`_hashed_rows`)
+    of `colors`, which has `ncolors` classes, or None when no class holds
+    two (h_1, h_2), so that the rank would give back the same ids.  Each
+    pair's h_1 * 2^20 + h_2 (below 2^40, exact) is scattered into one slot
+    a class and gathered back: the round splits a class exactly when one of
+    its pairs differs from its slot.  A round that splits nothing costs no
+    rank, as in `_full_round`."""
+    rows = _hashed_rows(colors, n)
+    packed = rows[:, 1] << 20
+    packed |= rows[:, 2]
+    slot = np.empty(ncolors, dtype=np.int64)
+    slot[colors] = packed
+    if np.array_equal(slot[colors], packed):
+        return None
+    del packed, slot
+    return dense_rank_rows(rows)
 
 
 def _grow(colors: np.ndarray, step, class_counts: list[int]) -> np.ndarray:
@@ -570,8 +621,8 @@ def refine_rounds(
     ends the pass when it splits nothing.
 
     The growth loop (`_grow`) steps by the rank of the k = 1 rows, which
-    read the neighbor codes `nc`, by the rank of the hashed k = 2 rows
-    (`_hashed_rows`), or by a full k >= 3 round (`_full_round`).  k = 1 and
+    read the neighbor codes `nc`, by a hashed k = 2 round (`_hashed_step`),
+    or by a full k >= 3 round (`_full_round`).  k = 1 and
     k >= 3 rounds are exact, so they end stable.  At k = 2, unless `exact`
     is False, the stop check follows and, on a split (a hash collided),
     the failing classes' round (`_exact_round`, within `limits`), after
@@ -587,7 +638,7 @@ def refine_rounds(
     if k == 1:
         step = lambda colors, count: dense_rank_rows(_round_rows_k1(nc, colors))
     elif k == 2:
-        step = lambda colors, count: dense_rank_rows(_hashed_rows(colors, n))
+        step = lambda colors, count: _hashed_step(colors, n, count)
     else:
         step = lambda colors, count: _full_round(colors, n, k, count)
     while True:

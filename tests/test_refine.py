@@ -580,11 +580,9 @@ def test_refinement_matches_the_lexicographic_reference(case, k, steps):
         # initial coloring.  Each later splitting round is ranked, and a
         # full round that finds nothing to split is not.  At k = 2 those
         # are hashed rounds, and the hashed round that finds nothing to
-        # split is ranked too, unless the coloring is discrete or the
-        # child's first round split nothing; the exact stop check after it
-        # ranks nothing
-        hashed_stop = k == 2 and (tc is None or rounds > 0) and child.num_colors < g.n**2
-        assert len(ranked) == (1 + rounds if tc is None else max(rounds, 1)) + hashed_stop
+        # split is checked before it is ranked, so it is not ranked either;
+        # the exact stop check after it ranks nothing
+        assert len(ranked) == (1 + rounds if tc is None else max(rounds, 1))
         tc = child
 
 
@@ -1060,6 +1058,95 @@ def test_chunked_hashed_products_stay_within_the_estimate(bound):
         tc, _, peak = _traced_refinement(g, 2)
     assert np.array_equal(tc.colors, want.colors) and tc.class_counts == want.class_counts
     assert peak <= refine_module._hashed_bytes(g.n)
+
+
+def test_the_salt_table_is_the_splitmix_salts_of_its_ids():
+    # ids below the cap read the table, ids from the cap up are built as
+    # they come; either way the salts are the same function of the id
+    cap = refine_module._SALT_IDS
+    table = refine_module._SALT_TABLE
+    assert table.shape == (4, cap) and table.nbytes == 512 * 1024
+    assert not table.flags.writeable
+    for m in (cap - 1, cap, cap + 1):
+        fresh = refine_module._splitmix_salts(m)
+        assert np.array_equal(refine_module._salts(m), fresh), m
+        assert np.array_equal(fresh[:, : min(m, cap)], table[:, : min(m, cap)]), m
+    assert np.shares_memory(refine_module._salts(cap), table)
+    assert not np.shares_memory(refine_module._salts(cap + 1), table)
+
+
+@contextlib.contextmanager
+def _salt_builds():
+    """The id counts `refine._splitmix_salts` builds salts for within the
+    block."""
+    built = []
+    real = refine_module._splitmix_salts
+    with mock.patch.object(refine_module, "_splitmix_salts", lambda m: built.append(m) or real(m)):
+        yield built
+
+
+def test_ids_past_a_lowered_salt_cap_are_the_same():
+    # a random graph starts at 3 classes and goes discrete at 144, so with
+    # the cap patched down to 8 its rounds salt ids on both sides of it
+    g = random_graph(12, 0.5, seed=3)
+    want = refine_k(g, 2)
+    assert want.class_counts[0] <= 8 < want.num_colors
+    with mock.patch.object(refine_module, "_SALT_IDS", 8), _salt_builds() as built:
+        tc = refine_k(g, 2)
+    assert built and min(built) > 8
+    assert np.array_equal(tc.colors, want.colors) and tc.class_counts == want.class_counts
+
+
+def test_a_refinement_below_the_salt_cap_builds_no_salts():
+    # every salt a k = 2 refinement of up to _SALT_IDS classes reads is a
+    # view of the table: a spy on the builder sees no call from a
+    # refinement, a search or a closure
+    g = random_graph(40, 0.5, seed=1)
+    with _salt_builds() as built:
+        tc = refine_k(g, 2)
+        canon_module.certify(petersen(), 2, "canonical")
+        cellular_closure(klein_scheme(petersen()).rel)
+    assert tc.num_colors == 40 * 40 <= refine_module._SALT_IDS
+    assert built == []
+
+
+@st.composite
+def hashed_step_cases(draw):
+    """(dense ids of all n^2 pairs, n): random colorings, colorings with a
+    class of two pairs that splits, and discrete colorings."""
+    kind = draw(st.sampled_from(("random", "pair", "discrete")))
+    n = draw(st.integers(1 if kind != "pair" else 2, 7))
+    if kind == "discrete":
+        perm = draw(st.permutations(range(n * n)))
+        return np.asarray(perm, dtype=np.int64), n
+    if kind == "pair":
+        # every pair its own class but (0, 1) and (1, 0), whose rows read
+        # (C(0, 0), C(0, 1)) against (C(1, 0), C(0, 0)): they split
+        ids = np.arange(n * n, dtype=np.int64)
+        ids[n] = ids[1]
+        return np.unique(ids, return_inverse=True)[1], n
+    m = draw(st.integers(1, n * n))
+    raw = draw(st.lists(st.integers(0, m - 1), min_size=n * n, max_size=n * n))
+    return np.unique(np.asarray(raw, dtype=np.int64), return_inverse=True)[1], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(hashed_step_cases())
+def test_the_hashed_step_ranks_exactly_the_rounds_that_split(case):
+    # the check before the rank returns the rank's ids whenever the rank
+    # grows the class count, and None exactly when it does not
+    colors, n = case
+    ncolors = int(colors.max()) + 1
+    ranked = kernels.dense_rank_rows(refine_module._hashed_rows(colors, n))
+    ids = refine_module._hashed_step(colors, n, ncolors)
+    if int(ranked.max()) + 1 == ncolors:
+        assert ids is None
+    else:
+        assert np.array_equal(ids, ranked)
+    if ncolors == n * n:
+        assert ids is None
+    if n >= 2 and colors[1] == colors[n] and ncolors == n * n - 1:
+        assert ids is not None and ids[1] != ids[n]
 
 
 def test_an_exact_split_builds_its_rows_within_memory_bytes():
